@@ -13,6 +13,7 @@ from .core import (
     OrthogonalArray,
     OrthogonalityError,
     ResourceLimitError,
+    UsageError,
     Transform,
     TransformResult,
     apply_transform,

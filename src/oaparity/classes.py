@@ -30,12 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OAError, OrthogonalArray, ResourceLimitError
+from .core import OAError, OrthogonalArray, ResourceLimitError, UsageError
 from .parity import (
+    SigmaMatrix,
     StandardSigma,
     TauVector,
     binom2_bit,
     sigma_from_tau,
+    standardise,
     tau_from_sigma,
     tau_parity,
 )
@@ -78,7 +80,7 @@ def pack_state(std: StandardSigma) -> ParityState:
     pos = _bit_positions(std.k)
     word = 0
     for pair, p in pos.items():
-        if std.upper[pair]:
+        if std.m[pair]:
             word |= 1 << p
     return ParityState(k=std.k, nmod4=std.nmod4, word=word)
 
@@ -87,7 +89,7 @@ def unpack_state(s: ParityState) -> StandardSigma:
     up = np.zeros((s.k + 1, s.k + 1), dtype=np.uint8)
     for pair, p in _bit_positions(s.k).items():
         up[pair] = (s.word >> p) & 1
-    return StandardSigma(k=s.k, nmod4=s.nmod4, upper=up)
+    return StandardSigma.from_upper(s.k, s.nmod4, up)
 
 
 def state_of_tau(t: TauVector) -> ParityState:
@@ -110,21 +112,10 @@ def act_permute(s: ParityState, g) -> ParityState:
     g = tuple(g)
     if sorted(g) != list(range(1, s.k + 1)):
         raise OAError("g must be a permutation of 1..k")
-    ginv = [0] * (s.k + 1)
-    for i, gi in enumerate(g, start=1):
-        ginv[gi] = i
-    m = unpack_state(s).to_matrix().m
-    ginv_arr = np.asarray(ginv)
-    new = m[np.ix_(ginv_arr, ginv_arr)]
-    if new[1, 2]:
-        new = new.copy()
-        off = ~np.eye(s.k + 1, dtype=bool)
-        off[0, :] = False
-        off[:, 0] = False
-        new[off] ^= 1
-    return pack_state(
-        StandardSigma(k=s.k, nmod4=s.nmod4, upper=np.triu(new, 1))
-    )
+    ginv = np.zeros(s.k + 1, dtype=np.int64)
+    ginv[list(g)] = np.arange(1, s.k + 1)
+    m = unpack_state(s).m[np.ix_(ginv, ginv)]
+    return pack_state(standardise(SigmaMatrix(s.k, s.nmod4, m)))
 
 
 def act_swap(s: ParityState, cset) -> ParityState:
@@ -135,20 +126,10 @@ def act_swap(s: ParityState, cset) -> ParityState:
     if not members <= set(range(1, s.k + 1)):
         raise OAError("swap set must be a subset of 1..k")
     chi = np.zeros(s.k + 1, dtype=np.uint8)
-    for v in members:
-        chi[v] = 1
-    m = unpack_state(s).to_matrix().m.copy()
-    flip = chi[:, None] ^ chi[None, :]
-    flip[0, :] = 0
-    flip[:, 0] = 0
-    np.fill_diagonal(flip, 0)
-    m ^= flip
-    if m[1, 2]:
-        off = ~np.eye(s.k + 1, dtype=bool)
-        off[0, :] = False
-        off[:, 0] = False
-        m[off] ^= 1
-    return pack_state(StandardSigma(k=s.k, nmod4=s.nmod4, upper=np.triu(m, 1)))
+    chi[list(members)] = 1
+    # the constructor drops what the flip puts in the unused row/column 0
+    m = unpack_state(s).m ^ chi[:, None] ^ chi[None, :]
+    return pack_state(standardise(SigmaMatrix(s.k, s.nmod4, m)))
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +150,6 @@ class _Generator:
     d_src: int  # -1 when the bit is constant
     d_const: int
     full: int
-
-    def apply_int(self, word: int) -> int:
-        out = word & self.keep
-        for src, dst in self.moved:
-            out |= ((word >> src) & 1) << dst
-        out ^= self.xmask
-        d = self.d_const ^ ((word >> self.d_src) & 1 if self.d_src >= 0 else 0)
-        return out ^ (self.full if d else 0)
 
     def apply(self, words: np.ndarray) -> np.ndarray:
         out = words & np.uint64(self.keep)
@@ -276,8 +249,10 @@ def _orbit_bound(k: int, nmod4: int) -> int:
 
 
 def _budget_bytes() -> int:
-    mb = int(os.environ.get(_BUDGET_ENV, _DEFAULT_BUDGET_MB))
-    return mb << 20
+    raw = os.environ.get(_BUDGET_ENV, str(_DEFAULT_BUDGET_MB))
+    if not raw.strip().isdecimal():
+        raise UsageError(f"{_BUDGET_ENV} must be a whole number of MiB, got {raw!r}")
+    return int(raw) << 20
 
 
 def _orbit_bitmap(seed: int, gens, visited: np.ndarray) -> tuple[int, int]:

@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 domain error (invalid data, failed validation),
-2 usage error.  All numeric output is available as JSON via --json; runs
-are deterministic given identical inputs and seeds.  The only environment
-knob is OAPARITY_ORBIT_BUDGET_MB, the memory budget of the orbit search.
+Exit codes: 0 success, 1 domain error (invalid data, failed validation,
+unreadable file), 2 usage error (bad arguments or environment setting).
+All numeric output is available as JSON via --json; runs are deterministic
+given identical inputs and seeds.  The only environment knob is
+OAPARITY_ORBIT_BUDGET_MB, the memory budget of the orbit search.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import classes, constructions, ensemble, fileio, graphs, search
-from .core import OAError, oa_to_mols
+from .core import OAError, UsageError, oa_to_mols
 from .parity import latin_square_parities, sigma_from_tau, tau_parity
 
 
@@ -419,7 +420,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OAError, FileNotFoundError) as exc:
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (OAError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

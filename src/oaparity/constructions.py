@@ -21,13 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LatinSquare, OAError, OrthogonalArray, field_table, mols_to_oa
-from .parity import (
-    SigmaMatrix,
-    StandardSigma,
-    binom2_bit,
-    check_plausible,
-    tau_from_sigma,
-)
+from .parity import SigmaMatrix, StandardSigma, check_plausible, tau_from_sigma
 
 
 def linear_mols(q: int) -> OrthogonalArray:
@@ -157,16 +151,17 @@ EXPECTED_COMPONENTS = {
 # sigma matrices with prescribed properties
 
 
-def _full_from_upper(k: int, nmod4: int, upper: np.ndarray) -> np.ndarray:
-    kk = binom2_bit(nmod4)
-    m = np.triu(upper, 1).astype(np.uint8)
-    low = np.tril(np.ones((k + 1, k + 1), dtype=bool), -1)
-    low[:, 0] = False
-    low[0, :] = False
-    m[low] = m.T[low] ^ kk
-    m[0, :] = 0
-    m[:, 0] = 0
-    return m
+def _force_last_column(n: int, upper: np.ndarray, first: int, delta) -> StandardSigma:
+    """Complete an upper triangle on k = n+1 columns to a standardised sigma
+    whose rows first..n have parity ``delta`` (None: the parity of row 1),
+    by setting their entries in the last column."""
+    k, nmod4 = n + 1, n % 4
+    m = SigmaMatrix.from_upper(k, nmod4, upper).m
+    if delta is None:
+        delta = int(m[1, 1:].sum() & 1)
+    upper = upper.copy()
+    upper[first:k, k] = (m[first:k, 1:k].sum(axis=1) & 1) ^ delta
+    return StandardSigma.from_upper(k, nmod4, upper, n=n)
 
 
 def pp_plausible_sigma(n: int, free_bits) -> StandardSigma:
@@ -196,19 +191,9 @@ def pp_plausible_sigma(n: int, free_bits) -> StandardSigma:
                 upper[i, j] = next(it)
     if n % 2:
         upper[1, k] = next(it)
-    m = _full_from_upper(k, nmod4, upper)
-    if n % 2 == 0:
-        delta = 0 if nmod4 == 0 else 1
-        first_forced = 1
-    else:
-        delta = int(m[1, 1:].sum() & 1)
-        first_forced = 2
-    kk = binom2_bit(nmod4)
-    for c in range(first_forced, n + 1):
-        partial = int(m[c, 1:n + 1].sum() & 1)
-        m[c, k] = partial ^ delta
-        m[k, c] = m[c, k] ^ kk
-    std = StandardSigma(k=k, nmod4=nmod4, upper=np.triu(m, 1), n=n)
+        std = _force_last_column(n, upper, first=2, delta=None)
+    else:  # every degree even for n = 0 mod 4, odd for n = 2 mod 4
+        std = _force_last_column(n, upper, first=1, delta=nmod4 // 2)
     report = check_plausible(tau_from_sigma(std))
     if report.pp_plausible != "yes":
         raise OAError("completion failed the plane-plausibility check")
@@ -221,32 +206,13 @@ _B4 = np.array(
 )
 
 
-@dataclass(frozen=True)
-class BlockSigmaSpec:
-    """Diagonal block layout of the extremal tournament for k = n+1."""
-
-    n: int
-    block_sizes: tuple
-
-    def __post_init__(self):
-        if self.n % 4 == 2:
-            want = ((self.n - 2) // 4) * (4,) + (3,)
-        elif self.n % 4 == 3:
-            want = ((self.n + 1) // 4) * (4,)
-        else:
-            raise OAError(f"block layout needs n = 2,3 mod 4, got {self.n}")
-        if tuple(self.block_sizes) != want:
-            raise OAError(f"block sizes must be {want} for n={self.n}")
-
-
-def block_sigma_spec(n: int) -> BlockSigmaSpec:
+def block_sizes(n: int) -> tuple[int, ...]:
+    """Diagonal block layout of the extremal tournament on k = n+1 vertices."""
     if n % 4 == 2:
-        sizes = ((n - 2) // 4) * (4,) + (3,)
-    elif n % 4 == 3:
-        sizes = ((n + 1) // 4) * (4,)
-    else:
-        raise OAError(f"need n = 2,3 mod 4, got {n}")
-    return BlockSigmaSpec(n=n, block_sizes=sizes)
+        return ((n - 2) // 4) * (4,) + (3,)
+    if n % 4 == 3:
+        return ((n + 1) // 4) * (4,)
+    raise OAError(f"need n = 2,3 mod 4, got {n}")
 
 
 def block_sigma(n: int) -> SigmaMatrix:
@@ -256,13 +222,12 @@ def block_sigma(n: int) -> SigmaMatrix:
     has exactly ceil(n/4) equiparity squares, the minimum possible for a
     plane candidate with n = 2,3 mod 4.
     """
-    spec = block_sigma_spec(n)
     k = n + 1
     m = np.zeros((k + 1, k + 1), dtype=np.uint8)
     iu = np.triu_indices(k, 1)
     m[iu[0] + 1, iu[1] + 1] = 1
     pos = 1
-    for size in spec.block_sizes:
+    for size in block_sizes(n):
         blk = _B4 if size == 4 else _B3
         m[pos:pos + size, pos:pos + size] = blk
         pos += size
@@ -283,12 +248,10 @@ def circulant_sigma(n: int) -> StandardSigma:
     if n % 4 not in (2, 3):
         raise OAError(f"need n = 2,3 mod 4, got {n}")
     k = n + 1
-    upper = np.zeros((k + 1, k + 1), dtype=np.uint8)
-    half = n // 2
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            upper[i, j] = 0 if 1 <= (j - i) % n <= half else 1
-    return StandardSigma(k=k, nmod4=n % 4, upper=upper, n=n)
+    i, j = np.indices((k + 1, k + 1))
+    d = (j - i) % n
+    upper = (d < 1) | (d > n // 2)
+    return StandardSigma.from_upper(k, n % 4, upper, n=n)
 
 
 def lower_triangular_sigma(k: int, nmod4: int) -> SigmaMatrix:
@@ -344,21 +307,14 @@ def feasible_type_counts(n: int, z: int, y1: int, y2: int, y3: int) -> Feasibili
     else:
         head = [(0, 0)] * z + [(0, 1)] * y1 + [(1, 0)] * y2 + [(1, 1)] * y3
     k = n + 1
-    nmod4 = n % 4
-    kk = binom2_bit(nmod4)
     upper = np.zeros((k + 1, k + 1), dtype=np.uint8)
     for c, (w1, w2) in enumerate(head, start=3):
         upper[1, c] = w1
         upper[2, c] = w2
-    m = _full_from_upper(k, nmod4, upper)
-    delta = int(m[1, 1:].sum() & 1)
-    if int(m[2, 1:].sum() & 1) != delta:
+    std = _force_last_column(n, upper, first=3, delta=None)
+    mu = std.row_sums()
+    if mu[0] % 2 != mu[1] % 2:
         raise OAError("parity conditions and head pattern disagree")
-    for c in range(3, n + 1):
-        partial = int(m[c, 1:n + 1].sum() & 1)
-        m[c, k] = partial ^ delta
-        m[k, c] = m[c, k] ^ kk
-    std = StandardSigma(k=k, nmod4=nmod4, upper=np.triu(m, 1), n=n)
     if check_plausible(tau_from_sigma(std)).pp_plausible != "yes":
         raise OAError("witness failed the plane-plausibility check")
     return FeasibilityResult(True, std)

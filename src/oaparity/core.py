@@ -40,6 +40,10 @@ class ResourceLimitError(OAError):
     """An enumeration exceeded its configured memory budget."""
 
 
+class UsageError(OAError):
+    """A setting the caller controls (such as an environment variable) is invalid."""
+
+
 # ---------------------------------------------------------------------------
 # permutations
 
@@ -144,9 +148,6 @@ class FieldTable:
     e: int
     add: np.ndarray
     mul: np.ndarray
-
-    def neg(self, a: int) -> int:
-        return int(np.nonzero(self.add[a] == 0)[0][0])
 
 
 def _poly_digits(x: int, p: int, e: int) -> list[int]:

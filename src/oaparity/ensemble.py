@@ -27,7 +27,6 @@ from .parity import (
     check_plausible,
     equiparity_type,
     sigma_from_tau,
-    sigma_parity,
     tau_parity,
 )
 
@@ -104,16 +103,8 @@ class EnsembleCensus:
 
 def ensemble_census(source: OrthogonalArray | TauVector) -> EnsembleCensus:
     """Census of an array or of a bare (plausible) tau vector."""
-    if isinstance(source, OrthogonalArray):
-        tau = tau_parity(source)
-        mu = sigma_parity(source).row_sums()
-    else:
-        tau = source
-        report = check_plausible(tau)
-        if not report.plausible:
-            kind, witness = report.violations[0]
-            raise OAError(f"tau vector is not plausible: {kind} violated at {witness}")
-        mu = sigma_from_tau(tau).to_matrix().row_sums()
+    tau = tau_parity(source) if isinstance(source, OrthogonalArray) else source
+    mu = sigma_from_tau(tau).row_sums()
     k = tau.k
     bits = tau.bits
     counts: dict[str, int] = {}

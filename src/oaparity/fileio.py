@@ -14,6 +14,7 @@ file re-parses to an identical value.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,7 +23,6 @@ import numpy as np
 from .core import LatinSquare, OAError, OrthogonalArray, mols_to_oa
 from .parity import (
     SigmaMatrix,
-    StandardSigma,
     TauVector,
     check_plausible,
     sigma_from_tau,
@@ -37,6 +37,17 @@ class FormatError(OAError):
     def __init__(self, msg: str, line: int | None = None):
         super().__init__(msg if line is None else f"line {line}: {msg}")
         self.line = line
+
+
+@contextmanager
+def _malformed(what: str):
+    """Turn the errors of reading a malformed JSON document into FormatError."""
+    try:
+        yield
+    except OAError:
+        raise
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise FormatError(f"malformed {what}: {type(exc).__name__}: {exc}") from None
 
 
 def _tokens(text: str):
@@ -65,7 +76,8 @@ def _shift(values, base, lineno):
 
 def parse_oa(text: str) -> OrthogonalArray:
     if text.lstrip().startswith("{"):
-        return oa_from_json(json.loads(text))
+        with _malformed("array JSON"):
+            return oa_from_json(json.loads(text))
     lines = _tokens(text)
     try:
         lineno, header = next(lines)
@@ -118,7 +130,8 @@ def oa_from_json(obj: dict) -> OrthogonalArray:
 
 def parse_square(text: str) -> LatinSquare:
     if text.lstrip().startswith("{"):
-        return square_from_json(json.loads(text))
+        with _malformed("square JSON"):
+            return square_from_json(json.loads(text))
     lines = _tokens(text)
     try:
         lineno, header = next(lines)
@@ -164,18 +177,13 @@ def square_from_json(obj: dict) -> LatinSquare:
 # sigma data
 
 
-def sigma_to_json(s: SigmaMatrix | StandardSigma, seed: int | None = None) -> dict:
-    full = s.to_matrix() if isinstance(s, StandardSigma) else s
+def sigma_to_json(s: SigmaMatrix, seed: int | None = None) -> dict:
     obj = {
         "kind": "sigma",
-        "k": full.k,
-        "nmod4": full.nmod4,
-        "n": full.n,
-        "upper": [
-            [i, j, int(full.m[i, j])]
-            for i in range(1, full.k + 1)
-            for j in range(i + 1, full.k + 1)
-        ],
+        "k": s.k,
+        "nmod4": s.nmod4,
+        "n": s.n,
+        "upper": [list(p) for p in s.pairs()],
     }
     if seed is not None:
         obj["seed"] = seed
@@ -185,19 +193,20 @@ def sigma_to_json(s: SigmaMatrix | StandardSigma, seed: int | None = None) -> di
 def sigma_from_json(obj: dict) -> SigmaMatrix:
     if obj.get("kind") != "sigma":
         raise FormatError(f"expected kind 'sigma', got {obj.get('kind')!r}")
-    k = int(obj["k"])
-    nmod4 = int(obj["nmod4"])
-    from .parity import binom2_bit
+    with _malformed("sigma data"):
+        k, nmod4, n = _shape(obj)
+        upper = np.zeros((k + 1, k + 1), dtype=np.uint8)
+        for i, j, bit in obj["upper"]:
+            if not 1 <= i < j <= k:
+                raise FormatError(f"bad pair ({i}, {j}) in sigma data")
+            upper[i, j] = bit & 1
+    return SigmaMatrix.from_upper(k, nmod4, upper, n=n)
 
-    kk = binom2_bit(nmod4)
-    m = np.zeros((k + 1, k + 1), dtype=np.uint8)
-    for i, j, bit in obj["upper"]:
-        if not 1 <= i < j <= k:
-            raise FormatError(f"bad pair ({i}, {j}) in sigma data")
-        m[i, j] = bit & 1
-        m[j, i] = (bit & 1) ^ kk
+
+def _shape(obj: dict) -> tuple[int, int, int | None]:
+    """The k, nmod4 and optional n fields of a sigma or report document."""
     n = obj.get("n")
-    return SigmaMatrix(k=k, nmod4=nmod4, m=m, n=None if n is None else int(n))
+    return int(obj["k"]), int(obj["nmod4"]), None if n is None else int(n)
 
 
 # ---------------------------------------------------------------------------
@@ -226,17 +235,21 @@ def parity_report(source: OrthogonalArray | TauVector) -> dict:
 
 
 def tau_from_report(obj: dict) -> TauVector:
-    k = int(obj["k"])
-    nmod4 = int(obj["nmod4"])
-    n = obj.get("n")
-    return TauVector.from_entries(
-        k, nmod4, [tuple(e) for e in obj["tau"]], n=None if n is None else int(n)
-    )
+    with _malformed("parity report"):
+        k, nmod4, n = _shape(obj)
+        entries = [tuple(e) for e in obj["tau"]]
+        for c, i, j, _ in entries:
+            if len({c, i, j}) != 3 or not all(1 <= x <= k for x in (c, i, j)):
+                raise FormatError(f"bad column triple ({c}, {i}, {j}) in tau data")
+        return TauVector.from_entries(k, nmod4, entries, n=n)
 
 
 def load_tau(path) -> TauVector:
     """Read a tau vector from a parity report or a sigma JSON file."""
-    obj = json.loads(Path(path).read_text())
+    with _malformed("JSON file"):
+        obj = json.loads(Path(path).read_text())
+    if not isinstance(obj, dict):
+        raise FormatError("file holds neither sigma data nor a parity report")
     if obj.get("kind") == "sigma":
         return tau_from_sigma(sigma_from_json(obj))
     if "tau" in obj:

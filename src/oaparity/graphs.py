@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import OAError
-from .parity import SigmaMatrix, StandardSigma, TauVector, check_plausible
+from .parity import SigmaMatrix, TauVector, _off_diagonal, check_plausible
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,11 +85,7 @@ def graph_complement(g: SimpleGraph) -> SimpleGraph:
     if g.directed:
         adj = np.ascontiguousarray(g.adj.T)
     else:
-        adj = g.adj.copy()
-        off = ~np.eye(g.k + 1, dtype=bool)
-        off[0, :] = False
-        off[:, 0] = False
-        adj[off] ^= 1
+        adj = g.adj ^ _off_diagonal(g.k)
     return SimpleGraph(k=g.k, directed=g.directed, adj=_frozen(adj))
 
 
@@ -258,19 +254,17 @@ class SigmaGraphReport:
     degree_law_detail: str
 
 
-def sigma_graph(s: SigmaMatrix | StandardSigma) -> SigmaGraphReport:
-    full = s.to_matrix() if isinstance(s, StandardSigma) else s
-    oriented = full.nmod4 in (2, 3)
-    adj = full.m.copy()
-    g = SimpleGraph(k=full.k, directed=oriented, adj=_frozen(adj))
-    out_deg = tuple(int(x) for x in full.m[1:, 1:].sum(axis=1))
-    in_deg = tuple(int(x) for x in full.m[1:, 1:].sum(axis=0))
+def sigma_graph(s: SigmaMatrix) -> SigmaGraphReport:
+    oriented = s.nmod4 in (2, 3)
+    g = SimpleGraph(k=s.k, directed=oriented, adj=_frozen(s.m.copy()))
+    out_deg = s.row_sums()
+    in_deg = tuple(int(x) for x in s.m[1:, 1:].sum(axis=0))
     out_uni = len({d & 1 for d in out_deg}) == 1
     in_uni = len({d & 1 for d in in_deg}) == 1
     law = None
     detail = ""
-    if full.n is not None and full.k == full.n + 1:
-        nm = full.nmod4
+    if s.n is not None and s.k == s.n + 1:
+        nm = s.nmod4
         if nm == 0:
             ok = all(d % 2 == 0 for d in out_deg)
             detail = "all degrees even"

@@ -16,6 +16,12 @@ a sigma-parity and its complement:
     tau^c_{ij}      = sigma_ci + sigma_cj
     sigma_ji        = sigma_ij + C(n,2)          (mod 2 throughout)
 
+One type, ``SigmaMatrix``, holds a sigma-parity; ``StandardSigma`` is its
+subtype whose (1,2) entry is zero.  Because sigma_12 is the identity in
+storage order, the stored sigma of an array *is* the standardised sigma its
+tau determines, so ``sigma_parity`` derives it from ``tau_parity`` instead of
+computing the parities of C(k,2) permutations of length n^2.
+
 Canonical tau storage keeps bits only for i < j; reads with i > j use the
 symmetry tau^c_{ij} = tau^c_{ji}, which therefore holds by construction.
 """
@@ -177,11 +183,21 @@ class TauVector:
         return f"TauVector(k={self.k}, nmod4={self.nmod4})"
 
 
+@lru_cache(maxsize=None)
+def _off_diagonal(k: int) -> np.ndarray:
+    """Read-only mask of the entries (i, j), 1 <= i != j <= k, of a (k+1)^2 matrix."""
+    off = ~np.eye(k + 1, dtype=bool)
+    off[0, :] = False
+    off[:, 0] = False
+    off.setflags(write=False)
+    return off
+
+
 class SigmaMatrix:
     """Full k x k matrix of sigma-parity bits with zero diagonal.
 
     Off-diagonal entries satisfy m[j][i] = m[i][j] + C(n,2) mod 2, which the
-    constructor enforces.
+    constructor enforces; row and column 0 are unused and stored as zero.
     """
 
     __slots__ = ("k", "nmod4", "n", "m")
@@ -198,10 +214,8 @@ class SigmaMatrix:
         arr[:, 0] = 0
         if np.any(np.diagonal(arr)):
             raise OAError("diagonal entries must be zero")
-        kk = binom2_bit(nmod4)
-        sub = arr[1:, 1:]
-        off = ~np.eye(k, dtype=bool)
-        if not np.array_equal(sub.T[off], (sub[off] ^ kk)):
+        off = _off_diagonal(k)
+        if not np.array_equal(arr.T[off], arr[off] ^ binom2_bit(nmod4)):
             raise OAError("entries violate the transpose law m[j][i] = m[i][j] + C(n,2)")
         arr.setflags(write=False)
         object.__setattr__(self, "k", k)
@@ -209,25 +223,34 @@ class SigmaMatrix:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", arr)
 
+    @classmethod
+    def from_upper(cls, k: int, nmod4: int, upper: np.ndarray, n: int | None = None):
+        """Complete the entries above the diagonal by the transpose law."""
+        up = np.triu(np.asarray(upper, dtype=np.uint8), 1)
+        return cls(k, nmod4, up | np.tril(up.T ^ binom2_bit(nmod4), -1), n=n)
+
     def __setattr__(self, name, value):
-        raise AttributeError("SigmaMatrix is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def get(self, i: int, j: int) -> int:
         if i == j or not (1 <= i <= self.k and 1 <= j <= self.k):
             raise OAError(f"invalid column pair ({i}, {j})")
         return int(self.m[i, j])
 
+    def pairs(self) -> list[tuple[int, int, int]]:
+        """[i, j, bit] for 1 <= i < j <= k."""
+        return [
+            (i, j, int(self.m[i, j]))
+            for i in range(1, self.k + 1)
+            for j in range(i + 1, self.k + 1)
+        ]
+
     def row_sums(self) -> tuple[int, ...]:
         """Out-degrees mu_c of the sigma-graph, c = 1..k."""
         return tuple(int(s) for s in self.m[1:, 1:].sum(axis=1))
 
     def complement(self) -> "SigmaMatrix":
-        off = ~np.eye(self.k + 1, dtype=bool)
-        off[0, :] = False
-        off[:, 0] = False
-        new = self.m.copy()
-        new[off] ^= 1
-        return SigmaMatrix(k=self.k, nmod4=self.nmod4, m=new, n=self.n)
+        return SigmaMatrix(self.k, self.nmod4, self.m ^ _off_diagonal(self.k), n=self.n)
 
     def __eq__(self, other):
         return (
@@ -241,79 +264,32 @@ class SigmaMatrix:
         return hash((self.k, self.nmod4, self.m.tobytes()))
 
     def __repr__(self):
-        return f"SigmaMatrix(k={self.k}, nmod4={self.nmod4})"
+        return f"{type(self).__name__}(k={self.k}, nmod4={self.nmod4})"
 
 
-class StandardSigma:
-    """Upper-triangle sigma bits standardised so the (1,2) entry is zero."""
+class StandardSigma(SigmaMatrix):
+    """A sigma matrix standardised so that its (1,2) entry is zero.
 
-    __slots__ = ("k", "nmod4", "n", "upper")
+    Of a sigma matrix and its complement, which determine the same tau
+    vector, exactly one is standard.
+    """
 
-    def __init__(self, k: int, nmod4: int, upper: np.ndarray, n: int | None = None):
-        if k < 3:
-            raise OAError(f"need k >= 3, got {k}")
-        if n is not None and n % 4 != nmod4 % 4:
-            raise OAError(f"n={n} inconsistent with nmod4={nmod4}")
-        arr = np.asarray(upper, dtype=np.uint8).copy()
-        if arr.shape != (k + 1, k + 1):
-            raise OAError(f"upper triangle must have shape ({k + 1}, {k + 1})")
-        arr[~np.triu(np.ones((k + 1, k + 1), dtype=bool), 1)] = 0
-        arr[0, :] = 0
-        if arr[1, 2]:
+    __slots__ = ()
+
+    def __init__(self, k: int, nmod4: int, m: np.ndarray, n: int | None = None):
+        super().__init__(k, nmod4, m, n=n)
+        if self.m[1, 2]:
             raise OAError("standardised sigma must have zero (1,2) entry")
-        arr.setflags(write=False)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "nmod4", nmod4 % 4)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "upper", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StandardSigma is immutable")
-
-    def get(self, i: int, j: int) -> int:
-        if i == j or not (1 <= i <= self.k and 1 <= j <= self.k):
-            raise OAError(f"invalid column pair ({i}, {j})")
-        if i < j:
-            return int(self.upper[i, j])
-        return int(self.upper[j, i]) ^ binom2_bit(self.nmod4)
 
     def to_matrix(self) -> SigmaMatrix:
-        kk = binom2_bit(self.nmod4)
-        m = self.upper.copy()
-        low = np.tril(np.ones((self.k + 1, self.k + 1), dtype=bool), -1)
-        low[:, 0] = False
-        low[0, :] = False
-        m[low] = (self.upper.T[low] ^ kk)
-        return SigmaMatrix(k=self.k, nmod4=self.nmod4, m=m, n=self.n)
-
-    def pairs(self) -> list[tuple[int, int, int]]:
-        """[i, j, bit] for 1 <= i < j <= k."""
-        return [
-            (i, j, int(self.upper[i, j]))
-            for i in range(1, self.k + 1)
-            for j in range(i + 1, self.k + 1)
-        ]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, StandardSigma)
-            and self.k == other.k
-            and self.nmod4 == other.nmod4
-            and np.array_equal(self.upper, other.upper)
-        )
-
-    def __hash__(self):
-        return hash((self.k, self.nmod4, self.upper.tobytes()))
-
-    def __repr__(self):
-        return f"StandardSigma(k={self.k}, nmod4={self.nmod4})"
+        """The full matrix, which a standardised sigma already is."""
+        return self
 
 
 def standardise(sigma: SigmaMatrix) -> StandardSigma:
     """Pick between a sigma matrix and its complement by zeroing entry (1,2)."""
     chosen = sigma.complement() if sigma.m[1, 2] else sigma
-    upper = np.triu(chosen.m, 1)
-    return StandardSigma(k=sigma.k, nmod4=sigma.nmod4, upper=upper, n=sigma.n)
+    return StandardSigma(sigma.k, sigma.nmod4, chosen.m, n=sigma.n)
 
 
 def standardise_by_out_degree(sigma: SigmaMatrix, parity: int) -> SigmaMatrix:
@@ -366,38 +342,24 @@ def tau_parity(a: OrthogonalArray) -> TauVector:
     return TauVector(k=a.k, nmod4=a.n % 4, bits=_tau_bits(a.rows, a.n), n=a.n)
 
 
-def _sigma_bits(mat: np.ndarray, n: int) -> np.ndarray:
-    """Full sigma matrix bits of an OA matrix; rows indexed by storage position."""
-    k = mat.shape[1]
-    kk = binom2_bit(n % 4)
-    pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
-    perms = np.empty((len(pairs), n * n), dtype=np.int32)
-    for t, (i, j) in enumerate(pairs):
-        perms[t] = mat[:, i - 1].astype(np.int32) * n + mat[:, j - 1]
-    par = parity_batch(perms)
-    m = np.zeros((k + 1, k + 1), dtype=np.uint8)
-    for t, (i, j) in enumerate(pairs):
-        m[i, j] = par[t]
-        m[j, i] = par[t] ^ kk
-    return m
-
-
 @lru_cache(maxsize=256)
-def sigma_parity(a: OrthogonalArray) -> SigmaMatrix:
-    """The sigma-parity of an orthogonal array at its stored row order."""
-    return SigmaMatrix(k=a.k, nmod4=a.n % 4, m=_sigma_bits(a.rows, a.n), n=a.n)
+def sigma_parity(a: OrthogonalArray) -> StandardSigma:
+    """The sigma-parity of an orthogonal array at its stored row order.
+
+    Derived from tau: stored rows are sorted on columns 1 and 2, so sigma_12
+    is the identity and the stored sigma is the standardised one.
+    """
+    return sigma_from_tau(tau_parity(a))
 
 
 # ---------------------------------------------------------------------------
 # conversions
 
 
-def tau_from_sigma(s: SigmaMatrix | StandardSigma) -> TauVector:
+def tau_from_sigma(s: SigmaMatrix) -> TauVector:
     """tau^c_{ij} = sigma_ci + sigma_cj; complements map to the same vector."""
-    full = s.to_matrix() if isinstance(s, StandardSigma) else s
-    m = full.m
-    t = m[:, :, None] ^ m[:, None, :]
-    return TauVector(k=full.k, nmod4=full.nmod4, bits=t, n=full.n)
+    t = s.m[:, :, None] ^ s.m[:, None, :]
+    return TauVector(k=s.k, nmod4=s.nmod4, bits=t, n=s.n)
 
 
 def sigma_from_tau(t: TauVector) -> StandardSigma:
@@ -406,16 +368,15 @@ def sigma_from_tau(t: TauVector) -> StandardSigma:
     if not report.plausible:
         kind, witness = report.violations[0]
         raise OAError(f"tau vector is not plausible: {kind} violated at {witness}")
-    k = t.k
+    # with sigma_12 = 0: sigma_1j = tau^1_2j, sigma_2j = tau^2_1j + C(n,2)
+    # and sigma_ij = tau^1_2i + tau^i_1j + C(n,2) for 3 <= i < j
     kk = binom2_bit(t.nmod4)
-    up = np.zeros((k + 1, k + 1), dtype=np.uint8)
-    for j in range(3, k + 1):
-        up[1, j] = t.get(1, 2, j)
-        up[2, j] = t.get(2, 1, j) ^ kk
-    for i in range(3, k + 1):
-        for j in range(i + 1, k + 1):
-            up[i, j] = t.get(1, 2, i) ^ t.get(i, 1, j) ^ kk
-    return StandardSigma(k=k, nmod4=t.nmod4, upper=up, n=t.n)
+    full = t.mirrored()
+    up = np.zeros_like(full[0])
+    up[1, 3:] = full[1, 2, 3:]
+    up[2, 3:] = full[2, 1, 3:] ^ kk
+    up[3:] = full[1, 2, 3:, None] ^ full[3:, 1] ^ kk
+    return StandardSigma.from_upper(t.k, t.nmod4, up, n=t.n)
 
 
 # ---------------------------------------------------------------------------
@@ -496,10 +457,6 @@ def _column_pair_mask(k: int, c: int) -> np.ndarray:
     return m
 
 
-def is_pp_plausible(t: TauVector) -> bool:
-    return check_plausible(t).pp_plausible == "yes"
-
-
 # ---------------------------------------------------------------------------
 # transformation laws
 
@@ -529,38 +486,27 @@ def transform_parity_laws(
         g[1:] = np.asarray(t.perm)
         new_bits = np.zeros_like(tau.bits)
         new_bits[g[:, None, None], g[None, :, None], g[None, None, :]] = tau.mirrored()
-        new_tau = TauVector(k=k, nmod4=n % 4, bits=new_bits | new_bits.transpose(0, 2, 1), n=n)
+        new_bits |= new_bits.transpose(0, 2, 1)
         new_m = np.zeros_like(sigma.m)
         new_m[g[1:, None], g[None, 1:]] = sigma.m[1:, 1:]
-        if sort_parity:
-            off = ~np.eye(k + 1, dtype=bool)
-            off[0, :] = False
-            off[:, 0] = False
-            new_m[off] ^= 1
-        return new_tau, SigmaMatrix(k=k, nmod4=n % 4, m=new_m, n=n)
-
-    c = t.column
-    flip = (n & 1) & permutation_parity(t.perm)
-    new_bits = tau.bits.copy()
-    if flip:
-        for x in range(1, k + 1):
-            if x == c:
-                continue
-            lo, hi = (x, c) if x < c else (c, x)
-            for up in range(1, k + 1):
-                if up not in (lo, hi):
-                    new_bits[up, lo, hi] ^= 1
-    new_m = sigma.m.copy()
-    if flip:
-        new_m[c, 1:] ^= 1
-        new_m[1:, c] ^= 1
-        new_m[c, c] = 0
-    if sort_parity:
-        off = ~np.eye(k + 1, dtype=bool)
-        off[0, :] = False
-        off[:, 0] = False
-        new_m[off] ^= 1
+    else:
+        c = t.column
+        flip = (n & 1) & permutation_parity(t.perm)
+        new_bits = tau.bits.copy()
+        new_m = sigma.m.copy()
+        if flip:
+            for x in range(1, k + 1):
+                if x == c:
+                    continue
+                lo, hi = (x, c) if x < c else (c, x)
+                for up in range(1, k + 1):
+                    if up not in (lo, hi):
+                        new_bits[up, lo, hi] ^= 1
+            new_m[c, 1:] ^= 1
+            new_m[1:, c] ^= 1
+            new_m[c, c] = 0
+    new_sigma = SigmaMatrix(k=k, nmod4=n % 4, m=new_m, n=n)
     return (
         TauVector(k=k, nmod4=n % 4, bits=new_bits, n=n),
-        SigmaMatrix(k=k, nmod4=n % 4, m=new_m, n=n),
+        new_sigma.complement() if sort_parity else new_sigma,
     )

@@ -44,6 +44,7 @@ from oaparity.ensemble import check_ensemble_laws, ensemble_census, max_equipari
 from oaparity.search import SearchSpec, achieved_parity_types, find_oa_with_parity
 
 from conftest import random_transform
+from oracle import direct_sigma
 
 
 def report(num, desc, t0):
@@ -192,7 +193,7 @@ def test_criterion_02_plausible_and_pp_counts():
                 up = np.zeros((k + 1, k + 1), dtype=np.uint8)
                 for b, (i, j) in enumerate(pairs):
                     up[i, j] = (word >> b) & 1
-                t = tau_from_sigma(StandardSigma(k=k, nmod4=nm, upper=up))
+                t = tau_from_sigma(StandardSigma.from_upper(k, nm, up))
                 assert check_plausible(t).plausible
                 taus.add(t)
             assert len(taus) == 1 << (math.comb(k, 2) - 1)
@@ -250,7 +251,9 @@ def _structure_checks(a, rng):
             assert n1 % 2 == n2 % 2 == (n // 2) % 2
     s = stack(t)  # stack shape, refined to empty/complete for planes
     assert s.refined == ("empty" if n % 4 in (0, 1) else "complete")
-    assert sigma_graph(sigma_parity(a)).degree_law == "pass"  # degree parities
+    sigma = sigma_parity(a)  # derived from tau; checked against the oracle
+    assert sigma == direct_sigma(a)
+    assert sigma_graph(sigma).degree_law == "pass"  # degree parities
 
 
 def test_criterion_05_property_suites(desarguesian):
@@ -277,7 +280,7 @@ def test_criterion_06_transformation_laws(desarguesian):
             pred_tau, pred_sigma = transform_parity_laws(base, tr)
             res = apply_transform(base, tr)
             assert tau_parity(res.oa) == pred_tau
-            assert sigma_parity(res.oa) == pred_sigma
+            assert sigma_parity(res.oa) == pred_sigma == direct_sigma(res.oa)
     report(6, f"predicted = recomputed parity deltas, {per_base} transforms per base", t0)
 
 

@@ -166,7 +166,8 @@ def test_compiled_generators_match_reference():
             for w in range(1 << b):
                 s = ParityState(k=k, nmod4=nm, word=w)
                 ref = act_permute(s, arg) if kind == "perm" else act_swap(s, arg)
-                assert ref.word == int(images[w]) == gen.apply_int(w)
+                one = gen.apply(np.array([w], dtype=np.uint64))
+                assert ref.word == int(images[w]) == int(one[0])
 
 
 def test_orbit_k3_odd_always_4():
@@ -220,6 +221,22 @@ def test_orbit_budget_raises(monkeypatch):
     big = state_of_tau(tau_parity(linear_mols(9)))
     with pytest.raises(ResourceLimitError):
         orbit(big)
+
+
+def test_orbit_budget_must_be_a_whole_number(monkeypatch, tmp_path, capsys):
+    from oaparity import cli
+    from oaparity.core import UsageError
+    from oaparity.fileio import format_oa
+
+    monkeypatch.setenv("OAPARITY_ORBIT_BUDGET_MB", "1.5")
+    big = state_of_tau(tau_parity(linear_mols(8)))
+    with pytest.raises(UsageError, match="OAPARITY_ORBIT_BUDGET_MB"):
+        orbit(big)
+    path = tmp_path / "d8.oa"
+    path.write_text(format_oa(linear_mols(8)))
+    assert cli.main(["class", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "OAPARITY_ORBIT_BUDGET_MB" in err
 
 
 def test_orbit_rejects_overwide_words():

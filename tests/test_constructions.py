@@ -15,10 +15,9 @@ from oaparity.classes import orbit, state_of_tau
 from oaparity.constructions import (
     DETERMINING_TRIPLES,
     EXPECTED_COMPONENTS,
-    BlockSigmaSpec,
     ResiduePattern,
     block_sigma,
-    block_sigma_spec,
+    block_sizes,
     circulant_sigma,
     feasible_type_counts,
     is_quadratic_residue,
@@ -128,7 +127,7 @@ def test_residue_pattern_orbits():
 
 def test_pp_sigma_zero_bits_even():
     std = pp_plausible_sigma(4, [0] * 5)
-    assert not std.upper.any()
+    assert not std.m.any()
 
 
 def test_pp_sigma_counts_small():
@@ -157,7 +156,7 @@ def test_pp_sigma_equals_all_pp_vectors_small():
             up = np.zeros((k + 1, k + 1), dtype=np.uint8)
             for b, (i, j) in enumerate(pairs):
                 up[i, j] = (word >> b) & 1
-            std = StandardSigma(k=k, nmod4=n % 4, upper=up, n=n)
+            std = StandardSigma.from_upper(k, n % 4, up, n=n)
             if check_plausible(tau_from_sigma(std)).pp_plausible == "yes":
                 everything.add(std)
         nbits = n * (n - 1) // 2 - 1 + (n % 2)
@@ -188,14 +187,12 @@ def test_pp_sigma_wrong_length():
 
 
 def test_block_spec_layout():
-    assert block_sigma_spec(6).block_sizes == (4, 3)
-    assert block_sigma_spec(10).block_sizes == (4, 4, 3)
-    assert block_sigma_spec(7).block_sizes == (4, 4)
-    assert block_sigma_spec(11).block_sizes == (4, 4, 4)
+    assert block_sizes(6) == (4, 3)
+    assert block_sizes(10) == (4, 4, 3)
+    assert block_sizes(7) == (4, 4)
+    assert block_sizes(11) == (4, 4, 4)
     with pytest.raises(OAError):
-        block_sigma_spec(8)
-    with pytest.raises(OAError):
-        BlockSigmaSpec(n=6, block_sizes=(3, 4))
+        block_sizes(8)
 
 
 def test_block_sigma_row_sums():

@@ -280,3 +280,37 @@ def test_cli_ingest(tmp_path, capsys):
     assert rc == 0
     assert "linear-4: 3 MOLS(4)" in out
     assert "1 set(s) ingested" in out
+
+
+_SIGMA = {"kind": "sigma", "k": 4, "nmod4": 0}
+_REPORT = {"k": 4, "nmod4": 0}
+
+
+@pytest.mark.parametrize(
+    "content, flags",
+    [
+        (json.dumps({**_SIGMA, "upper": [[1, 2]]}), ["--tau"]),
+        (json.dumps({"kind": "sigma", "nmod4": 0, "upper": []}), ["--tau"]),
+        (json.dumps({**_SIGMA, "k": "x", "upper": []}), ["--tau"]),
+        (json.dumps({**_SIGMA, "upper": [[1, 2, 0.5]]}), ["--tau"]),
+        ("this is not JSON", ["--tau"]),
+        (json.dumps({**_REPORT, "tau": [[1, 2, 3]]}), ["--tau"]),
+        (json.dumps({**_REPORT, "tau": [[9, 1, 2, 1]]}), ["--tau"]),
+        (None, ["--tau"]),  # a directory
+        ("{not JSON", []),
+        (json.dumps({"kind": "oa"}), []),
+    ],
+    ids=["short-pair", "missing-k", "non-int-k", "non-int-bit", "not-json",
+         "short-tau", "tau-column-out-of-range", "directory",
+         "array-not-json", "array-without-rows"],
+)
+def test_cli_malformed_input_fails_closed(tmp_path, capsys, content, flags):
+    path = tmp_path / "in.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(content)
+    rc, _, err = run_cli(capsys, "parity", str(path), *flags)
+    assert rc == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

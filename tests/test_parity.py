@@ -7,6 +7,7 @@ import pytest
 from oaparity.core import (
     LatinSquare,
     OAError,
+    OrthogonalArray,
     Transform,
     apply_transform,
     cyclic_square,
@@ -29,11 +30,12 @@ from oaparity.parity import (
     tau_from_sigma,
     tau_parity,
     transform_parity_laws,
-    _sigma_bits,
     _tau_bits,
 )
+from oaparity.constructions import linear_mols, residue_pattern_oa
 
 from conftest import random_isotope_square, random_transform, zn_linear_oa
+from oracle import _sigma_bits, direct_sigma
 
 
 def reference_parities(square):
@@ -178,6 +180,31 @@ def test_sigma_transpose_law():
                     assert s.get(j, i) == s.get(i, j) ^ kk
 
 
+def _random_isotope(a, rng, k):
+    """k of the columns of a in random order, each relabelled at random."""
+    cols = rng.sample(range(a.k), k)
+    sym = np.asarray([rng.sample(range(a.n), a.n) for _ in cols], dtype=np.int16)
+    return OrthogonalArray(sym[np.arange(k), a.rows[:, cols]])
+
+
+def test_sigma_parity_matches_direct_oracle():
+    # sigma is derived from tau; the oracle counts inversions on n^2 rows
+    rng = random.Random(13)
+    arrays = []
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
+        base = linear_mols(q)
+        arrays.append(base)
+        for _ in range(23):
+            arrays.append(_random_isotope(base, rng, rng.randint(3, q + 1)))
+    for n in (11, 19, 23):
+        for pattern in ("nnn", "rnr"):
+            base = residue_pattern_oa(n, pattern)
+            arrays += [base, _random_isotope(base, rng, 5)]
+    assert len(arrays) >= 200
+    for a in arrays:
+        assert sigma_parity(a) == direct_sigma(a), (a.k, a.n)
+
+
 def test_row_swap_complements_sigma():
     # interchanging two stored rows flips every off-diagonal entry
     a = zn_linear_oa(5)
@@ -255,13 +282,26 @@ def test_sigma_tau_roundtrip_on_oa():
         std = sigma_from_tau(t)
         assert tau_from_sigma(std) == t
         # and the standardised direct sigma agrees with the recovered one
-        assert standardise(sigma_parity(a)) == std
+        assert standardise(direct_sigma(a)) == std
 
 
 def test_sigma_from_zero_tau_even():
     t = TauVector(k=4, nmod4=0, bits=np.zeros((5, 5, 5), dtype=np.uint8))
     std = sigma_from_tau(t)
-    assert not std.upper.any()
+    assert not std.m.any()
+
+
+def test_standard_sigma_rejects_nonzero_12_entry():
+    up = np.zeros((5, 5), dtype=np.uint8)
+    up[1, 2] = 1
+    m = SigmaMatrix.from_upper(4, 1, up)
+    assert m.get(1, 2) == 1
+    with pytest.raises(OAError):
+        StandardSigma(4, 1, m.m)
+    with pytest.raises(OAError):
+        StandardSigma.from_upper(4, 1, up)
+    assert standardise(m) == m.complement()
+    assert isinstance(standardise(m), StandardSigma)
 
 
 def test_sigma_from_zero_tau_odd_rejected():
@@ -280,7 +320,7 @@ def test_roundtrip_over_all_standard_sigmas_small_k():
             up = np.zeros((k + 1, k + 1), dtype=np.uint8)
             for b, (i, j) in enumerate(pairs):
                 up[i, j] = (word >> b) & 1
-            std = StandardSigma(k=k, nmod4=nmod4, upper=up)
+            std = StandardSigma.from_upper(k, nmod4, up)
             t = tau_from_sigma(std)
             assert check_plausible(t).plausible
             assert sigma_from_tau(t) == std
@@ -346,7 +386,7 @@ def test_predicted_deltas_match_recomputation(p):
         pred_tau, pred_sigma = transform_parity_laws(a, t)
         res = apply_transform(a, t)
         assert tau_parity(res.oa) == pred_tau
-        assert sigma_parity(res.oa) == pred_sigma
+        assert sigma_parity(res.oa) == pred_sigma == direct_sigma(res.oa)
 
 
 def test_even_n_odd_symbol_perm_changes_nothing():
