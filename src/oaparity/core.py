@@ -74,25 +74,52 @@ def permutation_parity(images) -> int:
     return (n - cycles) & 1
 
 
-def parity_batch(perms: np.ndarray) -> np.ndarray:
-    """Parity bits of many permutations at once, by inversion counting.
+# elements per pointer-jumping pass; three int32 arrays of this length stay
+# cache-resident, which measured faster than 2^18 or more at n = 32 and 59
+_KERNEL_CHUNK = 1 << 16
 
-    ``perms`` has shape (m, n), each row a permutation of 0..n-1.  This is
-    deliberately a different algorithm from ``permutation_parity`` (which
-    counts cycles); the test suite cross-checks the two.
+
+def parity_batch(perms: np.ndarray) -> np.ndarray:
+    """Parity bits of many permutations at once, (n - #cycles) mod 2.
+
+    ``perms`` has shape (m, n), each row a permutation of 0..n-1, in any
+    integer dtype and memory layout.  Cycles are counted by pointer jumping
+    (Wyllie, "The complexity of parallel computations", 1979): after
+    ceil(log2 n) rounds of ``lab = min(lab, lab[nxt]); nxt = nxt[nxt]`` each
+    element's label is the least element of its cycle, so the cycles are the
+    elements that are their own label.  That is O(n log n) per permutation,
+    done on int32 labels over chunks of about ``_KERNEL_CHUNK`` elements so
+    memory stays flat for any batch size.  Tests compare it with
+    ``permutation_parity`` and an inversion-counting oracle.
     """
     perms = np.asarray(perms)
     if perms.ndim != 2:
         raise OAError("parity_batch expects a 2-d array of permutations")
     m, n = perms.shape
-    out = np.empty(m, dtype=np.uint8)
-    iu, ju = np.triu_indices(n, 1)
-    # chunk so the (chunk, n*(n-1)/2) comparison table stays modest
-    chunk = max(1, (1 << 22) // max(1, len(iu)))
-    for lo in range(0, m, chunk):
-        block = perms[lo:lo + chunk]
-        inv = (block[:, iu] > block[:, ju]).sum(axis=1)
-        out[lo:lo + chunk] = inv & 1
+    out = np.zeros(m, dtype=np.uint8)
+    if n == 0:
+        return out
+    rows = max(1, _KERNEL_CHUNK // n)
+    rounds = (n - 1).bit_length()
+    for lo in range(0, m, rows):
+        block = perms[lo:lo + rows].astype(np.int32)
+        # one reduction checks both bounds: negative entries read as large
+        if block.view(np.uint32).max() >= n:
+            raise OAError(f"parity_batch entries must lie in [0, {n - 1}]")
+        b = len(block)
+        ids = np.arange(b * n, dtype=np.int32)
+        # successor of each element as an index into the flattened chunk
+        nxt = (block + ids[::n, None]).reshape(b * n)
+        lab = ids.copy()
+        tmp = np.empty_like(lab)
+        for r in range(rounds):
+            np.take(lab, nxt, out=tmp)
+            np.minimum(lab, tmp, out=lab)
+            if r + 1 < rounds:
+                np.take(nxt, nxt, out=tmp)
+                nxt, tmp = tmp, nxt
+        cycles = np.count_nonzero((lab == ids).reshape(b, n), axis=1)
+        out[lo:lo + b] = (n - cycles) & 1
     return out
 
 

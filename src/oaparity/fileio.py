@@ -195,18 +195,43 @@ def sigma_from_json(obj: dict) -> SigmaMatrix:
         raise FormatError(f"expected kind 'sigma', got {obj.get('kind')!r}")
     with _malformed("sigma data"):
         k, nmod4, n = _shape(obj)
-        upper = np.zeros((k + 1, k + 1), dtype=np.uint8)
-        for i, j, bit in obj["upper"]:
+        pairs = obj["upper"]
+        _expect_count(pairs, k * (k - 1) // 2, "column pairs")
+        for i, j, _ in pairs:
             if not 1 <= i < j <= k:
                 raise FormatError(f"bad pair ({i}, {j}) in sigma data")
+        if len({(i, j) for i, j, _ in pairs}) != len(pairs):
+            raise FormatError("a column pair is listed twice in sigma data")
+        upper = np.zeros((k + 1, k + 1), dtype=np.uint8)
+        for i, j, bit in pairs:
             upper[i, j] = bit & 1
     return SigmaMatrix.from_upper(k, nmod4, upper, n=n)
 
 
 def _shape(obj: dict) -> tuple[int, int, int | None]:
     """The k, nmod4 and optional n fields of a sigma or report document."""
-    n = obj.get("n")
-    return int(obj["k"]), int(obj["nmod4"]), None if n is None else int(n)
+    k, n = _json_int(obj, "k"), obj.get("n")
+    if k < 3:
+        raise FormatError(f"need k >= 3, got {k}")
+    return k, _json_int(obj, "nmod4"), None if n is None else _json_int(obj, "n")
+
+
+def _json_int(obj: dict, name: str) -> int:
+    """A field that must be a JSON integer; a float or a boolean is not one."""
+    value = obj[name]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormatError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _expect_count(entries: list, count: int, what: str) -> None:
+    """A document lists each of its ``count`` items once, as the writers do.
+
+    Checked before anything of size k is allocated, so the size of the file
+    bounds k.
+    """
+    if len(entries) != count:
+        raise FormatError(f"expected all {count} {what}, got {len(entries)} entries")
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +263,12 @@ def tau_from_report(obj: dict) -> TauVector:
     with _malformed("parity report"):
         k, nmod4, n = _shape(obj)
         entries = [tuple(e) for e in obj["tau"]]
+        _expect_count(entries, k * (k - 1) * (k - 2) // 2, "tau components")
         for c, i, j, _ in entries:
             if len({c, i, j}) != 3 or not all(1 <= x <= k for x in (c, i, j)):
                 raise FormatError(f"bad column triple ({c}, {i}, {j}) in tau data")
+        if len({(c, min(i, j), max(i, j)) for c, i, j, _ in entries}) != len(entries):
+            raise FormatError("a tau component is listed twice in the parity report")
         return TauVector.from_entries(k, nmod4, entries, n=n)
 
 

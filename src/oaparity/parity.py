@@ -22,6 +22,15 @@ storage order, the stored sigma of an array *is* the standardised sigma its
 tau determines, so ``sigma_parity`` derives it from ``tau_parity`` instead of
 computing the parities of C(k,2) permutations of length n^2.
 
+Tau itself is computed from k(k-2) of its k*C(k-1,2) components: fixing one
+column w per column c, the additivity identity
+
+    tau^c_{ij}      = tau^c_{wi} + tau^c_{wj}
+
+gives the rest; the k(k-2)*n permutations needed go to ``parity_batch`` in one
+call.  Additivity therefore holds by construction for the tau of an array,
+so the tests compare it with every component computed directly.
+
 Canonical tau storage keeps bits only for i < j; reads with i > j use the
 symmetry tau^c_{ij} = tau^c_{ji}, which therefore holds by construction.
 """
@@ -311,29 +320,31 @@ def standardise_by_out_degree(sigma: SigmaMatrix, parity: int) -> SigmaMatrix:
 
 
 def _tau_bits(mat: np.ndarray, n: int) -> np.ndarray:
-    """Canonical tau bits of an OA matrix in any row order."""
+    """Canonical tau bits of an OA matrix in any row order.
+
+    Only k(k-2) of the k*C(k-1,2) components are computed from permutations:
+    for each column c one other column w is fixed, and the rest follow by
+    additivity, tau^c_{ij} = tau^c_{wi} + tau^c_{wj}.  Proof: within a symbol
+    class of c, pi_ij = pi_wj o pi_iw, and parity(pi_iw) = parity(pi_wi).
+    The permutations exist because every column pair of ``mat`` is
+    orthogonal, which ``OrthogonalArray`` checks and the search guarantees
+    for its partial column stacks.
+    """
     k = mat.shape[1]
-    bits = np.zeros((k + 1, k + 1, k + 1), dtype=np.uint8)
-    cols = np.arange(1, k + 1)
-    for c in range(1, k + 1):
-        order = np.argsort(mat[:, c - 1], kind="stable")
-        grouped = mat[order].reshape(n, n, k)
-        others = cols[cols != c]
-        ii, jj = np.meshgrid(others, others, indexing="ij")
-        sel = ii < jj
-        left, right = ii[sel], jj[sel]
-        p = len(left)
-        x = grouped[:, :, left - 1]   # (n, n, p) column-i entries per symbol class
-        y = grouped[:, :, right - 1]
-        perms = np.empty((p, n, n), dtype=np.int16)
-        perms[
-            np.arange(p)[None, None, :],
-            np.arange(n)[:, None, None],
-            x,
-        ] = y
-        par = parity_batch(perms.reshape(p * n, n)).reshape(p, n)
-        bits[c, left, right] = par.sum(axis=1) & 1
-    return bits
+    w = np.where(np.arange(k + 1) == 1, 2, 1)  # the fixed column w of column c
+    c, j = np.indices((k + 1, k + 1)).reshape(2, -1)
+    keep = (c >= 1) & (j >= 1) & (j != c) & (j != w[c])
+    c, j = c[keep], j[keep]
+    # family (c, j): row s is pi_wj on the symbol class s of column c, read
+    # off the rows sorted by (column c, column w)
+    sym = mat.astype(np.int32)
+    order = np.argsort(sym * n + sym[:, w[1:] - 1], axis=0)
+    perms = mat[order.T][c - 1, :, j - 1]
+    par = parity_batch(perms.reshape(len(c) * n, n)).reshape(len(c), n)
+    # d[c, j] = tau^c_{wj}, with d[c, w] = 0
+    d = np.zeros((k + 1, k + 1), dtype=np.uint8)
+    d[c, j] = par.sum(axis=1) & 1
+    return np.where(_canonical_mask(k), d[:, :, None] ^ d[:, None, :], 0).astype(np.uint8)
 
 
 @lru_cache(maxsize=256)

@@ -1,14 +1,63 @@
 """Brute-force oracles for quantities the library derives.
 
-``sigma_parity`` derives sigma from tau; these functions compute it from its
-definition instead: the parity of the permutation r -> (a_ri, a_rj) of the
-n^2 row positions, for every column pair.
+The library counts cycles by pointer jumping, derives tau from k(k-2) of its
+components by additivity, and derives sigma from tau.  These functions
+compute each quantity from its definition instead, with a parity kernel of
+their own (inversion counting), so they share no algorithm with the code
+they check.
 """
 
 import numpy as np
 
-from oaparity.core import parity_batch
-from oaparity.parity import SigmaMatrix, binom2_bit
+from oaparity.parity import SigmaMatrix, TauVector, binom2_bit
+
+
+def inversion_parity(perms) -> np.ndarray:
+    """Parity bits of the rows of an (m, n) array of permutations, by
+    counting inversions in O(n^2) per row."""
+    perms = np.asarray(perms)
+    m, n = perms.shape
+    out = np.empty(m, dtype=np.uint8)
+    iu, ju = np.triu_indices(n, 1)
+    # chunk so the (chunk, n*(n-1)/2) comparison table stays modest
+    chunk = max(1, (1 << 22) // max(1, len(iu)))
+    for lo in range(0, m, chunk):
+        block = perms[lo:lo + chunk]
+        inv = (block[:, iu] > block[:, ju]).sum(axis=1)
+        out[lo:lo + chunk] = inv & 1
+    return out
+
+
+def _tau_bits(mat: np.ndarray, n: int) -> np.ndarray:
+    """Canonical tau bits of an OA matrix, every component from its n
+    permutations."""
+    k = mat.shape[1]
+    bits = np.zeros((k + 1, k + 1, k + 1), dtype=np.uint8)
+    cols = np.arange(1, k + 1)
+    for c in range(1, k + 1):
+        order = np.argsort(mat[:, c - 1], kind="stable")
+        grouped = mat[order].reshape(n, n, k)
+        others = cols[cols != c]
+        ii, jj = np.meshgrid(others, others, indexing="ij")
+        sel = ii < jj
+        left, right = ii[sel], jj[sel]
+        p = len(left)
+        x = grouped[:, :, left - 1]   # (n, n, p) column-i entries per symbol class
+        y = grouped[:, :, right - 1]
+        perms = np.empty((p, n, n), dtype=np.int16)
+        perms[
+            np.arange(p)[None, None, :],
+            np.arange(n)[:, None, None],
+            x,
+        ] = y
+        par = inversion_parity(perms.reshape(p * n, n)).reshape(p, n)
+        bits[c, left, right] = par.sum(axis=1) & 1
+    return bits
+
+
+def direct_tau(a) -> TauVector:
+    """The tau-parity of an array, every component by definition."""
+    return TauVector(k=a.k, nmod4=a.n % 4, bits=_tau_bits(a.rows, a.n), n=a.n)
 
 
 def _sigma_bits(mat: np.ndarray, n: int) -> np.ndarray:
@@ -19,7 +68,7 @@ def _sigma_bits(mat: np.ndarray, n: int) -> np.ndarray:
     perms = np.empty((len(pairs), n * n), dtype=np.int32)
     for t, (i, j) in enumerate(pairs):
         perms[t] = mat[:, i - 1].astype(np.int32) * n + mat[:, j - 1]
-    par = parity_batch(perms)
+    par = inversion_parity(perms)
     m = np.zeros((k + 1, k + 1), dtype=np.uint8)
     for t, (i, j) in enumerate(pairs):
         m[i, j] = par[t]

@@ -2,7 +2,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from oaparity import core
 from oaparity.core import (
     LatinSquare,
     OAError,
@@ -20,6 +22,7 @@ from oaparity.core import (
 )
 
 from conftest import swap_count_parity, zn_linear_oa, zn_linear_square
+from oracle import inversion_parity
 
 
 def test_parity_identity():
@@ -59,6 +62,52 @@ def test_parity_implementations_agree():
     batched = parity_batch(np.array(perms))
     for p, b in zip(perms, batched):
         assert permutation_parity(p) == int(b) == swap_count_parity(p)
+
+
+_LENGTHS = sorted({0, 1, 2, 3, 1100} | {x for j in range(1, 11) for x in (1 << j, (1 << j) + 1)})
+
+
+@st.composite
+def _permutation_batches(draw):
+    """A batch of random permutations of one length, sometimes more than one
+    kernel chunk, in a chosen dtype and memory layout."""
+    n = draw(st.sampled_from(_LENGTHS))
+    chunk_rows = max(1, core._KERNEL_CHUNK // max(n, 1))
+    m = draw(st.integers(0, 6) | st.integers(chunk_rows, chunk_rows + 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    dtype = draw(st.sampled_from([np.int16, np.int32, np.int64]))
+    layout = draw(st.sampled_from(["c", "fortran", "reversed", "strided"]))
+    perms = np.random.default_rng(seed).permuted(np.tile(np.arange(n), (m, 1)), axis=1)
+    perms = perms.astype(dtype)
+    if layout == "fortran":
+        perms = np.asfortranarray(perms)
+    elif layout == "reversed":
+        perms = perms[::-1]
+    elif layout == "strided":
+        padded = np.zeros((m, 2 * n), dtype=dtype)
+        padded[:, ::2] = perms
+        perms = padded[:, ::2]
+    return perms
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_permutation_batches())
+@example(np.zeros((3, 1), dtype=np.int64))
+@example(np.zeros((2, 0), dtype=np.int16))
+def test_parity_batch_matches_both_oracles(perms):
+    got = parity_batch(perms)
+    assert got.shape == (len(perms),) and got.dtype == np.uint8
+    assert np.array_equal(got, inversion_parity(np.ascontiguousarray(perms)))
+    assert got.tolist() == [permutation_parity(p) for p in perms]
+
+
+def test_parity_batch_rejects_out_of_range_entries():
+    with pytest.raises(OAError):
+        parity_batch(np.array([[0, 2]]))
+    with pytest.raises(OAError):
+        parity_batch(np.array([[0, 1], [-1, 0]]))
+    with pytest.raises(OAError):
+        parity_batch(np.arange(3))
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,32 @@ def test_parity_report_schema():
     assert t == tau_parity(a)
 
 
+@pytest.mark.parametrize("field, value", [("k", 4.7), ("k", True), ("nmod4", True), ("n", 3.0)])
+def test_shape_fields_must_be_json_integers(field, value):
+    report = fileio.parity_report(zn_linear_oa(3))
+    sigma = fileio.sigma_to_json(block_sigma(6))
+    for doc, read in ((report, fileio.tau_from_report), (sigma, fileio.sigma_from_json)):
+        assert read(doc) is not None
+        with pytest.raises(fileio.FormatError, match=f"{field} must be an integer"):
+            read({**doc, field: value})
+
+
+def test_json_readers_need_every_entry_once():
+    report = fileio.parity_report(zn_linear_oa(3))
+    sigma = fileio.sigma_to_json(block_sigma(6))
+    for doc, key, read in ((report, "tau", fileio.tau_from_report),
+                           (sigma, "upper", fileio.sigma_from_json)):
+        entries = doc[key]
+        with pytest.raises(fileio.FormatError, match="expected all"):
+            read({**doc, key: entries[1:]})
+        with pytest.raises(fileio.FormatError, match="listed twice"):
+            read({**doc, key: entries[1:] + entries[-1:]})
+    # the reversed order of a pair names the same tau component
+    c, i, j, bit = report["tau"][-1]
+    with pytest.raises(fileio.FormatError, match="listed twice"):
+        fileio.tau_from_report({**report, "tau": report["tau"][:-2] + [[c, j, i, bit]] * 2})
+
+
 def test_parity_report_of_implausible_vector():
     from oaparity.parity import TauVector
 
@@ -299,10 +325,15 @@ _REPORT = {"k": 4, "nmod4": 0}
         (None, ["--tau"]),  # a directory
         ("{not JSON", []),
         (json.dumps({"kind": "oa"}), []),
+        (json.dumps({"k": 100000, "nmod4": 0, "tau": []}), ["--tau"]),
+        (json.dumps({**_SIGMA, "k": 100000, "upper": []}), ["--tau"]),
+        (json.dumps({**fileio.parity_report(linear_mols(3)), "k": 4.7}), ["--tau"]),
+        (json.dumps({**fileio.parity_report(linear_mols(3)), "k": True}), ["--tau"]),
     ],
     ids=["short-pair", "missing-k", "non-int-k", "non-int-bit", "not-json",
          "short-tau", "tau-column-out-of-range", "directory",
-         "array-not-json", "array-without-rows"],
+         "array-not-json", "array-without-rows", "huge-k-report", "huge-k-sigma",
+         "float-k", "bool-k"],
 )
 def test_cli_malformed_input_fails_closed(tmp_path, capsys, content, flags):
     path = tmp_path / "in.json"

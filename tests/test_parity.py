@@ -35,7 +35,7 @@ from oaparity.parity import (
 from oaparity.constructions import linear_mols, residue_pattern_oa
 
 from conftest import random_isotope_square, random_transform, zn_linear_oa
-from oracle import _sigma_bits, direct_sigma
+from oracle import _sigma_bits, direct_sigma, direct_tau
 
 
 def reference_parities(square):
@@ -187,22 +187,45 @@ def _random_isotope(a, rng, k):
     return OrthogonalArray(sym[np.arange(k), a.rows[:, cols]])
 
 
-def test_sigma_parity_matches_direct_oracle():
-    # sigma is derived from tau; the oracle counts inversions on n^2 rows
-    rng = random.Random(13)
+def _oracle_arrays(rng, qs, ns):
+    """Planes of order q with 23 isotopes each (column subsets of every size
+    3..q+1), and the residue arrays of order n with one isotope each."""
     arrays = []
-    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
+    for q in qs:
         base = linear_mols(q)
         arrays.append(base)
         for _ in range(23):
             arrays.append(_random_isotope(base, rng, rng.randint(3, q + 1)))
-    for n in (11, 19, 23):
+    for n in ns:
         for pattern in ("nnn", "rnr"):
             base = residue_pattern_oa(n, pattern)
             arrays += [base, _random_isotope(base, rng, 5)]
     assert len(arrays) >= 200
+    return arrays
+
+
+def test_sigma_parity_matches_direct_oracle():
+    # sigma is derived from tau; the oracle counts inversions on n^2 rows
+    arrays = _oracle_arrays(random.Random(13), (2, 3, 4, 5, 7, 8, 9, 11, 13), (11, 19, 23))
     for a in arrays:
         assert sigma_parity(a) == direct_sigma(a), (a.k, a.n)
+
+
+def test_tau_parity_matches_direct_oracle():
+    # tau is derived from k(k-2) components by additivity; the oracle computes
+    # every component from its permutations and counts their inversions
+    rng = random.Random(14)
+    arrays = _oracle_arrays(rng, (2, 3, 4, 5, 7, 8, 9, 11, 13, 16), (11, 19, 23, 43))
+    for a in arrays:
+        direct = direct_tau(a)
+        assert tau_parity(a) == direct, (a.k, a.n)
+        shuffled = a.rows[rng.sample(range(a.n * a.n), a.n * a.n)]
+        assert np.array_equal(_tau_bits(shuffled, a.n), direct.bits), (a.k, a.n)
+        # plausibility holds by construction for derived tau; the oracle's
+        # full tau must satisfy the same laws and give the same report
+        report = check_plausible(direct)
+        assert report.plausible and report.pp_plausible != "no", (a.k, a.n)
+        assert check_plausible(tau_parity(a)) == report, (a.k, a.n)
 
 
 def test_row_swap_complements_sigma():
