@@ -102,10 +102,10 @@ def parity_batch(perms: np.ndarray) -> np.ndarray:
     rows = max(1, _KERNEL_CHUNK // n)
     rounds = (n - 1).bit_length()
     for lo in range(0, m, rows):
-        block = perms[lo:lo + rows].astype(np.int32)
-        # one reduction checks both bounds: negative entries read as large
-        if block.view(np.uint32).max() >= n:
+        block = perms[lo:lo + rows]
+        if block.min() < 0 or block.max() >= n:
             raise OAError(f"parity_batch entries must lie in [0, {n - 1}]")
+        block = block.astype(np.int32)
         b = len(block)
         ids = np.arange(b * n, dtype=np.int32)
         # successor of each element as an index into the flattened chunk

@@ -196,12 +196,10 @@ def sigma_from_json(obj: dict) -> SigmaMatrix:
     with _malformed("sigma data"):
         k, nmod4, n = _shape(obj)
         pairs = obj["upper"]
-        _expect_count(pairs, k * (k - 1) // 2, "column pairs")
         for i, j, _ in pairs:
             if not 1 <= i < j <= k:
                 raise FormatError(f"bad pair ({i}, {j}) in sigma data")
-        if len({(i, j) for i, j, _ in pairs}) != len(pairs):
-            raise FormatError("a column pair is listed twice in sigma data")
+        _expect_each_once([(i, j) for i, j, _ in pairs], k * (k - 1) // 2, "column pairs")
         upper = np.zeros((k + 1, k + 1), dtype=np.uint8)
         for i, j, bit in pairs:
             upper[i, j] = bit & 1
@@ -224,14 +222,16 @@ def _json_int(obj: dict, name: str) -> int:
     return value
 
 
-def _expect_count(entries: list, count: int, what: str) -> None:
+def _expect_each_once(keys: list, count: int, what: str) -> None:
     """A document lists each of its ``count`` items once, as the writers do.
 
     Checked before anything of size k is allocated, so the size of the file
     bounds k.
     """
-    if len(entries) != count:
-        raise FormatError(f"expected all {count} {what}, got {len(entries)} entries")
+    if len(keys) != count:
+        raise FormatError(f"expected all {count} {what}, got {len(keys)} entries")
+    if len(set(keys)) != count:
+        raise FormatError(f"{what} listed twice: {len(set(keys))} of {count} are distinct")
 
 
 # ---------------------------------------------------------------------------
@@ -263,12 +263,11 @@ def tau_from_report(obj: dict) -> TauVector:
     with _malformed("parity report"):
         k, nmod4, n = _shape(obj)
         entries = [tuple(e) for e in obj["tau"]]
-        _expect_count(entries, k * (k - 1) * (k - 2) // 2, "tau components")
         for c, i, j, _ in entries:
             if len({c, i, j}) != 3 or not all(1 <= x <= k for x in (c, i, j)):
                 raise FormatError(f"bad column triple ({c}, {i}, {j}) in tau data")
-        if len({(c, min(i, j), max(i, j)) for c, i, j, _ in entries}) != len(entries):
-            raise FormatError("a tau component is listed twice in the parity report")
+        _expect_each_once([(c, min(i, j), max(i, j)) for c, i, j, _ in entries],
+                          k * (k - 1) * (k - 2) // 2, "tau components")
         return TauVector.from_entries(k, nmod4, entries, n=n)
 
 

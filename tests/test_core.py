@@ -108,6 +108,11 @@ def test_parity_batch_rejects_out_of_range_entries():
         parity_batch(np.array([[0, 1], [-1, 0]]))
     with pytest.raises(OAError):
         parity_batch(np.arange(3))
+    # entries that would wrap into range in int32 are rejected too
+    with pytest.raises(OAError):
+        parity_batch(np.array([[2**32, 1]], dtype=np.int64))
+    with pytest.raises(OAError):
+        parity_batch(np.array([[2**32 + 1, 0]], dtype=np.uint64))
 
 
 # ---------------------------------------------------------------------------

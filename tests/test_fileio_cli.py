@@ -98,6 +98,38 @@ def test_json_readers_need_every_entry_once():
         fileio.tau_from_report({**report, "tau": report["tau"][:-2] + [[c, j, i, bit]] * 2})
 
 
+def _with_entry(doc: dict, key: str, index: int, entry: list) -> dict:
+    """``doc`` with entry ``index`` of its list ``key`` replaced."""
+    entries = list(doc[key])
+    entries[index] = entry
+    return {**doc, key: entries}
+
+
+_SIGMA_DOC = fileio.sigma_to_json(block_sigma(6))
+_REPORT_DOC = fileio.parity_report(zn_linear_oa(3))
+# each input is a full document with its first entry, pair (1, 2) or triple
+# (1, 2, 3), corrupted, so it passes the entry count and reaches the check its
+# id names
+_BAD_ENTRIES = {
+    "short-pair": (_SIGMA_DOC, "upper", [1, 2], "ValueError: not enough values"),
+    "non-int-bit": (_SIGMA_DOC, "upper", [1, 2, 0.5], "TypeError"),
+    "reversed-pair": (_SIGMA_DOC, "upper", [2, 1, 0], r"bad pair \(2, 1\)"),
+    "pair-column-zero": (_SIGMA_DOC, "upper", [0, 1, 0], r"bad pair \(0, 1\)"),
+    "short-tau": (_REPORT_DOC, "tau", [1, 2, 3], "ValueError: not enough values"),
+    "tau-column-out-of-range": (_REPORT_DOC, "tau", [9, 1, 2, 1], "bad column triple"),
+    "tau-column-negative": (_REPORT_DOC, "tau", [-1, 1, 2, 1], "bad column triple"),
+    "tau-column-repeated": (_REPORT_DOC, "tau", [1, 1, 2, 1], "bad column triple"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_ENTRIES))
+def test_json_readers_check_every_entry(case):
+    doc, key, entry, message = _BAD_ENTRIES[case]
+    read = fileio.sigma_from_json if key == "upper" else fileio.tau_from_report
+    with pytest.raises(fileio.FormatError, match=message):
+        read(_with_entry(doc, key, 0, entry))
+
+
 def test_parity_report_of_implausible_vector():
     from oaparity.parity import TauVector
 
@@ -309,19 +341,18 @@ def test_cli_ingest(tmp_path, capsys):
 
 
 _SIGMA = {"kind": "sigma", "k": 4, "nmod4": 0}
-_REPORT = {"k": 4, "nmod4": 0}
 
 
 @pytest.mark.parametrize(
     "content, flags",
     [
-        (json.dumps({**_SIGMA, "upper": [[1, 2]]}), ["--tau"]),
+        (json.dumps(_with_entry(_SIGMA_DOC, "upper", 0, [1, 2])), ["--tau"]),
         (json.dumps({"kind": "sigma", "nmod4": 0, "upper": []}), ["--tau"]),
         (json.dumps({**_SIGMA, "k": "x", "upper": []}), ["--tau"]),
-        (json.dumps({**_SIGMA, "upper": [[1, 2, 0.5]]}), ["--tau"]),
+        (json.dumps(_with_entry(_SIGMA_DOC, "upper", 0, [1, 2, 0.5])), ["--tau"]),
         ("this is not JSON", ["--tau"]),
-        (json.dumps({**_REPORT, "tau": [[1, 2, 3]]}), ["--tau"]),
-        (json.dumps({**_REPORT, "tau": [[9, 1, 2, 1]]}), ["--tau"]),
+        (json.dumps(_with_entry(_REPORT_DOC, "tau", 0, [1, 2, 3])), ["--tau"]),
+        (json.dumps(_with_entry(_REPORT_DOC, "tau", 0, [9, 1, 2, 1])), ["--tau"]),
         (None, ["--tau"]),  # a directory
         ("{not JSON", []),
         (json.dumps({"kind": "oa"}), []),
