@@ -18,8 +18,14 @@ States pack into one machine word: pair (i,j), i < j, taken in lexicographic
 order and skipping (1,2), occupies vector position rank-1; position 0 is the
 most significant bit so that numeric order on words is lexicographic order
 on bit vectors (stable canonical representatives).  Full enumeration walks a
-visited bitmap over all 2^(C(k,2)-1) states; single orbits at larger k use a
+visited bitmap over all 2^(C(k,2)-1) states; single orbits at k >= 8 use a
 sorted visited array keyed by the 64-bit word.
+
+Each generator is compiled to a few (shift, mask) groups: an adjacent
+transposition moves the bits of the pairs it relabels by one of a handful of
+constant distances.  Each breadth-first level applies every generator to the
+frontier and deduplicates the images by sorting them and dropping entries
+equal to their left neighbour.
 """
 
 from __future__ import annotations
@@ -42,7 +48,10 @@ from .parity import (
     tau_parity,
 )
 
-_BITMAP_LIMIT = 1 << 27  # largest state space enumerated with a dense bitmap
+# largest state space a single orbit walks with a dense visited bitmap (k <= 7);
+# at k = 8 clearing and touching the 128 MiB map costs more than the sorted
+# search, which holds only the orbit (enumerate_classes always uses a bitmap)
+_BITMAP_LIMIT = 1 << 20
 _DEFAULT_BUDGET_MB = 2048
 _BUDGET_ENV = "OAPARITY_ORBIT_BUDGET_MB"
 
@@ -140,29 +149,43 @@ def act_swap(s: ParityState, cset) -> ParityState:
 class _Generator:
     """One group generator as a bit rearrangement of packed states.
 
-    out = (s & keep) | moved bits, then ^ xmask, then complemented when the
-    relabelled (1,2) entry (bit d_src, xor d_const) is 1.
+    out = the bits of each ``moves`` mask shifted by its shift (left when
+    positive), ^ xmask, then complemented when bit d_src of the input (the
+    relabelled (1,2) entry) is 1.
     """
 
-    keep: int
-    moved: tuple  # ((src, dst), ...)
+    moves: tuple  # ((shift, mask), ...), masks disjoint and in source positions
     xmask: int
-    d_src: int  # -1 when the bit is constant
-    d_const: int
+    d_src: int  # -1 when the relabelled (1,2) entry is constant (folded into xmask)
     full: int
 
-    def apply(self, words: np.ndarray) -> np.ndarray:
-        out = words & np.uint64(self.keep)
-        one = np.uint64(1)
-        for src, dst in self.moved:
-            out |= ((words >> np.uint64(src)) & one) << np.uint64(dst)
-        out ^= np.uint64(self.xmask)
+    def apply(self, words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        if out is None:
+            out = np.empty_like(words)
+        out.fill(self.xmask)
+        part = np.empty_like(words)
+        # destination bits of different groups are disjoint, so ^ acts as |
+        for shift, mask in self.moves:
+            np.bitwise_and(words, np.uint64(mask), out=part)
+            if shift > 0:
+                np.left_shift(part, np.uint64(shift), out=part)
+            elif shift < 0:
+                np.right_shift(part, np.uint64(-shift), out=part)
+            out ^= part
         if self.d_src >= 0:
-            d = ((words >> np.uint64(self.d_src)) & one) ^ np.uint64(self.d_const)
-            out ^= d * np.uint64(self.full)
-        elif self.d_const:
-            out ^= np.uint64(self.full)
+            np.right_shift(words, np.uint64(self.d_src), out=part)
+            part &= np.uint64(1)
+            part *= np.uint64(self.full)
+            out ^= part
         return out
+
+
+def _shift_groups(pairs) -> tuple:
+    """Group (src, dst) bit moves by dst - src into (shift, mask) entries."""
+    groups: dict[int, int] = {}
+    for src, dst in pairs:
+        groups[dst - src] = groups.get(dst - src, 0) | (1 << src)
+    return tuple(sorted(groups.items()))
 
 
 def _compile_permutation(k: int, nmod4: int, g: tuple) -> _Generator:
@@ -183,26 +206,21 @@ def _compile_permutation(k: int, nmod4: int, g: tuple) -> _Generator:
             return None, const
         return pos[(s1, s2)], const
 
-    keep = 0
     xmask = 0
-    moved = []
+    pairs = []
     for (a, b), dst in pos.items():
         src, const = source(a, b)
         if const:
             xmask |= 1 << dst
-        if src is None:
-            continue
-        if src == dst:
-            keep |= 1 << dst
-        else:
-            moved.append((src, dst))
+        if src is not None:
+            pairs.append((src, dst))
     d_src, d_const = source(1, 2)
+    if d_const:
+        xmask ^= full
     return _Generator(
-        keep=keep,
-        moved=tuple(moved),
+        moves=_shift_groups(pairs),
         xmask=xmask,
         d_src=-1 if d_src is None else d_src,
-        d_const=d_const,
         full=full,
     )
 
@@ -216,7 +234,7 @@ def _compile_swap(k: int, nmod4: int, t: int) -> _Generator:
             xmask |= 1 << p
     if t in (1, 2):  # the flipped (1,2) entry forces re-standardisation
         xmask ^= full
-    return _Generator(keep=full, moved=(), xmask=xmask, d_src=-1, d_const=0, full=full)
+    return _Generator(moves=((0, full),), xmask=xmask, d_src=-1, full=full)
 
 
 def _generators(k: int, nmod4: int) -> list[_Generator]:
@@ -255,6 +273,36 @@ def _budget_bytes() -> int:
     return int(raw) << 20
 
 
+def _images(frontier: np.ndarray, gens) -> np.ndarray:
+    """The images of every frontier word under every generator, in one array."""
+    f = frontier.size
+    imgs = np.empty(len(gens) * f, dtype=np.uint64)
+    for i, g in enumerate(gens):
+        g.apply(frontier, out=imgs[i * f:(i + 1) * f])
+    return imgs
+
+
+def _distinct(words: np.ndarray) -> np.ndarray:
+    """Sort ``words`` in place and return its distinct entries, ascending.
+
+    Sorting and dropping entries equal to their left neighbour is much
+    faster than np.unique, which dedups uint64 through a hash table.
+    """
+    words.sort()
+    keep = np.empty(words.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(words[1:], words[:-1], out=keep[1:])
+    return words[keep]
+
+
+def _check_budget(nbytes: int, budget: int) -> None:
+    if nbytes > budget:
+        raise ResourceLimitError(
+            f"orbit exceeded the memory budget ({budget >> 20} MiB); "
+            f"raise it via {_BUDGET_ENV}"
+        )
+
+
 def _orbit_bitmap(seed: int, gens, visited: np.ndarray) -> tuple[int, int]:
     """BFS one orbit on a dense visited map; returns (size, canonical word)."""
     visited[seed] = True
@@ -262,11 +310,11 @@ def _orbit_bitmap(seed: int, gens, visited: np.ndarray) -> tuple[int, int]:
     size = 1
     canonical = seed
     while frontier.size:
-        imgs = np.concatenate([g.apply(frontier) for g in gens])
+        imgs = _images(frontier, gens)
         imgs = imgs[~visited[imgs]]
         if imgs.size == 0:
             break
-        imgs = np.unique(imgs)
+        imgs = _distinct(imgs)
         visited[imgs] = True
         size += imgs.size
         canonical = min(canonical, int(imgs[0]))
@@ -275,22 +323,25 @@ def _orbit_bitmap(seed: int, gens, visited: np.ndarray) -> tuple[int, int]:
 
 
 def _orbit_sorted(seed: int, gens, budget: int) -> tuple[int, int]:
-    """BFS one orbit keeping a sorted array of visited 64-bit words."""
+    """BFS one orbit keeping a sorted array of visited 64-bit words.
+
+    The budget covers a level's image array (and the distinct copy taken
+    from it) next to the visited array, checked before the level is
+    expanded, and the merged visited array after it.
+    """
     visited = np.array([seed], dtype=np.uint64)
     frontier = visited
     while frontier.size:
-        imgs = np.unique(np.concatenate([g.apply(frontier) for g in gens]))
+        _check_budget(visited.nbytes + 2 * len(gens) * frontier.nbytes, budget)
+        imgs = _distinct(_images(frontier, gens))
         pos = np.searchsorted(visited, imgs)
         pos[pos == len(visited)] = len(visited) - 1
         new = imgs[visited[pos] != imgs]
         if new.size == 0:
             break
-        if (visited.nbytes + new.nbytes) * 3 > budget:
-            raise ResourceLimitError(
-                f"orbit exceeded the memory budget ({budget >> 20} MiB); "
-                f"raise it via {_BUDGET_ENV}"
-            )
-        visited = np.sort(np.concatenate([visited, new]))
+        _check_budget((visited.nbytes + new.nbytes) * 3, budget)
+        # two sorted runs: the stable sort (timsort) merges them in linear time
+        visited = np.sort(np.concatenate([visited, new]), kind="stable")
         frontier = new
     return int(visited.size), int(visited[0])
 

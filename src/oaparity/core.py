@@ -264,16 +264,28 @@ def field_table(q: int) -> FieldTable:
 # Latin squares
 
 
+def _narrow_symbols(arr: np.ndarray, n: int) -> np.ndarray:
+    """``arr`` as int16 after checking that it holds integers in [0, n).
+
+    The check runs on the array as given, so a value that int16 cannot hold
+    (40000, 65536, 2**70) is rejected instead of overflowing or wrapping.
+    """
+    if arr.size and (arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= n):
+        raise OAError(f"symbols must be integers in [0, {n - 1}]")
+    return arr.astype(np.int16, copy=False)
+
+
 class LatinSquare:
     """An n x n square over symbols 0..n-1, each once per row and column."""
 
     __slots__ = ("n", "cells")
 
     def __init__(self, cells):
-        arr = np.array(cells, dtype=np.int16)
+        arr = np.array(cells)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise OAError(f"square must be n x n, got shape {arr.shape}")
         n = arr.shape[0]
+        arr = _narrow_symbols(arr, n)
         idx = np.arange(n, dtype=np.int16)
         if not np.array_equal(np.sort(arr, axis=1), np.tile(idx, (n, 1))):
             raise OAError("some row is not a permutation of 0..n-1")
@@ -332,7 +344,7 @@ class OrthogonalArray:
     __slots__ = ("k", "n", "rows")
 
     def __init__(self, rows):
-        arr = np.array(rows, dtype=np.int16)
+        arr = np.array(rows)
         if arr.ndim != 2:
             raise OAError(f"array must be 2-d, got shape {arr.shape}")
         m, k = arr.shape
@@ -341,8 +353,7 @@ class OrthogonalArray:
             raise OAError(f"row count {m} is not a perfect square")
         if not 3 <= k <= n + 1:
             raise OAError(f"need 3 <= k <= n+1, got k={k}, n={n}")
-        if arr.size and (arr.min() < 0 or arr.max() >= n):
-            raise OAError(f"symbols must lie in [0, {n - 1}]")
+        arr = _narrow_symbols(arr, n)
         arr = arr[np.lexsort(arr.T[::-1])]
         for i in range(1, k + 1):
             for j in range(i + 1, k + 1):

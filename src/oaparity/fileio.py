@@ -120,7 +120,7 @@ def oa_from_json(obj: dict) -> OrthogonalArray:
     if obj.get("kind") != "oa":
         raise FormatError(f"expected kind 'oa', got {obj.get('kind')!r}")
     base = obj.get("base", 0)
-    rows = np.asarray(obj["rows"], dtype=np.int16) - base
+    rows = np.asarray(obj["rows"]) - base
     return OrthogonalArray(rows)
 
 
@@ -170,7 +170,7 @@ def square_from_json(obj: dict) -> LatinSquare:
     if obj.get("kind") != "latin_square":
         raise FormatError(f"expected kind 'latin_square', got {obj.get('kind')!r}")
     base = obj.get("base", 0)
-    return LatinSquare(np.asarray(obj["cells"], dtype=np.int16) - base)
+    return LatinSquare(np.asarray(obj["cells"]) - base)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 """Brute-force oracles for quantities the library derives.
 
 The library counts cycles by pointer jumping, derives tau from k(k-2) of its
-components by additivity, and derives sigma from tau.  These functions
-compute each quantity from its definition instead, with a parity kernel of
-their own (inversion counting), so they share no algorithm with the code
-they check.
+components by additivity, derives sigma from tau, and walks switching
+classes breadth-first on packed words with compiled generators.  These
+functions compute each quantity from its definition instead, with a parity
+kernel of their own (inversion counting) and a set-based orbit search over
+the matrix-level actions, so they share no algorithm with the code they
+check.
 """
 
 import numpy as np
 
+from oaparity.classes import ParityState, act_permute, act_swap
 from oaparity.parity import SigmaMatrix, TauVector, binom2_bit
 
 
@@ -79,3 +82,31 @@ def _sigma_bits(mat: np.ndarray, n: int) -> np.ndarray:
 def direct_sigma(a) -> SigmaMatrix:
     """The sigma-parity of an array at its stored row order, by definition."""
     return SigmaMatrix(a.k, a.n % 4, _sigma_bits(a.rows, a.n), n=a.n)
+
+
+def orbit_by_actions(state: ParityState) -> tuple[int, int]:
+    """Size and smallest word of the switching class of ``state``.
+
+    A set-based breadth-first search over ``act_permute`` and ``act_swap``
+    with the generating set {(1 2), (1 2 ... k)} and, for odd n, the swap at
+    {1} (its conjugates under S_k are all the singleton swaps), not the
+    library's adjacent transpositions and k singleton swaps.
+    """
+    k = state.k
+    cycle = tuple(range(2, k + 1)) + (1,)
+    transposition = (2, 1) + tuple(range(3, k + 1))
+    moves = [lambda s: act_permute(s, transposition), lambda s: act_permute(s, cycle)]
+    if state.nmod4 % 2:
+        moves.append(lambda s: act_swap(s, (1,)))
+    seen = {state.word}
+    frontier = [state]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for move in moves:
+                image = move(s)
+                if image.word not in seen:
+                    seen.add(image.word)
+                    nxt.append(image)
+        frontier = nxt
+    return len(seen), min(seen)

@@ -16,13 +16,16 @@ from oaparity.classes import (
     state_of_tau,
     tau_of_state,
     unpack_state,
+    _distinct,
     _generators,
+    _orbit_sorted,
 )
-from oaparity.core import OAError, cyclic_square, mols_to_oa
+from oaparity.core import OAError, ResourceLimitError, cyclic_square, mols_to_oa
 from oaparity.parity import check_plausible, tau_parity
 from oaparity.constructions import linear_mols
 
 from conftest import zn_linear_oa
+from oracle import orbit_by_actions
 
 # class counts and distinct sizes for k = 3..7; multiplicities were frozen
 # from the first verified enumeration run (their sums match the state-space
@@ -148,26 +151,50 @@ def test_swap_rejected_for_even_n():
         act_swap(s, (1,))
 
 
+def _reference_ops(k, nm):
+    """The matrix-level actions of the generators, in _generators order."""
+    ops = []
+    for t in range(1, k):
+        g = list(range(1, k + 1))
+        g[t - 1], g[t] = g[t], g[t - 1]
+        ops.append(lambda s, g=tuple(g): act_permute(s, g))
+    if nm % 2:
+        ops.extend(lambda s, t=t: act_swap(s, (t,)) for t in range(1, k + 1))
+    return ops
+
+
 def test_compiled_generators_match_reference():
     # the packed-word fast path must agree with the matrix-level actions
     for k, nm in ((4, 2), (4, 1), (5, 0), (5, 3)):
         gens = _generators(k, nm)
-        ref_ops = []
-        for t in range(1, k):
-            g = list(range(1, k + 1))
-            g[t - 1], g[t] = g[t], g[t - 1]
-            ref_ops.append(("perm", tuple(g)))
-        if nm % 2:
-            ref_ops.extend(("swap", (t,)) for t in range(1, k + 1))
+        ops = _reference_ops(k, nm)
+        assert len(gens) == len(ops)
         b = k * (k - 1) // 2 - 1
         words = np.arange(1 << b, dtype=np.uint64)
-        for gen, (kind, arg) in zip(gens, ref_ops):
+        for gen, op in zip(gens, ops):
             images = gen.apply(words)
             for w in range(1 << b):
-                s = ParityState(k=k, nmod4=nm, word=w)
-                ref = act_permute(s, arg) if kind == "perm" else act_swap(s, arg)
+                ref = op(ParityState(k=k, nmod4=nm, word=w))
                 one = gen.apply(np.array([w], dtype=np.uint64))
                 assert ref.word == int(images[w]) == int(one[0])
+
+
+@pytest.mark.parametrize("k, nm", [(6, 0), (6, 3), (8, 2), (8, 1), (10, 0), (10, 3),
+                                   (11, 2), (11, 1)])
+def test_compiled_generators_match_reference_sampled(k, nm):
+    # beyond k = 5 the shift groups move bits by up to k - 2 places; k = 11
+    # packs 54 bits, so a signed or narrow shift would show in the top bits
+    rng = random.Random(1000 * k + nm)
+    b = k * (k - 1) // 2 - 1
+    words = [0, (1 << b) - 1, 1 << (b - 1)] + [rng.getrandbits(b) for _ in range(197)]
+    arr = np.array(words, dtype=np.uint64)
+    gens = _generators(k, nm)
+    ops = _reference_ops(k, nm)
+    assert len(gens) == len(ops)
+    for gen, op in zip(gens, ops):
+        images = gen.apply(arr)
+        for w, image in zip(words, images.tolist()):
+            assert image == op(ParityState(k=k, nmod4=nm, word=w)).word
 
 
 def test_orbit_k3_odd_always_4():
@@ -223,6 +250,17 @@ def test_orbit_budget_raises(monkeypatch):
         orbit(big)
 
 
+def test_orbit_budget_counts_the_level_images(monkeypatch):
+    # the q=9 class keeps 1 290 240 visited words (31 MB with the merge
+    # copies), but its widest level has 19 images of each of ~320 000
+    # frontier words (49 MB), plus the sorted copy
+    monkeypatch.setenv("OAPARITY_ORBIT_BUDGET_MB", "64")
+    assert 3 * 1290240 * 8 < 64 << 20
+    big = state_of_tau(tau_parity(linear_mols(9)))
+    with pytest.raises(ResourceLimitError):
+        orbit(big)
+
+
 def test_orbit_budget_must_be_a_whole_number(monkeypatch, tmp_path, capsys):
     from oaparity import cli
     from oaparity.core import UsageError
@@ -253,3 +291,50 @@ def test_orbit_of_each_small_word_matches_enumeration():
         by_canonical.setdefault(summ.canonical.word, summ.size)
     expected = [size for size, count in table.entries for _ in range(count)]
     assert sorted(by_canonical.values()) == expected
+
+
+def _assert_orbit_matches_oracle(k, nm, count, seed):
+    rng = random.Random(seed)
+    gens = _generators(k, nm)
+    for _ in range(count):
+        s = random_state(k, nm, rng)
+        size, canonical = orbit_by_actions(s)
+        summ = orbit(s)
+        assert (summ.size, summ.canonical.word) == (size, canonical)
+        # the sorted-array path, which orbit() takes only for k >= 8
+        assert _orbit_sorted(s.word, gens, 1 << 30) == (size, canonical)
+
+
+@pytest.mark.parametrize("k, nm", [(k, nm) for k in (4, 5, 6) for nm in range(4)]
+                         + [(7, 0), (7, 2)])
+def test_orbit_matches_action_oracle(k, nm):
+    _assert_orbit_matches_oracle(k, nm, 3 if k <= 5 else 1, seed=100 * k + nm)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("nm", [1, 3])
+def test_orbit_matches_action_oracle_k7_odd(nm):
+    # orbits of up to 7! * 2^6 states; the oracle's matrix-level actions
+    # take about a minute for the largest
+    _assert_orbit_matches_oracle(7, nm, 1, seed=700 + nm)
+
+
+@pytest.mark.parametrize("words", [
+    [],
+    [5],
+    [2**64 - 1],
+    [3, 3, 3, 3],
+    [7, 1, 7, 1, 2**63, 0, 2**63, 7],
+], ids=["empty", "one", "top", "all-equal", "mixed"])
+def test_distinct_matches_unique(words):
+    arr = np.array(words, dtype=np.uint64)
+    assert _distinct(arr.copy()).tolist() == np.unique(arr).tolist()
+
+
+def test_distinct_matches_unique_on_duplicate_heavy_words():
+    rng = np.random.default_rng(31)
+    for hi in (1, 2, 50, 2**64 - 1):
+        arr = rng.integers(0, hi, size=5000, dtype=np.uint64, endpoint=True)
+        out = _distinct(arr.copy())
+        assert out.dtype == np.uint64
+        assert np.array_equal(out, np.unique(arr))

@@ -129,6 +129,27 @@ def test_latin_square_rejects_bad_column():
         LatinSquare([[0, 1], [0, 1]])
 
 
+# symbols int16 cannot hold (in a list they overflowed the int16 cast; in an
+# int64 array 65537 and -65535 wrapped to the valid symbol 1) and entries
+# that are not integers
+_BAD_SYMBOLS = pytest.mark.parametrize("value, as_array", [
+    (40000, False), (65536, False), (2**70, False), (0.5, False), ("1", False),
+    (65537, True), (-65535, True),
+], ids=["40000", "65536", "2**70", "float", "string", "int64-65537", "int64-minus-65535"])
+
+
+def _with_symbol(grid: list, i: int, j: int, value, as_array: bool):
+    grid[i][j] = value
+    return np.array(grid, dtype=np.int64) if as_array else grid
+
+
+@_BAD_SYMBOLS
+def test_latin_square_rejects_out_of_range_symbols(value, as_array):
+    cells = _with_symbol(cyclic_square(3).cells.tolist(), 1, 2, value, as_array)
+    with pytest.raises(OAError, match="symbols must be integers"):
+        LatinSquare(cells)
+
+
 def test_cyclic_square_valid():
     for n in range(2, 9):
         sq = cyclic_square(n)
@@ -199,6 +220,13 @@ def test_oa_rejects_k2_and_wide():
     wide = [[r, c, (r + c) % 2, (r + c) % 2] for r in range(2) for c in range(2)]
     with pytest.raises(OAError):
         OrthogonalArray(wide)
+
+
+@_BAD_SYMBOLS
+def test_oa_rejects_out_of_range_symbols(value, as_array):
+    rows = _with_symbol(mols_to_oa([cyclic_square(3)]).rows.tolist(), 4, 0, value, as_array)
+    with pytest.raises(OAError, match="symbols must be integers"):
+        OrthogonalArray(rows)
 
 
 def test_rows_agree_in_one_column():

@@ -343,6 +343,16 @@ def test_cli_ingest(tmp_path, capsys):
 _SIGMA = {"kind": "sigma", "k": 4, "nmod4": 0}
 
 
+def _oa_text_with_symbol(value: int) -> str:
+    """The q=3 array's text with its first symbol replaced by ``value``."""
+    header, first, *rest = fileio.format_oa(zn_linear_oa(3)).splitlines()
+    first = " ".join([str(value)] + first.split()[1:])
+    return "\n".join([header, first, *rest]) + "\n"
+
+
+_OA_JSON = fileio.oa_to_json(zn_linear_oa(3))
+
+
 @pytest.mark.parametrize(
     "content, flags",
     [
@@ -360,11 +370,15 @@ _SIGMA = {"kind": "sigma", "k": 4, "nmod4": 0}
         (json.dumps({**_SIGMA, "k": 100000, "upper": []}), ["--tau"]),
         (json.dumps({**fileio.parity_report(linear_mols(3)), "k": 4.7}), ["--tau"]),
         (json.dumps({**fileio.parity_report(linear_mols(3)), "k": True}), ["--tau"]),
+        (_oa_text_with_symbol(40000), []),
+        (_oa_text_with_symbol(65536), []),
+        (json.dumps(_with_entry(_OA_JSON, "rows", 0, [65536, 0, 0, 0])), []),
     ],
     ids=["short-pair", "missing-k", "non-int-k", "non-int-bit", "not-json",
          "short-tau", "tau-column-out-of-range", "directory",
          "array-not-json", "array-without-rows", "huge-k-report", "huge-k-sigma",
-         "float-k", "bool-k"],
+         "float-k", "bool-k", "oa-symbol-40000", "oa-symbol-65536",
+         "oa-json-symbol-65536"],
 )
 def test_cli_malformed_input_fails_closed(tmp_path, capsys, content, flags):
     path = tmp_path / "in.json"
