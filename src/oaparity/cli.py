@@ -16,8 +16,8 @@ import sys
 from pathlib import Path
 
 from . import classes, constructions, ensemble, fileio, graphs, search
-from .core import OAError, UsageError, oa_to_mols
-from .parity import latin_square_parities, sigma_from_tau, tau_parity
+from .core import LatinSquare, OAError, UsageError, oa_to_mols
+from .parity import sigma_from_tau, tau_parity
 
 
 def _emit(args, text_lines, obj):
@@ -237,15 +237,18 @@ def cmd_ensemble(args):
 
 def cmd_search(args):
     if args.what == "latin":
+        n = args.n
+        cells, walk = search.latin_square_walk(n)
         if args.type:
-            for sq in search.enumerate_latin_squares(args.n):
-                if latin_square_parities(sq).type_str == args.type:
-                    _write_output(args, fileio.format_square(sq))
+            for ty in walk:
+                if ty == args.type:
+                    square = LatinSquare([cells[r * n:(r + 1) * n] for r in range(n)])
+                    _write_output(args, fileio.format_square(square))
                     return 0
             print("no square with that type", file=sys.stderr)
             return 1
         count = 0
-        for _ in search.enumerate_latin_squares(args.n):
+        for _ in walk:
             count += 1
             if args.limit and count >= args.limit:
                 break

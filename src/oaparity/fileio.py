@@ -64,9 +64,16 @@ def _parse_ints(fields, lineno):
         raise FormatError(f"expected integers, got {fields!r}", lineno) from None
 
 
+def _base(base, lineno=None) -> int:
+    """A symbol base: the integer 0 or 1; a boolean or a float is not one."""
+    if isinstance(base, bool) or not isinstance(base, int) or base not in (0, 1):
+        raise FormatError(f"base must be 0 or 1, got {base!r}", lineno)
+    return base
+
+
 def _shift(values, base, lineno):
-    if base not in (0, 1):
-        raise FormatError(f"base must be 0 or 1, got {base}", lineno)
+    if base not in (0, 1):  # a text base is an integer already; this runs per row
+        _base(base, lineno)
     return [v - base for v in values]
 
 
@@ -119,8 +126,7 @@ def oa_to_json(a: OrthogonalArray, base: int = 0) -> dict:
 def oa_from_json(obj: dict) -> OrthogonalArray:
     if obj.get("kind") != "oa":
         raise FormatError(f"expected kind 'oa', got {obj.get('kind')!r}")
-    base = obj.get("base", 0)
-    rows = np.asarray(obj["rows"]) - base
+    rows = np.asarray(obj["rows"]) - _base(obj.get("base", 0))
     return OrthogonalArray(rows)
 
 
@@ -169,8 +175,7 @@ def square_to_json(square: LatinSquare, base: int = 0) -> dict:
 def square_from_json(obj: dict) -> LatinSquare:
     if obj.get("kind") != "latin_square":
         raise FormatError(f"expected kind 'latin_square', got {obj.get('kind')!r}")
-    base = obj.get("base", 0)
-    return LatinSquare(np.asarray(obj["cells"]) - base)
+    return LatinSquare(np.asarray(obj["cells"]) - _base(obj.get("base", 0)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,32 @@
-"""Brute-force oracles: tiny-order Latin square enumeration and
-backtracking search for arrays with a prescribed parity.
+"""Latin square enumeration and backtracking search for arrays with a
+prescribed parity, both on one iterative cell walk.
 
-The enumerator fills rows top-down, cells left-to-right, trying symbols in
-ascending order, so the stream of squares is deterministic and resumable
-from any previously yielded square.  The array search extends an OA column
-by column; each new column is a Latin square (in the row/column grid of the
-first two columns) orthogonal to all previously placed squares.  Parity is
-only known once a square is complete, so pruning happens at column
-completion: the parity components among the filled columns are final and
-must match the target.
+The walk (``_walk``) fills one new OA column cell by cell, in row-major
+order of the grid of the first two columns, with an explicit per-cell stack,
+so no recursion limit bounds n.  A cell lies on k - 1 lines, its row, its
+column and its symbol class in each earlier square, and each line keeps a
+bitmask of the symbols it holds, so a node is a few integer ORs.  Symbols
+are tried in ascending order, or in a seeded shuffle of it.  The walk counts
+the row and column inversions of the first square as it goes, so a
+completed square's parity type is known at once; the symbol bit follows, as
+r + c + s = C(n, 2) mod 2 for every Latin square.
+
+Enumeration runs the walk with no earlier squares and resumes after any
+square it yielded.  The array search nests one walk per column, a recursion
+at most k deep, and prunes at column completion, where the parity components
+among the filled columns are final and must match the target.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import LatinSquare, OAError, OrthogonalArray
-from .parity import TauVector, check_plausible, latin_square_parities, plausible_types, tau_parity
+from .parity import TauVector, _tau_bits, binom2_bit, check_plausible, plausible_types, tau_parity
 
 MAX_ENUM_ORDER = 6
 
@@ -28,45 +35,143 @@ MAX_ENUM_ORDER = 6
 _EXHAUSTIVE_LIMITS = {3: 6, 4: 5}
 
 
-def enumerate_latin_squares(n: int, resume_after: LatinSquare | None = None):
-    """Yield every Latin square of order n exactly once, in lexicographic
-    order of the flattened cell tuple.  With ``resume_after`` the stream
-    restarts strictly after that square."""
+class _OutOfNodes(Exception):
+    pass
+
+
+class _Nodes:
+    """Symbols placed so far by the nested walks of one search, and the cap."""
+
+    def __init__(self, cap: int | None = None):
+        self.count, self.cap = 0, sys.maxsize if cap is None else cap
+
+
+class _Symbols(dict):
+    """Symbol mask -> its symbols in descending order, filled on first use."""
+
+    def __missing__(self, mask: int) -> list:
+        out = self[mask] = [x for x in range(mask.bit_length() - 1, -1, -1) if mask >> x & 1]
+        return out
+
+
+_TYPES = [f"{code:03b}" for code in range(8)]
+
+
+def _walk(n: int, priors, cells: list, nodes: _Nodes, rng=None, start=None):
+    """Fill ``cells`` (row-major, n*n) with every Latin square of order n
+    orthogonal to each column in ``priors``, in turn; yield each time one is
+    complete, with its 'rcs' parity type when ``priors`` is empty.
+
+    Each symbol placed counts one node; the node past ``nodes.cap`` raises
+    ``_OutOfNodes``.  ``rng`` shuffles each cell's ascending symbol list.
+    With ``start``, a completed square, the walk resumes strictly after it.
+    """
+    size, full = n * n, (1 << n) - 1
+    last = size - 1
+    first = not priors  # the new column is the first square: track its parity
+    shift = (n ** 3).bit_length()  # inv packs row inversions above column ones
+    kk = binom2_bit(n % 4)  # r + c + s = C(n, 2) mod 2 gives the symbol bit
+    # the lines through each cell: its row, its column and its symbol class
+    # in each earlier square
+    ids = [(p // n, n + p % n, *(n * (t + 2) + int(col[p]) for t, col in enumerate(priors)))
+           for p in range(size)]
+    # full where the next cell shares a line with this one, so cannot repeat its symbol
+    shared = [full if set(ids[p]) & set(ids[p + 1]) else 0 for p in range(last)]
+    used = [0] * (n * (len(priors) + 2))
+    inv = [0] * (size + 1)  # packed inversions of the cells before each cell
+    stack = [[]] * size     # symbols left to try at each cell, the next one last
+    after = [full] * size   # symbols the next cell may take before this one's is placed
+    symbols = _Symbols()
+    count, cap = nodes.count, nodes.cap
+    replay = start is not None  # descend along ``start`` first, without yielding it
+    plain = rng is None and not replay
+
+    def options(m, pos):
+        """The symbols in mask m for cell pos, the one to try first last."""
+        if replay:
+            return [x for x in symbols[m] if x > start[pos]] + [start[pos]]
+        if rng is None:
+            return symbols[m][:]
+        out = symbols[m][::-1]
+        rng.shuffle(out)
+        out.reverse()
+        return out
+
+    pos = 0
+    stack[0] = options(full, 0)
+    while True:
+        syms = stack[pos]
+        if not syms:
+            pos -= 1
+            if pos < 0:
+                break
+            bit = 1 << cells[pos]
+            for line in ids[pos]:
+                used[line] ^= bit
+            continue
+        s = syms.pop()
+        count += 1
+        if count > cap:
+            nodes.count = count
+            raise _OutOfNodes
+        if pos < last:
+            m = after[pos] & ~(1 << s & shared[pos])
+            if not m:  # the next cell has no symbol left: a leaf of the tree
+                continue
+        if first:
+            r, c = ids[pos]
+            inv[pos + 1] = inv[pos] + ((used[r] >> s + 1).bit_count() << shift) \
+                + (used[c] >> s + 1).bit_count()
+        cells[pos] = s
+        if pos == last:
+            if replay:  # back at ``start``: from here on, squares after it
+                replay, plain = False, rng is None
+                continue
+            pr, pc = inv[size] >> shift & 1, inv[size] & 1
+            nodes.count = count
+            yield _TYPES[pr << 2 | pc << 1 | pr ^ pc ^ kk] if first else None
+            count = nodes.count
+            continue
+        bit = 1 << s
+        for line in ids[pos]:
+            used[line] |= bit
+        pos += 1
+        if pos < last:
+            f = 0
+            for line in ids[pos + 1]:
+                f |= used[line]
+            after[pos] = full & ~f
+        stack[pos] = symbols[m][:] if plain else options(m, pos)
+    nodes.count = count
+
+
+def latin_square_walk(n: int, resume_after: LatinSquare | None = None):
+    """Every Latin square of order n exactly once, in lexicographic order of
+    the flattened cell tuple, strictly after ``resume_after`` if given.
+
+    Returns ``(cells, walk)``: ``walk`` yields each square's 'rcs' parity
+    type when ``cells``, a row-major list, holds the square.
+    """
     if n > MAX_ENUM_ORDER:
         raise OAError(f"exhaustive enumeration supports n <= {MAX_ENUM_ORDER}, got {n}")
     if n < 1:
         raise OAError(f"need n >= 1, got {n}")
-    full = (1 << n) - 1
-    rowmask = [0] * n
-    colmask = [0] * n
-    grid = [[0] * n for _ in range(n)]
-    cursor = None
+    start = None
     if resume_after is not None:
         if resume_after.n != n:
             raise OAError("resume square has the wrong order")
-        cursor = [int(x) for x in resume_after.cells.ravel()]
+        start = [int(x) for x in resume_after.cells.ravel()]
+    cells = [0] * (n * n)
+    return cells, _walk(n, (), cells, _Nodes(), start=start)
 
-    def rec(pos: int, tight: bool):
-        if pos == n * n:
-            if not tight:  # strictly after the cursor
-                yield LatinSquare(grid)
-            return
-        r, c = divmod(pos, n)
-        avail = full & ~(rowmask[r] | colmask[c])
-        lo = cursor[pos] if tight else 0
-        m = (avail >> lo) << lo
-        while m:
-            bit = m & -m
-            m ^= bit
-            s = bit.bit_length() - 1
-            grid[r][c] = s
-            rowmask[r] |= bit
-            colmask[c] |= bit
-            yield from rec(pos + 1, tight and s == lo)
-            rowmask[r] ^= bit
-            colmask[c] ^= bit
 
-    yield from rec(0, cursor is not None)
+def enumerate_latin_squares(n: int, resume_after: LatinSquare | None = None):
+    """Yield every Latin square of order n exactly once, in lexicographic
+    order of the flattened cell tuple.  With ``resume_after`` the stream
+    restarts strictly after that square."""
+    cells, walk = latin_square_walk(n, resume_after)
+    for _ in walk:
+        yield LatinSquare(np.reshape(cells, (n, n)))
 
 
 def achieved_parity_types(n: int, stop_when_complete: bool = True) -> set:
@@ -78,8 +183,8 @@ def achieved_parity_types(n: int, stop_when_complete: bool = True) -> set:
     """
     possible = set(plausible_types(n % 4))
     seen: set[str] = set()
-    for sq in enumerate_latin_squares(n):
-        seen.add(latin_square_parities(sq).type_str)
+    for ty in latin_square_walk(n)[1]:
+        seen.add(ty)
         if stop_when_complete and seen == possible:
             break
     return seen
@@ -146,99 +251,40 @@ class SearchOutcome:
     seed: int | None = None
 
 
-class _Budget(Exception):
-    pass
+def _partial_tau_matches(columns, n: int, target: TauVector) -> bool:
+    """Whether the tau components among the columns so far equal the target's."""
+    j = len(columns) + 1
+    return np.array_equal(_tau_bits(np.column_stack(columns), n), target.bits[:j, :j, :j])
 
 
-class _Found(Exception):
-    def __init__(self, oa):
-        self.oa = oa
-
-
-def _partial_tau_matches(columns, n: int, target: TauVector, upto: int) -> bool:
-    """Whether the tau components among columns 1..upto equal the target's."""
-    from .parity import _tau_bits
-
-    mat = np.column_stack(columns[:upto]).astype(np.int16)
-    bits = _tau_bits(mat, n)
-    sub = target.bits[:upto + 1, :upto + 1, :upto + 1]
-    return np.array_equal(bits, sub)
-
-
-def _search(spec: SearchSpec, rng: random.Random | None, node_cap: int | None):
-    n, k = spec.n, spec.k
+def _search(spec: SearchSpec, rng: random.Random | None):
+    """(array or None, nodes, whether the node cap was hit)."""
+    n, k, target = spec.n, spec.k, spec.target
     idx = np.arange(n, dtype=np.int16)
-    grid_r = np.repeat(idx, n)
-    grid_c = np.tile(idx, n)
-    columns = [grid_r, grid_c]
-    nodes = 0
+    columns = [np.repeat(idx, n), np.tile(idx, n)]
+    nodes = _Nodes(spec.max_nodes)
+    typed = isinstance(target, str)  # a square type, checked by the running parity
 
-    def column_done() -> bool:
-        if isinstance(spec.target, str):
-            square = LatinSquare(columns[-1].reshape(n, n))
-            return latin_square_parities(square).type_str == spec.target
-        return _partial_tau_matches(columns, n, spec.target, len(columns))
-
-    def place_column():
-        nonlocal nodes
+    def extend() -> bool:
+        """Add matching columns until there are k; one level per column."""
         if len(columns) == k:
-            raise _Found(OrthogonalArray(np.column_stack(columns)))
-        new = np.zeros(n * n, dtype=np.int16)
-        rowmask = [0] * n
-        colmask = [0] * n
-        priors = columns[2:]
-        pairmask = [[0] * n for _ in priors]
-        full = (1 << n) - 1
-
-        def cell(pos: int):
-            nonlocal nodes
-            if pos == n * n:
-                columns.append(new.copy())
-                if column_done():
-                    place_column()
-                columns.pop()
-                return
-            r, c = divmod(pos, n)
-            avail = full & ~(rowmask[r] | colmask[c])
-            for t, prior in enumerate(priors):
-                avail &= ~pairmask[t][prior[pos]]
-                if not avail:
-                    return
-            symbols = [b.bit_length() - 1 for b in _bits(avail)]
-            if rng is not None:
-                rng.shuffle(symbols)
-            for s in symbols:
-                bit = 1 << s
-                nodes += 1
-                if node_cap is not None and nodes > node_cap:
-                    raise _Budget
-                new[pos] = s
-                rowmask[r] |= bit
-                colmask[c] |= bit
-                for t, prior in enumerate(priors):
-                    pairmask[t][prior[pos]] |= bit
-                cell(pos + 1)
-                rowmask[r] ^= bit
-                colmask[c] ^= bit
-                for t, prior in enumerate(priors):
-                    pairmask[t][prior[pos]] ^= bit
-
-        cell(0)
+            return True
+        cells = [0] * (n * n)
+        for ty in _walk(n, columns[2:], cells, nodes, rng):
+            if typed and ty != target:
+                continue
+            columns.append(np.array(cells, dtype=np.int16))
+            if (typed or _partial_tau_matches(columns, n, target)) and extend():
+                return True
+            columns.pop()
+        return False
 
     try:
-        place_column()
-    except _Found as hit:
-        return hit.oa, nodes, False
-    except _Budget:
-        return None, nodes, True
-    return None, nodes, False
-
-
-def _bits(mask: int):
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        yield bit
+        if extend():
+            return OrthogonalArray(np.column_stack(columns)), nodes.count, False
+    except _OutOfNodes:
+        return None, nodes.count, True
+    return None, nodes.count, False
 
 
 def find_oa_with_parity(spec: SearchSpec) -> SearchOutcome:
@@ -248,25 +294,22 @@ def find_oa_with_parity(spec: SearchSpec) -> SearchOutcome:
     back.  Non-existence is certified only in exhaustive mode with no node
     budget; running out of budget is reported as an inconclusive outcome.
     """
-    total_nodes = 0
     if spec.mode == "randomized":
         seed = spec.seed if spec.seed is not None else 0
+        total_nodes = 0
         for attempt in range(max(1, spec.restarts)):
             rng = random.Random(seed * 1_000_003 + attempt)
-            oa, nodes, capped = _search(spec, rng, spec.max_nodes)
+            oa, nodes, capped = _search(spec, rng)
             total_nodes += nodes
             if oa is not None:
                 _verify(spec, oa)
                 return SearchOutcome(oa, False, total_nodes, seed)
         return SearchOutcome(None, False, total_nodes, seed)
 
-    oa, nodes, capped = _search(spec, None, spec.max_nodes)
-    total_nodes += nodes
+    oa, nodes, capped = _search(spec, None)
     if oa is not None:
         _verify(spec, oa)
-        return SearchOutcome(oa, False, total_nodes)
-    certified = spec.mode == "exhaustive" and not capped
-    return SearchOutcome(None, certified, total_nodes)
+    return SearchOutcome(oa, oa is None and spec.mode == "exhaustive" and not capped, nodes)
 
 
 def _verify(spec: SearchSpec, oa: OrthogonalArray) -> None:

@@ -1,18 +1,24 @@
 """Brute-force oracles for quantities the library derives.
 
 The library counts cycles by pointer jumping, derives tau from k(k-2) of its
-components by additivity, derives sigma from tau, and walks switching
-classes breadth-first on packed words with compiled generators.  These
-functions compute each quantity from its definition instead, with a parity
-kernel of their own (inversion counting) and a set-based orbit search over
-the matrix-level actions, so they share no algorithm with the code they
-check.
+components by additivity, derives sigma from tau, walks switching classes
+breadth-first on packed words with compiled generators, and searches with
+one iterative cell walk that keeps a running square parity.  These
+functions compute each quantity from its definition instead, with a
+parity kernel of their own (inversion counting), a set-based orbit search
+over the matrix-level actions, and a recursive search, one frame per cell,
+that checks each completed column from its definition.  Apart from the
+search's visit order, which both sides must follow node for node, they
+share no algorithm with the code they check.
 """
+
+import random
 
 import numpy as np
 
 from oaparity.classes import ParityState, act_permute, act_swap
-from oaparity.parity import SigmaMatrix, TauVector, binom2_bit
+from oaparity.core import LatinSquare
+from oaparity.parity import SigmaMatrix, TauVector, binom2_bit, latin_square_parities
 
 
 def inversion_parity(perms) -> np.ndarray:
@@ -110,3 +116,144 @@ def orbit_by_actions(state: ParityState) -> tuple[int, int]:
                     nxt.append(image)
         frontier = nxt
     return len(seen), min(seen)
+
+
+# ---------------------------------------------------------------------------
+# backtracking search, one recursion level per cell
+
+
+def enumerate_latin_squares(n: int, resume_after: LatinSquare | None = None):
+    """Every Latin square of order n in lexicographic order of the flattened
+    cells, strictly after ``resume_after`` if given; one generator frame per
+    cell, with no running state beyond the row and column masks."""
+    full = (1 << n) - 1
+    rowmask = [0] * n
+    colmask = [0] * n
+    grid = [[0] * n for _ in range(n)]
+    cursor = None
+    if resume_after is not None:
+        cursor = [int(x) for x in resume_after.cells.ravel()]
+
+    def rec(pos: int, tight: bool):
+        if pos == n * n:
+            if not tight:  # strictly after the cursor
+                yield LatinSquare(grid)
+            return
+        r, c = divmod(pos, n)
+        avail = full & ~(rowmask[r] | colmask[c])
+        lo = cursor[pos] if tight else 0
+        m = (avail >> lo) << lo
+        while m:
+            bit = m & -m
+            m ^= bit
+            s = bit.bit_length() - 1
+            grid[r][c] = s
+            rowmask[r] |= bit
+            colmask[c] |= bit
+            yield from rec(pos + 1, tight and s == lo)
+            rowmask[r] ^= bit
+            colmask[c] ^= bit
+
+    yield from rec(0, cursor is not None)
+
+
+class _Budget(Exception):
+    pass
+
+
+class _Found(Exception):
+    def __init__(self, rows):
+        self.rows = rows
+
+
+def search(spec, rng):
+    """Backtracking search for ``spec``: (rows or None, nodes, capped).
+
+    Columns are filled cell by cell with one recursion level per cell.  A
+    completed square of a type target is checked with
+    ``latin_square_parities``; a completed column of a tau target with the
+    tau bits of the columns so far, each component from its definition.
+    ``rng`` shuffles each cell's ascending symbol list in randomized mode.
+    """
+    n, k, node_cap = spec.n, spec.k, spec.max_nodes
+    idx = np.arange(n, dtype=np.int16)
+    columns = [np.repeat(idx, n), np.tile(idx, n)]
+    nodes = 0
+
+    def column_done() -> bool:
+        if isinstance(spec.target, str):
+            square = LatinSquare(columns[-1].reshape(n, n))
+            return latin_square_parities(square).type_str == spec.target
+        upto = len(columns)
+        sub = spec.target.bits[:upto + 1, :upto + 1, :upto + 1]
+        return np.array_equal(_tau_bits(np.column_stack(columns), n), sub)
+
+    def place_column():
+        nonlocal nodes
+        if len(columns) == k:
+            raise _Found(np.column_stack(columns))
+        new = np.zeros(n * n, dtype=np.int16)
+        rowmask = [0] * n
+        colmask = [0] * n
+        priors = columns[2:]
+        pairmask = [[0] * n for _ in priors]
+        full = (1 << n) - 1
+
+        def cell(pos: int):
+            nonlocal nodes
+            if pos == n * n:
+                columns.append(new.copy())
+                if column_done():
+                    place_column()
+                columns.pop()
+                return
+            r, c = divmod(pos, n)
+            avail = full & ~(rowmask[r] | colmask[c])
+            for t, prior in enumerate(priors):
+                avail &= ~pairmask[t][prior[pos]]
+                if not avail:
+                    return
+            symbols = [s for s in range(n) if avail >> s & 1]
+            if rng is not None:
+                rng.shuffle(symbols)
+            for s in symbols:
+                bit = 1 << s
+                nodes += 1
+                if node_cap is not None and nodes > node_cap:
+                    raise _Budget
+                new[pos] = s
+                rowmask[r] |= bit
+                colmask[c] |= bit
+                for t, prior in enumerate(priors):
+                    pairmask[t][prior[pos]] |= bit
+                cell(pos + 1)
+                rowmask[r] ^= bit
+                colmask[c] ^= bit
+                for t, prior in enumerate(priors):
+                    pairmask[t][prior[pos]] ^= bit
+
+        cell(0)
+
+    try:
+        place_column()
+    except _Found as hit:
+        return hit.rows, nodes, False
+    except _Budget:
+        return None, nodes, True
+    return None, nodes, False
+
+
+def find(spec):
+    """(rows or None, certified_exhausted, nodes) of a search, with the
+    restart and seeding rule of randomized mode."""
+    if spec.mode != "randomized":
+        rows, nodes, capped = search(spec, None)
+        return rows, rows is None and spec.mode == "exhaustive" and not capped, nodes
+    seed = spec.seed if spec.seed is not None else 0
+    total = 0
+    for attempt in range(max(1, spec.restarts)):
+        rows, nodes, _ = search(spec, random.Random(seed * 1_000_003 + attempt))
+        total += nodes
+        if rows is not None:
+            return rows, False, total
+    return None, False, total

@@ -8,7 +8,7 @@ from oaparity.constructions import block_sigma, linear_mols
 from oaparity.parity import tau_parity
 from oaparity import cli, fileio
 
-from conftest import zn_linear_oa
+from conftest import zn_linear_oa, zn_linear_square
 
 
 def test_oa_text_roundtrip_bytes():
@@ -352,6 +352,15 @@ def _oa_text_with_symbol(value: int) -> str:
 
 _OA_JSON = fileio.oa_to_json(zn_linear_oa(3))
 
+# a base is the JSON integer 0 or 1, as in the text formats; each document
+# below holds symbols shifted by the base's integer value, so only the base
+# itself is wrong
+_BAD_BASES = [-1, 2, True, 1.0, "1"]
+
+
+def _with_base(doc: dict, base) -> dict:
+    return {**doc, "base": base}
+
 
 @pytest.mark.parametrize(
     "content, flags",
@@ -373,12 +382,14 @@ _OA_JSON = fileio.oa_to_json(zn_linear_oa(3))
         (_oa_text_with_symbol(40000), []),
         (_oa_text_with_symbol(65536), []),
         (json.dumps(_with_entry(_OA_JSON, "rows", 0, [65536, 0, 0, 0])), []),
+        *[(json.dumps(_with_base(fileio.oa_to_json(zn_linear_oa(3), int(b)), b)), [])
+          for b in _BAD_BASES],
     ],
     ids=["short-pair", "missing-k", "non-int-k", "non-int-bit", "not-json",
          "short-tau", "tau-column-out-of-range", "directory",
          "array-not-json", "array-without-rows", "huge-k-report", "huge-k-sigma",
          "float-k", "bool-k", "oa-symbol-40000", "oa-symbol-65536",
-         "oa-json-symbol-65536"],
+         "oa-json-symbol-65536", *[f"oa-json-base-{b!r}" for b in _BAD_BASES]],
 )
 def test_cli_malformed_input_fails_closed(tmp_path, capsys, content, flags):
     path = tmp_path / "in.json"
@@ -390,3 +401,14 @@ def test_cli_malformed_input_fails_closed(tmp_path, capsys, content, flags):
     assert rc == 1
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("base", _BAD_BASES, ids=repr)
+@pytest.mark.parametrize("reader", ["oa", "square"])
+def test_json_base_fails_closed(reader, base):
+    if reader == "oa":
+        doc, parse = fileio.oa_to_json(zn_linear_oa(3), int(base)), fileio.parse_oa
+    else:
+        doc, parse = fileio.square_to_json(zn_linear_square(3, 1), int(base)), fileio.parse_square
+    with pytest.raises(fileio.FormatError, match="base must be 0 or 1"):
+        parse(json.dumps(_with_base(doc, base)))

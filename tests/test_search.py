@@ -1,14 +1,27 @@
+import random
+
+import numpy as np
 import pytest
 
-from oaparity.core import OAError, oa_to_mols
-from oaparity.parity import latin_square_parities, plausible_types, tau_parity
+from oaparity.core import LatinSquare, OAError, OrthogonalArray, oa_to_mols
+from oaparity.parity import (
+    SigmaMatrix,
+    latin_square_parities,
+    plausible_types,
+    tau_from_sigma,
+    tau_parity,
+)
 from oaparity.constructions import linear_mols
 from oaparity.search import (
     SearchSpec,
     achieved_parity_types,
     enumerate_latin_squares,
     find_oa_with_parity,
+    latin_square_walk,
 )
+
+import oracle
+from conftest import random_isotope_square, zn_linear_square
 
 
 def test_counts_tiny():
@@ -142,3 +155,129 @@ def test_randomized_is_reproducible():
     a = find_oa_with_parity(spec)
     b = find_oa_with_parity(spec)
     assert a.found == b.found
+
+
+# ---------------------------------------------------------------------------
+# the iterative walk against the recursive oracle
+
+
+def _word_target(k: int, n: int, word: int):
+    """The tau vector of the standardised sigma with sigma_12 = 0 whose other
+    upper bits, (1,3) as the most significant and (k-1,k) as the least,
+    spell ``word``."""
+    pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)][1:]
+    upper = np.zeros((k + 1, k + 1), dtype=np.uint8)
+    for b, (i, j) in enumerate(reversed(pairs)):
+        upper[i, j] = word >> b & 1
+    return tau_from_sigma(SigmaMatrix.from_upper(k, n % 4, upper, n=n))
+
+
+def _agrees_with_oracle(spec):
+    out = find_oa_with_parity(spec)
+    rows, certified, nodes = oracle.find(spec)
+    assert out.nodes == nodes, spec
+    assert out.certified_exhausted == certified, spec
+    assert (out.found is None) == (rows is None), spec
+    if rows is not None:
+        assert out.found == OrthogonalArray(rows), spec
+
+
+def test_first_hit_matches_oracle():
+    for n in range(2, 7):
+        for ty in plausible_types(n % 4):
+            _agrees_with_oracle(SearchSpec(3, n, ty))
+
+
+def test_randomized_matches_oracle():
+    for seed in range(6):
+        for n, ty, cap in [(5, "101", 40), (5, "011", None), (6, "010", 400), (6, "100", None)]:
+            _agrees_with_oracle(
+                SearchSpec(3, n, ty, mode="randomized", seed=seed, restarts=3, max_nodes=cap))
+        _agrees_with_oracle(SearchSpec(4, 3, _word_target(4, 3, 2 + seed), mode="randomized",
+                                       seed=seed, restarts=2))
+        _agrees_with_oracle(SearchSpec(4, 5, _word_target(4, 5, 6 + seed), mode="randomized",
+                                       seed=seed, restarts=2, max_nodes=2000))
+
+
+def test_exhaustive_matches_oracle():
+    for ty in plausible_types(0):
+        _agrees_with_oracle(SearchSpec(3, 4, ty, mode="exhaustive"))
+        _agrees_with_oracle(SearchSpec(3, 4, ty, mode="exhaustive", max_nodes=100))
+    for word in range(32):
+        _agrees_with_oracle(SearchSpec(4, 3, _word_target(4, 3, word), mode="exhaustive"))
+    _agrees_with_oracle(SearchSpec(4, 3, _word_target(4, 3, 0), mode="exhaustive", max_nodes=200))
+
+
+def test_tau_targets_match_oracle():
+    for word in (0, 1, 6, 15, 29):
+        _agrees_with_oracle(SearchSpec(4, 5, _word_target(4, 5, word), max_nodes=3000))
+    _agrees_with_oracle(SearchSpec(5, 4, tau_parity(linear_mols(4))))
+    for word, cap in [(0, None), (1, 3000), (32, 6000), (40, 2000)]:
+        _agrees_with_oracle(SearchSpec(5, 4, _word_target(5, 4, word), max_nodes=cap))
+
+
+def test_enumeration_matches_oracle():
+    for n in range(1, 5):
+        squares = list(enumerate_latin_squares(n))
+        assert squares == list(oracle.enumerate_latin_squares(n))
+        m = len(squares)
+        for idx in {0, 1, m // 3, m - 2, m - 1} & set(range(m)):
+            cursor = squares[idx]
+            assert list(enumerate_latin_squares(n, resume_after=cursor)) == list(
+                oracle.enumerate_latin_squares(n, resume_after=cursor))
+
+
+def test_walk_parity_matches_definition():
+    def check(cells, ty, n):
+        assert ty == latin_square_parities(LatinSquare(np.reshape(cells, (n, n)))).type_str
+
+    for n in range(1, 5):
+        cells, walk = latin_square_walk(n)
+        for ty in walk:
+            check(cells, ty, n)
+    # a seeded sample at orders 5 and 6: the squares after random cursors,
+    # which also runs the parity through the replay of each cursor
+    rng = random.Random(2017)
+    for n in (5, 6):
+        for _ in range(6):
+            cursor = random_isotope_square(zn_linear_square(n, 1), rng)
+            cells, walk = latin_square_walk(n, resume_after=cursor)
+            for _, ty in zip(range(40), walk):
+                check(cells, ty, n)
+
+
+# first-hit node counts pinned by the benchmark, perfbench/golden.py:
+# K3_FIRST_HIT_NODES, and K4N5_FOUND_NODES for the words 1 and 15 of its
+# capped OA(4, 5) searches (K4N5_CAP = 480000), whose targets are built as in
+# perfbench/wl_space.py::_k4_search_job
+_K3_FIRST_HIT_NODES = {
+    (5, "000"): 78, (5, "011"): 64, (5, "101"): 37, (5, "110"): 47,
+    (6, "111"): 62, (6, "100"): 154, (6, "010"): 84706, (6, "001"): 83083,
+}
+_K4N5_FOUND_NODES = {1: 465777, 15: 467114}
+
+
+def test_visit_order_is_pinned():
+    """Node counts of the benchmark's pinned searches (perfbench/golden.py),
+    so a change of the visit order fails here before it fails there."""
+    for (n, ty), nodes in _K3_FIRST_HIT_NODES.items():
+        out = find_oa_with_parity(SearchSpec(3, n, ty))
+        assert (out.nodes, out.found is not None) == (nodes, True), (n, ty)
+    for word, nodes in _K4N5_FOUND_NODES.items():
+        target = _word_target(4, 5, word)
+        out = find_oa_with_parity(SearchSpec(4, 5, target, max_nodes=480000))
+        assert out.nodes == nodes, word
+        assert tau_parity(out.found) == target
+
+
+def test_first_hit_needs_no_recursion_per_cell():
+    out = find_oa_with_parity(SearchSpec(3, 32, "000"))
+    assert out.nodes == 1024
+    assert tau_parity(out.found).triple_type(1, 2, 3) == "000"
+
+
+def test_capped_search_at_order_12_is_not_certified():
+    out = find_oa_with_parity(SearchSpec(3, 12, "101", max_nodes=5000))
+    assert out.found is None
+    assert not out.certified_exhausted
+    assert out.nodes == 5001
