@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import classes, constructions, ensemble, fileio, graphs, search
 from .core import LatinSquare, OAError, UsageError, oa_to_mols
-from .parity import sigma_from_tau, tau_parity
+from .parity import plausible_types, sigma_from_tau, tau_parity
 
 
 def _emit(args, text_lines, obj):
@@ -240,7 +240,9 @@ def cmd_search(args):
         n = args.n
         cells, walk = search.latin_square_walk(n)
         if args.type:
-            for ty in walk:
+            # a square's type always has r + c + s = C(n, 2) mod 2
+            types = walk if args.type in plausible_types(n % 4) else ()
+            for ty in types:
                 if ty == args.type:
                     square = LatinSquare([cells[r * n:(r + 1) * n] for r in range(n)])
                     _write_output(args, fileio.format_square(square))

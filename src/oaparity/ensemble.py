@@ -13,13 +13,21 @@ edge counts
 must agree, where mu_c are the sigma-matrix row sums.  Both identities are
 asserted on every census; the remaining laws (bounds, congruence, the
 four-column cap, good-sequence extremality) are evaluated into a report.
+
+The census works on the tau bit array as a whole: the type of the square on
+columns c1 < c2 < c3 is the 3-bit code tau^{c1}_{c2c3} << 2 |
+tau^{c2}_{c1c3} << 1 | tau^{c3}_{c1c2} (so "rcs" is the code in binary),
+computed for all triples in one gather and counted with ``np.bincount``.
+The four-column cap is checked on the array of equiparity flags, one slab
+of quads per first column.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .core import OAError, OrthogonalArray
 from .parity import (
@@ -81,13 +89,22 @@ def optimal_mu(n: int) -> GoodSequence:
 # census
 
 
+def _triples(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays (c1, c2, c3) of the column triples c1 < c2 < c3 of a
+    (k+1)^3 array, in lexicographic order."""
+    c1, c2, c3 = np.ix_(*(np.arange(k + 1),) * 3)
+    return np.nonzero((0 < c1) & (c1 < c2) & (c2 < c3))
+
+
 @dataclass(frozen=True, eq=False)
 class EnsembleCensus:
     """Parity-type counts over the C(k,3) column triples.
 
     x counts equiparity squares (type 000 for n = 0,1 mod 4, else 111);
     T is the total tau-graph edge count; mu the sigma row sums.
-    ``types_by_triple`` keeps the full map for subset-level checks.
+    ``types_by_triple`` is a read-only (k+1)^3 uint8 array holding at
+    [c1, c2, c3], c1 < c2 < c3, the type code of that square (type "rcs" is
+    code r << 2 | c << 1 | s); its other entries are zero and unused.
     """
 
     k: int
@@ -98,7 +115,7 @@ class EnsembleCensus:
     T: int
     mu: tuple
     pp_plausible: str
-    types_by_triple: dict
+    types_by_triple: np.ndarray
 
 
 def ensemble_census(source: OrthogonalArray | TauVector) -> EnsembleCensus:
@@ -107,14 +124,13 @@ def ensemble_census(source: OrthogonalArray | TauVector) -> EnsembleCensus:
     mu = sigma_from_tau(tau).row_sums()
     k = tau.k
     bits = tau.bits
-    counts: dict[str, int] = {}
-    types: dict[tuple, str] = {}
-    for c1, c2, c3 in itertools.combinations(range(1, k + 1), 3):
-        ty = f"{bits[c1, c2, c3]}{bits[c2, c1, c3]}{bits[c3, c1, c2]}"
-        types[(c1, c2, c3)] = ty
-        counts[ty] = counts.get(ty, 0) + 1
-    assert sum(counts.values()) == math.comb(k, 3)
-    x = counts.get(equiparity_type(tau.nmod4), 0)
+    c1, c2, c3 = _triples(k)
+    code = bits[c1, c2, c3] << 2 | bits[c2, c1, c3] << 1 | bits[c3, c1, c2]
+    counts = np.bincount(code, minlength=8)
+    types = np.zeros((k + 1,) * 3, dtype=np.uint8)
+    types[c1, c2, c3] = code
+    types.setflags(write=False)
+    x = int(counts[int(equiparity_type(tau.nmod4), 2)])
     T = int(bits.sum())
     if tau.nmod4 in (0, 1):
         expected = 2 * math.comb(k, 3) - 2 * x
@@ -129,13 +145,33 @@ def ensemble_census(source: OrthogonalArray | TauVector) -> EnsembleCensus:
         k=k,
         nmod4=tau.nmod4,
         n=tau.n,
-        type_counts=counts,
+        type_counts={f"{v:03b}": int(counts[v]) for v in range(8) if counts[v]},
         x=x,
         T=T,
         mu=tuple(mu),
         pp_plausible=check_plausible(tau).pp_plausible,
         types_by_triple=types,
     )
+
+
+def _four_column_witness(census: EnsembleCensus) -> tuple | None:
+    """The lexicographically first quad a < b < c < d whose four triples
+    hold more than two equiparity squares, or None."""
+    k = census.k
+    tri = _triples(k)
+    equi = np.zeros((k + 1,) * 3, dtype=np.uint8)
+    equi[tri] = census.types_by_triple[tri] == int(equiparity_type(census.nmod4), 2)
+    for a in range(1, k - 2):
+        # hits[b, c, d] = e[a,b,c] + e[a,b,d] + e[a,c,d] + e[b,c,d] over
+        # b, c, d > a; e is zero off the triples, so three or more hits
+        # force b < c < d
+        head = equi[a, a + 1:, a + 1:]
+        hits = head[:, :, None] + head[:, None, :] + head[None, :, :]
+        hits += equi[a + 1:, a + 1:, a + 1:]
+        over = hits > 2
+        if over.any():
+            return (a, *(int(v) + a + 1 for v in np.argwhere(over)[0]))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -237,19 +273,8 @@ def check_ensemble_laws(census: EnsembleCensus) -> EnsembleReport:
                 f"x={x} <= {cap}",
             )
         )
-        witness = None
-        ok = True
-        if k >= 4:
-            equi = equiparity_type(nm)
-            for quad in itertools.combinations(range(1, k + 1), 4):
-                hits = sum(
-                    census.types_by_triple[triple] == equi
-                    for triple in itertools.combinations(quad, 3)
-                )
-                if hits > 2:
-                    ok = False
-                    witness = quad
-                    break
+        witness = _four_column_witness(census) if k >= 4 else None
+        ok = witness is None
         checks.append(
             LawCheck(
                 "four-column-cap",

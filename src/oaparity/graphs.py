@@ -127,41 +127,40 @@ class TauGraphDecomposition:
 
 def tau_graph(t: TauVector, c: int) -> SimpleGraph:
     """The tau-graph of column c as a plain graph on 1..k."""
-    edges = [
-        (i, j)
-        for i in range(1, t.k + 1)
-        for j in range(i + 1, t.k + 1)
-        if c not in (i, j) and t.get(c, i, j)
-    ]
-    return SimpleGraph.from_edges(t.k, edges)
+    adj = t.bits[c] | t.bits[c].T  # t.mirrored()[c]
+    return SimpleGraph(k=t.k, directed=False, adj=_frozen(adj))
 
 
-def _split_bipartite(verts, edge) -> tuple[tuple, tuple]:
-    """Split vertices of a complete bipartite graph given its edge predicate.
+def _split_bipartite(
+    adj: np.ndarray, verts: np.ndarray, what: str = "edge set is not complete bipartite"
+) -> tuple[tuple, tuple]:
+    """Split ``verts`` (ascending) into the sides of the complete bipartite
+    graph with 0/1 adjacency matrix ``adj`` restricted to them.
 
-    Raises OAError when the edges do not form a complete bipartite graph
-    spanning all of ``verts``.
+    The side of each vertex is read off the row of the first vertex w, and
+    every pair is checked against the prediction "adjacent iff on different
+    sides".  Returns (side of w, other side), or ((), verts) when there are
+    no edges.  Raises OAError naming the lexicographically first pair that
+    breaks the prediction.
     """
-    if not any(edge(i, j) for i in verts for j in verts if i < j):
-        return (), tuple(verts)
-    w = verts[0]
-    part2 = tuple(v for v in verts if v != w and edge(w, v))
-    part1 = tuple(v for v in verts if v == w or not edge(w, v))
-    for i in verts:
-        for j in verts:
-            if i < j and edge(i, j) != ((i in part1) != (j in part1)):
-                raise OAError(
-                    f"edge set is not complete bipartite (offending pair ({i}, {j}))"
-                )
-    return part1, part2
+    sub = adj[np.ix_(verts, verts)] != 0
+    side = sub[0]  # w has no loop, so it is on side False
+    wrong = np.triu(sub != (side[:, None] ^ side[None, :]), 1)
+    if wrong.any():
+        i, j = verts[np.argwhere(wrong)[0]].tolist()
+        raise OAError(f"{what} (offending pair ({i}, {j}))")
+    if not side.any():
+        return (), tuple(verts.tolist())
+    return tuple(verts[~side].tolist()), tuple(verts[side].tolist())
 
 
 def tau_graphs(t: TauVector) -> list[TauGraphDecomposition]:
     """Decompose every tau-graph as isolated vertex + complete bipartite."""
+    full = t.mirrored()
+    verts = np.arange(1, t.k + 1)
     out = []
     for c in range(1, t.k + 1):
-        verts = [v for v in range(1, t.k + 1) if v != c]
-        p1, p2 = _split_bipartite(verts, lambda i, j: bool(t.get(c, i, j)))
+        p1, p2 = _split_bipartite(full[c], verts[verts != c])
         out.append(TauGraphDecomposition(c=c, part1=p1, part2=p2))
     return out
 
@@ -187,41 +186,30 @@ class StackClassification:
 
 
 def stack_graph(t: TauVector) -> SimpleGraph:
-    full = t.mirrored()
-    sums = full[1:].sum(axis=0) & 1
-    edges = [
-        (i, j)
-        for i in range(1, t.k + 1)
-        for j in range(i + 1, t.k + 1)
-        if sums[i, j]
-    ]
-    return SimpleGraph.from_edges(t.k, edges)
+    adj = (t.mirrored()[1:].sum(axis=0) & 1).astype(np.uint8)
+    return SimpleGraph(k=t.k, directed=False, adj=_frozen(adj))
 
 
 def stack(t: TauVector) -> StackClassification:
     """Classify the stack per the residue of n mod 4."""
     g = stack_graph(t)
     k = t.k
-    verts = list(range(1, k + 1))
+    verts = np.arange(1, k + 1)
     if t.nmod4 in (0, 1):
-        p1, p2 = _split_bipartite(verts, g.has_edge)
+        p1, p2 = _split_bipartite(g.adj, verts)
         shape = "complete-bipartite"
     else:
-        c1 = tuple(v for v in verts if v == 1 or g.has_edge(1, v))
-        c2 = tuple(v for v in verts if v not in c1)
-        for i in verts:
-            for j in verts:
-                if i < j and g.has_edge(i, j) != ((i in c1) == (j in c1)):
-                    raise OAError(
-                        f"stack is not a union of two cliques (offending pair ({i}, {j}))"
-                    )
-        p1, p2 = c1, c2
+        # two cliques are the sides of the complete bipartite complement
+        c1, c2 = _split_bipartite(
+            g.adj ^ _off_diagonal(k), verts, "stack is not a union of two cliques"
+        )
+        p1, p2 = (c1, c2) if c1 else (c2, ())  # a complete stack is one clique
         shape = "union-of-cliques"
     refined = None
     if t.n is not None and t.k == t.n + 1:
         if check_plausible(t).pp_plausible == "yes":
             if t.nmod4 in (0, 1):
-                if p1 or len(p2) != k or g.edges():
+                if p1 or len(p2) != k or g.adj.any():
                     raise OAError("plane-plausible stack must be empty for n = 0,1 mod 4")
                 refined = "empty"
             else:

@@ -159,14 +159,9 @@ class TauVector:
         return f"{self.get(c1, c2, c3)}{self.get(c2, c1, c3)}{self.get(c3, c1, c2)}"
 
     def entries(self) -> list[tuple[int, int, int, int]]:
-        """Canonical [c, i, j, bit] list over i < j."""
-        out = []
-        for c in range(1, self.k + 1):
-            for i in range(1, self.k + 1):
-                for j in range(i + 1, self.k + 1):
-                    if c not in (i, j):
-                        out.append((c, i, j, int(self.bits[c, i, j])))
-        return out
+        """Canonical (c, i, j, bit) list over i < j, in lexicographic order."""
+        c, i, j = np.nonzero(_canonical_mask(self.k))
+        return list(zip(c.tolist(), i.tolist(), j.tolist(), self.bits[c, i, j].tolist()))
 
     @classmethod
     def from_entries(cls, k, nmod4, entries, n=None) -> "TauVector":

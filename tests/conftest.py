@@ -1,6 +1,7 @@
 import numpy as np
 
-from oaparity.core import LatinSquare, Transform, mols_to_oa
+from oaparity.core import LatinSquare, OAError, Transform, mols_to_oa
+from oaparity.parity import SigmaMatrix, TauVector, tau_from_sigma
 
 
 def swap_count_parity(images):
@@ -54,3 +55,28 @@ def random_transform(a, rng, kinds=("rows", "columns", "symbols")):
     perm = list(range(a.n))
     rng.shuffle(perm)
     return Transform(kind="symbols", perm=tuple(perm), column=rng.randrange(1, a.k + 1))
+
+
+def random_plausible_tau(rng, k, nmod4, n=None):
+    """Tau vector of a random sigma matrix: plausible by construction."""
+    upper = np.array([[rng.randrange(2) for _ in range(k + 1)] for _ in range(k + 1)])
+    return tau_from_sigma(SigmaMatrix.from_upper(k, nmod4, upper, n=n))
+
+
+def flip_components(t, rng, count):
+    """Copy of tau vector t with ``count`` random components (c, i, j),
+    i < j, flipped."""
+    bits = t.bits.copy()
+    for _ in range(count):
+        c, i, j = rng.sample(range(1, t.k + 1), 3)
+        i, j = min(i, j), max(i, j)
+        bits[c, i, j] ^= 1
+    return TauVector(k=t.k, nmod4=t.nmod4, bits=bits, n=t.n)
+
+
+def result_or_error(fn, arg):
+    """fn(arg), or the message of the OAError it raises."""
+    try:
+        return fn(arg)
+    except OAError as exc:
+        return str(exc)

@@ -3,22 +3,34 @@
 The library counts cycles by pointer jumping, derives tau from k(k-2) of its
 components by additivity, derives sigma from tau, walks switching classes
 breadth-first on packed words with compiled generators, and searches with
-one iterative cell walk that keeps a running square parity.  These
-functions compute each quantity from its definition instead, with a
-parity kernel of their own (inversion counting), a set-based orbit search
-over the matrix-level actions, and a recursive search, one frame per cell,
-that checks each completed column from its definition.  Apart from the
-search's visit order, which both sides must follow node for node, they
+one iterative cell walk that keeps a running square parity, and takes the
+ensemble census, the four-column cap and the graph splits as whole-array
+passes.  These functions compute each quantity from its definition instead,
+with a parity kernel of their own (inversion counting), a set-based orbit
+search over the matrix-level actions, a recursive search, one frame per
+cell, that checks each completed column from its definition, and loops over
+column triples, quads and vertex pairs with per-entry lookups.  Apart from
+the search's visit order, which both sides must follow node for node, they
 share no algorithm with the code they check.
 """
 
+import itertools
+import math
 import random
 
 import numpy as np
 
 from oaparity.classes import ParityState, act_permute, act_swap
-from oaparity.core import LatinSquare
-from oaparity.parity import SigmaMatrix, TauVector, binom2_bit, latin_square_parities
+from oaparity.core import LatinSquare, OAError
+from oaparity.parity import (
+    SigmaMatrix,
+    TauVector,
+    binom2_bit,
+    check_plausible,
+    equiparity_type,
+    latin_square_parities,
+    sigma_from_tau,
+)
 
 
 def inversion_parity(perms) -> np.ndarray:
@@ -257,3 +269,111 @@ def find(spec):
         if rows is not None:
             return rows, False, total
     return None, False, total
+
+
+# ---------------------------------------------------------------------------
+# ensemble census and graph splits, one triple, quad or pair at a time
+
+
+def entries(t: TauVector) -> list[tuple]:
+    """The (c, i, j, bit) components over i < j, c outside {i, j}."""
+    k = t.k
+    return [
+        (c, i, j, t.get(c, i, j))
+        for c in range(1, k + 1)
+        for i in range(1, k + 1)
+        for j in range(i + 1, k + 1)
+        if c not in (i, j)
+    ]
+
+
+def census(tau: TauVector) -> dict:
+    """Census fields of a tau vector by a loop over the column triples,
+    asserting both edge-count identities; ``types_by_triple`` maps each
+    triple c1 < c2 < c3 to its 'rcs' type string."""
+    mu = sigma_from_tau(tau).row_sums()
+    k = tau.k
+    counts: dict[str, int] = {}
+    types: dict[tuple, str] = {}
+    for c1, c2, c3 in itertools.combinations(range(1, k + 1), 3):
+        ty = tau.triple_type(c1, c2, c3)
+        types[(c1, c2, c3)] = ty
+        counts[ty] = counts.get(ty, 0) + 1
+    x = counts.get(equiparity_type(tau.nmod4), 0)
+    T = sum(b for *_, b in entries(tau))
+    if tau.nmod4 in (0, 1):
+        expected = 2 * math.comb(k, 3) - 2 * x
+    else:
+        expected = 2 * x + math.comb(k, 3)
+    if T != expected:
+        raise OAError(f"edge count {T} disagrees with the type census ({expected})")
+    from_mu = sum(m * (k - 1 - m) for m in mu)
+    if T != from_mu:
+        raise OAError(f"edge count {T} disagrees with the row-sum identity ({from_mu})")
+    return {
+        "type_counts": counts,
+        "x": x,
+        "T": T,
+        "mu": tuple(mu),
+        "pp_plausible": check_plausible(tau).pp_plausible,
+        "types_by_triple": types,
+    }
+
+
+def four_column_witness(k: int, types_by_triple: dict, nmod4: int) -> tuple | None:
+    """First quad, in lexicographic order, whose four triples hold more than
+    two squares of the equiparity type."""
+    equi = equiparity_type(nmod4)
+    for quad in itertools.combinations(range(1, k + 1), 4):
+        hits = sum(
+            types_by_triple[triple] == equi for triple in itertools.combinations(quad, 3)
+        )
+        if hits > 2:
+            return quad
+    return None
+
+
+def split_bipartite(verts, edge, what="edge set is not complete bipartite"):
+    """Split ``verts`` into the sides of a complete bipartite graph given its
+    edge predicate; ((), verts) when there are no edges."""
+    if not any(edge(i, j) for i in verts for j in verts if i < j):
+        return (), tuple(verts)
+    w = verts[0]
+    part2 = tuple(v for v in verts if v != w and edge(w, v))
+    part1 = tuple(v for v in verts if v == w or not edge(w, v))
+    for i in verts:
+        for j in verts:
+            if i < j and edge(i, j) != ((i in part1) != (j in part1)):
+                raise OAError(f"{what} (offending pair ({i}, {j}))")
+    return part1, part2
+
+
+def tau_graph_parts(t: TauVector) -> list[tuple]:
+    """(c, part1, part2) of every tau-graph, edges read with ``t.get``."""
+    out = []
+    for c in range(1, t.k + 1):
+        verts = [v for v in range(1, t.k + 1) if v != c]
+        p1, p2 = split_bipartite(verts, lambda i, j: bool(t.get(c, i, j)))
+        out.append((c, p1, p2))
+    return out
+
+
+def stack_parts(t: TauVector) -> tuple[tuple, tuple]:
+    """Parts of the stack: complete bipartite sides for n = 0,1 mod 4, the
+    two cliques (the one holding vertex 1 first) for n = 2,3 mod 4."""
+    verts = list(range(1, t.k + 1))
+
+    def edge(i, j):
+        return sum(t.get(c, i, j) for c in verts if c not in (i, j)) % 2 == 1
+
+    if t.nmod4 in (0, 1):
+        return split_bipartite(verts, edge)
+    c1 = tuple(v for v in verts if v == 1 or edge(1, v))
+    c2 = tuple(v for v in verts if v not in c1)
+    for i in verts:
+        for j in verts:
+            if i < j and edge(i, j) != ((i in c1) == (j in c1)):
+                raise OAError(
+                    f"stack is not a union of two cliques (offending pair ({i}, {j}))"
+                )
+    return c1, c2

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -22,6 +23,9 @@ from oaparity.ensemble import (
     max_equiparity,
     optimal_mu,
 )
+
+import oracle
+from conftest import flip_components, random_plausible_tau, result_or_error
 
 
 def test_zero_vector_census():
@@ -121,7 +125,7 @@ def test_hypothetical_census_violates_even_order_laws():
         T=2 * math.comb(9, 3) - 22,
         mu=(0,) * 9,
         pp_plausible="yes",
-        types_by_triple={},
+        types_by_triple=np.zeros((10, 10, 10), dtype=np.uint8),
     )
     rep = check_ensemble_laws(fake)
     assert rep["equiparity-even"].applicable and not rep["equiparity-even"].passed
@@ -145,6 +149,95 @@ def test_four_column_cap_on_desarguesian():
     for q in (3, 7, 11):
         rep = check_ensemble_laws(ensemble_census(linear_mols(q)))
         assert rep["four-column-cap"].passed
+
+
+def _triples_by_code(codes: np.ndarray) -> dict:
+    k = codes.shape[0] - 1
+    return {
+        tri: f"{codes[tri]:03b}" for tri in itertools.combinations(range(1, k + 1), 3)
+    }
+
+
+def _oracle_vectors():
+    rng = random.Random(71)
+    for k in (3, 4, 5, 6, 7, 9, 12, 16, 20):
+        for nm in range(4):
+            for n in (None, k - 1 if (k - 1) % 4 == nm else None):
+                yield random_plausible_tau(rng, k, nm, n=n)
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+        yield tau_parity(linear_mols(q))
+    for n in (5, 6, 8, 9, 10, 11):
+        nbits = n * (n - 1) // 2 - 1 + (n % 2)
+        yield tau_from_sigma(pp_plausible_sigma(n, [rng.randrange(2) for _ in range(nbits)]))
+
+
+def test_census_and_laws_match_oracle():
+    for t in _oracle_vectors():
+        c = ensemble_census(t)
+        want = oracle.census(t)
+        assert c.type_counts == want["type_counts"]
+        assert (c.x, c.T, c.mu, c.pp_plausible) == (
+            want["x"], want["T"], want["mu"], want["pp_plausible"])
+        assert _triples_by_code(c.types_by_triple) == want["types_by_triple"]
+        assert not c.types_by_triple.flags.writeable
+        off = np.ones(c.types_by_triple.shape, dtype=bool)
+        off[tuple(np.array(list(want["types_by_triple"])).T)] = False
+        assert not c.types_by_triple[off].any()
+        cap = check_ensemble_laws(c)["four-column-cap"] if t.nmod4 in (2, 3) else None
+        if cap is not None and cap.applicable:
+            assert cap.passed and cap.witness is None
+            assert oracle.four_column_witness(t.k, want["types_by_triple"], t.nmod4) is None
+
+
+def test_census_errors_match_oracle_on_flipped_vectors():
+    rng = random.Random(72)
+    raised = 0
+    for t in _oracle_vectors():
+        for count in (1, 2, 5):
+            bad = flip_components(t, rng, count)
+            got = result_or_error(ensemble_census, bad)
+            want = result_or_error(oracle.census, bad)
+            if isinstance(want, str):
+                raised += 1
+                assert got == want
+            else:
+                assert got.type_counts == want["type_counts"] and got.x == want["x"]
+    assert raised > 100
+
+
+def _hand_built(k: int, nmod4: int, codes: np.ndarray) -> EnsembleCensus:
+    return EnsembleCensus(
+        k=k, nmod4=nmod4, n=None, type_counts={}, x=0, T=0, mu=(0,) * k,
+        pp_plausible="na", types_by_triple=codes,
+    )
+
+
+def test_four_column_witness_is_lex_first():
+    # only the last quad (3, 4, 5, 6) holds three 111 squares
+    codes = np.zeros((7, 7, 7), dtype=np.uint8)
+    for tri in ((3, 4, 5), (3, 4, 6), (3, 5, 6), (1, 2, 3), (2, 4, 6)):
+        codes[tri] = 7
+    cap = check_ensemble_laws(_hand_built(6, 2, codes))["four-column-cap"]
+    assert cap.applicable and not cap.passed
+    assert cap.witness == (3, 4, 5, 6)
+
+
+def test_four_column_witness_matches_oracle():
+    rng = random.Random(73)
+    found = clean = 0
+    for k in (4, 5, 6, 8, 11, 14):
+        for nm in (2, 3):
+            for p in (0.1, 0.25, 0.4):
+                codes = np.zeros((k + 1,) * 3, dtype=np.uint8)
+                for tri in itertools.combinations(range(1, k + 1), 3):
+                    codes[tri] = 7 if rng.random() < p else rng.randrange(7)
+                want = oracle.four_column_witness(k, _triples_by_code(codes), nm)
+                cap = check_ensemble_laws(_hand_built(k, nm, codes))["four-column-cap"]
+                assert cap.witness == want
+                assert cap.passed == (want is None)
+                found += want is not None
+                clean += want is None
+    assert found > 10 and clean > 3
 
 
 # ---------------------------------------------------------------------------

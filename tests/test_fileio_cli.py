@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -313,6 +314,15 @@ def test_cli_search_latin_type(tmp_path, capsys):
     from oaparity.parity import latin_square_parities
 
     assert latin_square_parities(sq).type_str == "110"
+
+
+def test_cli_search_latin_impossible_type_returns_at_once(capsys):
+    # 000 breaks r + c + s = C(6, 2) mod 2; no square of order 6 has it,
+    # and walking all 812 851 200 of them takes hours
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, "search", "latin", "--n", "6", "--type", "000")
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out, err) == (1, "", "no square with that type\n")
 
 
 def test_cli_search_oa_with_target(tmp_path, capsys):

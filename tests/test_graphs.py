@@ -29,7 +29,8 @@ from oaparity.constructions import (
     lower_triangular_sigma,
 )
 
-from conftest import zn_linear_oa
+import oracle
+from conftest import flip_components, random_plausible_tau, result_or_error, zn_linear_oa
 
 
 def random_graph(k, directed, rng):
@@ -138,6 +139,53 @@ def test_partite_sizes_for_even_plane_orders():
         for d in tau_graphs(t):
             n1, n2 = d.sizes
             assert n1 % 2 == n2 % 2 == (q // 2) % 2
+
+
+def _stack_parts(t):
+    s = stack(t)
+    return s.part1, s.part2
+
+
+def _vectors(rng):
+    for k in (3, 4, 5, 6, 8, 11, 15, 20):
+        for nm in range(4):
+            for n in (None, k - 1 if (k - 1) % 4 == nm else None):
+                yield random_plausible_tau(rng, k, nm, n=n)
+    for q in (3, 4, 5, 7, 8, 9, 11, 16):
+        yield tau_parity(linear_mols(q))
+
+
+def test_graph_splits_match_oracle():
+    rng = random.Random(81)
+    for t in _vectors(rng):
+        decs = [(d.c, d.part1, d.part2) for d in tau_graphs(t)]
+        assert decs == oracle.tau_graph_parts(t)
+        assert _stack_parts(t) == oracle.stack_parts(t)
+        entries = oracle.entries(t)
+        assert t.entries() == entries
+        for c in range(1, t.k + 1):
+            edges = [(i, j) for c2, i, j, b in entries if c2 == c and b]
+            assert tau_graph(t, c).edges() == edges
+
+
+def test_graph_errors_match_oracle_on_flipped_vectors():
+    rng = random.Random(82)
+    raised = {"tau": 0, "stack": 0}
+    for t in _vectors(rng):
+        for count in (1, 2, 4):
+            bad = flip_components(t, rng, count)
+            got = result_or_error(tau_graphs, bad)
+            want = result_or_error(oracle.tau_graph_parts, bad)
+            if isinstance(want, str):
+                raised["tau"] += 1
+                assert got == want
+            else:
+                assert [(d.c, d.part1, d.part2) for d in got] == want
+            got = result_or_error(_stack_parts, bad)
+            want = result_or_error(oracle.stack_parts, bad)
+            raised["stack"] += isinstance(want, str)
+            assert got == want
+    assert raised["tau"] > 100 and raised["stack"] > 50
 
 
 # ---------------------------------------------------------------------------
