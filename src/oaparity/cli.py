@@ -238,6 +238,8 @@ def cmd_ensemble(args):
 def cmd_search(args):
     if args.what == "latin":
         n = args.n
+        if args.limit is not None and args.limit < 0:
+            raise UsageError(f"--limit must be >= 0, got {args.limit}")
         cells, walk = search.latin_square_walk(n)
         if args.type:
             # a square's type always has r + c + s = C(n, 2) mod 2

@@ -295,6 +295,16 @@ class LatinSquare:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "cells", arr)
 
+    @classmethod
+    def _unchecked(cls, arr: np.ndarray) -> "LatinSquare":
+        """Wrap an n x n int16 array that is Latin by construction, skipping
+        the checks of the public constructor."""
+        square = object.__new__(cls)
+        arr.setflags(write=False)
+        object.__setattr__(square, "n", arr.shape[0])
+        object.__setattr__(square, "cells", arr)
+        return square
+
     def __setattr__(self, name, value):
         raise AttributeError("LatinSquare is immutable")
 

@@ -15,17 +15,37 @@ Enumeration runs the walk with no earlier squares and resumes after any
 square it yielded.  The array search nests one walk per column, a recursion
 at most k deep, and prunes at column completion, where the parity components
 among the filled columns are final and must match the target.
+
+First-hit and exhaustive searches fold each column's walk by its first row.
+Row 0 of a new column meets no earlier line but its own row (every earlier
+square is Latin, so row 0 holds each of its symbol classes once), so it
+takes every permutation, and the first two in visit order are the identity
+(even) and the swap of the last two symbols (odd).  Relabelling the new
+column's symbols by a permutation g maps the Latin and orthogonality
+constraints onto themselves, so the subtree below first row g, the nested
+walks of later columns included, is an isomorphic copy of the subtree below
+the identity or the odd row, with the same node count.  By
+``transform_parity_laws`` the relabelling adds n * parity(g) to the tau
+components with this column in the lower index pair and changes no other
+component, so every target check in the copy, at this column and at every
+later one, decides as in the subtree of g's parity.  Hence when neither of
+the two walked subtrees ended the search, no other first row can: the walk
+adds the nodes it would have visited, the rest of the row-0 trie plus
+n!/2 - 1 copies of each subtree, and stops.  Node counts, caps and found
+arrays are those of the full walk.  Enumeration and randomized mode walk
+every node.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LatinSquare, OAError, OrthogonalArray
+from .core import LatinSquare, OAError, OrthogonalArray, UsageError
 from .parity import TauVector, _tau_bits, binom2_bit, check_plausible, plausible_types, tau_parity
 
 MAX_ENUM_ORDER = 6
@@ -57,7 +77,7 @@ class _Symbols(dict):
 _TYPES = [f"{code:03b}" for code in range(8)]
 
 
-def _walk(n: int, priors, cells: list, nodes: _Nodes, rng=None, start=None):
+def _walk(n: int, priors, cells: list, nodes: _Nodes, rng=None, start=None, fold=False):
     """Fill ``cells`` (row-major, n*n) with every Latin square of order n
     orthogonal to each column in ``priors``, in turn; yield each time one is
     complete, with its 'rcs' parity type when ``priors`` is empty.
@@ -65,6 +85,10 @@ def _walk(n: int, priors, cells: list, nodes: _Nodes, rng=None, start=None):
     Each symbol placed counts one node; the node past ``nodes.cap`` raises
     ``_OutOfNodes``.  ``rng`` shuffles each cell's ascending symbol list.
     With ``start``, a completed square, the walk resumes strictly after it.
+    With ``fold``, ignored with ``rng`` or ``start``, the walk stops after
+    the subtrees below its first two first rows and counts the nodes of the
+    rest (see the module docstring); that is exact only when what the caller
+    does with a square depends on its first row through the row's parity.
     """
     size, full = n * n, (1 << n) - 1
     last = size - 1
@@ -85,6 +109,8 @@ def _walk(n: int, priors, cells: list, nodes: _Nodes, rng=None, start=None):
     count, cap = nodes.count, nodes.cap
     replay = start is not None  # descend along ``start`` first, without yielding it
     plain = rng is None and not replay
+    fold = fold and plain
+    entered, below = 0, []  # count on entering row 1; nodes below each first row
 
     def options(m, pos):
         """The symbols in mask m for cell pos, the one to try first last."""
@@ -108,6 +134,15 @@ def _walk(n: int, priors, cells: list, nodes: _Nodes, rng=None, start=None):
             bit = 1 << cells[pos]
             for line in ids[pos]:
                 used[line] ^= bit
+            if fold and pos == n - 1:  # the subtree below a whole first row is done
+                below.append(count - entered)
+                if len(below) == 2:  # the even and the odd row: count the rest
+                    count += sum(math.perm(n, j) for j in range(1, n + 1)) - n - 2 \
+                        + (math.factorial(n) // 2 - 1) * sum(below)
+                    if count > cap:
+                        nodes.count = cap + 1
+                        raise _OutOfNodes
+                    break
             continue
         s = syms.pop()
         count += 1
@@ -136,6 +171,8 @@ def _walk(n: int, priors, cells: list, nodes: _Nodes, rng=None, start=None):
         for line in ids[pos]:
             used[line] |= bit
         pos += 1
+        if pos == n:
+            entered = count
         if pos < last:
             f = 0
             for line in ids[pos + 1]:
@@ -171,7 +208,7 @@ def enumerate_latin_squares(n: int, resume_after: LatinSquare | None = None):
     restarts strictly after that square."""
     cells, walk = latin_square_walk(n, resume_after)
     for _ in walk:
-        yield LatinSquare(np.reshape(cells, (n, n)))
+        yield LatinSquare._unchecked(np.array(cells, dtype=np.int16).reshape(n, n))
 
 
 def achieved_parity_types(n: int, stop_when_complete: bool = True) -> set:
@@ -201,7 +238,8 @@ class SearchSpec:
     ``target`` is a TauVector for the full (k, n), or a 3-bit parity-type
     string when k = 3.  Modes: "first-hit" (deterministic DFS, first match),
     "exhaustive" (certifies non-existence; only for k=3 n<=6 and k=4 n<=5),
-    "randomized" (seeded symbol shuffles with restarts).
+    "randomized" (seeded symbol shuffles with restarts).  ``max_nodes``
+    (None for no cap) must be >= 0 and ``restarts`` >= 1.
     """
 
     k: int
@@ -217,6 +255,10 @@ class SearchSpec:
             raise OAError(f"unknown search mode {self.mode!r}")
         if not 3 <= self.k <= self.n + 1:
             raise OAError(f"need 3 <= k <= n+1, got k={self.k}, n={self.n}")
+        if self.max_nodes is not None and self.max_nodes < 0:
+            raise UsageError(f"max_nodes must be >= 0, got {self.max_nodes}")
+        if self.restarts < 1:
+            raise UsageError(f"restarts must be >= 1, got {self.restarts}")
         if self.mode == "exhaustive":
             limit = _EXHAUSTIVE_LIMITS.get(self.k)
             if limit is None or self.n > limit:
@@ -270,7 +312,7 @@ def _search(spec: SearchSpec, rng: random.Random | None):
         if len(columns) == k:
             return True
         cells = [0] * (n * n)
-        for ty in _walk(n, columns[2:], cells, nodes, rng):
+        for ty in _walk(n, columns[2:], cells, nodes, rng, fold=True):
             if typed and ty != target:
                 continue
             columns.append(np.array(cells, dtype=np.int16))
@@ -297,7 +339,7 @@ def find_oa_with_parity(spec: SearchSpec) -> SearchOutcome:
     if spec.mode == "randomized":
         seed = spec.seed if spec.seed is not None else 0
         total_nodes = 0
-        for attempt in range(max(1, spec.restarts)):
+        for attempt in range(spec.restarts):
             rng = random.Random(seed * 1_000_003 + attempt)
             oa, nodes, capped = _search(spec, rng)
             total_nodes += nodes

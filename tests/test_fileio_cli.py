@@ -339,6 +339,23 @@ def test_cli_search_oa_with_target(tmp_path, capsys):
     assert tau_parity(found) == tau_parity(a)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["oa", "--max-nodes", "-1"], ["oa", "--restarts", "-2"], ["oa", "--restarts", "0"],
+     ["oa", "--seed", "3", "--restarts", "0"], ["latin", "--n", "3", "--limit", "-1"]],
+    ids=["max-nodes-negative", "restarts-negative", "restarts-zero",
+         "randomized-restarts-zero", "limit-negative"],
+)
+def test_cli_search_budget_fails_closed(tmp_path, capsys, argv):
+    if argv[0] == "oa":
+        target_path = tmp_path / "target.json"
+        target_path.write_text(json.dumps(fileio.parity_report(zn_linear_oa(3))))
+        argv = [*argv, "--k", "4", "--n", "3", "--target", str(target_path)]
+    rc, out, err = run_cli(capsys, "search", *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_cli_ingest(tmp_path, capsys):
     from oaparity.core import oa_to_mols
 

@@ -1,9 +1,11 @@
+import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oaparity.core import LatinSquare, OAError, OrthogonalArray, oa_to_mols
+from oaparity.core import LatinSquare, OAError, OrthogonalArray, UsageError, oa_to_mols
 from oaparity.parity import (
     SigmaMatrix,
     latin_square_parities,
@@ -90,6 +92,13 @@ def test_spec_validation():
         SearchSpec(k=3, n=7, target="111", mode="exhaustive")  # beyond limits
     with pytest.raises(OAError):
         SearchSpec(k=3, n=5, target="000", mode="sideways")
+
+
+@pytest.mark.parametrize("budget", [{"max_nodes": -1}, {"restarts": 0}, {"restarts": -2},
+                                    {"restarts": 0, "mode": "randomized", "seed": 1}])
+def test_spec_rejects_negative_budgets(budget):
+    with pytest.raises(UsageError):
+        SearchSpec(k=3, n=5, target="000", **budget)
 
 
 def test_unique_oa32():
@@ -281,3 +290,76 @@ def test_capped_search_at_order_12_is_not_certified():
     assert out.found is None
     assert not out.certified_exhausted
     assert out.nodes == 5001
+
+
+# ---------------------------------------------------------------------------
+# the first-row fold against the oracle, which walks every node
+
+
+def _fold_point(n: int, nodes: int) -> int:
+    """The node count at which the top column's walk has walked the subtrees
+    below its first two first rows and adds the rest, given the node count
+    of a run that walked that column to its end without a hit."""
+    row_trie = sum(math.perm(n, j) for j in range(1, n + 1))
+    copies, rest = divmod(nodes - row_trie, math.factorial(n) // 2)
+    assert rest == 0, (n, nodes)
+    return n + 2 + copies
+
+
+# these words agree with word 0 on columns 1 to 3, so the search walks column
+# 4 below every type-000 square of order 4 (OA(4, 4) realises word 0 only),
+# 4-5 s each in the oracle; word 1 stays in the default run
+_HEAVY_44_WORDS = {2, 3, 8, 9, 10, 11}
+
+
+@pytest.mark.parametrize("word", [
+    pytest.param(w, marks=pytest.mark.slow) if w in _HEAVY_44_WORDS else w for w in range(32)])
+def test_fold_exhaustive_44_matches_oracle(word):
+    _agrees_with_oracle(SearchSpec(4, 4, _word_target(4, 4, word), mode="exhaustive"))
+
+
+def test_fold_matches_oracle_at_k_n_plus_1():
+    """k = n + 1, complete sets of MOLS, where the earlier squares leave
+    each cell of the last column the fewest symbols; first-hit, capped and
+    randomized."""
+    for word in range(32):
+        _agrees_with_oracle(SearchSpec(4, 3, _word_target(4, 3, word)))
+        _agrees_with_oracle(SearchSpec(4, 3, _word_target(4, 3, word), max_nodes=100))
+    for word in (0, 32, 40, 85, 200, 511):
+        _agrees_with_oracle(SearchSpec(5, 4, _word_target(5, 4, word), max_nodes=6000))
+    _agrees_with_oracle(SearchSpec(5, 4, tau_parity(linear_mols(4)), mode="randomized", seed=3))
+    _agrees_with_oracle(SearchSpec(6, 5, tau_parity(linear_mols(5))))  # found at 465 687
+    for word in (0, 1):
+        _agrees_with_oracle(SearchSpec(6, 5, _word_target(6, 5, word), max_nodes=200000))
+
+
+def test_fold_caps_around_the_remainder():
+    """Caps on either side of the node after which the top column's walk
+    adds the nodes of its unwalked first rows, and of the full count."""
+    for spec, full_caps in [
+        (SearchSpec(3, 4, "011", mode="exhaustive"), True),
+        (SearchSpec(4, 3, _word_target(4, 3, 0), mode="exhaustive"), True),
+        (SearchSpec(5, 4, _word_target(5, 4, 32)), True),
+        (SearchSpec(4, 4, _word_target(4, 4, 1), mode="exhaustive"), False),
+    ]:
+        out = find_oa_with_parity(spec)
+        assert out.found is None and out.certified_exhausted == (spec.mode == "exhaustive")
+        point = _fold_point(spec.n, out.nodes)
+        caps = [point - 1, point, point + 1]
+        if full_caps:
+            caps += [out.nodes - 1, out.nodes]
+        for cap in caps:
+            _agrees_with_oracle(replace(spec, max_nodes=cap))
+
+
+def test_exhaustive_k4n5_certifies_the_8_state_class():
+    """Words 0 and 7 lie in the 8-state class of (k = 4, n = 1 mod 4), which
+    no OA(4, 5) realises; word 1 lies in the 24-state class, and exhaustive
+    mode finds it where first-hit mode does."""
+    for word in (0, 7):
+        out = find_oa_with_parity(SearchSpec(4, 5, _word_target(4, 5, word), mode="exhaustive"))
+        assert out.found is None and out.certified_exhausted, word
+    target = _word_target(4, 5, 1)
+    out = find_oa_with_parity(SearchSpec(4, 5, target, mode="exhaustive"))
+    assert (out.nodes, out.certified_exhausted) == (_K4N5_FOUND_NODES[1], False)
+    assert tau_parity(out.found) == target
