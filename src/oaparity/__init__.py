@@ -46,16 +46,11 @@ from .parity import (
 from .classes import (
     ClassTable,
     OrbitSummary,
-    ParityState,
     act_permute,
     act_swap,
     class_of_oa,
     enumerate_classes,
     orbit,
-    pack_state,
-    state_of_tau,
-    tau_of_state,
-    unpack_state,
 )
 from .constructions import (
     block_sigma,

@@ -14,12 +14,11 @@ plausible tau vectors.  Two operations act on them:
 Orbits of the group generated by these operations are the switching classes;
 their sizes divide k! for even n and k! * 2^(k-1) for odd n.
 
-States pack into one machine word: pair (i,j), i < j, taken in lexicographic
-order and skipping (1,2), occupies vector position rank-1; position 0 is the
-most significant bit so that numeric order on words is lexicographic order
-on bit vectors (stable canonical representatives).  Full enumeration walks a
-visited bitmap over all 2^(C(k,2)-1) states; single orbits at k >= 8 use a
-sorted visited array keyed by the 64-bit word.
+A state is a ``StandardSigma``; the search packs each into its ``word``,
+whose numeric order is lexicographic order on bit vectors (stable canonical
+representatives).  Full enumeration walks a visited bitmap over all
+2^(C(k,2)-1) states; single orbits at k >= 8 use a sorted visited array
+keyed by the 64-bit word.
 
 Each generator is compiled to a few (shift, mask) groups: an adjacent
 transposition moves the bits of the pairs it relabels by one of a handful of
@@ -40,12 +39,10 @@ from .core import OAError, OrthogonalArray, ResourceLimitError, UsageError
 from .parity import (
     SigmaMatrix,
     StandardSigma,
-    TauVector,
     binom2_bit,
-    sigma_from_tau,
+    free_pairs,
+    sigma_parity,
     standardise,
-    tau_from_sigma,
-    tau_parity,
 )
 
 # largest state space a single orbit walks with a dense visited bitmap (k <= 7);
@@ -56,64 +53,23 @@ _DEFAULT_BUDGET_MB = 2048
 _BUDGET_ENV = "OAPARITY_ORBIT_BUDGET_MB"
 
 
-def _stored_pairs(k: int) -> list[tuple[int, int]]:
-    pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
-    return pairs[1:]  # (1,2) is pinned by standardisation
-
-
 def _bit_positions(k: int) -> dict[tuple[int, int], int]:
-    stored = _stored_pairs(k)
-    b = len(stored)
-    return {pair: b - 1 - v for v, pair in enumerate(stored)}
+    """The bit of each free pair in ``StandardSigma.word``."""
+    rows, cols = free_pairs(k)
+    b = len(rows)
+    return {pair: b - 1 - v for v, pair in enumerate(zip(rows.tolist(), cols.tolist()))}
 
 
-@dataclass(frozen=True)
-class ParityState:
-    """A standardised sigma-parity packed into one integer word."""
-
-    k: int
-    nmod4: int
-    word: int
-
-    def __post_init__(self):
-        b = self.k * (self.k - 1) // 2 - 1
-        if not 0 <= self.word < (1 << b):
-            raise OAError(f"word out of range for k={self.k}")
-
-    @property
-    def nbits(self) -> int:
-        return self.k * (self.k - 1) // 2 - 1
-
-
-def pack_state(std: StandardSigma) -> ParityState:
-    pos = _bit_positions(std.k)
-    word = 0
-    for pair, p in pos.items():
-        if std.m[pair]:
-            word |= 1 << p
-    return ParityState(k=std.k, nmod4=std.nmod4, word=word)
-
-
-def unpack_state(s: ParityState) -> StandardSigma:
-    up = np.zeros((s.k + 1, s.k + 1), dtype=np.uint8)
-    for pair, p in _bit_positions(s.k).items():
-        up[pair] = (s.word >> p) & 1
-    return StandardSigma.from_upper(s.k, s.nmod4, up)
-
-
-def state_of_tau(t: TauVector) -> ParityState:
-    return pack_state(sigma_from_tau(t))
-
-
-def tau_of_state(s: ParityState) -> TauVector:
-    return tau_from_sigma(unpack_state(s))
+# perfbench/wl_space.py builds orbit states under the old name of the packed
+# state type, and the benchmark is changed on its own
+ParityState = StandardSigma.from_word
 
 
 # ---------------------------------------------------------------------------
 # the two operations (reference implementations on the sigma matrix)
 
 
-def act_permute(s: ParityState, g) -> ParityState:
+def act_permute(s: StandardSigma, g) -> StandardSigma:
     """Relabel columns by g (1-based images) and re-standardise.
 
     Satisfies act(act(s, g), h) = act(s, h o g).
@@ -123,11 +79,10 @@ def act_permute(s: ParityState, g) -> ParityState:
         raise OAError("g must be a permutation of 1..k")
     ginv = np.zeros(s.k + 1, dtype=np.int64)
     ginv[list(g)] = np.arange(1, s.k + 1)
-    m = unpack_state(s).m[np.ix_(ginv, ginv)]
-    return pack_state(standardise(SigmaMatrix(s.k, s.nmod4, m)))
+    return standardise(SigmaMatrix(s.k, s.nmod4, s.m[np.ix_(ginv, ginv)], n=s.n))
 
 
-def act_swap(s: ParityState, cset) -> ParityState:
+def act_swap(s: StandardSigma, cset) -> StandardSigma:
     """Flip bits with exactly one endpoint in cset; odd n only."""
     if s.nmod4 % 2 == 0:
         raise OAError("swap undefined for even n")
@@ -137,8 +92,8 @@ def act_swap(s: ParityState, cset) -> ParityState:
     chi = np.zeros(s.k + 1, dtype=np.uint8)
     chi[list(members)] = 1
     # the constructor drops what the flip puts in the unused row/column 0
-    m = unpack_state(s).m ^ chi[:, None] ^ chi[None, :]
-    return pack_state(standardise(SigmaMatrix(s.k, s.nmod4, m)))
+    m = s.m ^ chi[:, None] ^ chi[None, :]
+    return standardise(SigmaMatrix(s.k, s.nmod4, m, n=s.n))
 
 
 # ---------------------------------------------------------------------------
@@ -188,20 +143,21 @@ def _shift_groups(pairs) -> tuple:
     return tuple(sorted(groups.items()))
 
 
-def _compile_permutation(k: int, nmod4: int, g: tuple) -> _Generator:
+def _compile(k: int, nmod4: int, g: tuple, t: int = 0) -> _Generator:
+    """Relabel columns by g, swap at {t} (no swap for t = 0), re-standardise."""
     kk = binom2_bit(nmod4)
     pos = _bit_positions(k)
-    full = (1 << (k * (k - 1) // 2 - 1)) - 1
+    full = (1 << len(pos)) - 1
     ginv = [0] * (k + 1)
     for i, gi in enumerate(g, start=1):
         ginv[gi] = i
 
     def source(a, b):
         s1, s2 = ginv[a], ginv[b]
-        const = 0
+        const = int((a == t) != (b == t))
         if s1 > s2:
             s1, s2 = s2, s1
-            const = kk
+            const ^= kk
         if (s1, s2) == (1, 2):
             return None, const
         return pos[(s1, s2)], const
@@ -215,7 +171,7 @@ def _compile_permutation(k: int, nmod4: int, g: tuple) -> _Generator:
         if src is not None:
             pairs.append((src, dst))
     d_src, d_const = source(1, 2)
-    if d_const:
+    if d_const:  # the new (1,2) entry is 1 whatever the input: complement
         xmask ^= full
     return _Generator(
         moves=_shift_groups(pairs),
@@ -225,27 +181,15 @@ def _compile_permutation(k: int, nmod4: int, g: tuple) -> _Generator:
     )
 
 
-def _compile_swap(k: int, nmod4: int, t: int) -> _Generator:
-    pos = _bit_positions(k)
-    full = (1 << (k * (k - 1) // 2 - 1)) - 1
-    xmask = 0
-    for (a, b), p in pos.items():
-        if (a == t) != (b == t):
-            xmask |= 1 << p
-    if t in (1, 2):  # the flipped (1,2) entry forces re-standardisation
-        xmask ^= full
-    return _Generator(moves=((0, full),), xmask=xmask, d_src=-1, full=full)
-
-
 def _generators(k: int, nmod4: int) -> list[_Generator]:
+    identity = tuple(range(1, k + 1))
     gens = []
     for t in range(1, k):
-        g = list(range(1, k + 1))
+        g = list(identity)
         g[t - 1], g[t] = g[t], g[t - 1]
-        gens.append(_compile_permutation(k, nmod4, tuple(g)))
+        gens.append(_compile(k, nmod4, tuple(g)))
     if nmod4 % 2 == 1:
-        for t in range(1, k + 1):
-            gens.append(_compile_swap(k, nmod4, t))
+        gens.extend(_compile(k, nmod4, identity, t) for t in range(1, k + 1))
     return gens
 
 
@@ -256,7 +200,7 @@ def _generators(k: int, nmod4: int) -> list[_Generator]:
 @dataclass(frozen=True)
 class OrbitSummary:
     size: int
-    canonical: ParityState
+    canonical: StandardSigma
 
 
 def _orbit_bound(k: int, nmod4: int) -> int:
@@ -346,16 +290,16 @@ def _orbit_sorted(seed: int, gens, budget: int) -> tuple[int, int]:
     return int(visited.size), int(visited[0])
 
 
-def orbit(s: ParityState) -> OrbitSummary:
+def orbit(s: StandardSigma) -> OrbitSummary:
     """Size and canonical representative of the switching class of s.
 
     The size is checked against the divisibility bound (k! for even n,
     k! * 2^(k-1) for odd n).
     """
-    if s.nbits > 63:
+    b = s.k * (s.k - 1) // 2 - 1
+    if b > 63:
         raise OAError(f"orbit search packs states into 64-bit words (k <= 11, got k={s.k})")
     gens = _generators(s.k, s.nmod4)
-    b = s.nbits
     if (1 << b) <= _BITMAP_LIMIT:
         visited = np.zeros(1 << b, dtype=bool)
         size, canonical = _orbit_bitmap(s.word, gens, visited)
@@ -364,12 +308,13 @@ def orbit(s: ParityState) -> OrbitSummary:
     bound = _orbit_bound(s.k, s.nmod4)
     if bound % size:
         raise OAError(f"orbit size {size} does not divide the group order {bound}")
-    return OrbitSummary(size=size, canonical=ParityState(k=s.k, nmod4=s.nmod4, word=canonical))
+    canonical = StandardSigma.from_word(s.k, s.nmod4, canonical, n=s.n)
+    return OrbitSummary(size=size, canonical=canonical)
 
 
 def class_of_oa(a: OrthogonalArray) -> OrbitSummary:
-    """The switching class of an orthogonal array's tau-parity."""
-    return orbit(state_of_tau(tau_parity(a)))
+    """The switching class of an orthogonal array's parity."""
+    return orbit(sigma_parity(a))
 
 
 # ---------------------------------------------------------------------------

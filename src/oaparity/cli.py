@@ -10,6 +10,7 @@ OAPARITY_ORBIT_BUDGET_MB, the memory budget of the orbit search.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import sys
@@ -126,7 +127,7 @@ def cmd_graphs(args):
 def cmd_class(args):
     source = _load_tau_source(args)
     tau = source if not hasattr(source, "rows") else tau_parity(source)
-    summary = classes.orbit(classes.state_of_tau(tau))
+    summary = classes.orbit(sigma_from_tau(tau))
     obj = {
         "k": summary.canonical.k,
         "nmod4": summary.canonical.nmod4,
@@ -187,7 +188,7 @@ def cmd_construct(args):
     elif args.kind == "circulant":
         sig = constructions.circulant_sigma(n)
     elif args.kind == "lower-triangular":
-        k = args.k if args.k else n + 1
+        k = n + 1 if args.k is None else args.k
         sig = constructions.lower_triangular_sigma(k, n % 4)
     else:  # pp-random
         rng = random.Random(0 if seed is None else seed)
@@ -251,11 +252,7 @@ def cmd_search(args):
                     return 0
             print("no square with that type", file=sys.stderr)
             return 1
-        count = 0
-        for _ in walk:
-            count += 1
-            if args.limit and count >= args.limit:
-                break
+        count = sum(1 for _ in itertools.islice(walk, args.limit))
         _emit(args, [f"{count} squares of order {args.n}"], {"n": args.n, "count": count})
         return 0
 

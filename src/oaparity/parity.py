@@ -271,11 +271,26 @@ class SigmaMatrix:
         return f"{type(self).__name__}(k={self.k}, nmod4={self.nmod4})"
 
 
+@lru_cache(maxsize=None)
+def free_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only row and column indices of the free entries of a standardised
+    sigma: the pairs (i, j), 1 <= i < j <= k, in lexicographic order with
+    (1, 2), which standardisation pins to zero, left out."""
+    i, j = np.triu_indices(k + 1, 1)
+    i, j = i[k + 1:], j[k + 1:]  # row 0 holds the first k pairs, then (1, 2)
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
+
+
 class StandardSigma(SigmaMatrix):
     """A sigma matrix standardised so that its (1,2) entry is zero.
 
     Of a sigma matrix and its complement, which determine the same tau
-    vector, exactly one is standard.
+    vector, exactly one is standard.  Its C(k,2) - 1 free entries pack into
+    one integer, ``word``: the free pair at position v of ``free_pairs`` is
+    bit b - 1 - v, b = C(k,2) - 1, so numeric order on words is
+    lexicographic order on the bit vectors.
     """
 
     __slots__ = ()
@@ -284,6 +299,26 @@ class StandardSigma(SigmaMatrix):
         super().__init__(k, nmod4, m, n=n)
         if self.m[1, 2]:
             raise OAError("standardised sigma must have zero (1,2) entry")
+
+    @classmethod
+    def from_word(cls, k: int, nmod4: int, word: int, n: int | None = None) -> "StandardSigma":
+        """The standardised sigma whose free entries ``word`` packs."""
+        if k < 3:
+            raise OAError(f"need k >= 3, got {k}")
+        b = k * (k - 1) // 2 - 1
+        if not 0 <= word < (1 << b):
+            raise OAError(f"word out of range for k={k}")
+        pad = -b % 8
+        raw = (word << pad).to_bytes((b + pad) // 8, "big")
+        up = np.zeros((k + 1, k + 1), dtype=np.uint8)
+        up[free_pairs(k)] = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:b]
+        return cls.from_upper(k, nmod4, up, n=n)
+
+    @property
+    def word(self) -> int:
+        """The free entries packed into one integer, (1,3) the top bit."""
+        bits = self.m[free_pairs(self.k)]
+        return int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-bits.size % 8)
 
     def to_matrix(self) -> SigmaMatrix:
         """The full matrix, which a standardised sigma already is."""

@@ -20,10 +20,11 @@ import random
 
 import numpy as np
 
-from oaparity.classes import ParityState, act_permute, act_swap
+from oaparity.classes import act_permute, act_swap
 from oaparity.core import LatinSquare, OAError
 from oaparity.parity import (
     SigmaMatrix,
+    StandardSigma,
     TauVector,
     binom2_bit,
     check_plausible,
@@ -102,7 +103,7 @@ def direct_sigma(a) -> SigmaMatrix:
     return SigmaMatrix(a.k, a.n % 4, _sigma_bits(a.rows, a.n), n=a.n)
 
 
-def orbit_by_actions(state: ParityState) -> tuple[int, int]:
+def orbit_by_actions(state: StandardSigma) -> tuple[int, int]:
     """Size and smallest word of the switching class of ``state``.
 
     A set-based breadth-first search over ``act_permute`` and ``act_swap``
@@ -123,8 +124,9 @@ def orbit_by_actions(state: ParityState) -> tuple[int, int]:
         for s in frontier:
             for move in moves:
                 image = move(s)
-                if image.word not in seen:
-                    seen.add(image.word)
+                word = image.word
+                if word not in seen:
+                    seen.add(word)
                     nxt.append(image)
         frontier = nxt
     return len(seen), min(seen)

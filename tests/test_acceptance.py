@@ -17,6 +17,7 @@ from oaparity.parity import (
     binom2_bit,
     check_plausible,
     latin_square_parities,
+    sigma_from_tau,
     sigma_parity,
     standardise,
     tau_from_sigma,
@@ -24,13 +25,7 @@ from oaparity.parity import (
     transform_parity_laws,
 )
 from oaparity.graphs import sigma_graph, stack, tau_graphs
-from oaparity.classes import (
-    ParityState,
-    class_of_oa,
-    enumerate_classes,
-    orbit,
-    state_of_tau,
-)
+from oaparity.classes import class_of_oa, enumerate_classes, orbit
 from oaparity.constructions import (
     DETERMINING_TRIPLES,
     EXPECTED_COMPONENTS,
@@ -218,14 +213,17 @@ def test_criterion_03_residue_family():
             t = tau_parity(a)
             got = tuple(t.get(*triple) for triple in DETERMINING_TRIPLES)
             assert got == EXPECTED_COMPONENTS[pattern], (n, pattern)
-            assert orbit(state_of_tau(t)).size == orbit_size, (n, pattern)
+            assert orbit(sigma_from_tau(t)).size == orbit_size, (n, pattern)
     report(3, "OA(5,n) components and orbits (192/320) for n in {11,19,23}", t0)
 
 
 def test_criterion_04_order9_class(desarguesian):
     t0 = time.time()
-    assert class_of_oa(desarguesian[9]).size == 1290240
-    assert orbit(ParityState(k=10, nmod4=1, word=0)).size == 512
+    summ = class_of_oa(desarguesian[9])
+    assert summ.size == 1290240
+    # the canonical word pins the word's bit order
+    assert summ.canonical.word == 4135458444
+    assert orbit(StandardSigma.from_word(10, 1, 0)).size == 512
     report(4, "OA(10,9) class size 1290240; zero-state orbit 512", t0)
 
 

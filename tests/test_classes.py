@@ -6,22 +6,23 @@ import numpy as np
 import pytest
 
 from oaparity.classes import (
-    ParityState,
     act_permute,
     act_swap,
     class_of_oa,
     enumerate_classes,
     orbit,
-    pack_state,
-    state_of_tau,
-    tau_of_state,
-    unpack_state,
     _distinct,
     _generators,
     _orbit_sorted,
 )
 from oaparity.core import OAError, ResourceLimitError, cyclic_square, mols_to_oa
-from oaparity.parity import check_plausible, tau_parity
+from oaparity.parity import (
+    StandardSigma,
+    check_plausible,
+    sigma_from_tau,
+    tau_from_sigma,
+    tau_parity,
+)
 from oaparity.constructions import linear_mols
 
 from conftest import zn_linear_oa
@@ -55,7 +56,7 @@ KNOWN_CLASSES = {
 
 def random_state(k, nmod4, rng):
     b = k * (k - 1) // 2 - 1
-    return ParityState(k=k, nmod4=nmod4, word=rng.getrandbits(b))
+    return StandardSigma.from_word(k, nmod4, rng.getrandbits(b))
 
 
 def test_pack_unpack_roundtrip():
@@ -63,16 +64,46 @@ def test_pack_unpack_roundtrip():
     for k in (3, 4, 6, 10):
         for _ in range(20):
             s = random_state(k, 1, rng)
-            assert pack_state(unpack_state(s)) == s
+            assert StandardSigma.from_word(k, 1, s.word) == s
+
+
+def _word_reference(k, nmod4, word):
+    """The upper triangle a word packs, pair by pair: (i, j), i < j, in
+    lexicographic order without (1, 2), the first pair the top bit."""
+    pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)][1:]
+    up = np.zeros((k + 1, k + 1), dtype=np.uint8)
+    for v, pair in enumerate(pairs):
+        up[pair] = (word >> (len(pairs) - 1 - v)) & 1
+    return StandardSigma.from_upper(k, nmod4, up)
+
+
+@pytest.mark.parametrize("k", [3, 4, 11, 12, 20, 64])
+def test_word_format(k):
+    rng = random.Random(k)
+    b = k * (k - 1) // 2 - 1
+    for nm in range(4):
+        for w in [0, (1 << b) - 1, 1 << (b - 1)] + [rng.getrandbits(b) for _ in range(10)]:
+            s = StandardSigma.from_word(k, nm, w)
+            assert s.word == w
+            assert np.array_equal(s.m, _word_reference(k, nm, w).m)
+    for w in (-1, 1 << b):
+        with pytest.raises(OAError, match="out of range"):
+            StandardSigma.from_word(k, 1, w)
 
 
 def test_state_tau_bijection():
     rng = random.Random(22)
     for _ in range(30):
         s = random_state(5, 3, rng)
-        t = tau_of_state(s)
+        t = tau_from_sigma(s)
         assert check_plausible(t).plausible
-        assert state_of_tau(t) == s
+        assert sigma_from_tau(t) == s
+    # past the 64-bit words of the orbit search
+    for nm in range(4):
+        s = random_state(12, nm, rng)
+        t = tau_from_sigma(s)
+        assert check_plausible(t).plausible
+        assert sigma_from_tau(t) == s
 
 
 def test_permute_identity_and_composition():
@@ -99,8 +130,8 @@ def test_permuting_relabels_tau():
         s = random_state(k, 2, rng)
         g = list(range(1, k + 1))
         rng.shuffle(g)
-        t = tau_of_state(s)
-        moved = tau_of_state(act_permute(s, g))
+        t = tau_from_sigma(s)
+        moved = tau_from_sigma(act_permute(s, g))
         for c, i, j in itertools.permutations(range(1, k + 1), 3):
             if i < j:
                 assert moved.get(g[c - 1], g[i - 1], g[j - 1]) == t.get(c, i, j)
@@ -112,12 +143,12 @@ def test_zero_state_fixed_by_permutations():
     # triangle with ones and the zero word is not fixed)
     rng = random.Random(25)
     for k, nm in ((4, 0), (6, 1), (7, 0)):
-        z = ParityState(k=k, nmod4=nm, word=0)
+        z = StandardSigma.from_word(k, nm, 0)
         for _ in range(10):
             g = list(range(1, k + 1))
             rng.shuffle(g)
             assert act_permute(z, g) == z
-    assert orbit(ParityState(k=4, nmod4=0, word=0)).size == 1
+    assert orbit(StandardSigma.from_word(4, 0, 0)).size == 1
 
 
 def test_swap_basics():
@@ -137,8 +168,8 @@ def test_swap_flips_tau_across_the_cut():
     rng = random.Random(27)
     s = random_state(5, 3, rng)
     sub = {2, 4}
-    t = tau_of_state(s)
-    swapped = tau_of_state(act_swap(s, sub))
+    t = tau_from_sigma(s)
+    swapped = tau_from_sigma(act_swap(s, sub))
     for c, i, j in itertools.permutations(range(1, 6), 3):
         if i < j:
             expect = t.get(c, i, j) ^ (len({i, j} & sub) == 1)
@@ -146,7 +177,7 @@ def test_swap_flips_tau_across_the_cut():
 
 
 def test_swap_rejected_for_even_n():
-    s = ParityState(k=4, nmod4=0, word=3)
+    s = StandardSigma.from_word(4, 0, 3)
     with pytest.raises(OAError):
         act_swap(s, (1,))
 
@@ -174,7 +205,7 @@ def test_compiled_generators_match_reference():
         for gen, op in zip(gens, ops):
             images = gen.apply(words)
             for w in range(1 << b):
-                ref = op(ParityState(k=k, nmod4=nm, word=w))
+                ref = op(StandardSigma.from_word(k, nm, w))
                 one = gen.apply(np.array([w], dtype=np.uint64))
                 assert ref.word == int(images[w]) == int(one[0])
 
@@ -194,12 +225,12 @@ def test_compiled_generators_match_reference_sampled(k, nm):
     for gen, op in zip(gens, ops):
         images = gen.apply(arr)
         for w, image in zip(words, images.tolist()):
-            assert image == op(ParityState(k=k, nmod4=nm, word=w)).word
+            assert image == op(StandardSigma.from_word(k, nm, w)).word
 
 
 def test_orbit_k3_odd_always_4():
     for word in range(4):
-        assert orbit(ParityState(k=3, nmod4=1, word=word)).size == 4
+        assert orbit(StandardSigma.from_word(3, 1, word)).size == 4
 
 
 def test_orbit_divisibility():
@@ -238,14 +269,14 @@ def test_class_of_small_arrays():
 
 def test_zero_state_orbit_k10():
     # swaps alone reach 2^(k-1) states from the zero vector
-    assert orbit(ParityState(k=10, nmod4=1, word=0)).size == 512
+    assert orbit(StandardSigma.from_word(10, 1, 0)).size == 512
 
 
 def test_orbit_budget_raises(monkeypatch):
     from oaparity.core import ResourceLimitError
 
     monkeypatch.setenv("OAPARITY_ORBIT_BUDGET_MB", "0")
-    big = state_of_tau(tau_parity(linear_mols(9)))
+    big = sigma_from_tau(tau_parity(linear_mols(9)))
     with pytest.raises(ResourceLimitError):
         orbit(big)
 
@@ -256,7 +287,7 @@ def test_orbit_budget_counts_the_level_images(monkeypatch):
     # frontier words (49 MB), plus the sorted copy
     monkeypatch.setenv("OAPARITY_ORBIT_BUDGET_MB", "64")
     assert 3 * 1290240 * 8 < 64 << 20
-    big = state_of_tau(tau_parity(linear_mols(9)))
+    big = sigma_from_tau(tau_parity(linear_mols(9)))
     with pytest.raises(ResourceLimitError):
         orbit(big)
 
@@ -267,7 +298,7 @@ def test_orbit_budget_must_be_a_whole_number(monkeypatch, tmp_path, capsys):
     from oaparity.fileio import format_oa
 
     monkeypatch.setenv("OAPARITY_ORBIT_BUDGET_MB", "1.5")
-    big = state_of_tau(tau_parity(linear_mols(8)))
+    big = sigma_from_tau(tau_parity(linear_mols(8)))
     with pytest.raises(UsageError, match="OAPARITY_ORBIT_BUDGET_MB"):
         orbit(big)
     path = tmp_path / "d8.oa"
@@ -279,7 +310,7 @@ def test_orbit_budget_must_be_a_whole_number(monkeypatch, tmp_path, capsys):
 
 def test_orbit_rejects_overwide_words():
     with pytest.raises(OAError):
-        orbit(ParityState(k=12, nmod4=0, word=0))
+        orbit(StandardSigma.from_word(12, 0, 0))
 
 
 def test_orbit_of_each_small_word_matches_enumeration():
@@ -287,7 +318,7 @@ def test_orbit_of_each_small_word_matches_enumeration():
     table = enumerate_classes(4, 3)
     by_canonical = {}
     for word in range(32):
-        summ = orbit(ParityState(k=4, nmod4=3, word=word))
+        summ = orbit(StandardSigma.from_word(4, 3, word))
         by_canonical.setdefault(summ.canonical.word, summ.size)
     expected = [size for size, count in table.entries for _ in range(count)]
     assert sorted(by_canonical.values()) == expected

@@ -7,11 +7,12 @@ from oaparity.core import OAError, cyclic_square, mols_to_oa, oa_to_mols, rows_a
 from oaparity.parity import (
     check_plausible,
     latin_square_parities,
+    sigma_from_tau,
     standardise,
     tau_from_sigma,
     tau_parity,
 )
-from oaparity.classes import orbit, state_of_tau
+from oaparity.classes import orbit
 from oaparity.constructions import (
     DETERMINING_TRIPLES,
     EXPECTED_COMPONENTS,
@@ -117,8 +118,8 @@ def test_residue_pattern_invariant_of_choice(n):
 
 
 def test_residue_pattern_orbits():
-    assert orbit(state_of_tau(tau_parity(residue_pattern_oa(11, "nnn")))).size == 192
-    assert orbit(state_of_tau(tau_parity(residue_pattern_oa(11, "rnr")))).size == 320
+    assert orbit(sigma_from_tau(tau_parity(residue_pattern_oa(11, "nnn")))).size == 192
+    assert orbit(sigma_from_tau(tau_parity(residue_pattern_oa(11, "rnr")))).size == 320
 
 
 # ---------------------------------------------------------------------------

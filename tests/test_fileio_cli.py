@@ -325,6 +325,29 @@ def test_cli_search_latin_impossible_type_returns_at_once(capsys):
     assert (rc, out, err) == (1, "", "no square with that type\n")
 
 
+def test_cli_search_latin_limit(capsys):
+    # --limit 0 counts nothing, so it walks no square of order 6 either
+    start = time.perf_counter()
+    rc, out, _ = run_cli(capsys, "search", "latin", "--n", "6", "--limit", "0")
+    assert time.perf_counter() - start < 1.0
+    assert (rc, out) == (0, "0 squares of order 6\n")
+    rc, out, _ = run_cli(capsys, "search", "latin", "--n", "6", "--limit", "0", "--json")
+    assert (rc, json.loads(out)) == (0, {"n": 6, "count": 0})
+    _, out, _ = run_cli(capsys, "search", "latin", "--n", "4", "--limit", "1")
+    assert out == "1 squares of order 4\n"
+    _, out, _ = run_cli(capsys, "search", "latin", "--n", "4")
+    assert out == "576 squares of order 4\n"
+
+
+def test_cli_lower_triangular_k(capsys):
+    # an explicit --k 0 is checked, not taken for "not given"
+    rc, out, err = run_cli(capsys, "construct", "sigma", "--kind", "lower-triangular",
+                           "--n", "6", "--k", "0")
+    assert (rc, out, err) == (1, "", "error: need k >= 3, got 0\n")
+    rc, out, _ = run_cli(capsys, "construct", "sigma", "--kind", "lower-triangular", "--n", "6")
+    assert rc == 0 and json.loads(out)["k"] == 7
+
+
 def test_cli_search_oa_with_target(tmp_path, capsys):
     target_path = tmp_path / "target.json"
     a = zn_linear_oa(3)
