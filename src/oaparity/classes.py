@@ -16,20 +16,30 @@ their sizes divide k! for even n and k! * 2^(k-1) for odd n.
 
 A state is a ``StandardSigma``; the search packs each into its ``word``,
 whose numeric order is lexicographic order on bit vectors (stable canonical
-representatives).  Full enumeration walks a visited bitmap over all
-2^(C(k,2)-1) states; single orbits at k >= 8 use a sorted visited array
-keyed by the 64-bit word.
+representatives).
 
 Each generator is compiled to a few (shift, mask) groups: an adjacent
 transposition moves the bits of the pairs it relabels by one of a handful of
-constant distances.  Each breadth-first level applies every generator to the
-frontier and deduplicates the images by sorting them and dropping entries
-equal to their left neighbour.
+constant distances.  A single orbit is a breadth-first search: each level
+applies every generator to the frontier and deduplicates the images by
+sorting them and dropping entries equal to their left neighbour.  Its
+visited set is a dense bitmap for k <= 7 and a sorted array of 64-bit words
+for k >= 8.
+
+Full enumeration of a space of at most 2^20 states (k <= 7) labels every
+state at once: each label starts as the state's own word and is lowered to
+the labels of its images under the generators, with pointer jumping, until
+a round lowers none; every class is then labelled by its least word, the
+canonical representative, and the class sizes are label counts.  At k = 8
+(2^27 states) one breadth-first search per class walks a visited bitmap,
+which is faster there and holds far less than the labels and the
+generators' images.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -45,9 +55,11 @@ from .parity import (
     standardise,
 )
 
-# largest state space a single orbit walks with a dense visited bitmap (k <= 7);
-# at k = 8 clearing and touching the 128 MiB map costs more than the sorted
-# search, which holds only the orbit (enumerate_classes always uses a bitmap)
+# largest state space a single orbit walks with a dense visited bitmap and
+# enumerate_classes labels in one pass (k <= 7); at k = 8 clearing and
+# touching the 128 MiB map costs more than the sorted search, which holds
+# only the orbit, and the one-pass labels take more time and memory than a
+# search per class
 _BITMAP_LIMIT = 1 << 20
 _DEFAULT_BUDGET_MB = 2048
 _BUDGET_ENV = "OAPARITY_ORBIT_BUDGET_MB"
@@ -115,22 +127,25 @@ class _Generator:
     full: int
 
     def apply(self, words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The images of ``words``, in their unsigned dtype (uint32 suffices
+        for k <= 8)."""
+        word = words.dtype.type
         if out is None:
             out = np.empty_like(words)
         out.fill(self.xmask)
         part = np.empty_like(words)
         # destination bits of different groups are disjoint, so ^ acts as |
         for shift, mask in self.moves:
-            np.bitwise_and(words, np.uint64(mask), out=part)
+            np.bitwise_and(words, word(mask), out=part)
             if shift > 0:
-                np.left_shift(part, np.uint64(shift), out=part)
+                np.left_shift(part, word(shift), out=part)
             elif shift < 0:
-                np.right_shift(part, np.uint64(-shift), out=part)
+                np.right_shift(part, word(-shift), out=part)
             out ^= part
         if self.d_src >= 0:
-            np.right_shift(words, np.uint64(self.d_src), out=part)
-            part &= np.uint64(1)
-            part *= np.uint64(self.full)
+            np.right_shift(words, word(self.d_src), out=part)
+            part &= word(1)
+            part *= word(self.full)
             out ^= part
         return out
 
@@ -239,10 +254,10 @@ def _distinct(words: np.ndarray) -> np.ndarray:
     return words[keep]
 
 
-def _check_budget(nbytes: int, budget: int) -> None:
+def _check_budget(nbytes: int, budget: int, what: str = "orbit") -> None:
     if nbytes > budget:
         raise ResourceLimitError(
-            f"orbit exceeded the memory budget ({budget >> 20} MiB); "
+            f"{what} exceeded the memory budget ({budget >> 20} MiB); "
             f"raise it via {_BUDGET_ENV}"
         )
 
@@ -349,39 +364,90 @@ def _next_unvisited(visited: np.ndarray, start: int, chunk: int = 1 << 16) -> in
     return total
 
 
+def _class_sizes_by_bfs(gens, total: int, budget: int) -> np.ndarray:
+    """Class sizes ordered by least word, one BFS per class on a visited
+    bitmap of ``total`` bytes."""
+    _check_budget(total, budget, f"enumeration ({total >> 20} MiB bitmap)")
+    visited = np.zeros(total, dtype=bool)
+    sizes = []
+    seed = _next_unvisited(visited, 0)
+    while seed < total:
+        sizes.append(_orbit_bitmap(seed, gens, visited)[0])
+        seed = _next_unvisited(visited, seed + 1)
+    return np.array(sizes, dtype=np.int64)
+
+
+def _class_labels(gens, total: int, budget: int) -> np.ndarray:
+    """The least word of each state's class, for all ``total`` states.
+
+    Labels start as the states' own words.  A round lowers each label to the
+    label of its image under every generator, then pointer-jumps (label :=
+    label[label]) until that changes nothing.  Every label stays a word of
+    its state's class and never exceeds its own index, so no step raises a
+    label, a step that leaves the sum unchanged changed nothing, and after a
+    round that lowers no label each class is labelled by its least word.
+    The budget covers the generators' uint32 images, the labels, a gather
+    buffer and the scratch of ``apply``.
+    """
+    nbytes = (len(gens) + 3) * 4 * total
+    _check_budget(nbytes, budget, f"enumeration ({nbytes >> 20} MiB of labels)")
+    label = np.arange(total, dtype=np.uint32)
+    images = [g.apply(label) for g in gens]
+    buf = np.empty_like(label)
+    level = int(label.sum(dtype=np.uint64))
+    while True:
+        start = level
+        for image in images:
+            np.take(label, image, out=buf)
+            np.minimum(label, buf, out=label)
+        while True:
+            np.take(label, label, out=buf)
+            label, buf = buf, label
+            jumped, level = level, int(label.sum(dtype=np.uint64))
+            if level == jumped:
+                break
+        if level == start:
+            return label
+
+
+def _class_sizes_by_label(gens, total: int, budget: int) -> np.ndarray:
+    """Class sizes ordered by least word, from one labelling pass."""
+    counts = np.bincount(_class_labels(gens, total, budget), minlength=total)
+    return counts[counts > 0]
+
+
 def enumerate_classes(k: int, nmod4: int) -> ClassTable:
-    """Partition all 2^(C(k,2)-1) states into switching classes, k <= 8."""
+    """Partition all 2^(C(k,2)-1) states into switching classes, k <= 8.
+
+    Spaces of up to 2^20 states (k <= 7) are labelled in one pass, the k = 8
+    space by one BFS per class; either way the arrays must fit the memory
+    budget (``OAPARITY_ORBIT_BUDGET_MB``).
+    """
+    for name, value in (("k", k), ("nmod4", nmod4)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise OAError(f"{name} must be an integer, got {value!r}")
     if not 3 <= k <= 8:
         raise OAError(
             f"full enumeration supports 3 <= k <= 8 (got k={k}); "
             "use orbit() for individual states at larger k"
         )
+    k, nmod4 = int(k), int(nmod4) % 4
     gens = _generators(k, nmod4)
-    b = k * (k - 1) // 2 - 1
-    total = 1 << b
-    visited = np.zeros(total, dtype=bool)
+    total = 1 << (k * (k - 1) // 2 - 1)
+    census = _class_sizes_by_label if total <= _BITMAP_LIMIT else _class_sizes_by_bfs
+    sizes, counts = np.unique(census(gens, total, _budget_bytes()), return_counts=True)
     bound = _orbit_bound(k, nmod4)
-    sizes: dict[int, int] = {}
-    seed = 0
-    nclasses = 0
-    while True:
-        seed = _next_unvisited(visited, seed)
-        if seed >= total:
-            break
-        size, _ = _orbit_bitmap(seed, gens, visited)
+    for size in sizes.tolist():
         if bound % size:
             raise OAError(f"orbit size {size} does not divide the group order {bound}")
-        sizes[size] = sizes.get(size, 0) + 1
-        nclasses += 1
-        seed += 1
-    entries = tuple(sorted(sizes.items()))
+    entries = tuple(zip(sizes.tolist(), counts.tolist()))
     counted = sum(size * count for size, count in entries)
     if counted != total:
         raise OAError(f"orbit sizes account for {counted} of {total} states")
     return ClassTable(
         k=k,
-        nmod4=nmod4 % 4,
+        nmod4=nmod4,
         entries=entries,
-        total_classes=nclasses,
+        total_classes=int(counts.sum()),
         total_states=total,
     )

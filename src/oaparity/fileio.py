@@ -71,6 +71,17 @@ def _base(base, lineno=None) -> int:
     return base
 
 
+def _bit(bit) -> int:
+    """A parity bit in JSON data: the integer 0 or 1; a boolean is not one.
+
+    Raised as TypeError or ValueError for ``_malformed`` to report."""
+    if isinstance(bit, bool) or not isinstance(bit, int):
+        raise TypeError(f"parity bit must be the integer 0 or 1, got {bit!r}")
+    if bit not in (0, 1):
+        raise ValueError(f"parity bit must be the integer 0 or 1, got {bit!r}")
+    return bit
+
+
 def _shift(values, base, lineno):
     if base not in (0, 1):  # a text base is an integer already; this runs per row
         _base(base, lineno)
@@ -207,7 +218,7 @@ def sigma_from_json(obj: dict) -> SigmaMatrix:
         _expect_each_once([(i, j) for i, j, _ in pairs], k * (k - 1) // 2, "column pairs")
         upper = np.zeros((k + 1, k + 1), dtype=np.uint8)
         for i, j, bit in pairs:
-            upper[i, j] = bit & 1
+            upper[i, j] = _bit(bit)
     return SigmaMatrix.from_upper(k, nmod4, upper, n=n)
 
 
@@ -268,9 +279,10 @@ def tau_from_report(obj: dict) -> TauVector:
     with _malformed("parity report"):
         k, nmod4, n = _shape(obj)
         entries = [tuple(e) for e in obj["tau"]]
-        for c, i, j, _ in entries:
+        for c, i, j, bit in entries:
             if len({c, i, j}) != 3 or not all(1 <= x <= k for x in (c, i, j)):
                 raise FormatError(f"bad column triple ({c}, {i}, {j}) in tau data")
+            _bit(bit)
         _expect_each_once([(c, min(i, j), max(i, j)) for c, i, j, _ in entries],
                           k * (k - 1) * (k - 2) // 2, "tau components")
         return TauVector.from_entries(k, nmod4, entries, n=n)

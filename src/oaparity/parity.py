@@ -167,9 +167,11 @@ class TauVector:
     def from_entries(cls, k, nmod4, entries, n=None) -> "TauVector":
         bits = np.zeros((k + 1, k + 1, k + 1), dtype=np.uint8)
         for c, i, j, b in entries:
+            if b not in (0, 1):
+                raise OAError(f"tau bit must be 0 or 1, got {b!r}")
             if i > j:
                 i, j = j, i
-            bits[c, i, j] = b & 1
+            bits[c, i, j] = b
         return cls(k=k, nmod4=nmod4, bits=bits, n=n)
 
     def __eq__(self, other):

@@ -11,6 +11,9 @@ from oaparity.classes import (
     class_of_oa,
     enumerate_classes,
     orbit,
+    _class_labels,
+    _class_sizes_by_bfs,
+    _class_sizes_by_label,
     _distinct,
     _generators,
     _orbit_sorted,
@@ -256,6 +259,54 @@ def test_known_class_tables():
 def test_enumerate_rejects_large_k():
     with pytest.raises(OAError):
         enumerate_classes(9, 0)
+
+
+@pytest.mark.parametrize("k, nm", [(7.0, 0), (5, 1.0), (True, 0), (5, True), ("5", 0)])
+def test_enumerate_rejects_non_integer_arguments(k, nm):
+    with pytest.raises(OAError, match="must be an integer"):
+        enumerate_classes(k, nm)
+
+
+def test_enumerate_budget(monkeypatch, capsys):
+    from oaparity import cli
+
+    monkeypatch.setenv("OAPARITY_ORBIT_BUDGET_MB", "0")
+    for nm in (0, 3):
+        with pytest.raises(ResourceLimitError, match="memory budget"):
+            enumerate_classes(7, nm)
+        assert cli.main(["enumerate", "--k", "7", "--nmod4", str(nm)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "OAPARITY_ORBIT_BUDGET_MB" in err
+    # the k = 8 search's visited bitmap is 2^27 bytes, refused before it is
+    # allocated
+    monkeypatch.setenv("OAPARITY_ORBIT_BUDGET_MB", "127")
+    with pytest.raises(ResourceLimitError, match="memory budget"):
+        enumerate_classes(8, 1)
+
+
+def _space(k, nm):
+    return _generators(k, nm), 1 << (k * (k - 1) // 2 - 1)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_one_pass_sizes_match_per_class_bfs(k):
+    # both list the class sizes ordered by the classes' least words
+    for nm in range(4):
+        gens, total = _space(k, nm)
+        by_label = _class_sizes_by_label(gens, total, 1 << 30)
+        assert by_label.tolist() == _class_sizes_by_bfs(gens, total, 1 << 30).tolist()
+
+
+@pytest.mark.parametrize("k, nm", [(k, nm) for k in (5, 6, 7) for nm in range(4)])
+def test_class_labels_are_orbit_canonical_words(k, nm):
+    rng = random.Random(40 * k + nm)
+    gens, total = _space(k, nm)
+    labels = _class_labels(gens, total, 1 << 30)
+    for word in [0, total - 1] + [rng.getrandbits(total.bit_length() - 1) for _ in range(3)]:
+        summ = orbit(StandardSigma.from_word(k, nm, word))
+        root = int(labels[word])
+        assert root == summ.canonical.word
+        assert np.count_nonzero(labels == root) == summ.size
 
 
 def test_class_of_small_arrays():

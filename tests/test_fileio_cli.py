@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from oaparity.core import cyclic_square, mols_to_oa
+from oaparity.core import OAError, cyclic_square, mols_to_oa
 from oaparity.constructions import block_sigma, linear_mols
 from oaparity.parity import tau_parity
 from oaparity import cli, fileio
@@ -120,6 +120,14 @@ _BAD_ENTRIES = {
     "tau-column-out-of-range": (_REPORT_DOC, "tau", [9, 1, 2, 1], "bad column triple"),
     "tau-column-negative": (_REPORT_DOC, "tau", [-1, 1, 2, 1], "bad column triple"),
     "tau-column-repeated": (_REPORT_DOC, "tau", [1, 1, 2, 1], "bad column triple"),
+    # a parity bit is the JSON integer 0 or 1, not any value whose low bit is
+    "bit-2": (_SIGMA_DOC, "upper", [1, 2, 2], "parity bit must be the integer 0 or 1"),
+    "bit-3": (_SIGMA_DOC, "upper", [1, 2, 3], "parity bit must be the integer 0 or 1"),
+    "bit-true": (_SIGMA_DOC, "upper", [1, 2, True], "parity bit must be the integer 0 or 1"),
+    "tau-bit-2": (_REPORT_DOC, "tau", [1, 2, 3, 2], "parity bit must be the integer 0 or 1"),
+    "tau-bit-3": (_REPORT_DOC, "tau", [1, 2, 3, 3], "parity bit must be the integer 0 or 1"),
+    "tau-bit-true": (_REPORT_DOC, "tau", [1, 2, 3, True], "parity bit must be the integer 0 or 1"),
+    "tau-bit-negative": (_REPORT_DOC, "tau", [1, 2, 3, -1], "parity bit must be the integer 0 or 1"),
 }
 
 
@@ -129,6 +137,17 @@ def test_json_readers_check_every_entry(case):
     read = fileio.sigma_from_json if key == "upper" else fileio.tau_from_report
     with pytest.raises(fileio.FormatError, match=message):
         read(_with_entry(doc, key, 0, entry))
+
+
+def test_tau_from_entries_rejects_non_bits():
+    from oaparity.parity import TauVector
+
+    entries = [list(e) for e in tau_parity(zn_linear_oa(3)).entries()]
+    assert TauVector.from_entries(4, 3, entries) == tau_parity(zn_linear_oa(3))
+    for bit in (2, 3, -1):
+        entries[0][3] = bit
+        with pytest.raises(OAError, match="tau bit must be 0 or 1"):
+            TauVector.from_entries(4, 3, entries)
 
 
 def test_parity_report_of_implausible_vector():
@@ -419,6 +438,8 @@ def _with_base(doc: dict, base) -> dict:
         (json.dumps({"kind": "sigma", "nmod4": 0, "upper": []}), ["--tau"]),
         (json.dumps({**_SIGMA, "k": "x", "upper": []}), ["--tau"]),
         (json.dumps(_with_entry(_SIGMA_DOC, "upper", 0, [1, 2, 0.5])), ["--tau"]),
+        (json.dumps(_with_entry(_SIGMA_DOC, "upper", 0, [1, 2, 3])), ["--tau"]),
+        (json.dumps(_with_entry(_REPORT_DOC, "tau", 0, [1, 2, 3, True])), ["--tau"]),
         ("this is not JSON", ["--tau"]),
         (json.dumps(_with_entry(_REPORT_DOC, "tau", 0, [1, 2, 3])), ["--tau"]),
         (json.dumps(_with_entry(_REPORT_DOC, "tau", 0, [9, 1, 2, 1])), ["--tau"]),
@@ -435,8 +456,8 @@ def _with_base(doc: dict, base) -> dict:
         *[(json.dumps(_with_base(fileio.oa_to_json(zn_linear_oa(3), int(b)), b)), [])
           for b in _BAD_BASES],
     ],
-    ids=["short-pair", "missing-k", "non-int-k", "non-int-bit", "not-json",
-         "short-tau", "tau-column-out-of-range", "directory",
+    ids=["short-pair", "missing-k", "non-int-k", "non-int-bit", "bit-3", "tau-bit-true",
+         "not-json", "short-tau", "tau-column-out-of-range", "directory",
          "array-not-json", "array-without-rows", "huge-k-report", "huge-k-sigma",
          "float-k", "bool-k", "oa-symbol-40000", "oa-symbol-65536",
          "oa-json-symbol-65536", *[f"oa-json-base-{b!r}" for b in _BAD_BASES]],
