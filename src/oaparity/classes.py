@@ -20,20 +20,33 @@ representatives).
 
 Each generator is compiled to a few (shift, mask) groups: an adjacent
 transposition moves the bits of the pairs it relabels by one of a handful of
-constant distances.  A single orbit is a breadth-first search: each level
-applies every generator to the frontier and deduplicates the images by
-sorting them and dropping entries equal to their left neighbour.  Its
-visited set is a dense bitmap for k <= 7 and a sorted array of 64-bit words
-for k >= 8.
+constant distances, and a swap at {t} moves no bit, so it is x -> x ^ c_t
+for a constant c_t.
 
-Full enumeration of a space of at most 2^20 states (k <= 7) labels every
-state at once: each label starts as the state's own word and is lowered to
-the labels of its images under the generators, with pointer jumping, until
-a round lowers none; every class is then labelled by its least word, the
-canonical representative, and the class sizes are label counts.  At k = 8
-(2^27 states) one breadth-first search per class walks a visited bitmap,
-which is faster there and holds far less than the labels and the
-generators' images.
+For odd n the searches run on a quotient.  The k swap constants span a
+space V of dimension k - 1, and every column relabelling maps V onto
+itself, so each class is a union of cosets x ^ V of 2^(k-1) states each.
+Take a reduced echelon basis of V, each vector's pivot its top bit; a
+coset's least word is any member with its pivot bits cleared.  The searches
+visit these least words, moved by the k - 1 adjacent transpositions with
+every image reduced, and multiply class sizes by 2^(k-1); a class's least
+word is its least coset minimum.  For even n the quotient is the words
+themselves and its generators are the same transpositions.
+
+A single orbit is a breadth-first search over the quotient: each level
+applies every generator to the frontier and deduplicates the images by
+sorting them and dropping entries equal to their left neighbour, and a
+sorted array of 64-bit words holds the visited elements.
+
+Full enumeration of a quotient of at most 2^20 elements (k <= 7, and k = 8
+for odd n) labels every element at once, indexed by its least word with the
+pivot bits dropped: each label starts as the element's own index and is
+lowered to the labels of its images under the generators, with pointer
+jumping, until a round lowers none; every class is then labelled by its
+least word, the canonical representative, and the class sizes are label
+counts times the coset size.  The even k = 8 space (2^27 words) is walked
+one class at a time on a visited bitmap, which holds far less than the
+labels and the generators' images would.
 """
 
 from __future__ import annotations
@@ -55,12 +68,10 @@ from .parity import (
     standardise,
 )
 
-# largest state space a single orbit walks with a dense visited bitmap and
-# enumerate_classes labels in one pass (k <= 7); at k = 8 clearing and
-# touching the 128 MiB map costs more than the sorted search, which holds
-# only the orbit, and the one-pass labels take more time and memory than a
-# search per class
-_BITMAP_LIMIT = 1 << 20
+# largest quotient enumerate_classes labels in one pass (k <= 7, and k = 8
+# for odd n); over the 2^27 words of the even k = 8 space the labels take
+# more time and memory than a search per class
+_LABEL_LIMIT = 1 << 20
 _DEFAULT_BUDGET_MB = 2048
 _BUDGET_ENV = "OAPARITY_ORBIT_BUDGET_MB"
 
@@ -109,12 +120,12 @@ def act_swap(s: StandardSigma, cset) -> StandardSigma:
 
 
 # ---------------------------------------------------------------------------
-# compiled generators for breadth-first search
+# compiled generators and the quotient the searches walk
 
 
 @dataclass(frozen=True)
 class _Generator:
-    """One group generator as a bit rearrangement of packed states.
+    """One group generator (or a bare bit rearrangement) on packed states.
 
     out = the bits of each ``moves`` mask shifted by its shift (left when
     positive), ^ xmask, then complemented when bit d_src of the input (the
@@ -196,16 +207,93 @@ def _compile(k: int, nmod4: int, g: tuple, t: int = 0) -> _Generator:
     )
 
 
-def _generators(k: int, nmod4: int) -> list[_Generator]:
+def _rearrangement(pairs) -> _Generator:
+    """The bit rearrangement moving each (src, dst) pair's bit, and no other."""
+    return _Generator(moves=_shift_groups(pairs), xmask=0, d_src=-1, full=0)
+
+
+def _echelon(vectors) -> tuple:
+    """Reduced echelon basis of the span of ``vectors``, as (pivot, vector)
+    pairs with the highest pivot first: each pivot is its vector's top bit
+    and is clear in every other vector."""
+    rows: dict[int, int] = {}
+    for v in vectors:
+        for pivot, row in rows.items():
+            if v >> pivot & 1:
+                v ^= row
+        if v:
+            top = v.bit_length() - 1
+            for pivot, row in rows.items():
+                if row >> top & 1:
+                    rows[pivot] = row ^ v
+            rows[top] = v
+    return tuple(sorted(rows.items(), reverse=True))
+
+
+@dataclass(frozen=True)
+class _Quotient:
+    """The elements the class searches walk for one (k, n mod 4), and their moves.
+
+    For odd n an element is a coset x ^ V of the span V of the swap
+    constants, held as its least word; for even n ``basis`` is empty and an
+    element is a word.  ``gens`` are the compiled adjacent transpositions,
+    which map cosets to cosets; ``basis`` is V's reduced echelon basis.
+    """
+
+    k: int
+    gens: tuple
+    basis: tuple  # ((pivot, vector), ...), see _echelon
+    bits: int  # word width, C(k,2) - 1
+
+    @property
+    def coset_size(self) -> int:
+        return 1 << len(self.basis)
+
+    @property
+    def size(self) -> int:
+        """The number of elements (cosets for odd n, words for even n)."""
+        return 1 << (self.bits - len(self.basis))
+
+    def least(self, word: int) -> int:
+        """The least word of ``word``'s coset: its pivot bits cleared."""
+        for pivot, vector in self.basis:
+            if word >> pivot & 1:
+                word ^= vector
+        return word
+
+    def reduce(self, words: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        """``least`` of every word, in place; ``scratch`` is as large as
+        ``words``."""
+        word = words.dtype.type
+        for pivot, vector in self.basis:
+            np.right_shift(words, word(pivot), out=scratch)
+            scratch &= word(1)
+            scratch *= word(vector)
+            words ^= scratch
+        return words
+
+    def packing(self) -> tuple[_Generator, _Generator]:
+        """Rearrangements from least words to the indices 0..size-1 and
+        back: the pivot bits are dropped and the bits above each pivot move
+        down.  Packing keeps the order of least words."""
+        pivots = {pivot for pivot, _ in self.basis}
+        free = [v for v in range(self.bits) if v not in pivots]
+        return (_rearrangement((src, dst) for dst, src in enumerate(free)),
+                _rearrangement((dst, src) for dst, src in enumerate(free)))
+
+
+def _quotient(k: int, nmod4: int) -> _Quotient:
     identity = tuple(range(1, k + 1))
     gens = []
     for t in range(1, k):
         g = list(identity)
         g[t - 1], g[t] = g[t], g[t - 1]
         gens.append(_compile(k, nmod4, tuple(g)))
+    basis = ()
     if nmod4 % 2 == 1:
-        gens.extend(_compile(k, nmod4, identity, t) for t in range(1, k + 1))
-    return gens
+        # a swap at {t} moves no bit and reads no (1,2) entry: x -> x ^ xmask
+        basis = _echelon(_compile(k, nmod4, identity, t).xmask for t in range(1, k + 1))
+    return _Quotient(k=k, gens=tuple(gens), basis=basis, bits=k * (k - 1) // 2 - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +320,14 @@ def _budget_bytes() -> int:
     return int(raw) << 20
 
 
-def _images(frontier: np.ndarray, gens) -> np.ndarray:
-    """The images of every frontier word under every generator, in one array."""
+def _images(frontier: np.ndarray, quotient: _Quotient) -> np.ndarray:
+    """The reduced images of every frontier element under every generator,
+    in one array."""
     f = frontier.size
-    imgs = np.empty(len(gens) * f, dtype=np.uint64)
-    for i, g in enumerate(gens):
-        g.apply(frontier, out=imgs[i * f:(i + 1) * f])
+    imgs = np.empty(len(quotient.gens) * f, dtype=frontier.dtype)
+    scratch = np.empty_like(frontier)
+    for i, g in enumerate(quotient.gens):
+        quotient.reduce(g.apply(frontier, out=imgs[i * f:(i + 1) * f]), scratch)
     return imgs
 
 
@@ -262,43 +352,29 @@ def _check_budget(nbytes: int, budget: int, what: str = "orbit") -> None:
         )
 
 
-def _orbit_bitmap(seed: int, gens, visited: np.ndarray) -> tuple[int, int]:
-    """BFS one orbit on a dense visited map; returns (size, canonical word)."""
-    visited[seed] = True
-    frontier = np.array([seed], dtype=np.uint64)
-    size = 1
-    canonical = seed
-    while frontier.size:
-        imgs = _images(frontier, gens)
-        imgs = imgs[~visited[imgs]]
-        if imgs.size == 0:
-            break
-        imgs = _distinct(imgs)
-        visited[imgs] = True
-        size += imgs.size
-        canonical = min(canonical, int(imgs[0]))
-        frontier = imgs
-    return size, canonical
+def _orbit_sorted(seed: int, quotient: _Quotient, budget: int) -> tuple[int, int]:
+    """BFS one orbit of the quotient keeping a sorted array of visited
+    64-bit words; returns (elements visited, least word).
 
-
-def _orbit_sorted(seed: int, gens, budget: int) -> tuple[int, int]:
-    """BFS one orbit keeping a sorted array of visited 64-bit words.
-
-    The budget covers a level's image array (and the distinct copy taken
-    from it) next to the visited array, checked before the level is
-    expanded, and the merged visited array after it.
+    The budget covers a level's image array, the distinct copy taken from it
+    and the scratch of ``apply`` and ``reduce`` next to the visited array,
+    checked before the level is expanded, and the merged visited array
+    after it.
     """
+    gens = len(quotient.gens)
     visited = np.array([seed], dtype=np.uint64)
     frontier = visited
     while frontier.size:
-        _check_budget(visited.nbytes + 2 * len(gens) * frontier.nbytes, budget)
-        imgs = _distinct(_images(frontier, gens))
+        _check_budget(visited.nbytes + (2 * gens + 2) * frontier.nbytes, budget,
+                      f"orbit level of {gens * frontier.size} images")
+        imgs = _distinct(_images(frontier, quotient))
         pos = np.searchsorted(visited, imgs)
         pos[pos == len(visited)] = len(visited) - 1
         new = imgs[visited[pos] != imgs]
         if new.size == 0:
             break
-        _check_budget((visited.nbytes + new.nbytes) * 3, budget)
+        _check_budget((visited.nbytes + new.nbytes) * 3, budget,
+                      f"orbit of {visited.size + new.size} visited elements")
         # two sorted runs: the stable sort (timsort) merges them in linear time
         visited = np.sort(np.concatenate([visited, new]), kind="stable")
         frontier = new
@@ -308,18 +384,16 @@ def _orbit_sorted(seed: int, gens, budget: int) -> tuple[int, int]:
 def orbit(s: StandardSigma) -> OrbitSummary:
     """Size and canonical representative of the switching class of s.
 
+    The walk visits the class's cosets for odd n and its words for even n.
     The size is checked against the divisibility bound (k! for even n,
     k! * 2^(k-1) for odd n).
     """
     b = s.k * (s.k - 1) // 2 - 1
     if b > 63:
         raise OAError(f"orbit search packs states into 64-bit words (k <= 11, got k={s.k})")
-    gens = _generators(s.k, s.nmod4)
-    if (1 << b) <= _BITMAP_LIMIT:
-        visited = np.zeros(1 << b, dtype=bool)
-        size, canonical = _orbit_bitmap(s.word, gens, visited)
-    else:
-        size, canonical = _orbit_sorted(s.word, gens, _budget_bytes())
+    quotient = _quotient(s.k, s.nmod4)
+    cosets, canonical = _orbit_sorted(quotient.least(s.word), quotient, _budget_bytes())
+    size = cosets * quotient.coset_size
     bound = _orbit_bound(s.k, s.nmod4)
     if bound % size:
         raise OAError(f"orbit size {size} does not divide the group order {bound}")
@@ -364,36 +438,69 @@ def _next_unvisited(visited: np.ndarray, start: int, chunk: int = 1 << 16) -> in
     return total
 
 
-def _class_sizes_by_bfs(gens, total: int, budget: int) -> np.ndarray:
+def _orbit_bitmap(seed: int, quotient: _Quotient, visited: np.ndarray) -> int:
+    """BFS one orbit of a quotient of words on a dense visited map; returns
+    its size."""
+    visited[seed] = True
+    frontier = np.array([seed], dtype=np.uint64)
+    size = 1
+    while frontier.size:
+        imgs = _images(frontier, quotient)
+        imgs = imgs[~visited[imgs]]
+        if imgs.size == 0:
+            break
+        imgs = _distinct(imgs)
+        visited[imgs] = True
+        size += imgs.size
+        frontier = imgs
+    return size
+
+
+def _class_sizes_by_bfs(quotient: _Quotient, budget: int) -> np.ndarray:
     """Class sizes ordered by least word, one BFS per class on a visited
-    bitmap of ``total`` bytes."""
-    _check_budget(total, budget, f"enumeration ({total >> 20} MiB bitmap)")
+    bitmap of one byte per word; for a quotient of words (even n).
+
+    The budget covers the bitmap and a level's images with their filtered
+    copy: the transpositions generate a quotient of S_k, so no class, and
+    no level, holds more than k! words.
+    """
+    total = 1 << quotient.bits
+    images = 2 * len(quotient.gens) * math.factorial(quotient.k) * 8
+    _check_budget(total + images, budget,
+                  f"enumeration ({total >> 20} MiB bitmap and {images >> 20} MiB of images)")
     visited = np.zeros(total, dtype=bool)
     sizes = []
     seed = _next_unvisited(visited, 0)
     while seed < total:
-        sizes.append(_orbit_bitmap(seed, gens, visited)[0])
+        sizes.append(_orbit_bitmap(seed, quotient, visited))
         seed = _next_unvisited(visited, seed + 1)
     return np.array(sizes, dtype=np.int64)
 
 
-def _class_labels(gens, total: int, budget: int) -> np.ndarray:
-    """The least word of each state's class, for all ``total`` states.
+def _class_labels(quotient: _Quotient, budget: int) -> np.ndarray:
+    """The least packed index of each element's class, for every packed
+    index (see ``_Quotient.packing``).
 
-    Labels start as the states' own words.  A round lowers each label to the
-    label of its image under every generator, then pointer-jumps (label :=
-    label[label]) until that changes nothing.  Every label stays a word of
-    its state's class and never exceeds its own index, so no step raises a
-    label, a step that leaves the sum unchanged changed nothing, and after a
-    round that lowers no label each class is labelled by its least word.
-    The budget covers the generators' uint32 images, the labels, a gather
-    buffer and the scratch of ``apply``.
+    Labels start as the elements' own indices.  A round lowers each label to
+    the label of its image under every generator, then pointer-jumps (label
+    := label[label]) until that changes nothing.  Every label stays an
+    index of its element's class and never exceeds its own index, so no
+    step raises a label, a step that leaves the sum unchanged changed
+    nothing, and after a round that lowers no label each class is labelled
+    by its least index, the packed form of its least word.  The budget
+    covers the generators' uint32 images, the labels, a gather buffer, and
+    the unpacked words and the two arrays and scratch each image is computed
+    through.
     """
-    nbytes = (len(gens) + 3) * 4 * total
+    size = quotient.size
+    nbytes = (len(quotient.gens) + 5) * 4 * size
     _check_budget(nbytes, budget, f"enumeration ({nbytes >> 20} MiB of labels)")
-    label = np.arange(total, dtype=np.uint32)
-    images = [g.apply(label) for g in gens]
+    pack, unpack = quotient.packing()
+    label = np.arange(size, dtype=np.uint32)
+    words = unpack.apply(label)
     buf = np.empty_like(label)
+    images = [pack.apply(quotient.reduce(g.apply(words), buf)) for g in quotient.gens]
+    del words
     level = int(label.sum(dtype=np.uint64))
     while True:
         start = level
@@ -410,18 +517,18 @@ def _class_labels(gens, total: int, budget: int) -> np.ndarray:
             return label
 
 
-def _class_sizes_by_label(gens, total: int, budget: int) -> np.ndarray:
+def _class_sizes_by_label(quotient: _Quotient, budget: int) -> np.ndarray:
     """Class sizes ordered by least word, from one labelling pass."""
-    counts = np.bincount(_class_labels(gens, total, budget), minlength=total)
-    return counts[counts > 0]
+    counts = np.bincount(_class_labels(quotient, budget), minlength=quotient.size)
+    return counts[counts > 0] * quotient.coset_size
 
 
 def enumerate_classes(k: int, nmod4: int) -> ClassTable:
     """Partition all 2^(C(k,2)-1) states into switching classes, k <= 8.
 
-    Spaces of up to 2^20 states (k <= 7) are labelled in one pass, the k = 8
-    space by one BFS per class; either way the arrays must fit the memory
-    budget (``OAPARITY_ORBIT_BUDGET_MB``).
+    A quotient of up to 2^20 elements (k <= 7, and k = 8 for odd n) is
+    labelled in one pass, the even k = 8 space by one BFS per class; either
+    way the arrays must fit the memory budget (``OAPARITY_ORBIT_BUDGET_MB``).
     """
     for name, value in (("k", k), ("nmod4", nmod4)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -432,15 +539,15 @@ def enumerate_classes(k: int, nmod4: int) -> ClassTable:
             "use orbit() for individual states at larger k"
         )
     k, nmod4 = int(k), int(nmod4) % 4
-    gens = _generators(k, nmod4)
-    total = 1 << (k * (k - 1) // 2 - 1)
-    census = _class_sizes_by_label if total <= _BITMAP_LIMIT else _class_sizes_by_bfs
-    sizes, counts = np.unique(census(gens, total, _budget_bytes()), return_counts=True)
+    quotient = _quotient(k, nmod4)
+    census = _class_sizes_by_label if quotient.size <= _LABEL_LIMIT else _class_sizes_by_bfs
+    sizes, counts = np.unique(census(quotient, _budget_bytes()), return_counts=True)
     bound = _orbit_bound(k, nmod4)
     for size in sizes.tolist():
         if bound % size:
             raise OAError(f"orbit size {size} does not divide the group order {bound}")
     entries = tuple(zip(sizes.tolist(), counts.tolist()))
+    total = 1 << quotient.bits
     counted = sum(size * count for size, count in entries)
     if counted != total:
         raise OAError(f"orbit sizes account for {counted} of {total} states")

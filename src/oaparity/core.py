@@ -48,11 +48,6 @@ class UsageError(OAError):
 # permutations
 
 
-def is_permutation(images) -> bool:
-    seq = list(images)
-    return sorted(seq) == list(range(len(seq)))
-
-
 def permutation_parity(images) -> int:
     """Parity bit of a permutation given as the tuple of images of 0..n-1.
 

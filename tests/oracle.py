@@ -2,16 +2,20 @@
 
 The library counts cycles by pointer jumping, derives tau from k(k-2) of its
 components by additivity, derives sigma from tau, walks switching classes
-breadth-first on packed words with compiled generators, and searches with
-one iterative cell walk that keeps a running square parity, and takes the
-ensemble census, the four-column cap and the graph splits as whole-array
-passes.  These functions compute each quantity from its definition instead,
-with a parity kernel of their own (inversion counting), a set-based orbit
-search over the matrix-level actions, a recursive search, one frame per
-cell, that checks each completed column from its definition, and loops over
-column triples, quads and vertex pairs with per-entry lookups.  Apart from
-the search's visit order, which both sides must follow node for node, they
-share no algorithm with the code they check.
+breadth-first on cosets of the swaps (odd n) with compiled transpositions,
+and searches with one iterative cell walk that keeps a running square
+parity, and takes the ensemble census, the four-column cap and the graph
+splits as whole-array passes.  These functions compute each quantity from
+its definition instead, with a parity kernel of their own (inversion
+counting), a set-based orbit search over the matrix-level actions, a
+breadth-first search over every word of a class with every compiled
+generator, a recursive search, one frame per cell, that checks each
+completed column from its definition, and loops over column triples, quads
+and vertex pairs with per-entry lookups.  Apart from the search's visit
+order, which both sides must follow node for node, and the word-level walk,
+which shares the compiled generators (checked against the matrix-level
+actions) and a sorted visited array with the library and so checks only its
+quotient, they share no algorithm with the code they check.
 """
 
 import itertools
@@ -20,7 +24,7 @@ import random
 
 import numpy as np
 
-from oaparity.classes import act_permute, act_swap
+from oaparity.classes import _compile, _Quotient, _quotient, act_permute, act_swap
 from oaparity.core import LatinSquare, OAError
 from oaparity.parity import (
     SigmaMatrix,
@@ -130,6 +134,39 @@ def orbit_by_actions(state: StandardSigma) -> tuple[int, int]:
                     nxt.append(image)
         frontier = nxt
     return len(seen), min(seen)
+
+
+def word_generators(k: int, nmod4: int) -> list:
+    """Every compiled generator on words: the k - 1 adjacent transpositions,
+    then for odd n the k singleton swaps."""
+    gens = list(_quotient(k, nmod4).gens)
+    if nmod4 % 2:
+        identity = tuple(range(1, k + 1))
+        gens.extend(_compile(k, nmod4, identity, t) for t in range(1, k + 1))
+    return gens
+
+
+def word_quotient(k: int, nmod4: int) -> _Quotient:
+    """The whole word space under every compiled generator, with no cosets
+    taken, for the library's census code."""
+    return _Quotient(k=k, gens=tuple(word_generators(k, nmod4)), basis=(),
+                     bits=k * (k - 1) // 2 - 1)
+
+
+def orbit_by_words(state: StandardSigma) -> tuple[int, int]:
+    """Size and smallest word of the switching class of ``state``, by a
+    breadth-first search over every word of the class with all 2k - 1
+    compiled generators for odd n."""
+    gens = word_generators(state.k, state.nmod4)
+    visited = np.array([state.word], dtype=np.uint64)
+    frontier = visited
+    while frontier.size:
+        imgs = np.sort(np.concatenate([g.apply(frontier) for g in gens]))
+        imgs = imgs[np.append(True, imgs[1:] != imgs[:-1])]
+        pos = np.minimum(np.searchsorted(visited, imgs), visited.size - 1)
+        frontier = imgs[visited[pos] != imgs]
+        visited = np.sort(np.concatenate([visited, frontier]), kind="stable")
+    return int(visited.size), int(visited[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from oaparity.classes import (
     _class_labels,
     _class_sizes_by_bfs,
     _class_sizes_by_label,
+    _compile,
     _distinct,
-    _generators,
-    _orbit_sorted,
+    _quotient,
 )
 from oaparity.core import OAError, ResourceLimitError, cyclic_square, mols_to_oa
 from oaparity.parity import (
@@ -29,7 +30,7 @@ from oaparity.parity import (
 from oaparity.constructions import linear_mols
 
 from conftest import zn_linear_oa
-from oracle import orbit_by_actions
+from oracle import orbit_by_actions, orbit_by_words, word_generators, word_quotient
 
 # class counts and distinct sizes for k = 3..7; multiplicities were frozen
 # from the first verified enumeration run (their sums match the state-space
@@ -186,7 +187,7 @@ def test_swap_rejected_for_even_n():
 
 
 def _reference_ops(k, nm):
-    """The matrix-level actions of the generators, in _generators order."""
+    """The matrix-level actions of the generators, in word_generators order."""
     ops = []
     for t in range(1, k):
         g = list(range(1, k + 1))
@@ -200,7 +201,7 @@ def _reference_ops(k, nm):
 def test_compiled_generators_match_reference():
     # the packed-word fast path must agree with the matrix-level actions
     for k, nm in ((4, 2), (4, 1), (5, 0), (5, 3)):
-        gens = _generators(k, nm)
+        gens = word_generators(k, nm)
         ops = _reference_ops(k, nm)
         assert len(gens) == len(ops)
         b = k * (k - 1) // 2 - 1
@@ -222,7 +223,7 @@ def test_compiled_generators_match_reference_sampled(k, nm):
     b = k * (k - 1) // 2 - 1
     words = [0, (1 << b) - 1, 1 << (b - 1)] + [rng.getrandbits(b) for _ in range(197)]
     arr = np.array(words, dtype=np.uint64)
-    gens = _generators(k, nm)
+    gens = word_generators(k, nm)
     ops = _reference_ops(k, nm)
     assert len(gens) == len(ops)
     for gen, op in zip(gens, ops):
@@ -277,36 +278,95 @@ def test_enumerate_budget(monkeypatch, capsys):
         assert cli.main(["enumerate", "--k", "7", "--nmod4", str(nm)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "OAPARITY_ORBIT_BUDGET_MB" in err
-    # the k = 8 search's visited bitmap is 2^27 bytes, refused before it is
-    # allocated
+    # the even k = 8 search's visited bitmap is 2^27 bytes, refused before
+    # it is allocated
     monkeypatch.setenv("OAPARITY_ORBIT_BUDGET_MB", "127")
     with pytest.raises(ResourceLimitError, match="memory budget"):
+        enumerate_classes(8, 0)
+    # the odd k = 8 census labels 2^20 cosets: 7 generator images, the
+    # labels and 5 working arrays of uint32 take 48 MiB
+    monkeypatch.setenv("OAPARITY_ORBIT_BUDGET_MB", "47")
+    with pytest.raises(ResourceLimitError, match="MiB of labels"):
         enumerate_classes(8, 1)
 
 
-def _space(k, nm):
-    return _generators(k, nm), 1 << (k * (k - 1) // 2 - 1)
+@pytest.mark.parametrize("nm", [0, 2])
+def test_even_k8_census_budget_counts_the_level_images(monkeypatch, nm):
+    # above the 128 MiB bitmap, below it plus a level's images and their
+    # filtered copy (7 images of each of at most 8! words of a class)
+    monkeypatch.setenv("OAPARITY_ORBIT_BUDGET_MB", "130")
+    assert 1 << 27 < 130 << 20 < (1 << 27) + 2 * 7 * math.factorial(8) * 8
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="MiB of images"):
+            enumerate_classes(8, nm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # refused before the bitmap is allocated
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_one_pass_sizes_match_per_class_bfs(k):
-    # both list the class sizes ordered by the classes' least words
+    # both list the class sizes ordered by the classes' least words; the
+    # search walks every word with every generator
     for nm in range(4):
-        gens, total = _space(k, nm)
-        by_label = _class_sizes_by_label(gens, total, 1 << 30)
-        assert by_label.tolist() == _class_sizes_by_bfs(gens, total, 1 << 30).tolist()
+        by_label = _class_sizes_by_label(_quotient(k, nm), 1 << 30)
+        by_bfs = _class_sizes_by_bfs(word_quotient(k, nm), 1 << 30)
+        assert by_label.tolist() == by_bfs.tolist()
 
 
-@pytest.mark.parametrize("k, nm", [(k, nm) for k in (5, 6, 7) for nm in range(4)])
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_coset_census_matches_word_labels(k):
+    # labelling cosets with the transpositions gives the sizes, in order,
+    # of labelling every word with all 2k - 1 generators
+    for nm in range(4):
+        cosets = _class_sizes_by_label(_quotient(k, nm), 1 << 30)
+        words = _class_sizes_by_label(word_quotient(k, nm), 1 << 30)
+        assert cosets.tolist() == words.tolist()
+
+
+@pytest.mark.parametrize("k, nm", [(k, nm) for k in (5, 6, 7, 8) for nm in range(4)
+                                   if k < 8 or nm % 2])
 def test_class_labels_are_orbit_canonical_words(k, nm):
     rng = random.Random(40 * k + nm)
-    gens, total = _space(k, nm)
-    labels = _class_labels(gens, total, 1 << 30)
-    for word in [0, total - 1] + [rng.getrandbits(total.bit_length() - 1) for _ in range(3)]:
+    quotient = _quotient(k, nm)
+    pack, unpack = quotient.packing()
+    labels = _class_labels(quotient, 1 << 30)
+    top = (1 << quotient.bits) - 1
+    for word in [0, top] + [rng.getrandbits(quotient.bits) for _ in range(3)]:
         summ = orbit(StandardSigma.from_word(k, nm, word))
-        root = int(labels[word])
-        assert root == summ.canonical.word
-        assert np.count_nonzero(labels == root) == summ.size
+        root = labels[pack.apply(np.array([quotient.least(word)], dtype=np.uint32))[0]]
+        assert int(unpack.apply(np.array([root], dtype=np.uint32))[0]) == summ.canonical.word
+        assert np.count_nonzero(labels == root) * quotient.coset_size == summ.size
+
+
+@pytest.mark.parametrize("k", range(3, 12))
+def test_swaps_span_a_space_the_transpositions_keep(k):
+    b = k * (k - 1) // 2 - 1
+    full = (1 << b) - 1
+    identity = tuple(range(1, k + 1))
+    for nm in (1, 3):
+        swaps = [_compile(k, nm, identity, t) for t in range(1, k + 1)]
+        # each swap is a translation x -> x ^ c_t
+        for swap in swaps:
+            assert swap.moves == ((0, full),) and swap.d_src == -1
+        quotient = _quotient(k, nm)
+        assert len(quotient.basis) == k - 1
+        assert quotient.coset_size * quotient.size == 1 << b
+        # reduced echelon: each pivot is its vector's top bit, clear in the
+        # others, and the basis spans exactly the swap constants
+        for pivot, vector in quotient.basis:
+            assert vector.bit_length() - 1 == pivot
+            assert all(other >> pivot & 1 == 0 for p, other in quotient.basis if p != pivot)
+        assert all(quotient.least(swap.xmask) == 0 for swap in swaps)
+        # each transposition is affine, x -> L x ^ g(0), and L maps V into V
+        for g in quotient.gens:
+            zero = int(g.apply(np.zeros(1, dtype=np.uint64))[0])
+            vectors = np.array([v for _, v in quotient.basis], dtype=np.uint64)
+            for image in g.apply(vectors).tolist():
+                assert quotient.least(image ^ zero) == 0
 
 
 def test_class_of_small_arrays():
@@ -333,14 +393,26 @@ def test_orbit_budget_raises(monkeypatch):
 
 
 def test_orbit_budget_counts_the_level_images(monkeypatch):
-    # the q=9 class keeps 1 290 240 visited words (31 MB with the merge
-    # copies), but its widest level has 19 images of each of ~320 000
-    # frontier words (49 MB), plus the sorted copy
-    monkeypatch.setenv("OAPARITY_ORBIT_BUDGET_MB", "64")
-    assert 3 * 1290240 * 8 < 64 << 20
-    big = sigma_from_tau(tau_parity(linear_mols(9)))
-    with pytest.raises(ResourceLimitError):
-        orbit(big)
+    # an even-n k = 9 class of 9! words keeps 2.8 MiB of visited words, but
+    # at 5 MiB the walk is refused at a level whose 8 images of each of
+    # 28 675 frontier words, with their sorted copy, do not fit (all merges
+    # before it fit)
+    s = random_state(9, 0, random.Random(90))
+    assert orbit(s).size == math.factorial(9)
+    monkeypatch.setenv("OAPARITY_ORBIT_BUDGET_MB", "5")
+    assert math.factorial(9) * 8 < 5 << 20
+    with pytest.raises(ResourceLimitError, match="images"):
+        orbit(s)
+
+
+def test_odd_orbit_budget(monkeypatch):
+    # an odd-n k = 9 class of 181 440 cosets of 2^8 states: its least words
+    # alone take 1.4 MiB
+    s = random_state(9, 1, random.Random(91))
+    assert orbit(s).size == 181440 << 8
+    monkeypatch.setenv("OAPARITY_ORBIT_BUDGET_MB", "1")
+    with pytest.raises(ResourceLimitError, match="memory budget"):
+        orbit(s)
 
 
 def test_orbit_budget_must_be_a_whole_number(monkeypatch, tmp_path, capsys):
@@ -377,14 +449,20 @@ def test_orbit_of_each_small_word_matches_enumeration():
 
 def _assert_orbit_matches_oracle(k, nm, count, seed):
     rng = random.Random(seed)
-    gens = _generators(k, nm)
     for _ in range(count):
         s = random_state(k, nm, rng)
         size, canonical = orbit_by_actions(s)
         summ = orbit(s)
         assert (summ.size, summ.canonical.word) == (size, canonical)
-        # the sorted-array path, which orbit() takes only for k >= 8
-        assert _orbit_sorted(s.word, gens, 1 << 30) == (size, canonical)
+
+
+@pytest.mark.parametrize("k, nm", [(k, nm) for k in (5, 6, 7, 8) for nm in (1, 3)])
+def test_coset_orbit_matches_word_bfs(k, nm):
+    rng = random.Random(300 * k + nm)
+    for _ in range(3 if k < 8 else 1):
+        s = random_state(k, nm, rng)
+        summ = orbit(s)
+        assert (summ.size, summ.canonical.word) == orbit_by_words(s)
 
 
 @pytest.mark.parametrize("k, nm", [(k, nm) for k in (4, 5, 6) for nm in range(4)]
