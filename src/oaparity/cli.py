@@ -37,7 +37,7 @@ def _write_output(args, text: str) -> None:
 
 
 def _load_oa(path):
-    return fileio.parse_oa(Path(path).read_text())
+    return fileio.parse_oa(fileio.read_text(path))
 
 
 def _load_tau_source(args):

@@ -339,6 +339,37 @@ def cyclic_square(n: int) -> LatinSquare:
 # orthogonal arrays
 
 
+def _check_orthogonal(arr: np.ndarray, n: int) -> None:
+    """Raise OrthogonalityError unless every column pair of ``arr`` holds each
+    ordered symbol pair once.
+
+    One ``bincount`` per column i covers its pairs with every later column j:
+    pair (i, j) has codes a_i * n + a_j, offset into the (j - i - 1)-th block
+    of n^2.  The error names the first failing pair (i, j) in lexicographic
+    order and its least repeated symbol pair.  Codes stay below k * n^2, so
+    int32 holds them up to 2^31.
+    """
+    k = arr.shape[1]
+    nn = n * n
+    dtype = np.int32 if k * nn < 2**31 else np.int64
+    cols = arr.T.astype(dtype)
+    # column j plus the start j * n^2 of its block; column i's codes subtract
+    # (i + 1) * n^2 so that its first later column lands in block 0
+    placed = cols + np.arange(0, k * nn, nn, dtype=dtype)[:, None]
+    for i in range(k - 1):
+        codes = placed[i + 1:] + (cols[i] * n - (i + 1) * nn)
+        counts = np.bincount(codes.ravel(), minlength=(k - 1 - i) * nn)
+        if counts.max() > 1:
+            block, code = divmod(int(np.argmax(counts > 1)), nn)
+            pair = (i + 1, i + 2 + block)
+            raise OrthogonalityError(
+                f"columns {pair[0]} and {pair[1]} repeat the ordered pair "
+                f"({code // n}, {code % n})",
+                pair=pair,
+                repeated=(code // n, code % n),
+            )
+
+
 class OrthogonalArray:
     """An OA(k, n): n^2 rows of k symbols, every column pair orthogonal.
 
@@ -360,18 +391,7 @@ class OrthogonalArray:
             raise OAError(f"need 3 <= k <= n+1, got k={k}, n={n}")
         arr = _narrow_symbols(arr, n)
         arr = arr[np.lexsort(arr.T[::-1])]
-        for i in range(1, k + 1):
-            for j in range(i + 1, k + 1):
-                codes = arr[:, i - 1].astype(np.int64) * n + arr[:, j - 1]
-                counts = np.bincount(codes, minlength=n * n)
-                if counts.max() > 1:
-                    code = int(np.argmax(counts > 1))
-                    raise OrthogonalityError(
-                        f"columns {i} and {j} repeat the ordered pair "
-                        f"({code // n}, {code % n})",
-                        pair=(i, j),
-                        repeated=(code // n, code % n),
-                    )
+        _check_orthogonal(arr, n)
         arr.setflags(write=False)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "n", n)
@@ -409,23 +429,21 @@ def mols_to_oa(squares) -> OrthogonalArray:
     n = squares[0].n
     if any(s.n != n for s in squares):
         raise OAError("squares must share one order")
-    for a in range(len(squares)):
-        for b in range(a + 1, len(squares)):
-            codes = squares[a].cells.astype(np.int64) * n + squares[b].cells
-            counts = np.bincount(codes.ravel(), minlength=n * n)
-            if counts.max() > 1:
-                code = int(np.argmax(counts > 1))
-                raise OrthogonalityError(
-                    f"squares {a + 1} and {b + 1} are not orthogonal: pair "
-                    f"({code // n}, {code % n}) repeats",
-                    pair=(a + 1, b + 1),
-                    repeated=(code // n, code % n),
-                )
     idx = np.arange(n, dtype=np.int16)
     grid_r = np.repeat(idx, n)
     grid_c = np.tile(idx, n)
     cols = [grid_r, grid_c] + [s.cells.ravel() for s in squares]
-    return OrthogonalArray(np.column_stack(cols))
+    try:
+        return OrthogonalArray(np.column_stack(cols))
+    except OrthogonalityError as exc:
+        # rows and columns are Latin, so the first failing pair is two squares
+        a, b = exc.pair[0] - 2, exc.pair[1] - 2
+        u, v = exc.repeated
+        raise OrthogonalityError(
+            f"squares {a} and {b} are not orthogonal: pair ({u}, {v}) repeats",
+            pair=(a, b),
+            repeated=(u, v),
+        ) from None
 
 
 def oa_to_mols(a: OrthogonalArray) -> list[LatinSquare]:

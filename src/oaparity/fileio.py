@@ -1,7 +1,8 @@
 """File formats: arrays, squares, sigma data, parity reports, catalogues.
 
-Text formats (whitespace-separated integers, ``base`` is 0 or 1 and shifts
-symbols on input/output):
+Text formats (whitespace-separated ASCII decimal integers that fit int64,
+blank lines and whole-line ``#`` comments skipped; ``base`` is 0 or 1 and
+shifts symbols on input/output):
 
     OA k n base          LS n base            MOLSSET label n count base
     <n^2 rows of k>      <n rows of n>        <count squares, n rows each>
@@ -26,6 +27,7 @@ from .parity import (
     TauVector,
     check_plausible,
     sigma_from_tau,
+    sigma_parity,
     tau_from_sigma,
     tau_parity,
 )
@@ -50,18 +52,66 @@ def _malformed(what: str):
         raise FormatError(f"malformed {what}: {type(exc).__name__}: {exc}") from None
 
 
-def _tokens(text: str):
+def read_text(path) -> str:
+    """The text of the file at ``path``; bytes that are not UTF-8 raise
+    FormatError.  OSError (a missing file, a directory) passes through."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
+def _lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
-            yield lineno, line.split()
+            yield lineno, line
 
 
-def _parse_ints(fields, lineno):
-    try:
-        return [int(f) for f in fields]
-    except ValueError:
-        raise FormatError(f"expected integers, got {fields!r}", lineno) from None
+def _loadtxt(lines: list[str]) -> np.ndarray:
+    """Whitespace-separated integers, one table row per line, in one C-level
+    pass; ValueError for ragged rows or a token that is not an ASCII decimal
+    integer fitting int64.
+
+    Callers pass ASCII lines only: numpy's text reader can crash the process
+    on characters outside the Basic Multilingual Plane.
+    """
+    return np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None)
+
+
+def _parse_ints(fields, lineno) -> list[int]:
+    """Header or row fields as integers, by the token rule of ``_loadtxt``."""
+    line = " ".join(fields)
+    if line.isascii():
+        try:
+            return _loadtxt([line])[0].tolist()
+        except ValueError:
+            pass
+    raise FormatError(f"expected integers, got {fields!r}", lineno)
+
+
+def _read_rows(lines: list, width: int, base: int) -> np.ndarray:
+    """The data ``lines``, (lineno, line) pairs, as an int64 table of
+    ``width`` columns less ``base``; no lines give an empty 1-d array.
+
+    A valid table is read in one pass.  Otherwise the lines are walked in
+    order and the first bad one raises FormatError with its line number.
+    """
+    body = [line for _, line in lines]
+    if body and all(map(str.isascii, body)):
+        try:
+            table = _loadtxt(body)
+        except ValueError:
+            table = None
+        if table is not None and table.shape[1] == width:
+            return table - base
+    rows = []
+    for lineno, line in lines:
+        fields = line.split()
+        if len(fields) != width:
+            raise FormatError(f"expected {width} symbols per row", lineno)
+        rows.append(_parse_ints(fields, lineno))
+    return np.array(rows, dtype=np.int64) - base
 
 
 def _base(base, lineno=None) -> int:
@@ -82,12 +132,6 @@ def _bit(bit) -> int:
     return bit
 
 
-def _shift(values, base, lineno):
-    if base not in (0, 1):  # a text base is an integer already; this runs per row
-        _base(base, lineno)
-    return [v - base for v in values]
-
-
 # ---------------------------------------------------------------------------
 # orthogonal arrays
 
@@ -96,19 +140,14 @@ def parse_oa(text: str) -> OrthogonalArray:
     if text.lstrip().startswith("{"):
         with _malformed("array JSON"):
             return oa_from_json(json.loads(text))
-    lines = _tokens(text)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise FormatError("empty file", 1) from None
+    lines = list(_lines(text))
+    if not lines:
+        raise FormatError("empty file", 1)
+    lineno, header = lines[0][0], lines[0][1].split()
     if len(header) != 4 or header[0] != "OA":
         raise FormatError("header must be 'OA k n base'", lineno)
     k, n, base = _parse_ints(header[1:], lineno)
-    rows = []
-    for lineno, fields in lines:
-        if len(fields) != k:
-            raise FormatError(f"expected {k} symbols per row", lineno)
-        rows.append(_shift(_parse_ints(fields, lineno), base, lineno))
+    rows = _read_rows(lines[1:], k, _base(base, lineno))
     if len(rows) != n * n:
         raise FormatError(f"expected {n * n} rows, got {len(rows)}")
     a = OrthogonalArray(rows)
@@ -149,19 +188,14 @@ def parse_square(text: str) -> LatinSquare:
     if text.lstrip().startswith("{"):
         with _malformed("square JSON"):
             return square_from_json(json.loads(text))
-    lines = _tokens(text)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise FormatError("empty file", 1) from None
+    lines = list(_lines(text))
+    if not lines:
+        raise FormatError("empty file", 1)
+    lineno, header = lines[0][0], lines[0][1].split()
     if len(header) != 3 or header[0] != "LS":
         raise FormatError("header must be 'LS n base'", lineno)
     n, base = _parse_ints(header[1:], lineno)
-    cells = []
-    for lineno, fields in lines:
-        if len(fields) != n:
-            raise FormatError(f"expected {n} symbols per row", lineno)
-        cells.append(_shift(_parse_ints(fields, lineno), base, lineno))
+    cells = _read_rows(lines[1:], n, _base(base, lineno))
     if len(cells) != n:
         raise FormatError(f"expected {n} rows, got {len(cells)}")
     return LatinSquare(cells)
@@ -199,7 +233,7 @@ def sigma_to_json(s: SigmaMatrix, seed: int | None = None) -> dict:
         "k": s.k,
         "nmod4": s.nmod4,
         "n": s.n,
-        "upper": [list(p) for p in s.pairs()],
+        "upper": s.pairs(),
     }
     if seed is not None:
         obj["seed"] = seed
@@ -257,18 +291,20 @@ def _expect_each_once(keys: list, count: int, what: str) -> None:
 def parity_report(source: OrthogonalArray | TauVector) -> dict:
     """The canonical JSON report: tau entries, standardised sigma pairs,
     plausibility flags."""
-    tau = tau_parity(source) if isinstance(source, OrthogonalArray) else source
+    is_array = isinstance(source, OrthogonalArray)
+    tau = tau_parity(source) if is_array else source
     rep = check_plausible(tau)
     obj = {
         "k": tau.k,
         "n": tau.n,
         "nmod4": tau.nmod4,
-        "tau": [list(e) for e in tau.entries()],
+        "tau": tau.entries(),
         "plausible": rep.plausible,
         "pp_plausible": rep.pp_plausible,
     }
     if rep.plausible:
-        obj["sigma_standard"] = [list(p) for p in sigma_from_tau(tau).pairs()]
+        sigma = sigma_parity(source) if is_array else sigma_from_tau(tau)
+        obj["sigma_standard"] = sigma.pairs()
     else:
         obj["sigma_standard"] = None
         obj["violations"] = [[kind, list(w)] for kind, w in rep.violations]
@@ -290,8 +326,9 @@ def tau_from_report(obj: dict) -> TauVector:
 
 def load_tau(path) -> TauVector:
     """Read a tau vector from a parity report or a sigma JSON file."""
+    text = read_text(path)
     with _malformed("JSON file"):
-        obj = json.loads(Path(path).read_text())
+        obj = json.loads(text)
     if not isinstance(obj, dict):
         raise FormatError("file holds neither sigma data nor a parity report")
     if obj.get("kind") == "sigma":
@@ -323,28 +360,24 @@ class CatalogueEntry:
 
 def parse_catalogue(text: str, provenance: str = "<memory>") -> list[CatalogueEntry]:
     entries = []
-    lines = list(_tokens(text))
+    lines = list(_lines(text))
     pos = 0
     while pos < len(lines):
-        lineno, fields = lines[pos]
+        lineno, fields = lines[pos][0], lines[pos][1].split()
         if fields[0] != "MOLSSET" or len(fields) != 5:
             raise FormatError("expected 'MOLSSET label n count base'", lineno)
         label = fields[1]
         n, count, base = _parse_ints(fields[2:], lineno)
-        pos += 1
+        if n < 1 or count < 1:
+            raise FormatError(f"set {label!r}: need n >= 1 and count >= 1", lineno)
+        body = lines[pos + 1:pos + 1 + count * n]
+        table = _read_rows(body, n, _base(base, lineno))
+        pos += 1 + len(body)
         squares = []
         for s in range(count):
-            cells = []
-            for r in range(n):
-                if pos >= len(lines):
-                    raise FormatError(
-                        f"set {label!r}: file ended inside square {s + 1}", lineno
-                    )
-                rowline, row = lines[pos]
-                if len(row) != n:
-                    raise FormatError(f"expected {n} symbols per row", rowline)
-                cells.append(_shift(_parse_ints(row, rowline), base, rowline))
-                pos += 1
+            cells = table[s * n:(s + 1) * n]
+            if len(cells) < n:
+                raise FormatError(f"set {label!r}: file ended inside square {s + 1}", lineno)
             try:
                 squares.append(LatinSquare(cells))
             except OAError as exc:
@@ -360,7 +393,7 @@ def parse_catalogue(text: str, provenance: str = "<memory>") -> list[CatalogueEn
 def ingest_catalogue(path) -> list[CatalogueEntry]:
     """Parse and validate a catalogue file of MOLS sets."""
     p = Path(path)
-    return parse_catalogue(p.read_text(), provenance=str(p))
+    return parse_catalogue(read_text(p), provenance=str(p))
 
 
 def format_catalogue_entry(label: str, squares, base: int = 0) -> str:

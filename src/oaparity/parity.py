@@ -158,10 +158,10 @@ class TauVector:
             raise OAError("columns must be given in increasing order")
         return f"{self.get(c1, c2, c3)}{self.get(c2, c1, c3)}{self.get(c3, c1, c2)}"
 
-    def entries(self) -> list[tuple[int, int, int, int]]:
-        """Canonical (c, i, j, bit) list over i < j, in lexicographic order."""
+    def entries(self) -> list[list[int]]:
+        """Canonical [c, i, j, bit] rows over i < j, in lexicographic order."""
         c, i, j = np.nonzero(_canonical_mask(self.k))
-        return list(zip(c.tolist(), i.tolist(), j.tolist(), self.bits[c, i, j].tolist()))
+        return np.column_stack((c, i, j, self.bits[c, i, j])).tolist()
 
     @classmethod
     def from_entries(cls, k, nmod4, entries, n=None) -> "TauVector":
@@ -243,13 +243,11 @@ class SigmaMatrix:
             raise OAError(f"invalid column pair ({i}, {j})")
         return int(self.m[i, j])
 
-    def pairs(self) -> list[tuple[int, int, int]]:
-        """[i, j, bit] for 1 <= i < j <= k."""
-        return [
-            (i, j, int(self.m[i, j]))
-            for i in range(1, self.k + 1)
-            for j in range(i + 1, self.k + 1)
-        ]
+    def pairs(self) -> list[list[int]]:
+        """[i, j, bit] rows for 1 <= i < j <= k, in lexicographic order."""
+        i, j = np.triu_indices(self.k + 1, 1)
+        i, j = i[self.k:], j[self.k:]  # the first k pairs are in the unused row 0
+        return np.column_stack((i, j, self.m[i, j])).tolist()
 
     def row_sums(self) -> tuple[int, ...]:
         """Out-degrees mu_c of the sigma-graph, c = 1..k."""

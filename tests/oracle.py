@@ -5,13 +5,14 @@ components by additivity, derives sigma from tau, walks switching classes
 breadth-first on cosets of the swaps (odd n) with compiled transpositions,
 and searches with one iterative cell walk that keeps a running square
 parity, and takes the ensemble census, the four-column cap and the graph
-splits as whole-array passes.  These functions compute each quantity from
+splits as whole-array passes, and checks orthogonality with one bincount
+per column over its pairs with all later columns.  These functions compute each quantity from
 its definition instead, with a parity kernel of their own (inversion
 counting), a set-based orbit search over the matrix-level actions, a
 breadth-first search over every word of a class with every compiled
 generator, a recursive search, one frame per cell, that checks each
-completed column from its definition, and loops over column triples, quads
-and vertex pairs with per-entry lookups.  Apart from the search's visit
+completed column from its definition, loops over column triples, quads
+and vertex pairs with per-entry lookups, and one bincount per column pair.  Apart from the search's visit
 order, which both sides must follow node for node, and the word-level walk,
 which shares the compiled generators (checked against the matrix-level
 actions) and a sorted visited array with the library and so checks only its
@@ -416,3 +417,23 @@ def stack_parts(t: TauVector) -> tuple[tuple, tuple]:
                     f"stack is not a union of two cliques (offending pair ({i}, {j}))"
                 )
     return c1, c2
+
+
+# ---------------------------------------------------------------------------
+# orthogonality, one column pair at a time
+
+
+def orthogonality_violation(rows, n: int):
+    """The first column pair (i, j), 1-based in lexicographic order, that
+    repeats an ordered symbol pair, with its least repeated symbol pair, as
+    ((i, j), (u, v)); None when every pair of columns is orthogonal."""
+    rows = np.asarray(rows)
+    k = rows.shape[1]
+    for i in range(1, k + 1):
+        for j in range(i + 1, k + 1):
+            codes = rows[:, i - 1].astype(np.int64) * n + rows[:, j - 1]
+            counts = np.bincount(codes, minlength=n * n)
+            if counts.max() > 1:
+                code = int(np.argmax(counts > 1))
+                return (i, j), (code // n, code % n)
+    return None

@@ -1,8 +1,9 @@
-"""The library API the benchmark's parity-space workload calls.
+"""The library API the benchmark's workloads call.
 
 perfbench/ builds and checks its jobs through the library's public names, so
-a change to one of them breaks the benchmark; this test runs one round's
-orbit and class jobs, read-only from perfbench/, so the break shows here.
+a change to one of them breaks the benchmark; these tests run one round's
+parity-space orbit and class jobs and every arrays job, read-only from
+perfbench/, so the break shows here.
 """
 
 import importlib
@@ -16,20 +17,35 @@ from oaparity import classes, cli, constructions, core, ensemble, fileio, graphs
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_parity_space_orbit_and_class_jobs(monkeypatch, tmp_path):
+LIB = types.SimpleNamespace(
+    oaparity=oaparity, classes=classes, cli=cli, constructions=constructions, core=core,
+    ensemble=ensemble, fileio=fileio, graphs=graphs, parity=parity, search=search)
+
+
+def _one_round(monkeypatch, tmp_path, workload: str):
+    """The jobs of one round of ``workload``, built by its setup, and the
+    benchmark's untraced tracer."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     harness = importlib.import_module("harness")
-    wl_space = importlib.import_module("wl_space")
-    lib = types.SimpleNamespace(
-        oaparity=oaparity, classes=classes, cli=cli, constructions=constructions, core=core,
-        ensemble=ensemble, fileio=fileio, graphs=graphs, parity=parity, search=search)
+    module = importlib.import_module({"parity-space": "wl_space", "arrays": "wl_arrays"}[workload])
 
     def rng_for(r, slot):
-        return random.Random(f"parity-space:0:{r}:{slot}")
+        return random.Random(f"{workload}:0:{r}:{slot}")
 
-    (jobs,) = wl_space.setup(lib, rng_for, 1, tmp_path)
+    (jobs,) = module.setup(LIB, rng_for, 1, tmp_path)
+    return module, jobs, harness.Tracer(False)
+
+
+def test_parity_space_orbit_and_class_jobs(monkeypatch, tmp_path):
+    wl_space, jobs, tracer = _one_round(monkeypatch, tmp_path, "parity-space")
     picked = [j for j in jobs if j.kind.startswith("orbit-") or j.kind == "class-q9"]
     assert len(picked) == len(wl_space.ORBITS) + 1
-    tracer = harness.Tracer(False)
     for job in picked:
+        job.check(job.run(tracer))
+
+
+def test_arrays_jobs(monkeypatch, tmp_path):
+    wl_arrays, jobs, tracer = _one_round(monkeypatch, tmp_path, "arrays")
+    assert len(jobs) == len(wl_arrays.SLOTS)
+    for job in jobs:
         job.check(job.run(tracer))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oaparity import core
+from oaparity.constructions import linear_mols
 from oaparity.core import (
     LatinSquare,
     OAError,
@@ -22,6 +23,7 @@ from oaparity.core import (
 )
 
 from conftest import swap_count_parity, zn_linear_oa, zn_linear_square
+import oracle
 from oracle import inversion_parity
 
 
@@ -211,6 +213,47 @@ def test_oa_validation_catches_repeats():
     with pytest.raises(OrthogonalityError) as err:
         OrthogonalArray(rows)
     assert err.value.pair is not None
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+def test_orthogonality_error_matches_per_pair_oracle(q):
+    # one changed symbol repeats a pair with every other column; the array
+    # and the oracle must name the same first pair and least repeated pair
+    rng = random.Random(q)
+    plane = linear_mols(q).rows
+    for _ in range(25):
+        k = rng.randint(3, q + 1)
+        cols = rng.sample(range(q + 1), k)
+        sym = np.asarray([rng.sample(range(q), q) for _ in cols], dtype=np.int16)
+        rows = sym[np.arange(k), plane[:, cols]][rng.sample(range(q * q), q * q)]
+        r, c = rng.randrange(q * q), rng.randrange(k)
+        rows[r, c] = (rows[r, c] + rng.randrange(1, q)) % q
+        (i, j), (u, v) = oracle.orthogonality_violation(rows, q)
+        with pytest.raises(OrthogonalityError) as err:
+            OrthogonalArray(rows)
+        assert (err.value.pair, err.value.repeated) == ((i, j), (u, v))
+        assert str(err.value) == f"columns {i} and {j} repeat the ordered pair ({u}, {v})"
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+def test_mols_to_oa_names_the_squares_like_the_oracle(q):
+    # a relabelled copy of square a is orthogonal to every square but a
+    rng = random.Random(100 + q)
+    squares = oa_to_mols(linear_mols(q))
+    for _ in range(10):
+        chosen = rng.sample(squares, rng.randint(2, q - 1))
+        a, b = sorted(rng.sample(range(len(chosen)), 2))
+        relabel = np.asarray(rng.sample(range(q), q), dtype=np.int16)
+        chosen[b] = LatinSquare(relabel[chosen[a].cells])
+        grid = np.indices((q, q)).reshape(2, -1)
+        (i, j), (u, v) = oracle.orthogonality_violation(
+            np.column_stack([*grid, *(s.cells.ravel() for s in chosen)]), q)
+        assert (i - 2, j - 2) == (a + 1, b + 1)
+        with pytest.raises(OrthogonalityError) as err:
+            mols_to_oa(chosen)
+        assert (err.value.pair, err.value.repeated) == ((a + 1, b + 1), (u, v))
+        assert str(err.value) == (
+            f"squares {a + 1} and {b + 1} are not orthogonal: pair ({u}, {v}) repeats")
 
 
 def test_oa_rejects_k2_and_wide():

@@ -3,12 +3,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from oaparity.core import OAError, cyclic_square, mols_to_oa
-from oaparity.constructions import block_sigma, linear_mols
-from oaparity.parity import tau_parity
+from oaparity.constructions import block_sigma, linear_mols, residue_pattern_oa
+from oaparity.parity import sigma_from_tau, tau_parity
 from oaparity import cli, fileio
 
+import oracle
 from conftest import zn_linear_oa, zn_linear_square
 
 
@@ -46,6 +48,10 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(fileio.FormatError) as err:
         fileio.parse_oa("OA 3 2 0\n0 0 0\n0 1\n")
     assert err.value.line == 3
+    # rows of one width that is not the header's
+    with pytest.raises(fileio.FormatError, match="expected 3 symbols per row") as err:
+        fileio.parse_oa("OA 3 2 0\n# c\n0 0 0 0\n0 1 1 1\n1 0 1 1\n1 1 0 0\n")
+    assert err.value.line == 3
     with pytest.raises(fileio.FormatError):
         fileio.parse_oa("")
     with pytest.raises(fileio.FormatError):
@@ -54,12 +60,96 @@ def test_parse_errors_carry_line_numbers():
         fileio.parse_oa("OA 3 2 5\n" + "0 0 0\n" * 4)
 
 
+# the text of each array below, in base 0 and 1, for the round-trip property
+_TEXT_ARRAYS = [mols_to_oa([cyclic_square(2)]), zn_linear_oa(3), linear_mols(4), zn_linear_oa(5, 4)]
+_FILLER = st.sampled_from(["", "   ", "\t", "#", "# note", "  # indented note", "#1 2 3"])
+_PAD = st.sampled_from(["", " ", "\t", " \t "])
+
+
+@st.composite
+def _decorated_oa_text(draw):
+    """A text ``format_oa`` wrote, with blank and comment lines mixed in and
+    each line's spacing changed; the array it holds."""
+    a = draw(st.sampled_from(_TEXT_ARRAYS))
+    lines = []
+    for line in fileio.format_oa(a, draw(st.sampled_from([0, 1]))).splitlines():
+        lines += draw(st.lists(_FILLER, max_size=2))
+        sep = draw(st.sampled_from([" ", "  ", "\t", " \t", "\u2003"]))
+        lines.append(draw(_PAD) + sep.join(line.split()) + draw(_PAD))
+    lines += draw(st.lists(_FILLER, max_size=2))
+    return a, draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_decorated_oa_text())
+def test_oa_text_roundtrips_with_comments_and_blank_lines(case):
+    a, text = case
+    assert fileio.parse_oa(text) == a
+
+
+_GOOD_TEXT = fileio.format_oa(zn_linear_oa(3), 1)
+
+
+@st.composite
+def _mutated_oa_text(draw):
+    """The q=3 array's text cut short, or with a span replaced by other text."""
+    text = _GOOD_TEXT
+    cut = draw(st.integers(0, len(text)))
+    if draw(st.booleans()):
+        return text[:cut]
+    end = draw(st.integers(cut, min(len(text), cut + 6)))
+    other = st.text(st.characters() | st.sampled_from("0123456789 -+#\n_x."), max_size=6)
+    return text[:cut] + draw(other) + text[end:]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_mutated_oa_text())
+@example(_GOOD_TEXT.replace("1 1 1 1", "1 1 1 1_0", 1))
+@example(_GOOD_TEXT.replace("1 1 1 1", "1 1 1 \U0009c6ca", 1))
+@example(_GOOD_TEXT.replace("1 1 1 1", f"1 1 1 {2**63}", 1))
+def test_mutated_oa_text_raises_only_oa_error(text):
+    try:
+        a = fileio.parse_oa(text)
+    except OAError:
+        return
+    assert (a.k, a.n) == (4, 3)
+
+
+@pytest.mark.parametrize(
+    "token", ["1_0", "\u0661", "\uff11", "1\U0009c6ca", str(2**63), f"-{2**63 + 1}", "0x1", "1.0"],
+    ids=["underscore", "arabic-indic-digit", "fullwidth-digit", "astral-character",
+         "over-int64", "under-int64", "hex", "float"])
+def test_tokens_must_be_ascii_decimal_int64(token):
+    with pytest.raises(fileio.FormatError, match="expected integers") as err:
+        fileio.parse_oa(_oa_text_with_symbol(token))
+    assert err.value.line == 2
+    with pytest.raises(fileio.FormatError, match="expected integers") as err:
+        fileio.parse_oa(f"OA 4 {token} 0\n")
+    assert err.value.line == 1
+
+
 def test_sigma_json_roundtrip():
     sig = block_sigma(6)
     obj = fileio.sigma_to_json(sig)
     again = fileio.sigma_from_json(obj)
     assert again == sig
     assert fileio.sigma_to_json(again) == obj
+
+
+@pytest.mark.parametrize(
+    "a", [linear_mols(q) for q in (2, 3, 4, 5, 7, 8, 9)]
+    + [residue_pattern_oa(11, p) for p in ("nnn", "rnr")], ids=repr)
+def test_report_rows_match_per_entry_lookups(a):
+    tau = tau_parity(a)
+    obj = fileio.parity_report(a)
+    assert obj["tau"] == [list(e) for e in oracle.entries(tau)]
+    sigma = sigma_from_tau(tau)
+    k = a.k
+    pairs = [[i, j, sigma.get(i, j)] for i in range(1, k + 1) for j in range(i + 1, k + 1)]
+    assert obj["sigma_standard"] == pairs
+    assert fileio.sigma_to_json(sigma)["upper"] == pairs
+    assert fileio.parity_report(tau) == obj
+    assert json.loads(json.dumps(obj)) == obj
 
 
 def test_parity_report_schema():
@@ -398,6 +488,14 @@ def test_cli_search_budget_fails_closed(tmp_path, capsys, argv):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_cli_ingest_not_utf8(tmp_path, capsys):
+    path = tmp_path / "cat.txt"
+    path.write_bytes(b"MOLSSET x 2 1 0\n0 1\n1 \xff\n")
+    rc, out, err = run_cli(capsys, "ingest", str(path))
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: ") and "not UTF-8" in err
+
+
 def test_cli_ingest(tmp_path, capsys):
     from oaparity.core import oa_to_mols
 
@@ -453,6 +551,8 @@ def _with_base(doc: dict, base) -> dict:
         (_oa_text_with_symbol(40000), []),
         (_oa_text_with_symbol(65536), []),
         (json.dumps(_with_entry(_OA_JSON, "rows", 0, [65536, 0, 0, 0])), []),
+        (b"OA 3 2 0\n\xff\xfe 0 0\n", []),
+        (b'{"kind": "sigma", "k": 3, "nmod4": 0, "upper": "\xff"}', ["--tau"]),
         *[(json.dumps(_with_base(fileio.oa_to_json(zn_linear_oa(3), int(b)), b)), [])
           for b in _BAD_BASES],
     ],
@@ -460,12 +560,14 @@ def _with_base(doc: dict, base) -> dict:
          "not-json", "short-tau", "tau-column-out-of-range", "directory",
          "array-not-json", "array-without-rows", "huge-k-report", "huge-k-sigma",
          "float-k", "bool-k", "oa-symbol-40000", "oa-symbol-65536",
-         "oa-json-symbol-65536", *[f"oa-json-base-{b!r}" for b in _BAD_BASES]],
+         "oa-json-symbol-65536", "oa-not-utf8", "sigma-not-utf8", *[f"oa-json-base-{b!r}" for b in _BAD_BASES]],
 )
 def test_cli_malformed_input_fails_closed(tmp_path, capsys, content, flags):
     path = tmp_path / "in.json"
     if content is None:
         path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
     else:
         path.write_text(content)
     rc, _, err = run_cli(capsys, "parity", str(path), *flags)

@@ -162,7 +162,7 @@ def test_graph_splits_match_oracle():
         assert decs == oracle.tau_graph_parts(t)
         assert _stack_parts(t) == oracle.stack_parts(t)
         entries = oracle.entries(t)
-        assert t.entries() == entries
+        assert t.entries() == [list(e) for e in entries]
         for c in range(1, t.k + 1):
             edges = [(i, j) for c2, i, j, b in entries if c2 == c and b]
             assert tau_graph(t, c).edges() == edges
