@@ -33,20 +33,28 @@ every image reduced, and multiply class sizes by 2^(k-1); a class's least
 word is its least coset minimum.  For even n the quotient is the words
 themselves and its generators are the same transpositions.
 
-A single orbit is a breadth-first search over the quotient: each level
-applies every generator to the frontier and deduplicates the images by
-sorting them and dropping entries equal to their left neighbour, and a
-sorted array of 64-bit words holds the visited elements.
+Every search builds S_k's orbits through the chain S_1 < S_2 < ... < S_k,
+S_j permuting columns 1..j, generated by s_1..s_(j-1), where s_t swaps
+columns t and t + 1.  The identity and the products s_j, s_(j-1) s_j,
+..., s_1 ... s_j represent the cosets of S_j in S_(j+1) (Sims
+1970; Butler, "Fundamental Algorithms for Permutation Groups", LNCS 559,
+1991).
+
+A single orbit grows O_1 = {x} to O_(j+1), the union of O_j and its images
+under these representatives: each image set is one generator applied to
+the previous one, and one sort drops the repeats.  When s_j maps O_j into
+itself, O_j is already an orbit of S_(j+1) and the step is skipped.
 
 Full enumeration of a quotient of at most 2^20 elements (k <= 7, and k = 8
 for odd n) labels every element at once, indexed by its least word with the
-pivot bits dropped: each label starts as the element's own index and is
-lowered to the labels of its images under the generators, with pointer
-jumping, until a round lowers none; every class is then labelled by its
-least word, the canonical representative, and the class sizes are label
-counts times the coset size.  The even k = 8 space (2^27 words) is walked
-one class at a time on a visited bitmap, which holds far less than the
-labels and the generators' images would.
+pivot bits dropped.  The labels m_1 are the indices themselves; m_j, the
+least index of each element's S_j-orbit, gives m_(j+1) as the least of m_j
+and m_j o s_j o ... o s_i over i, one gather through a generator's image
+array per factor, k(k-1)/2 gathers in all.  Every class is then labelled by
+its least word, the canonical representative, and the class sizes are label
+counts times the coset size.  The even k = 8 space (2^27 words) is walked one
+class at a time, each class one orbit on a visited bitmap, which holds far
+less than the labels and the generators' images would.
 """
 
 from __future__ import annotations
@@ -55,6 +63,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -254,6 +263,11 @@ class _Quotient:
         """The number of elements (cosets for odd n, words for even n)."""
         return 1 << (self.bits - len(self.basis))
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The narrowest unsigned integer type that holds a word."""
+        return np.dtype(np.uint32 if self.bits <= 32 else np.uint64)
+
     def least(self, word: int) -> int:
         """The least word of ``word``'s coset: its pivot bits cleared."""
         for pivot, vector in self.basis:
@@ -282,6 +296,7 @@ class _Quotient:
                 _rearrangement((dst, src) for dst, src in enumerate(free)))
 
 
+@cache
 def _quotient(k: int, nmod4: int) -> _Quotient:
     identity = tuple(range(1, k + 1))
     gens = []
@@ -320,17 +335,6 @@ def _budget_bytes() -> int:
     return int(raw) << 20
 
 
-def _images(frontier: np.ndarray, quotient: _Quotient) -> np.ndarray:
-    """The reduced images of every frontier element under every generator,
-    in one array."""
-    f = frontier.size
-    imgs = np.empty(len(quotient.gens) * f, dtype=frontier.dtype)
-    scratch = np.empty_like(frontier)
-    for i, g in enumerate(quotient.gens):
-        quotient.reduce(g.apply(frontier, out=imgs[i * f:(i + 1) * f]), scratch)
-    return imgs
-
-
 def _distinct(words: np.ndarray) -> np.ndarray:
     """Sort ``words`` in place and return its distinct entries, ascending.
 
@@ -352,52 +356,58 @@ def _check_budget(nbytes: int, budget: int, what: str = "orbit") -> None:
         )
 
 
-def _orbit_sorted(seed: int, quotient: _Quotient, budget: int) -> tuple[int, int]:
-    """BFS one orbit of the quotient keeping a sorted array of visited
-    64-bit words; returns (elements visited, least word).
+def _step_bytes(j: int, size: int, itemsize: int) -> int:
+    """Memory of an orbit step from ``size`` elements of O_j: the (j+1)
+    image sets, their distinct copy and O_j itself."""
+    return (2 * (j + 1) + 1) * size * itemsize
 
-    The budget covers a level's image array, the distinct copy taken from it
-    and the scratch of ``apply`` and ``reduce`` next to the visited array,
-    checked before the level is expanded, and the merged visited array
-    after it.
+
+def _chain_orbit(seed: int, quotient: _Quotient, budget: int) -> np.ndarray:
+    """The orbit of ``seed``, sorted, grown through S_1 < S_2 < ... < S_k.
+
+    Step j puts O_j and its images under s_j, s_(j-1) s_j, ..., s_1 ... s_j
+    in one array, each image set one generator applied to the previous set,
+    and keeps the distinct entries; it is skipped when s_j maps O_j into
+    itself.  The budget is checked before each step allocates its arrays.
     """
-    gens = len(quotient.gens)
-    visited = np.array([seed], dtype=np.uint64)
-    frontier = visited
-    while frontier.size:
-        _check_budget(visited.nbytes + (2 * gens + 2) * frontier.nbytes, budget,
-                      f"orbit level of {gens * frontier.size} images")
-        imgs = _distinct(_images(frontier, quotient))
-        pos = np.searchsorted(visited, imgs)
-        pos[pos == len(visited)] = len(visited) - 1
-        new = imgs[visited[pos] != imgs]
-        if new.size == 0:
-            break
-        _check_budget((visited.nbytes + new.nbytes) * 3, budget,
-                      f"orbit of {visited.size + new.size} visited elements")
-        # two sorted runs: the stable sort (timsort) merges them in linear time
-        visited = np.sort(np.concatenate([visited, new]), kind="stable")
-        frontier = new
-    return int(visited.size), int(visited[0])
+    orbit = np.array([seed], dtype=quotient.dtype)
+    for j in range(1, quotient.k):
+        n = orbit.size
+        _check_budget(_step_bytes(j, n, orbit.itemsize), budget,
+                      f"orbit step of {(j + 1) * n} images from {n} visited elements")
+        scratch = np.empty_like(orbit)
+        blocks = np.empty((j + 1, n), dtype=orbit.dtype)
+        blocks[0] = orbit
+        quotient.reduce(quotient.gens[j - 1].apply(orbit, out=blocks[1]), scratch)
+        # s_j permutes the quotient, so s_j O_j within O_j means s_j O_j = O_j
+        at = np.minimum(np.searchsorted(orbit, blocks[1]), n - 1)
+        if np.array_equal(orbit[at], blocks[1]):
+            continue
+        for m in range(2, j + 1):  # blocks[m] = s_(j-m+1) ... s_j O_j
+            quotient.reduce(quotient.gens[j - m].apply(blocks[m - 1], out=blocks[m]), scratch)
+        orbit = _distinct(blocks.reshape(-1))
+    return orbit
 
 
 def orbit(s: StandardSigma) -> OrbitSummary:
     """Size and canonical representative of the switching class of s.
 
-    The walk visits the class's cosets for odd n and its words for even n.
-    The size is checked against the divisibility bound (k! for even n,
-    k! * 2^(k-1) for odd n).
+    The class is built as an orbit of S_k through the chain S_1 < ... < S_k
+    (see the module docstring), on its cosets for odd n and its words for
+    even n; each step must fit the memory budget
+    (``OAPARITY_ORBIT_BUDGET_MB``).  The size is checked against the
+    divisibility bound (k! for even n, k! * 2^(k-1) for odd n).
     """
     b = s.k * (s.k - 1) // 2 - 1
     if b > 63:
         raise OAError(f"orbit search packs states into 64-bit words (k <= 11, got k={s.k})")
     quotient = _quotient(s.k, s.nmod4)
-    cosets, canonical = _orbit_sorted(quotient.least(s.word), quotient, _budget_bytes())
-    size = cosets * quotient.coset_size
+    cosets = _chain_orbit(quotient.least(s.word), quotient, _budget_bytes())
+    size = cosets.size * quotient.coset_size
     bound = _orbit_bound(s.k, s.nmod4)
     if bound % size:
         raise OAError(f"orbit size {size} does not divide the group order {bound}")
-    canonical = StandardSigma.from_word(s.k, s.nmod4, canonical, n=s.n)
+    canonical = StandardSigma.from_word(s.k, s.nmod4, int(cosets[0]), n=s.n)
     return OrbitSummary(size=size, canonical=canonical)
 
 
@@ -438,41 +448,24 @@ def _next_unvisited(visited: np.ndarray, start: int, chunk: int = 1 << 16) -> in
     return total
 
 
-def _orbit_bitmap(seed: int, quotient: _Quotient, visited: np.ndarray) -> int:
-    """BFS one orbit of a quotient of words on a dense visited map; returns
-    its size."""
-    visited[seed] = True
-    frontier = np.array([seed], dtype=np.uint64)
-    size = 1
-    while frontier.size:
-        imgs = _images(frontier, quotient)
-        imgs = imgs[~visited[imgs]]
-        if imgs.size == 0:
-            break
-        imgs = _distinct(imgs)
-        visited[imgs] = True
-        size += imgs.size
-        frontier = imgs
-    return size
+def _class_sizes_by_orbit(quotient: _Quotient, budget: int) -> np.ndarray:
+    """Class sizes ordered by least word, one orbit per class marked on a
+    visited bitmap of one byte per word; for a quotient of words (even n).
 
-
-def _class_sizes_by_bfs(quotient: _Quotient, budget: int) -> np.ndarray:
-    """Class sizes ordered by least word, one BFS per class on a visited
-    bitmap of one byte per word; for a quotient of words (even n).
-
-    The budget covers the bitmap and a level's images with their filtered
-    copy: the transpositions generate a quotient of S_k, so no class, and
-    no level, holds more than k! words.
+    The budget covers the bitmap and an orbit's largest step, the last, from
+    at most (k-1)! words of O_(k-1).
     """
     total = 1 << quotient.bits
-    images = 2 * len(quotient.gens) * math.factorial(quotient.k) * 8
-    _check_budget(total + images, budget,
-                  f"enumeration ({total >> 20} MiB bitmap and {images >> 20} MiB of images)")
+    step = _step_bytes(quotient.k - 1, math.factorial(quotient.k - 1), quotient.dtype.itemsize)
+    _check_budget(total + step, budget,
+                  f"enumeration ({total >> 20} MiB bitmap and {step / 2**20:.2f} MiB of images)")
     visited = np.zeros(total, dtype=bool)
     sizes = []
     seed = _next_unvisited(visited, 0)
     while seed < total:
-        sizes.append(_orbit_bitmap(seed, quotient, visited))
+        orbit = _chain_orbit(seed, quotient, budget - total)
+        visited[orbit] = True
+        sizes.append(orbit.size)
         seed = _next_unvisited(visited, seed + 1)
     return np.array(sizes, dtype=np.int64)
 
@@ -481,16 +474,11 @@ def _class_labels(quotient: _Quotient, budget: int) -> np.ndarray:
     """The least packed index of each element's class, for every packed
     index (see ``_Quotient.packing``).
 
-    Labels start as the elements' own indices.  A round lowers each label to
-    the label of its image under every generator, then pointer-jumps (label
-    := label[label]) until that changes nothing.  Every label stays an
-    index of its element's class and never exceeds its own index, so no
-    step raises a label, a step that leaves the sum unchanged changed
-    nothing, and after a round that lowers no label each class is labelled
-    by its least index, the packed form of its least word.  The budget
-    covers the generators' uint32 images, the labels, a gather buffer, and
-    the unpacked words and the two arrays and scratch each image is computed
-    through.
+    m_1 is the identity; m_(j+1) is the least of m_j and m_j o s_j o ... o
+    s_i over i = j..1, each composite one gather of the one before through
+    s_i's image array.  The budget covers the generators' uint32 images, the
+    labels, two gather buffers, and the unpacked words and the arrays and
+    scratch each image is computed through.
     """
     size = quotient.size
     nbytes = (len(quotient.gens) + 5) * 4 * size
@@ -501,20 +489,16 @@ def _class_labels(quotient: _Quotient, budget: int) -> np.ndarray:
     buf = np.empty_like(label)
     images = [pack.apply(quotient.reduce(g.apply(words), buf)) for g in quotient.gens]
     del words
-    level = int(label.sum(dtype=np.uint64))
-    while True:
-        start = level
-        for image in images:
-            np.take(label, image, out=buf)
-            np.minimum(label, buf, out=label)
-        while True:
-            np.take(label, label, out=buf)
-            label, buf = buf, label
-            jumped, level = level, int(label.sum(dtype=np.uint64))
-            if level == jumped:
-                break
-        if level == start:
-            return label
+    composite, spare = buf, np.empty_like(label)
+    for j in range(1, quotient.k):
+        # m_j o s_j, taken before label is lowered
+        np.take(label, images[j - 1], out=composite)
+        np.minimum(label, composite, out=label)
+        for i in range(j - 1, 0, -1):
+            np.take(composite, images[i - 1], out=spare)
+            np.minimum(label, spare, out=label)
+            composite, spare = spare, composite
+    return label
 
 
 def _class_sizes_by_label(quotient: _Quotient, budget: int) -> np.ndarray:
@@ -527,8 +511,9 @@ def enumerate_classes(k: int, nmod4: int) -> ClassTable:
     """Partition all 2^(C(k,2)-1) states into switching classes, k <= 8.
 
     A quotient of up to 2^20 elements (k <= 7, and k = 8 for odd n) is
-    labelled in one pass, the even k = 8 space by one BFS per class; either
-    way the arrays must fit the memory budget (``OAPARITY_ORBIT_BUDGET_MB``).
+    labelled through the chain S_1 < ... < S_k in k(k-1)/2 gathers, the
+    even k = 8 space one orbit per class on a visited bitmap; either way the
+    arrays must fit the memory budget (``OAPARITY_ORBIT_BUDGET_MB``).
     """
     for name, value in (("k", k), ("nmod4", nmod4)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -540,7 +525,7 @@ def enumerate_classes(k: int, nmod4: int) -> ClassTable:
         )
     k, nmod4 = int(k), int(nmod4) % 4
     quotient = _quotient(k, nmod4)
-    census = _class_sizes_by_label if quotient.size <= _LABEL_LIMIT else _class_sizes_by_bfs
+    census = _class_sizes_by_label if quotient.size <= _LABEL_LIMIT else _class_sizes_by_orbit
     sizes, counts = np.unique(census(quotient, _budget_bytes()), return_counts=True)
     bound = _orbit_bound(k, nmod4)
     for size in sizes.tolist():

@@ -1,22 +1,25 @@
 """Brute-force oracles for quantities the library derives.
 
 The library counts cycles by pointer jumping, derives tau from k(k-2) of its
-components by additivity, derives sigma from tau, walks switching classes
-breadth-first on cosets of the swaps (odd n) with compiled transpositions,
-and searches with one iterative cell walk that keeps a running square
-parity, and takes the ensemble census, the four-column cap and the graph
+components by additivity, checks that additivity for every column in one
+array comparison, derives sigma from tau, builds switching classes through
+the chain S_1 < ... < S_k on cosets of the swaps (odd n) with compiled
+transpositions, and searches with one iterative cell walk that keeps a
+running square parity, and takes the ensemble census, the four-column cap and the graph
 splits as whole-array passes, and checks orthogonality with one bincount
 per column over its pairs with all later columns.  These functions compute each quantity from
 its definition instead, with a parity kernel of their own (inversion
-counting), a set-based orbit search over the matrix-level actions, a
-breadth-first search over every word of a class with every compiled
-generator, a recursive search, one frame per cell, that checks each
+counting), a loop over the columns for additivity, a set-based orbit
+search over the matrix-level actions, breadth-first searches and a
+labelling to a fixpoint that apply every generator of any generating set,
+over every word of a class or of the space with every compiled generator,
+a recursive search, one frame per cell, that checks each
 completed column from its definition, loops over column triples, quads
 and vertex pairs with per-entry lookups, and one bincount per column pair.  Apart from the search's visit
-order, which both sides must follow node for node, and the word-level walk,
-which shares the compiled generators (checked against the matrix-level
-actions) and a sorted visited array with the library and so checks only its
-quotient, they share no algorithm with the code they check.
+order, which both sides must follow node for node, and the word-level
+searches, which share the compiled generators (checked against the
+matrix-level actions) and the coset reduction with the library and so check
+its quotient and its chain, they share no algorithm with the code they check.
 """
 
 import itertools
@@ -154,20 +157,86 @@ def word_quotient(k: int, nmod4: int) -> _Quotient:
                      bits=k * (k - 1) // 2 - 1)
 
 
-def orbit_by_words(state: StandardSigma) -> tuple[int, int]:
-    """Size and smallest word of the switching class of ``state``, by a
-    breadth-first search over every word of the class with all 2k - 1
-    compiled generators for odd n."""
-    gens = word_generators(state.k, state.nmod4)
-    visited = np.array([state.word], dtype=np.uint64)
+def _bfs_images(frontier: np.ndarray, quotient: _Quotient) -> np.ndarray:
+    """The reduced images of every frontier element under every generator
+    of ``quotient``, in one array."""
+    scratch = np.empty_like(frontier)
+    return np.concatenate([quotient.reduce(g.apply(frontier), scratch) for g in quotient.gens])
+
+
+def orbit_by_bfs(seed: int, quotient: _Quotient) -> tuple[int, int]:
+    """Elements and least word of ``seed``'s orbit, by a breadth-first
+    search applying every generator of ``quotient`` to each level."""
+    visited = np.array([seed], dtype=np.uint64)
     frontier = visited
     while frontier.size:
-        imgs = np.sort(np.concatenate([g.apply(frontier) for g in gens]))
+        imgs = np.sort(_bfs_images(frontier, quotient))
         imgs = imgs[np.append(True, imgs[1:] != imgs[:-1])]
         pos = np.minimum(np.searchsorted(visited, imgs), visited.size - 1)
         frontier = imgs[visited[pos] != imgs]
         visited = np.sort(np.concatenate([visited, frontier]), kind="stable")
     return int(visited.size), int(visited[0])
+
+
+def orbit_by_words(state: StandardSigma) -> tuple[int, int]:
+    """Size and smallest word of the switching class of ``state``, by a
+    breadth-first search over every word of the class with all 2k - 1
+    compiled generators for odd n."""
+    return orbit_by_bfs(state.word, word_quotient(state.k, state.nmod4))
+
+
+def class_sizes_by_bfs(quotient: _Quotient) -> np.ndarray:
+    """Class sizes of a quotient of words ordered by least word, one
+    breadth-first search per class with every generator on a visited
+    bitmap."""
+    visited = np.zeros(1 << quotient.bits, dtype=bool)
+    sizes = []
+    for seed in range(visited.size):
+        if visited[seed]:
+            continue
+        visited[seed] = True
+        frontier = np.array([seed], dtype=np.uint64)
+        size = 1
+        while frontier.size:
+            imgs = _bfs_images(frontier, quotient)
+            frontier = np.unique(imgs[~visited[imgs]])
+            visited[frontier] = True
+            size += frontier.size
+        sizes.append(size)
+    return np.array(sizes, dtype=np.int64)
+
+
+def class_labels_by_fixpoint(quotient: _Quotient) -> np.ndarray:
+    """The least packed index of each element's class, for every packed
+    index, under any generating set.
+
+    Labels start as the indices.  A round lowers each label to the label of
+    its image under every generator, then pointer-jumps (label :=
+    label[label]) until that changes nothing; after a round that lowers no
+    label, each class is labelled by its least index.
+    """
+    pack, unpack = quotient.packing()
+    label = np.arange(quotient.size, dtype=np.uint32)
+    words = unpack.apply(label)
+    buf = np.empty_like(label)
+    images = [pack.apply(quotient.reduce(g.apply(words), buf)) for g in quotient.gens]
+    while True:
+        start = label.copy()
+        for image in images:
+            np.minimum(label, label[image], out=label)
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+        if np.array_equal(label, start):
+            return label
+
+
+def class_sizes_by_fixpoint(quotient: _Quotient) -> np.ndarray:
+    """Class sizes ordered by least word, from ``class_labels_by_fixpoint``."""
+    counts = np.bincount(class_labels_by_fixpoint(quotient), minlength=quotient.size)
+    return counts[counts > 0] * quotient.coset_size
 
 
 # ---------------------------------------------------------------------------
@@ -436,4 +505,29 @@ def orthogonality_violation(rows, n: int):
             if counts.max() > 1:
                 code = int(np.argmax(counts > 1))
                 return (i, j), (code // n, code % n)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# plausibility, one column at a time
+
+
+def additivity_violation(t: TauVector):
+    """The first (c, i, j), i < j, in lexicographic order, where tau^c_ij is
+    not tau^c_iw + tau^c_jw, w the least column other than c and tau^c_ww
+    = 0; None when fixed-column additivity holds.  One column at a time,
+    with per-entry lookups."""
+    k = t.k
+
+    def bit(c, i, j):
+        return 0 if i == j else t.get(c, i, j)
+
+    for c in range(1, k + 1):
+        w = 1 if c != 1 else 2
+        for i in range(1, k + 1):
+            for j in range(i + 1, k + 1):
+                if c in (i, j):
+                    continue
+                if bit(c, i, j) != bit(c, i, w) ^ bit(c, j, w):
+                    return c, i, j
     return None

@@ -2,8 +2,8 @@
 
 perfbench/ builds and checks its jobs through the library's public names, so
 a change to one of them breaks the benchmark; these tests run one round's
-parity-space orbit and class jobs and every arrays job, read-only from
-perfbench/, so the break shows here.
+parity-space orbit, class and census jobs and every arrays job, read-only
+from perfbench/, so the break shows here.
 """
 
 import importlib
@@ -40,6 +40,15 @@ def test_parity_space_orbit_and_class_jobs(monkeypatch, tmp_path):
     wl_space, jobs, tracer = _one_round(monkeypatch, tmp_path, "parity-space")
     picked = [j for j in jobs if j.kind.startswith("orbit-") or j.kind == "class-q9"]
     assert len(picked) == len(wl_space.ORBITS) + 1
+    for job in picked:
+        job.check(job.run(tracer))
+
+
+def test_parity_space_enumerate_jobs(monkeypatch, tmp_path):
+    # the census jobs check the Table-1 counts and sizes the benchmark pins
+    wl_space, jobs, tracer = _one_round(monkeypatch, tmp_path, "parity-space")
+    picked = [j for j in jobs if j.kind.startswith("enumerate-")]
+    assert len(picked) == len(wl_space.ENUMERATIONS)
     for job in picked:
         job.check(job.run(tracer))
 

@@ -13,7 +13,6 @@ from oaparity.classes import (
     enumerate_classes,
     orbit,
     _class_labels,
-    _class_sizes_by_bfs,
     _class_sizes_by_label,
     _compile,
     _distinct,
@@ -30,7 +29,16 @@ from oaparity.parity import (
 from oaparity.constructions import linear_mols
 
 from conftest import zn_linear_oa
-from oracle import orbit_by_actions, orbit_by_words, word_generators, word_quotient
+from oracle import (
+    class_labels_by_fixpoint,
+    class_sizes_by_bfs,
+    class_sizes_by_fixpoint,
+    orbit_by_actions,
+    orbit_by_bfs,
+    orbit_by_words,
+    word_generators,
+    word_quotient,
+)
 
 # class counts and distinct sizes for k = 3..7; multiplicities were frozen
 # from the first verified enumeration run (their sums match the state-space
@@ -292,10 +300,11 @@ def test_enumerate_budget(monkeypatch, capsys):
 
 @pytest.mark.parametrize("nm", [0, 2])
 def test_even_k8_census_budget_counts_the_level_images(monkeypatch, nm):
-    # above the 128 MiB bitmap, below it plus a level's images and their
-    # filtered copy (7 images of each of at most 8! words of a class)
-    monkeypatch.setenv("OAPARITY_ORBIT_BUDGET_MB", "130")
-    assert 1 << 27 < 130 << 20 < (1 << 27) + 2 * 7 * math.factorial(8) * 8
+    # at the 128 MiB of the bitmap, below it plus an orbit's last step: the
+    # 8 image sets of at most 7! uint32 words of O_7, their distinct copy
+    # and O_7 itself
+    monkeypatch.setenv("OAPARITY_ORBIT_BUDGET_MB", "128")
+    assert 1 << 27 <= 128 << 20 < (1 << 27) + (2 * 8 + 1) * math.factorial(7) * 4
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match="MiB of images"):
@@ -313,18 +322,27 @@ def test_one_pass_sizes_match_per_class_bfs(k):
     # search walks every word with every generator
     for nm in range(4):
         by_label = _class_sizes_by_label(_quotient(k, nm), 1 << 30)
-        by_bfs = _class_sizes_by_bfs(word_quotient(k, nm), 1 << 30)
+        by_bfs = class_sizes_by_bfs(word_quotient(k, nm))
         assert by_label.tolist() == by_bfs.tolist()
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_coset_census_matches_word_labels(k):
-    # labelling cosets with the transpositions gives the sizes, in order,
-    # of labelling every word with all 2k - 1 generators
+    # labelling cosets through the chain of transpositions gives the sizes,
+    # in order, of labelling every word with all 2k - 1 generators
     for nm in range(4):
         cosets = _class_sizes_by_label(_quotient(k, nm), 1 << 30)
-        words = _class_sizes_by_label(word_quotient(k, nm), 1 << 30)
+        words = class_sizes_by_fixpoint(word_quotient(k, nm))
         assert cosets.tolist() == words.tolist()
+
+
+@pytest.mark.parametrize("k, nm", [(k, nm) for k in range(3, 8) for nm in range(4)]
+                         + [(8, 1), (8, 3)])
+def test_chain_labels_match_fixpoint_labels(k, nm):
+    # the same labels, element by element, as lowering each label to its
+    # images' until nothing changes
+    quotient = _quotient(k, nm)
+    assert np.array_equal(_class_labels(quotient, 1 << 30), class_labels_by_fixpoint(quotient))
 
 
 @pytest.mark.parametrize("k, nm", [(k, nm) for k in (5, 6, 7, 8) for nm in range(4)
@@ -393,9 +411,9 @@ def test_orbit_budget_raises(monkeypatch):
 
 
 def test_orbit_budget_counts_the_level_images(monkeypatch):
-    # an even-n k = 9 class of 9! words keeps 2.8 MiB of visited words, but
-    # at 5 MiB the walk is refused at a level whose 8 images of each of
-    # 28 675 frontier words, with their sorted copy, do not fit (all merges
+    # an even-n k = 9 class of 9! words keeps 2.8 MiB of them, but at 5 MiB
+    # the orbit is refused at its last step, whose 9 image sets of the 8!
+    # words of O_8, with their distinct copy and O_8, do not fit (all steps
     # before it fit)
     s = random_state(9, 0, random.Random(90))
     assert orbit(s).size == math.factorial(9)
@@ -454,6 +472,58 @@ def _assert_orbit_matches_oracle(k, nm, count, seed):
         size, canonical = orbit_by_actions(s)
         summ = orbit(s)
         assert (summ.size, summ.canonical.word) == (size, canonical)
+
+
+def _class_members(k, nm, rng):
+    """The least word and a random word of every class for k <= 6, and of
+    the two smallest classes and every class of one coset for larger k, for
+    a quotient the census labels in one pass."""
+    quotient = _quotient(k, nm)
+    _, unpack = quotient.packing()
+    labels = _class_labels(quotient, 1 << 30)
+    counts = np.bincount(labels, minlength=quotient.size)
+    roots = np.flatnonzero(counts)
+    if k > 6:
+        small = roots[np.argsort(counts[roots], kind="stable")[:2]]
+        roots = np.union1d(small, np.flatnonzero(counts == 1) if quotient.basis else small)
+    words = []
+    for root in roots.tolist():
+        index = rng.choice(np.flatnonzero(labels == root).tolist())
+        least, word = unpack.apply(np.array([root, index], dtype=np.uint32)).tolist()
+        for _, vector in quotient.basis:
+            word ^= vector * rng.getrandbits(1)
+        words += [least, word]
+    return words
+
+
+@pytest.mark.parametrize("k, nm", [(k, nm) for k in range(3, 9) for nm in range(4)])
+def test_chain_orbit_matches_word_bfs(k, nm):
+    # random states, whose orbits grow at every step of the chain, and
+    # members of small classes and of one-coset classes, whose orbits stop
+    # growing early (the skipped steps); from the least words of some
+    # even-n classes s_j maps most, but not all, of O_j into O_j
+    rng = random.Random(500 * k + nm)
+    b = k * (k - 1) // 2 - 1
+    words = [rng.getrandbits(b) for _ in range(1 if (k, nm % 2) == (8, 1) else 3)]
+    if k < 8 or nm % 2:
+        words += _class_members(k, nm, rng)
+    else:
+        words += [0, (1 << b) - 1]
+    for word in words:
+        s = StandardSigma.from_word(k, nm, word)
+        summ = orbit(s)
+        assert (summ.size, summ.canonical.word) == orbit_by_words(s)
+
+
+@pytest.mark.parametrize("nm", range(4))
+def test_chain_orbit_matches_coset_bfs_k9(nm):
+    # a random k = 9 state, against a breadth-first search of the quotient
+    # with every transposition at each level (9! elements at most)
+    s = random_state(9, nm, random.Random(900 + nm))
+    quotient = _quotient(9, nm)
+    elements, least = orbit_by_bfs(quotient.least(s.word), quotient)
+    summ = orbit(s)
+    assert (summ.size, summ.canonical.word) == (elements * quotient.coset_size, least)
 
 
 @pytest.mark.parametrize("k, nm", [(k, nm) for k in (5, 6, 7, 8) for nm in (1, 3)])

@@ -34,8 +34,14 @@ from oaparity.parity import (
 )
 from oaparity.constructions import linear_mols, residue_pattern_oa
 
-from conftest import random_isotope_square, random_transform, zn_linear_oa
-from oracle import _sigma_bits, direct_sigma, direct_tau
+from conftest import (
+    flip_components,
+    random_isotope_square,
+    random_plausible_tau,
+    random_transform,
+    zn_linear_oa,
+)
+from oracle import _sigma_bits, additivity_violation, direct_sigma, direct_tau
 
 
 def reference_parities(square):
@@ -385,6 +391,19 @@ def test_implausible_vector_reports_witness():
     rep = check_plausible(t)
     assert not rep.plausible
     assert rep.violations[0][0] in ("additivity", "triple")
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 8, 13])
+def test_additivity_matches_per_column_oracle(k):
+    # the first violation (c, i, j) of the one-pass check is the first of
+    # the column-by-column loop, on vectors with 0..3 components flipped
+    rng = random.Random(60 + k)
+    for nm in range(4):
+        for flips in (0, 1, 1, 2, 3):
+            t = flip_components(random_plausible_tau(rng, k, nm), rng, flips)
+            found = [w for kind, w in check_plausible(t).violations if kind == "additivity"]
+            expect = additivity_violation(t)
+            assert found == ([] if expect is None else [expect])
 
 
 def test_standardise_by_out_degree():
