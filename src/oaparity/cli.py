@@ -40,11 +40,12 @@ def _load_oa(path):
     return fileio.parse_oa(fileio.read_text(path))
 
 
-def _load_tau_source(args):
-    """An OA file, or with --tau a sigma/parity-report JSON file."""
-    if getattr(args, "tau", False):
+def _load_tau(args):
+    """The tau vector of an OA file, or with --tau of a sigma/parity-report
+    JSON file."""
+    if args.tau:
         return fileio.load_tau(args.file)
-    return _load_oa(args.file)
+    return tau_parity(_load_oa(args.file))
 
 
 # ---------------------------------------------------------------------------
@@ -58,8 +59,7 @@ def cmd_validate(args):
 
 
 def cmd_parity(args):
-    source = _load_tau_source(args)
-    obj = fileio.parity_report(source)
+    obj = fileio.parity_report(_load_tau(args))
     lines = [
         f"k={obj['k']} nmod4={obj['nmod4']}"
         + (f" n={obj['n']}" if obj["n"] is not None else ""),
@@ -77,8 +77,7 @@ def cmd_parity(args):
 
 
 def cmd_graphs(args):
-    source = _load_tau_source(args)
-    tau = source if not hasattr(source, "rows") else tau_parity(source)
+    tau = _load_tau(args)
     decomps = graphs.tau_graphs(tau)
     stk = graphs.stack(tau)
     sigma = sigma_from_tau(tau)
@@ -125,9 +124,7 @@ def cmd_graphs(args):
 
 
 def cmd_class(args):
-    source = _load_tau_source(args)
-    tau = source if not hasattr(source, "rows") else tau_parity(source)
-    summary = classes.orbit(sigma_from_tau(tau))
+    summary = classes.orbit(sigma_from_tau(_load_tau(args)))
     obj = {
         "k": summary.canonical.k,
         "nmod4": summary.canonical.nmod4,
@@ -201,8 +198,7 @@ def cmd_construct(args):
 
 
 def cmd_ensemble(args):
-    source = _load_tau_source(args)
-    census = ensemble.ensemble_census(source)
+    census = ensemble.ensemble_census(_load_tau(args))
     report = ensemble.check_ensemble_laws(census)
     obj = {
         "k": census.k,

@@ -32,6 +32,7 @@ import numpy as np
 from .core import OAError, OrthogonalArray
 from .parity import (
     TauVector,
+    _triples,
     check_plausible,
     equiparity_type,
     sigma_from_tau,
@@ -89,13 +90,6 @@ def optimal_mu(n: int) -> GoodSequence:
 # census
 
 
-def _triples(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index arrays (c1, c2, c3) of the column triples c1 < c2 < c3 of a
-    (k+1)^3 array, in lexicographic order."""
-    c1, c2, c3 = np.ix_(*(np.arange(k + 1),) * 3)
-    return np.nonzero((0 < c1) & (c1 < c2) & (c2 < c3))
-
-
 @dataclass(frozen=True, eq=False)
 class EnsembleCensus:
     """Parity-type counts over the C(k,3) column triples.
@@ -131,7 +125,7 @@ def ensemble_census(source: OrthogonalArray | TauVector) -> EnsembleCensus:
     types[c1, c2, c3] = code
     types.setflags(write=False)
     x = int(counts[int(equiparity_type(tau.nmod4), 2)])
-    T = int(bits.sum())
+    T = int(bits.sum()) // 2  # bits[c] is the adjacency matrix of tau-graph c
     if tau.nmod4 in (0, 1):
         expected = 2 * math.comb(k, 3) - 2 * x
     else:

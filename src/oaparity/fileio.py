@@ -156,11 +156,14 @@ def parse_oa(text: str) -> OrthogonalArray:
     return a
 
 
-def format_oa(a: OrthogonalArray, base: int = 0) -> str:
-    lines = [f"OA {a.k} {a.n} {base}"]
-    for row in a.rows:
-        lines.append(" ".join(str(int(x) + base) for x in row))
+def _format_table(header: str, rows: np.ndarray, base: int) -> str:
+    """``header`` and then one line per row of symbols shifted by ``base``."""
+    lines = [header, *(" ".join(map(str, row)) for row in (rows + base).tolist())]
     return "\n".join(lines) + "\n"
+
+
+def format_oa(a: OrthogonalArray, base: int = 0) -> str:
+    return _format_table(f"OA {a.k} {a.n} {base}", a.rows, base)
 
 
 def oa_to_json(a: OrthogonalArray, base: int = 0) -> dict:
@@ -202,10 +205,7 @@ def parse_square(text: str) -> LatinSquare:
 
 
 def format_square(square: LatinSquare, base: int = 0) -> str:
-    lines = [f"LS {square.n} {base}"]
-    for row in square.cells:
-        lines.append(" ".join(str(int(x) + base) for x in row))
-    return "\n".join(lines) + "\n"
+    return _format_table(f"LS {square.n} {base}", square.cells, base)
 
 
 def square_to_json(square: LatinSquare, base: int = 0) -> dict:
@@ -398,9 +398,5 @@ def ingest_catalogue(path) -> list[CatalogueEntry]:
 
 def format_catalogue_entry(label: str, squares, base: int = 0) -> str:
     squares = list(squares)
-    n = squares[0].n
-    lines = [f"MOLSSET {label} {n} {len(squares)} {base}"]
-    for sq in squares:
-        for row in sq.cells:
-            lines.append(" ".join(str(int(x) + base) for x in row))
-    return "\n".join(lines) + "\n"
+    header = f"MOLSSET {label} {squares[0].n} {len(squares)} {base}"
+    return _format_table(header, np.concatenate([sq.cells for sq in squares]), base)

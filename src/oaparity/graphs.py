@@ -127,8 +127,7 @@ class TauGraphDecomposition:
 
 def tau_graph(t: TauVector, c: int) -> SimpleGraph:
     """The tau-graph of column c as a plain graph on 1..k."""
-    adj = t.bits[c] | t.bits[c].T  # t.mirrored()[c]
-    return SimpleGraph(k=t.k, directed=False, adj=_frozen(adj))
+    return SimpleGraph(k=t.k, directed=False, adj=t.bits[c])
 
 
 def _split_bipartite(
@@ -156,11 +155,10 @@ def _split_bipartite(
 
 def tau_graphs(t: TauVector) -> list[TauGraphDecomposition]:
     """Decompose every tau-graph as isolated vertex + complete bipartite."""
-    full = t.mirrored()
     verts = np.arange(1, t.k + 1)
     out = []
     for c in range(1, t.k + 1):
-        p1, p2 = _split_bipartite(full[c], verts[verts != c])
+        p1, p2 = _split_bipartite(t.bits[c], verts[verts != c])
         out.append(TauGraphDecomposition(c=c, part1=p1, part2=p2))
     return out
 
@@ -186,7 +184,7 @@ class StackClassification:
 
 
 def stack_graph(t: TauVector) -> SimpleGraph:
-    adj = (t.mirrored()[1:].sum(axis=0) & 1).astype(np.uint8)
+    adj = (t.bits[1:].sum(axis=0) & 1).astype(np.uint8)
     return SimpleGraph(k=t.k, directed=False, adj=_frozen(adj))
 
 

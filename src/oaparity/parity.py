@@ -31,8 +31,9 @@ gives the rest; the k(k-2)*n permutations needed go to ``parity_batch`` in one
 call.  Additivity therefore holds by construction for the tau of an array,
 so the tests compare it with every component computed directly.
 
-Canonical tau storage keeps bits only for i < j; reads with i > j use the
-symmetry tau^c_{ij} = tau^c_{ji}, which therefore holds by construction.
+A ``TauVector`` reads the components with i < j of whatever array it is
+given and stores them in both index orders, so tau^c_{ij} = tau^c_{ji} holds
+by construction and ``bits[c]`` is the adjacency matrix of tau-graph c.
 """
 
 from __future__ import annotations
@@ -109,8 +110,8 @@ def latin_square_parities(square: LatinSquare) -> ParityTriple:
 
 @lru_cache(maxsize=None)
 def _canonical_mask(k: int) -> np.ndarray:
-    """Read-only mask of the stored components (c, i, j) of a (k+1)^3 array:
-    1 <= i < j <= k, c in 1..k other than i and j."""
+    """Read-only mask of the components (c, i, j) with i < j of a (k+1)^3
+    array: 1 <= i < j <= k, c in 1..k other than i and j."""
     c = np.arange(k + 1)[:, None, None]
     i = np.arange(k + 1)[None, :, None]
     j = np.arange(k + 1)[None, None, :]
@@ -120,10 +121,14 @@ def _canonical_mask(k: int) -> np.ndarray:
 
 
 class TauVector:
-    """All bits tau^c_{ij} of one parity vector, stored canonically for i < j.
+    """All bits tau^c_{ij} of one parity vector.
 
-    ``n`` is optional: parity laws depend only on n mod 4, and vectors built
-    from abstract sigma data may not come with a concrete alphabet size.
+    ``bits`` is a read-only (k+1)^3 array holding tau^c_{ij} at [c, i, j]
+    and at [c, j, i]; the constructor reads the components with i < j of
+    the array it is given and mirrors them, and entries with index 0 or
+    repeated indices are zero.  ``n`` is optional: parity laws depend only
+    on n mod 4, and vectors built from abstract sigma data may not come with
+    a concrete alphabet size.
     """
 
     __slots__ = ("k", "nmod4", "n", "bits")
@@ -136,7 +141,8 @@ class TauVector:
         bits = np.asarray(bits, dtype=np.uint8)
         if bits.shape != (k + 1,) * 3:
             raise OAError(f"bits must have shape {(k + 1,) * 3} with index 0 unused")
-        arr = np.where(_canonical_mask(k), bits, 0).astype(np.uint8)
+        half = np.where(_canonical_mask(k), bits, 0).astype(np.uint8)
+        arr = half | half.transpose(0, 2, 1)
         arr.setflags(write=False)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "nmod4", nmod4 % 4)
@@ -149,13 +155,11 @@ class TauVector:
     def get(self, c: int, i: int, j: int) -> int:
         if len({c, i, j}) != 3 or not all(1 <= x <= self.k for x in (c, i, j)):
             raise OAError(f"invalid column triple ({c}, {i}, {j})")
-        if i > j:
-            i, j = j, i
         return int(self.bits[c, i, j])
 
     def mirrored(self) -> np.ndarray:
-        """Full (k+1)^3 bit array with both index orders populated."""
-        return self.bits | self.bits.transpose(0, 2, 1)
+        """``bits``, which holds both index orders."""
+        return self.bits
 
     def triple_type(self, c1: int, c2: int, c3: int) -> str:
         """Parity type of the square on columns c1 < c2 < c3, as 'rcs' bits."""
@@ -170,13 +174,15 @@ class TauVector:
 
     @classmethod
     def from_entries(cls, k, nmod4, entries, n=None) -> "TauVector":
+        """The vector with the [c, i, j, bit] rows ``entries``, i < j or i > j."""
+        rows = np.asarray(entries).reshape(-1, 4)
+        bad = (rows[:, 3] != 0) & (rows[:, 3] != 1)
+        if bad.any():
+            raise OAError(f"tau bit must be 0 or 1, got {rows[bad, 3][0].item()!r}")
+        c, i, j, b = rows.astype(np.intp).T
         bits = np.zeros((k + 1, k + 1, k + 1), dtype=np.uint8)
-        for c, i, j, b in entries:
-            if b not in (0, 1):
-                raise OAError(f"tau bit must be 0 or 1, got {b!r}")
-            if i > j:
-                i, j = j, i
-            bits[c, i, j] = b
+        bits[c, i, j] = b
+        bits[c, j, i] = b
         return cls(k=k, nmod4=nmod4, bits=bits, n=n)
 
     def __eq__(self, other):
@@ -355,7 +361,8 @@ def standardise_by_out_degree(sigma: SigmaMatrix, parity: int) -> SigmaMatrix:
 
 
 def _tau_bits(mat: np.ndarray, n: int) -> np.ndarray:
-    """Canonical tau bits of an OA matrix in any row order.
+    """Tau bits of an OA matrix in any row order, in both index orders as
+    ``TauVector.bits`` holds them.
 
     Only k(k-2) of the k*C(k-1,2) components are computed from permutations:
     for each column c one other column w is fixed, and the rest follow by
@@ -379,7 +386,8 @@ def _tau_bits(mat: np.ndarray, n: int) -> np.ndarray:
     # d[c, j] = tau^c_{wj}, with d[c, w] = 0
     d = np.zeros((k + 1, k + 1), dtype=np.uint8)
     d[c, j] = par.sum(axis=1) & 1
-    return np.where(_canonical_mask(k), d[:, :, None] ^ d[:, None, :], 0).astype(np.uint8)
+    half = np.where(_canonical_mask(k), d[:, :, None] ^ d[:, None, :], 0).astype(np.uint8)
+    return half | half.transpose(0, 2, 1)
 
 
 @lru_cache(maxsize=256)
@@ -417,7 +425,7 @@ def sigma_from_tau(t: TauVector) -> StandardSigma:
     # with sigma_12 = 0: sigma_1j = tau^1_2j, sigma_2j = tau^2_1j + C(n,2)
     # and sigma_ij = tau^1_2i + tau^i_1j + C(n,2) for 3 <= i < j
     kk = binom2_bit(t.nmod4)
-    full = t.mirrored()
+    full = t.bits
     up = np.zeros_like(full[0])
     up[1, 3:] = full[1, 2, 3:]
     up[2, 3:] = full[2, 1, 3:] ^ kk
@@ -427,6 +435,13 @@ def sigma_from_tau(t: TauVector) -> StandardSigma:
 
 # ---------------------------------------------------------------------------
 # plausibility
+
+
+def _triples(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index arrays (c1, c2, c3) of the column triples c1 < c2 < c3 of a
+    (k+1)^3 array, in lexicographic order."""
+    c1, c2, c3 = np.ix_(*(np.arange(k + 1),) * 3)
+    return np.nonzero((0 < c1) & (c1 < c2) & (c2 < c3))
 
 
 @dataclass(frozen=True)
@@ -446,13 +461,13 @@ class PlausibilityReport:
 def check_plausible(t: TauVector) -> PlausibilityReport:
     """Check index symmetry, fixed-column additivity and the triple law.
 
-    Symmetry holds by construction of the canonical storage.  For plane
+    Symmetry holds by construction of ``TauVector.bits``.  For plane
     candidates (k = n+1) the over-columns sum rule for each pair is also
     evaluated and reported as ``pp_plausible``.
     """
     k = t.k
     kk = binom2_bit(t.nmod4)
-    full = t.mirrored()
+    full = t.bits
     violations = []
 
     # tau^c_ij = tau^c_iw + tau^c_jw, w = 1 (w = 2 for c = 1), every c at once
@@ -463,18 +478,12 @@ def check_plausible(t: TauVector) -> PlausibilityReport:
         c, i, j = np.argwhere(bad)[0]
         violations.append(("additivity", (int(c), int(i), int(j))))
 
-    a = full
-    b = full.transpose(1, 0, 2)
-    e = full.transpose(2, 1, 0)
-    s = a ^ b ^ e
-    cc = np.arange(k + 1)[:, None, None]
-    ii = np.arange(k + 1)[None, :, None]
-    jj = np.arange(k + 1)[None, None, :]
-    strict = (cc >= 1) & (cc < ii) & (ii < jj) & (jj <= k)
-    bad3 = (s != kk) & strict
-    if bad3.any():
-        c, i, j = np.argwhere(bad3)[0]
-        violations.append(("triple", (int(c), int(i), int(j))))
+    # tau^{c1}_{c2c3} + tau^{c2}_{c1c3} + tau^{c3}_{c1c2} = C(n,2) on every triple
+    c1, c2, c3 = _triples(k)
+    bad3 = np.flatnonzero(full[c1, c2, c3] ^ full[c2, c1, c3] ^ full[c3, c1, c2] != kk)
+    if bad3.size:
+        v = bad3[0]
+        violations.append(("triple", (int(c1[v]), int(c2[v]), int(c3[v]))))
 
     plausible = not violations
 
@@ -522,23 +531,19 @@ def transform_parity_laws(
         g = np.zeros(k + 1, dtype=np.int64)
         g[1:] = np.asarray(t.perm)
         new_bits = np.zeros_like(tau.bits)
-        new_bits[g[:, None, None], g[None, :, None], g[None, None, :]] = tau.mirrored()
-        new_bits |= new_bits.transpose(0, 2, 1)
+        new_bits[g[:, None, None], g[None, :, None], g[None, None, :]] = tau.bits
         new_m = np.zeros_like(sigma.m)
         new_m[g[1:, None], g[None, 1:]] = sigma.m[1:, 1:]
     else:
         c = t.column
         flip = (n & 1) & permutation_parity(t.perm)
-        new_bits = tau.bits.copy()
+        new_bits = tau.bits
         new_m = sigma.m.copy()
         if flip:
-            for x in range(1, k + 1):
-                if x == c:
-                    continue
-                lo, hi = (x, c) if x < c else (c, x)
-                for up in range(1, k + 1):
-                    if up not in (lo, hi):
-                        new_bits[up, lo, hi] ^= 1
+            # every component tau^u_{ij} with c in {i, j}; the constructor
+            # drops the entries that are not components
+            i, j = np.ogrid[:k + 1, :k + 1]
+            new_bits = new_bits ^ ((i == c) | (j == c))
             new_m[c, 1:] ^= 1
             new_m[1:, c] ^= 1
             new_m[c, c] = 0

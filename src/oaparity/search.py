@@ -211,18 +211,17 @@ def enumerate_latin_squares(n: int, resume_after: LatinSquare | None = None):
         yield LatinSquare._unchecked(np.array(cells, dtype=np.int16).reshape(n, n))
 
 
-def achieved_parity_types(n: int, stop_when_complete: bool = True) -> set:
+def achieved_parity_types(n: int) -> set:
     """The set of parity types realised by at least one square of order n.
 
-    At most four types are possible, so with ``stop_when_complete`` the
-    enumeration ends as soon as all four have been seen; the result is the
-    same either way.
+    At most four types are possible, so the enumeration ends as soon as all
+    four have been seen.
     """
     possible = set(plausible_types(n % 4))
     seen: set[str] = set()
     for ty in latin_square_walk(n)[1]:
         seen.add(ty)
-        if stop_when_complete and seen == possible:
+        if seen == possible:
             break
     return seen
 

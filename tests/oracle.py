@@ -59,7 +59,7 @@ def inversion_parity(perms) -> np.ndarray:
 
 
 def _tau_bits(mat: np.ndarray, n: int) -> np.ndarray:
-    """Canonical tau bits of an OA matrix, every component from its n
+    """Tau bits with i < j of an OA matrix, every component from its n
     permutations."""
     k = mat.shape[1]
     bits = np.zeros((k + 1, k + 1, k + 1), dtype=np.uint8)
@@ -307,7 +307,8 @@ def search(spec, rng):
             return latin_square_parities(square).type_str == spec.target
         upto = len(columns)
         sub = spec.target.bits[:upto + 1, :upto + 1, :upto + 1]
-        return np.array_equal(_tau_bits(np.column_stack(columns), n), sub)
+        bits = _tau_bits(np.column_stack(columns), n)
+        return np.array_equal(bits | bits.transpose(0, 2, 1), sub)
 
     def place_column():
         nonlocal nodes

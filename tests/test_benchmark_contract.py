@@ -1,9 +1,9 @@
 """The library API the benchmark's workloads call.
 
 perfbench/ builds and checks its jobs through the library's public names, so
-a change to one of them breaks the benchmark; these tests run one round's
-parity-space orbit, class and census jobs and every arrays job, read-only
-from perfbench/, so the break shows here.
+a change to one of them breaks the benchmark; these tests run every job of
+one round of parity-space and of arrays, read-only from perfbench/, so the
+break shows here.
 """
 
 import importlib
@@ -49,6 +49,18 @@ def test_parity_space_enumerate_jobs(monkeypatch, tmp_path):
     wl_space, jobs, tracer = _one_round(monkeypatch, tmp_path, "parity-space")
     picked = [j for j in jobs if j.kind.startswith("enumerate-")]
     assert len(picked) == len(wl_space.ENUMERATIONS)
+    for job in picked:
+        job.check(job.run(tracer))
+
+
+def test_parity_space_audit_search_and_achieved_jobs(monkeypatch, tmp_path):
+    # the audits read tau.mirrored() and StandardSigma.to_matrix(), and the
+    # search jobs check the node counts the benchmark pins
+    wl_space, jobs, tracer = _one_round(monkeypatch, tmp_path, "parity-space")
+    picked = [j for j in jobs if j.kind.startswith(("audit-", "search-"))
+              or j.kind == "achieved-types-n6"]
+    assert len(picked) == (len(wl_space.AUDITS) + 2 * len(wl_space.TYPE_SEARCHES)
+                           + wl_space.K4_SEARCHES + 1)
     for job in picked:
         job.check(job.run(tracer))
 

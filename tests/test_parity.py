@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oaparity.core import (
     LatinSquare,
@@ -42,6 +43,7 @@ from conftest import (
     zn_linear_oa,
 )
 from oracle import _sigma_bits, additivity_violation, direct_sigma, direct_tau
+from oracle import _tau_bits as oracle_tau_bits
 
 
 def reference_parities(square):
@@ -273,6 +275,45 @@ def test_tau_ignores_row_order():
 
 
 # ---------------------------------------------------------------------------
+# storage of tau
+
+
+def _mirrored_upper_half(src: np.ndarray) -> np.ndarray:
+    """src[c, min(i, j), max(i, j)] at every [c, i, j] with c, i, j distinct
+    and nonzero, and 0 elsewhere."""
+    k = src.shape[0] - 1
+    out = np.zeros_like(src, dtype=np.uint8)
+    for c, i, j in itertools.permutations(range(1, k + 1), 3):
+        out[c, i, j] = src[c, min(i, j), max(i, j)]
+    return out
+
+
+def test_every_producer_stores_the_mirrored_upper_half():
+    rng = random.Random(14)
+    a = zn_linear_oa(5)
+    sigma = SigmaMatrix.from_upper(6, 2, np.triu(np.ones((7, 7), dtype=np.uint8), 1))
+    t = tau_parity(a)
+    direct = oracle_tau_bits(a.rows, a.n)
+    entries = [[c, j, i, b] if rng.getrandbits(1) else [c, i, j, b] for c, i, j, b in t.entries()]
+    asym = np.array([[[rng.getrandbits(1) for _ in range(6)] for _ in range(6)] for _ in range(6)])
+    half = np.triu(asym, 1)
+    produced = [
+        (t, direct),
+        (tau_from_sigma(sigma), sigma.m[:, :, None] ^ sigma.m[:, None, :]),
+        (TauVector.from_entries(a.k, a.n % 4, entries, n=a.n), direct),
+        (TauVector(5, 0, half), half),
+        (TauVector(5, 0, _mirrored_upper_half(asym)), asym),
+        (TauVector(5, 0, asym), asym),
+    ]
+    for got, src in produced:
+        assert np.array_equal(got.bits, _mirrored_upper_half(src))
+        assert np.array_equal(got.bits, got.bits.transpose(0, 2, 1))
+        assert not got.bits.flags.writeable
+        assert np.array_equal(got.mirrored(), got.bits)
+    assert produced[2][0] == t
+
+
+# ---------------------------------------------------------------------------
 # conversions
 
 
@@ -429,6 +470,22 @@ def test_predicted_deltas_match_recomputation(p):
         res = apply_transform(a, t)
         assert tau_parity(res.oa) == pred_tau
         assert sigma_parity(res.oa) == pred_sigma == direct_sigma(res.oa)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    p=st.sampled_from([3, 5, 7]),
+    length=st.integers(1, 4),
+    rng=st.randoms(use_true_random=False),
+)
+def test_transform_chains_follow_the_laws(p, length, rng):
+    a = zn_linear_oa(p)
+    for _ in range(length):
+        t = random_transform(a, rng)
+        pred_tau, pred_sigma = transform_parity_laws(a, t)
+        a = apply_transform(a, t).oa
+        assert tau_parity(a) == pred_tau
+        assert sigma_parity(a) == pred_sigma == direct_sigma(a)
 
 
 def test_even_n_odd_symbol_perm_changes_nothing():
