@@ -36,6 +36,7 @@ from .parity import (
     check_plausible,
     equiparity_type,
     sigma_from_tau,
+    sigma_parity,
     tau_parity,
 )
 
@@ -114,8 +115,10 @@ class EnsembleCensus:
 
 def ensemble_census(source: OrthogonalArray | TauVector) -> EnsembleCensus:
     """Census of an array or of a bare (plausible) tau vector."""
-    tau = tau_parity(source) if isinstance(source, OrthogonalArray) else source
-    mu = sigma_from_tau(tau).row_sums()
+    if isinstance(source, OrthogonalArray):
+        tau, mu = tau_parity(source), sigma_parity(source).row_sums()
+    else:
+        tau, mu = source, sigma_from_tau(source).row_sums()
     k = tau.k
     bits = tau.bits
     c1, c2, c3 = _triples(k)
@@ -225,30 +228,23 @@ def check_ensemble_laws(census: EnsembleCensus) -> EnsembleReport:
         )
 
     n = census.n
-    if nm in (0, 1):
-        bound = None
-        if plane:
-            bound = (
-                n * (n + 1) * (n - 4) // 24 if nm == 0 else (n + 1) * (n - 1) * (n - 3) // 24
-            )
-        checks.append(
-            LawCheck(
-                "equiparity-lower-bound",
-                plane,
-                (x >= bound) if plane else None,
-                f"x={x} >= {bound}" if plane else "needs a plane-plausible OA(n+1, n)",
-            )
+    bound = None
+    if plane:
+        if nm == 0:
+            bound = n * (n + 1) * (n - 4) // 24
+        elif nm == 1:
+            bound = (n + 1) * (n - 1) * (n - 3) // 24
+        else:
+            bound = math.ceil(n / 4)
+    checks.append(
+        LawCheck(
+            "equiparity-lower-bound",
+            plane,
+            (x >= bound) if plane else None,
+            f"x={x} >= {bound}" if plane else "needs a plane-plausible OA(n+1, n)",
         )
-    else:
-        bound = math.ceil(n / 4) if plane else None
-        checks.append(
-            LawCheck(
-                "equiparity-lower-bound",
-                plane,
-                (x >= bound) if plane else None,
-                f"x={x} >= {bound}" if plane else "needs a plane-plausible OA(n+1, n)",
-            )
-        )
+    )
+    if nm in (2, 3):
         congruent = (x % 4 == math.ceil(n / 4) % 4) if plane else None
         checks.append(
             LawCheck(

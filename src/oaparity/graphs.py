@@ -174,7 +174,7 @@ class StackClassification:
     shape is "complete-bipartite" (parts part1 | part2, n = 0,1 mod 4) or
     "union-of-cliques" (cliques part1, part2, n = 2,3 mod 4).  For plane
     candidates (k = n+1) with a plane-plausible vector the refined shape
-    ("empty" or "complete") is asserted and recorded.
+    ("empty" or "complete") is recorded.
     """
 
     shape: str
@@ -204,16 +204,10 @@ def stack(t: TauVector) -> StackClassification:
         p1, p2 = (c1, c2) if c1 else (c2, ())  # a complete stack is one clique
         shape = "union-of-cliques"
     refined = None
-    if t.n is not None and t.k == t.n + 1:
-        if check_plausible(t).pp_plausible == "yes":
-            if t.nmod4 in (0, 1):
-                if p1 or len(p2) != k or g.adj.any():
-                    raise OAError("plane-plausible stack must be empty for n = 0,1 mod 4")
-                refined = "empty"
-            else:
-                if p2 or len(p1) != k:
-                    raise OAError("plane-plausible stack must be complete for n = 2,3 mod 4")
-                refined = "complete"
+    # plane-plausible means the stack's adjacency is C(n,2) mod 2 on every
+    # pair: empty for n = 0,1 mod 4, complete for n = 2,3 mod 4
+    if t.n is not None and t.k == t.n + 1 and check_plausible(t).pp_plausible == "yes":
+        refined = "empty" if t.nmod4 in (0, 1) else "complete"
     return StackClassification(shape=shape, part1=p1, part2=p2, refined=refined)
 
 

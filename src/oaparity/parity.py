@@ -19,17 +19,16 @@ a sigma-parity and its complement:
 One type, ``SigmaMatrix``, holds a sigma-parity; ``StandardSigma`` is its
 subtype whose (1,2) entry is zero.  Because sigma_12 is the identity in
 storage order, the stored sigma of an array *is* the standardised sigma its
-tau determines, so ``sigma_parity`` derives it from ``tau_parity`` instead of
-computing the parities of C(k,2) permutations of length n^2.
+tau determines.
 
-Tau itself is computed from k(k-2) of its k*C(k-1,2) components: fixing one
-column w per column c, the additivity identity
-
-    tau^c_{ij}      = tau^c_{wi} + tau^c_{wj}
-
-gives the rest; the k(k-2)*n permutations needed go to ``parity_batch`` in one
-call.  Additivity therefore holds by construction for the tau of an array,
-so the tests compare it with every component computed directly.
+Both follow from the k(k-2) fixed-column bits d[c, j] = tau^c_{w(c) j}, with
+w(1) = 2 and w(c) = 1 otherwise, by one formula (``_sigma_upper``).
+``sigma_parity`` gets d of an array from k(k-2)*n permutations of length n in
+one ``parity_batch`` call, not from C(k,2) permutations of length n^2, and
+``tau_parity`` is ``tau_from_sigma`` of it, so the additivity identity
+tau^c_{ij} = tau^c_{wi} + tau^c_{wj} holds by construction there and the
+tests compare it with every component computed directly.
+``sigma_from_tau`` checks plausibility, then reads d off the tau vector.
 
 A ``TauVector`` reads the components with i < j of whatever array it is
 given and stores them in both index orders, so tau^c_{ij} = tau^c_{ji} holds
@@ -81,10 +80,6 @@ class ParityTriple(NamedTuple):
     @property
     def type_str(self) -> str:
         return f"{self.pr}{self.pc}{self.ps}"
-
-    @property
-    def is_equiparity(self) -> bool:
-        return self.pr == self.pc == self.ps
 
 
 def latin_square_parities(square: LatinSquare) -> ParityTriple:
@@ -360,17 +355,15 @@ def standardise_by_out_degree(sigma: SigmaMatrix, parity: int) -> SigmaMatrix:
 # parity of an orthogonal array
 
 
-def _tau_bits(mat: np.ndarray, n: int) -> np.ndarray:
-    """Tau bits of an OA matrix in any row order, in both index orders as
-    ``TauVector.bits`` holds them.
+def _fixed_column_bits(mat: np.ndarray, n: int) -> np.ndarray:
+    """The fixed-column bits d of an OA matrix in any row order.
 
-    Only k(k-2) of the k*C(k-1,2) components are computed from permutations:
-    for each column c one other column w is fixed, and the rest follow by
-    additivity, tau^c_{ij} = tau^c_{wi} + tau^c_{wj}.  Proof: within a symbol
-    class of c, pi_ij = pi_wj o pi_iw, and parity(pi_iw) = parity(pi_wi).
-    The permutations exist because every column pair of ``mat`` is
-    orthogonal, which ``OrthogonalArray`` checks and the search guarantees
-    for its partial column stacks.
+    They determine the other components by additivity, tau^c_{ij} =
+    tau^c_{wi} + tau^c_{wj}: within a symbol class of c, pi_ij = pi_wj o
+    pi_iw, and parity(pi_iw) = parity(pi_wi).  The permutations exist
+    because every column pair of ``mat`` is orthogonal, which
+    ``OrthogonalArray`` checks and the search guarantees for its partial
+    column stacks.
     """
     k = mat.shape[1]
     w = np.where(np.arange(k + 1) == 1, 2, 1)  # the fixed column w of column c
@@ -383,31 +376,49 @@ def _tau_bits(mat: np.ndarray, n: int) -> np.ndarray:
     order = np.argsort(sym * n + sym[:, w[1:] - 1], axis=0)
     perms = mat[order.T][c - 1, :, j - 1]
     par = parity_batch(perms.reshape(len(c) * n, n)).reshape(len(c), n)
-    # d[c, j] = tau^c_{wj}, with d[c, w] = 0
     d = np.zeros((k + 1, k + 1), dtype=np.uint8)
     d[c, j] = par.sum(axis=1) & 1
-    half = np.where(_canonical_mask(k), d[:, :, None] ^ d[:, None, :], 0).astype(np.uint8)
-    return half | half.transpose(0, 2, 1)
-
-
-@lru_cache(maxsize=256)
-def tau_parity(a: OrthogonalArray) -> TauVector:
-    """The tau-parity of an orthogonal array, from the defining permutations."""
-    return TauVector(k=a.k, nmod4=a.n % 4, bits=_tau_bits(a.rows, a.n), n=a.n)
+    return d
 
 
 @lru_cache(maxsize=256)
 def sigma_parity(a: OrthogonalArray) -> StandardSigma:
     """The sigma-parity of an orthogonal array at its stored row order.
 
-    Derived from tau: stored rows are sorted on columns 1 and 2, so sigma_12
-    is the identity and the stored sigma is the standardised one.
+    Stored rows are sorted on columns 1 and 2, so sigma_12 is the identity
+    and the stored sigma is the standardised one.
     """
-    return sigma_from_tau(tau_parity(a))
+    up = _sigma_upper(_fixed_column_bits(a.rows, a.n), a.n % 4)
+    return StandardSigma.from_upper(a.k, a.n % 4, up, n=a.n)
+
+
+@lru_cache(maxsize=256)
+def tau_parity(a: OrthogonalArray) -> TauVector:
+    """The tau-parity of an orthogonal array, derived from its sigma-parity."""
+    return tau_from_sigma(sigma_parity(a))
 
 
 # ---------------------------------------------------------------------------
 # conversions
+
+
+def _read_fixed_columns(bits: np.ndarray) -> np.ndarray:
+    """d[c, j] = tau^c_{w(c) j} of a (k+1)^3 tau bit array; d[c, w(c)] = 0."""
+    d = bits[:, 1].copy()
+    d[1] = bits[1, 2]
+    return d
+
+
+def _sigma_upper(d: np.ndarray, nmod4: int) -> np.ndarray:
+    """The standardised sigma that d determines, in the entries i < j:
+    sigma_1j = d[1,j], sigma_2j = d[2,j] + C(n,2) and sigma_ij = d[1,i] +
+    d[i,j] + C(n,2) for 3 <= i < j.  Rows 3 and up also fill i >= j."""
+    kk = binom2_bit(nmod4)
+    up = np.zeros_like(d)
+    up[1, 3:] = d[1, 3:]
+    up[2, 3:] = d[2, 3:] ^ kk
+    up[3:] = d[1, 3:, None] ^ d[3:] ^ kk
+    return up
 
 
 def tau_from_sigma(s: SigmaMatrix) -> TauVector:
@@ -422,14 +433,7 @@ def sigma_from_tau(t: TauVector) -> StandardSigma:
     if not report.plausible:
         kind, witness = report.violations[0]
         raise OAError(f"tau vector is not plausible: {kind} violated at {witness}")
-    # with sigma_12 = 0: sigma_1j = tau^1_2j, sigma_2j = tau^2_1j + C(n,2)
-    # and sigma_ij = tau^1_2i + tau^i_1j + C(n,2) for 3 <= i < j
-    kk = binom2_bit(t.nmod4)
-    full = t.bits
-    up = np.zeros_like(full[0])
-    up[1, 3:] = full[1, 2, 3:]
-    up[2, 3:] = full[2, 1, 3:] ^ kk
-    up[3:] = full[1, 2, 3:, None] ^ full[3:, 1] ^ kk
+    up = _sigma_upper(_read_fixed_columns(t.bits), t.nmod4)
     return StandardSigma.from_upper(t.k, t.nmod4, up, n=t.n)
 
 
@@ -470,10 +474,9 @@ def check_plausible(t: TauVector) -> PlausibilityReport:
     full = t.bits
     violations = []
 
-    # tau^c_ij = tau^c_iw + tau^c_jw, w = 1 (w = 2 for c = 1), every c at once
-    f = full[:, 1].copy()
-    f[1] = full[1, 2]
-    bad = ((full ^ f[:, :, None] ^ f[:, None, :]) != 0) & _canonical_mask(k)
+    # tau^c_ij = tau^c_wi + tau^c_wj with w = w(c), every c at once
+    d = _read_fixed_columns(full)
+    bad = ((full ^ d[:, :, None] ^ d[:, None, :]) != 0) & _canonical_mask(k)
     if bad.any():
         c, i, j = np.argwhere(bad)[0]
         violations.append(("additivity", (int(c), int(i), int(j))))

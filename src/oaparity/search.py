@@ -46,7 +46,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LatinSquare, OAError, OrthogonalArray, UsageError
-from .parity import TauVector, _tau_bits, binom2_bit, check_plausible, plausible_types, tau_parity
+from .parity import (StandardSigma, TauVector, _fixed_column_bits, _sigma_upper, binom2_bit,
+                     check_plausible, free_pairs, plausible_types, sigma_from_tau, tau_parity)
 
 MAX_ENUM_ORDER = 6
 
@@ -292,10 +293,13 @@ class SearchOutcome:
     seed: int | None = None
 
 
-def _partial_tau_matches(columns, n: int, target: TauVector) -> bool:
-    """Whether the tau components among the columns so far equal the target's."""
-    j = len(columns) + 1
-    return np.array_equal(_tau_bits(np.column_stack(columns), n), target.bits[:j, :j, :j])
+def _partial_tau_matches(columns, n: int, target: StandardSigma) -> bool:
+    """Whether the tau components among the j >= 3 columns so far equal the
+    target's; plausible taus and standardised sigmas determine each other,
+    column by column, so this compares the free sigma entries among them."""
+    free = free_pairs(len(columns))
+    got = _sigma_upper(_fixed_column_bits(np.column_stack(columns), n), n % 4)
+    return np.array_equal(got[free], target.m[free])
 
 
 def _search(spec: SearchSpec, rng: random.Random | None):
@@ -305,6 +309,7 @@ def _search(spec: SearchSpec, rng: random.Random | None):
     columns = [np.repeat(idx, n), np.tile(idx, n)]
     nodes = _Nodes(spec.max_nodes)
     typed = isinstance(target, str)  # a square type, checked by the running parity
+    target = target if typed else sigma_from_tau(target)
 
     def extend() -> bool:
         """Add matching columns until there are k; one level per column."""

@@ -1,8 +1,8 @@
 """Brute-force oracles for quantities the library derives.
 
-The library counts cycles by pointer jumping, derives tau from k(k-2) of its
-components by additivity, checks that additivity for every column in one
-array comparison, derives sigma from tau, builds switching classes through
+The library counts cycles by pointer jumping, derives sigma from k(k-2) tau
+components and tau from sigma, checks additivity for every column in one
+array comparison, builds switching classes through
 the chain S_1 < ... < S_k on cosets of the swaps (odd n) with compiled
 transpositions, and searches with one iterative cell walk that keeps a
 running square parity, and takes the ensemble census, the four-column cap and the graph

@@ -2,8 +2,8 @@
 
 perfbench/ builds and checks its jobs through the library's public names, so
 a change to one of them breaks the benchmark; these tests run every job of
-one round of parity-space and of arrays, read-only from perfbench/, so the
-break shows here.
+one round of parity-space, of arrays and of cli, read-only from perfbench/,
+so the break shows here.
 """
 
 import importlib
@@ -27,7 +27,8 @@ def _one_round(monkeypatch, tmp_path, workload: str):
     benchmark's untraced tracer."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     harness = importlib.import_module("harness")
-    module = importlib.import_module({"parity-space": "wl_space", "arrays": "wl_arrays"}[workload])
+    name = {"parity-space": "wl_space", "arrays": "wl_arrays", "cli": "wl_cli"}[workload]
+    module = importlib.import_module(name)
 
     def rng_for(r, slot):
         return random.Random(f"{workload}:0:{r}:{slot}")
@@ -68,5 +69,14 @@ def test_parity_space_audit_search_and_achieved_jobs(monkeypatch, tmp_path):
 def test_arrays_jobs(monkeypatch, tmp_path):
     wl_arrays, jobs, tracer = _one_round(monkeypatch, tmp_path, "arrays")
     assert len(jobs) == len(wl_arrays.SLOTS)
+    for job in jobs:
+        job.check(job.run(tracer))
+
+
+def test_cli_jobs(monkeypatch, tmp_path):
+    # one oaparity subprocess per job, its output checked against the
+    # library's result for the same command
+    _, jobs, tracer = _one_round(monkeypatch, tmp_path, "cli")
+    assert len(jobs) == 11
     for job in jobs:
         job.check(job.run(tracer))

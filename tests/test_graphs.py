@@ -17,7 +17,10 @@ from oaparity.graphs import (
     to_dot,
 )
 from oaparity.parity import (
+    StandardSigma,
     TauVector,
+    check_plausible,
+    free_pairs,
     sigma_parity,
     tau_from_sigma,
     tau_parity,
@@ -27,6 +30,7 @@ from oaparity.constructions import (
     circulant_sigma,
     linear_mols,
     lower_triangular_sigma,
+    pp_plausible_sigma,
 )
 
 import oracle
@@ -227,6 +231,37 @@ def test_stack_cliques_below_plane_size():
     for u in s.part1:
         for v in s.part2:
             assert not g.has_edge(u, v)
+
+
+def test_plane_condition_derivations_agree():
+    # k = n+1: the over-columns sum rule of check_plausible, the sigma-graph
+    # degree law and the refined stack shape decide the same vectors, on
+    # pp_plausible_sigma completions and on one-bit perturbations of them
+    rng = random.Random(15)
+    seen = {True: 0, False: 0}
+    for n in range(3, 41):
+        k = n + 1
+        free = free_pairs(k)
+        for _ in range(15):
+            bits = [rng.getrandbits(1) for _ in range(n * (n - 1) // 2 - 1 + n % 2)]
+            std = pp_plausible_sigma(n, bits)
+            up = std.m.copy()
+            v = rng.randrange(len(free[0]))
+            up[free[0][v], free[1][v]] ^= 1
+            for s in (std, StandardSigma.from_upper(k, n % 4, up, n=n)):
+                t = tau_from_sigma(s)
+                plane = check_plausible(t).pp_plausible == "yes"
+                assert (sigma_graph(s).degree_law == "pass") == plane, (n, s.word)
+                stk = stack(t)
+                assert (stk.refined is not None) == plane, (n, s.word)
+                if plane:
+                    full = tuple(range(1, k + 1))
+                    if n % 4 in (0, 1):
+                        assert (stk.refined, stk.part1, stk.part2) == ("empty", (), full)
+                    else:
+                        assert (stk.refined, stk.part1, stk.part2) == ("complete", full, ())
+                seen[plane] += 1
+    assert seen[True] >= 38 * 15 and seen[False] > 0, seen
 
 
 # ---------------------------------------------------------------------------

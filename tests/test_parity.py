@@ -31,7 +31,9 @@ from oaparity.parity import (
     tau_from_sigma,
     tau_parity,
     transform_parity_laws,
-    _tau_bits,
+    _fixed_column_bits,
+    _read_fixed_columns,
+    _sigma_upper,
 )
 from oaparity.constructions import linear_mols, residue_pattern_oa
 
@@ -44,6 +46,13 @@ from conftest import (
 )
 from oracle import _sigma_bits, additivity_violation, direct_sigma, direct_tau
 from oracle import _tau_bits as oracle_tau_bits
+
+
+def kernel_tau_bits(mat, n):
+    """Tau bits of an OA matrix in any row order, through the library's
+    fixed-column kernel, sigma formula and tau view."""
+    up = _sigma_upper(_fixed_column_bits(mat, n), n % 4)
+    return tau_from_sigma(SigmaMatrix.from_upper(mat.shape[1], n % 4, up)).bits
 
 
 def reference_parities(square):
@@ -213,22 +222,39 @@ def _oracle_arrays(rng, qs, ns):
 
 
 def test_sigma_parity_matches_direct_oracle():
-    # sigma is derived from tau; the oracle counts inversions on n^2 rows
+    # sigma comes from the fixed-column bits; the oracle counts inversions
+    # on n^2 rows
     arrays = _oracle_arrays(random.Random(13), (2, 3, 4, 5, 7, 8, 9, 11, 13), (11, 19, 23))
     for a in arrays:
         assert sigma_parity(a) == direct_sigma(a), (a.k, a.n)
 
 
+def test_sigma_parity_needs_no_tau_and_no_plausibility_pass(monkeypatch):
+    import oaparity.parity as P
+
+    def forbidden(*args):
+        raise AssertionError("sigma_parity must read only the fixed-column bits")
+
+    monkeypatch.setattr(P, "check_plausible", forbidden)
+    monkeypatch.setattr(P, "tau_parity", forbidden)
+    for a in (zn_linear_oa(7), linear_mols(8), residue_pattern_oa(11, "nnn")):
+        assert P.sigma_parity.__wrapped__(a) == direct_sigma(a)
+
+
 def test_tau_parity_matches_direct_oracle():
-    # tau is derived from k(k-2) components by additivity; the oracle computes
-    # every component from its permutations and counts their inversions
+    # tau is derived from sigma, so from k(k-2) components by additivity; the
+    # oracle computes every component from its permutations and counts their
+    # inversions
     rng = random.Random(14)
     arrays = _oracle_arrays(rng, (2, 3, 4, 5, 7, 8, 9, 11, 13, 16), (11, 19, 23, 43))
     for a in arrays:
         direct = direct_tau(a)
         assert tau_parity(a) == direct, (a.k, a.n)
         shuffled = a.rows[rng.sample(range(a.n * a.n), a.n * a.n)]
-        assert np.array_equal(_tau_bits(shuffled, a.n), direct.bits), (a.k, a.n)
+        assert np.array_equal(kernel_tau_bits(shuffled, a.n), direct.bits), (a.k, a.n)
+        assert np.array_equal(
+            _fixed_column_bits(shuffled, a.n), _read_fixed_columns(direct.bits)
+        ), (a.k, a.n)
         # plausibility holds by construction for derived tau; the oracle's
         # full tau must satisfy the same laws and give the same report
         report = check_plausible(direct)
@@ -268,10 +294,10 @@ def test_sigma_of_row_permuted_matrix_flips_by_parity():
 def test_tau_ignores_row_order():
     rng = random.Random(12)
     a = zn_linear_oa(5)
-    base = _tau_bits(a.rows, a.n)
+    base = kernel_tau_bits(a.rows, a.n)
     perm = list(range(25))
     rng.shuffle(perm)
-    assert np.array_equal(_tau_bits(a.rows[perm], a.n), base)
+    assert np.array_equal(kernel_tau_bits(a.rows[perm], a.n), base)
 
 
 # ---------------------------------------------------------------------------
