@@ -18,20 +18,24 @@ A state is a ``StandardSigma``; the search packs each into its ``word``,
 whose numeric order is lexicographic order on bit vectors (stable canonical
 representatives).
 
-Each generator is compiled to a few (shift, mask) groups: an adjacent
-transposition moves the bits of the pairs it relabels by one of a handful of
-constant distances, and a swap at {t} moves no bit, so it is x -> x ^ c_t
-for a constant c_t.
+Every generator is affine over GF(2) on words: an adjacent transposition
+moves each pair's bit to the pair it relabels onto, flips it when the
+pair's orientation reverses, and complements the word when the new (1,2)
+entry is 1; a swap at {t} moves no bit, so it is x -> x ^ c_t for a
+constant c_t.
 
 For odd n the searches run on a quotient.  The k swap constants span a
 space V of dimension k - 1, and every column relabelling maps V onto
 itself, so each class is a union of cosets x ^ V of 2^(k-1) states each.
 Take a reduced echelon basis of V, each vector's pivot its top bit; a
-coset's least word is any member with its pivot bits cleared.  The searches
-visit these least words, moved by the k - 1 adjacent transpositions with
-every image reduced, and multiply class sizes by 2^(k-1); a class's least
-word is its least coset minimum.  For even n the quotient is the words
-themselves and its generators are the same transpositions.
+coset's least word is the member with its pivot bits cleared, and its
+packed index is that word with the pivot bits dropped, which keeps the
+order of least words.  For even n V is 0 and a packed index is a word.
+Taking least words and dropping pivot bits are linear, so each transposition
+acts on packed indices as one affine map, a constant XOR one column per
+packed bit, compiled once per (k, n mod 4).  The searches walk packed
+indices with the k - 1 transpositions and multiply class sizes by the coset
+size 2^(k-1); a class's least word is its least packed index unpacked.
 
 Every search builds S_k's orbits through the chain S_1 < S_2 < ... < S_k,
 S_j permuting columns 1..j, generated by s_1..s_(j-1), where s_t swaps
@@ -46,15 +50,15 @@ the previous one, and one sort drops the repeats.  When s_j maps O_j into
 itself, O_j is already an orbit of S_(j+1) and the step is skipped.
 
 Full enumeration of a quotient of at most 2^20 elements (k <= 7, and k = 8
-for odd n) labels every element at once, indexed by its least word with the
-pivot bits dropped.  The labels m_1 are the indices themselves; m_j, the
-least index of each element's S_j-orbit, gives m_(j+1) as the least of m_j
-and m_j o s_j o ... o s_i over i, one gather through a generator's image
-array per factor, k(k-1)/2 gathers in all.  Every class is then labelled by
-its least word, the canonical representative, and the class sizes are label
-counts times the coset size.  The even k = 8 space (2^27 words) is walked one
-class at a time, each class one orbit on a visited bitmap, which holds far
-less than the labels and the generators' images would.
+for odd n) labels every packed index at once.  The labels m_1 are the
+indices themselves; m_j, the least index of each element's S_j-orbit, gives
+m_(j+1) as the least of m_j and m_j o s_j o ... o s_i over i.  Each
+composite s_j o ... o s_i is one affine map, filled into an image array by
+doubling and gathered through once, k(k-1)/2 gathers in all.  Every class is
+then labelled by its least index, the canonical representative, and the
+class sizes are label counts times the coset size.  The even k = 8 space
+(2^27 words) is walked one class at a time, each class one orbit on a
+visited bitmap, which holds far less than the labels would.
 """
 
 from __future__ import annotations
@@ -62,8 +66,8 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from dataclasses import dataclass
-from functools import cache
+from dataclasses import dataclass, replace
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -83,6 +87,8 @@ from .parity import (
 _LABEL_LIMIT = 1 << 20
 _DEFAULT_BUDGET_MB = 2048
 _BUDGET_ENV = "OAPARITY_ORBIT_BUDGET_MB"
+# inputs per pass of _Affine.apply; its index buffers then take 128 KiB
+_APPLY_BLOCK = 1 << 14
 
 
 def _bit_positions(k: int) -> dict[tuple[int, int], int]:
@@ -129,57 +135,88 @@ def act_swap(s: StandardSigma, cset) -> StandardSigma:
 
 
 # ---------------------------------------------------------------------------
-# compiled generators and the quotient the searches walk
+# affine maps and the quotient the searches walk
 
 
 @dataclass(frozen=True)
-class _Generator:
-    """One group generator (or a bare bit rearrangement) on packed states.
+class _Affine:
+    """x -> const ^ (the XOR of cols[b] over the set bits b of x): an affine
+    map over GF(2) on bit vectors held as integers."""
 
-    out = the bits of each ``moves`` mask shifted by its shift (left when
-    positive), ^ xmask, then complemented when bit d_src of the input (the
-    relabelled (1,2) entry) is 1.
-    """
+    const: int
+    cols: tuple
 
-    moves: tuple  # ((shift, mask), ...), masks disjoint and in source positions
-    xmask: int
-    d_src: int  # -1 when the relabelled (1,2) entry is constant (folded into xmask)
-    full: int
+    def linear(self, x: int) -> int:
+        out = 0
+        for col in self.cols:
+            if x & 1:
+                out ^= col
+            x >>= 1
+        return out
 
-    def apply(self, words: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """The images of ``words``, in their unsigned dtype (uint32 suffices
-        for k <= 8)."""
-        word = words.dtype.type
+    def __call__(self, x: int) -> int:
+        return self.const ^ self.linear(x)
+
+    def after(self, inner: _Affine) -> _Affine:
+        """The composite self o inner (inner applied first)."""
+        return _Affine(self(inner.const), tuple(self.linear(col) for col in inner.cols))
+
+    def fill(self, out: np.ndarray) -> np.ndarray:
+        """The images of 0 .. 2^len(cols) - 1 in ``out``, by doubling: the
+        images of [2^b, 2^(b+1)) are those of [0, 2^b) ^ cols[b]."""
+        out[0] = self.const
+        for b, col in enumerate(self.cols):
+            np.bitwise_xor(out[:1 << b], col, out=out[1 << b:2 << b])
+        return out
+
+    @cached_property
+    def _tables(self) -> tuple:
+        """(shift, mask, table) for each of the fewest slices of at most 16
+        input bits, the mask None for the top slice; a table holds the
+        images of its slice's values, the constant folded into the first."""
+        width = len(self.cols)
+        count = max(1, -(-width // 16))
+        dtype = np.uint32 if width <= 32 else np.uint64
+        tables, shift = [], 0
+        for c in range(count):
+            w = width // count + (c < width % count)
+            part = _Affine(self.const if c == 0 else 0, self.cols[shift:shift + w])
+            mask = (1 << w) - 1 if c < count - 1 else None
+            tables.append((shift, mask, part.fill(np.empty(1 << w, dtype=dtype))))
+            shift += w
+        return tuple(tables)
+
+    def apply(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The images of ``x``, a 1-d array of inputs of len(cols) bits, in
+        x's dtype (uint32 up to 32 bits, else uint64): one table lookup per
+        slice of their bits, XORed together, a block of inputs at a time so
+        that the lookup buffers stay in cache."""
         if out is None:
-            out = np.empty_like(words)
-        out.fill(self.xmask)
-        part = np.empty_like(words)
-        # destination bits of different groups are disjoint, so ^ acts as |
-        for shift, mask in self.moves:
-            np.bitwise_and(words, word(mask), out=part)
-            if shift > 0:
-                np.left_shift(part, word(shift), out=part)
-            elif shift < 0:
-                np.right_shift(part, word(-shift), out=part)
-            out ^= part
-        if self.d_src >= 0:
-            np.right_shift(words, word(self.d_src), out=part)
-            part &= word(1)
-            part *= word(self.full)
-            out ^= part
+            out = np.empty_like(x)
+        index = np.empty(min(x.size, _APPLY_BLOCK), dtype=np.intp)
+        spare = np.empty(index.size, dtype=x.dtype)
+        for lo in range(0, x.size, _APPLY_BLOCK):
+            block, image = x[lo:lo + _APPLY_BLOCK], out[lo:lo + _APPLY_BLOCK]
+            at, part = index[:block.size], spare[:block.size]
+            for c, (shift, mask, table) in enumerate(self._tables):
+                np.right_shift(block, shift, out=at)
+                if mask is not None:
+                    at &= mask
+                # every index is in range; numpy buffers ``out`` unless the
+                # mode is "clip" or "wrap"
+                if c == 0:
+                    table.take(at, out=image, mode="clip")
+                else:
+                    table.take(at, out=part, mode="clip")
+                    image ^= part
         return out
 
 
-def _shift_groups(pairs) -> tuple:
-    """Group (src, dst) bit moves by dst - src into (shift, mask) entries."""
-    groups: dict[int, int] = {}
-    for src, dst in pairs:
-        groups[dst - src] = groups.get(dst - src, 0) | (1 << src)
-    return tuple(sorted(groups.items()))
-
-
-def _compile(k: int, nmod4: int, g: tuple, t: int = 0) -> _Generator:
-    """Relabel columns by g, swap at {t} (no swap for t = 0), re-standardise."""
+def _compile(k: int, nmod4: int, g: tuple, t: int = 0) -> _Affine:
+    """Relabel columns by g, swap at {t} (no swap for t = 0), re-standardise,
+    as an affine map on words: each pair's bit comes from the pair relabelled
+    onto it, flipped by the swap and by a reversed orientation, and the whole
+    word is complemented when the new (1,2) entry is 1."""
     kk = binom2_bit(nmod4)
     pos = _bit_positions(k)
     full = (1 << len(pos)) - 1
@@ -197,28 +234,19 @@ def _compile(k: int, nmod4: int, g: tuple, t: int = 0) -> _Generator:
             return None, const
         return pos[(s1, s2)], const
 
-    xmask = 0
-    pairs = []
+    const = 0
+    cols = [0] * len(pos)
     for (a, b), dst in pos.items():
-        src, const = source(a, b)
-        if const:
-            xmask |= 1 << dst
+        src, flip = source(a, b)
+        const |= flip << dst
         if src is not None:
-            pairs.append((src, dst))
+            cols[src] |= 1 << dst
     d_src, d_const = source(1, 2)
-    if d_const:  # the new (1,2) entry is 1 whatever the input: complement
-        xmask ^= full
-    return _Generator(
-        moves=_shift_groups(pairs),
-        xmask=xmask,
-        d_src=-1 if d_src is None else d_src,
-        full=full,
-    )
-
-
-def _rearrangement(pairs) -> _Generator:
-    """The bit rearrangement moving each (src, dst) pair's bit, and no other."""
-    return _Generator(moves=_shift_groups(pairs), xmask=0, d_src=-1, full=0)
+    if d_const:
+        const ^= full
+    if d_src is not None:
+        cols[d_src] ^= full
+    return _Affine(const, tuple(cols))
 
 
 def _echelon(vectors) -> tuple:
@@ -244,15 +272,17 @@ class _Quotient:
     """The elements the class searches walk for one (k, n mod 4), and their moves.
 
     For odd n an element is a coset x ^ V of the span V of the swap
-    constants, held as its least word; for even n ``basis`` is empty and an
-    element is a word.  ``gens`` are the compiled adjacent transpositions,
-    which map cosets to cosets; ``basis`` is V's reduced echelon basis.
+    constants, for even n (``basis`` empty) a word.  An element is held as
+    its packed index: its least word with V's pivot bits dropped, which
+    keeps the order of least words.  ``gens`` are the adjacent
+    transpositions as affine maps on packed indices; ``basis`` is V's
+    reduced echelon basis.
     """
 
     k: int
-    gens: tuple
     basis: tuple  # ((pivot, vector), ...), see _echelon
     bits: int  # word width, C(k,2) - 1
+    gens: tuple = ()
 
     @property
     def coset_size(self) -> int:
@@ -265,8 +295,8 @@ class _Quotient:
 
     @property
     def dtype(self) -> np.dtype:
-        """The narrowest unsigned integer type that holds a word."""
-        return np.dtype(np.uint32 if self.bits <= 32 else np.uint64)
+        """The narrowest unsigned integer type that holds a packed index."""
+        return np.dtype(np.uint32 if self.bits - len(self.basis) <= 32 else np.uint64)
 
     def least(self, word: int) -> int:
         """The least word of ``word``'s coset: its pivot bits cleared."""
@@ -275,40 +305,41 @@ class _Quotient:
                 word ^= vector
         return word
 
-    def reduce(self, words: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-        """``least`` of every word, in place; ``scratch`` is as large as
-        ``words``."""
-        word = words.dtype.type
-        for pivot, vector in self.basis:
-            np.right_shift(words, word(pivot), out=scratch)
-            scratch &= word(1)
-            scratch *= word(vector)
-            words ^= scratch
-        return words
+    def index(self, word: int) -> int:
+        """The packed index of ``word``'s element."""
+        word = self.least(word)
+        for pivot, _ in self.basis:  # highest first, so lower pivots stay put
+            word = word >> (pivot + 1) << pivot | word & ((1 << pivot) - 1)
+        return word
 
-    def packing(self) -> tuple[_Generator, _Generator]:
-        """Rearrangements from least words to the indices 0..size-1 and
-        back: the pivot bits are dropped and the bits above each pivot move
-        down.  Packing keeps the order of least words."""
+    def word(self, index: int) -> int:
+        """The least word of the element with packed index ``index``."""
+        for pivot, _ in reversed(self.basis):
+            index = index >> pivot << (pivot + 1) | index & ((1 << pivot) - 1)
+        return index
+
+    def packed(self, g: _Affine) -> _Affine:
+        """index o g o word, for a map g on words that maps cosets to cosets.
+        index and word are linear, so this is affine too."""
         pivots = {pivot for pivot, _ in self.basis}
-        free = [v for v in range(self.bits) if v not in pivots]
-        return (_rearrangement((src, dst) for dst, src in enumerate(free)),
-                _rearrangement((dst, src) for dst, src in enumerate(free)))
+        return _Affine(self.index(g.const),
+                       tuple(self.index(col) for v, col in enumerate(g.cols) if v not in pivots))
 
 
 @cache
 def _quotient(k: int, nmod4: int) -> _Quotient:
     identity = tuple(range(1, k + 1))
+    basis = ()
+    if nmod4 % 2 == 1:
+        # a swap at {t} relabels nothing and reads no (1,2) entry: x -> x ^ c_t
+        basis = _echelon(_compile(k, nmod4, identity, t).const for t in range(1, k + 1))
+    quotient = _Quotient(k=k, basis=basis, bits=k * (k - 1) // 2 - 1)
     gens = []
     for t in range(1, k):
         g = list(identity)
         g[t - 1], g[t] = g[t], g[t - 1]
-        gens.append(_compile(k, nmod4, tuple(g)))
-    basis = ()
-    if nmod4 % 2 == 1:
-        # a swap at {t} moves no bit and reads no (1,2) entry: x -> x ^ xmask
-        basis = _echelon(_compile(k, nmod4, identity, t).xmask for t in range(1, k + 1))
-    return _Quotient(k=k, gens=tuple(gens), basis=basis, bits=k * (k - 1) // 2 - 1)
+        gens.append(quotient.packed(_compile(k, nmod4, tuple(g))))
+    return replace(quotient, gens=tuple(gens))
 
 
 # ---------------------------------------------------------------------------
@@ -375,16 +406,15 @@ def _chain_orbit(seed: int, quotient: _Quotient, budget: int) -> np.ndarray:
         n = orbit.size
         _check_budget(_step_bytes(j, n, orbit.itemsize), budget,
                       f"orbit step of {(j + 1) * n} images from {n} visited elements")
-        scratch = np.empty_like(orbit)
         blocks = np.empty((j + 1, n), dtype=orbit.dtype)
         blocks[0] = orbit
-        quotient.reduce(quotient.gens[j - 1].apply(orbit, out=blocks[1]), scratch)
+        quotient.gens[j - 1].apply(orbit, out=blocks[1])
         # s_j permutes the quotient, so s_j O_j within O_j means s_j O_j = O_j
         at = np.minimum(np.searchsorted(orbit, blocks[1]), n - 1)
         if np.array_equal(orbit[at], blocks[1]):
             continue
         for m in range(2, j + 1):  # blocks[m] = s_(j-m+1) ... s_j O_j
-            quotient.reduce(quotient.gens[j - m].apply(blocks[m - 1], out=blocks[m]), scratch)
+            quotient.gens[j - m].apply(blocks[m - 1], out=blocks[m])
         orbit = _distinct(blocks.reshape(-1))
     return orbit
 
@@ -402,12 +432,12 @@ def orbit(s: StandardSigma) -> OrbitSummary:
     if b > 63:
         raise OAError(f"orbit search packs states into 64-bit words (k <= 11, got k={s.k})")
     quotient = _quotient(s.k, s.nmod4)
-    cosets = _chain_orbit(quotient.least(s.word), quotient, _budget_bytes())
+    cosets = _chain_orbit(quotient.index(s.word), quotient, _budget_bytes())
     size = cosets.size * quotient.coset_size
     bound = _orbit_bound(s.k, s.nmod4)
     if bound % size:
         raise OAError(f"orbit size {size} does not divide the group order {bound}")
-    canonical = StandardSigma.from_word(s.k, s.nmod4, int(cosets[0]), n=s.n)
+    canonical = StandardSigma.from_word(s.k, s.nmod4, quotient.word(int(cosets[0])), n=s.n)
     return OrbitSummary(size=size, canonical=canonical)
 
 
@@ -472,33 +502,35 @@ def _class_sizes_by_orbit(quotient: _Quotient, budget: int) -> np.ndarray:
 
 def _class_labels(quotient: _Quotient, budget: int) -> np.ndarray:
     """The least packed index of each element's class, for every packed
-    index (see ``_Quotient.packing``).
+    index.
 
     m_1 is the identity; m_(j+1) is the least of m_j and m_j o s_j o ... o
-    s_i over i = j..1, each composite one gather of the one before through
-    s_i's image array.  The budget covers the generators' uint32 images, the
-    labels, two gather buffers, and the unpacked words and the arrays and
-    scratch each image is computed through.
+    s_i over i = j..1.  Each composite s_j o ... o s_i is one affine map,
+    filled into an image array over all packed indices and gathered through.
+    The labels are lowered in place: a label read during step j is at most
+    m_j of its element and the index of an element of the same
+    S_(j+1)-orbit, so each label still ends at m_(j+1).  The budget covers the uint32 labels, the
+    intp image array and a uint32 gather buffer.  The labels are returned
+    in the image array, so that counting them (np.bincount takes intp)
+    copies nothing.
     """
     size = quotient.size
-    nbytes = (len(quotient.gens) + 5) * 4 * size
+    nbytes = (4 + np.dtype(np.intp).itemsize + 4) * size
     _check_budget(nbytes, budget, f"enumeration ({nbytes >> 20} MiB of labels)")
-    pack, unpack = quotient.packing()
     label = np.arange(size, dtype=np.uint32)
-    words = unpack.apply(label)
-    buf = np.empty_like(label)
-    images = [pack.apply(quotient.reduce(g.apply(words), buf)) for g in quotient.gens]
-    del words
-    composite, spare = buf, np.empty_like(label)
+    gathered = np.empty_like(label)
+    image = np.empty(size, dtype=np.intp)
     for j in range(1, quotient.k):
-        # m_j o s_j, taken before label is lowered
-        np.take(label, images[j - 1], out=composite)
-        np.minimum(label, composite, out=label)
-        for i in range(j - 1, 0, -1):
-            np.take(composite, images[i - 1], out=spare)
-            np.minimum(label, spare, out=label)
-            composite, spare = spare, composite
-    return label
+        composite = quotient.gens[j - 1]
+        for i in range(j, 0, -1):  # composite = s_j o ... o s_i
+            if i < j:
+                composite = composite.after(quotient.gens[i - 1])
+            # every index is in range; numpy buffers ``out`` unless the mode
+            # is "clip" or "wrap"
+            label.take(composite.fill(image), out=gathered, mode="clip")
+            np.minimum(label, gathered, out=label)
+    np.copyto(image, label)
+    return image
 
 
 def _class_sizes_by_label(quotient: _Quotient, budget: int) -> np.ndarray:

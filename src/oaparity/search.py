@@ -38,6 +38,7 @@ every node.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import sys
@@ -215,15 +216,19 @@ def enumerate_latin_squares(n: int, resume_after: LatinSquare | None = None):
 def achieved_parity_types(n: int) -> set:
     """The set of parity types realised by at least one square of order n.
 
-    At most four types are possible, so the enumeration ends as soon as all
-    four have been seen.
+    A conjugate of a square (its OA(3, n) with the three columns permuted)
+    is a square whose type has the same bits permuted: transposing swaps r
+    and c, exchanging columns and symbols swaps c and s.  So every type seen
+    brings its images under S_3, and the enumeration ends as soon as these
+    hold all four plausible types.
     """
     possible = set(plausible_types(n % 4))
     seen: set[str] = set()
     for ty in latin_square_walk(n)[1]:
-        seen.add(ty)
-        if seen == possible:
-            break
+        if ty not in seen:
+            seen.update("".join(ty[i] for i in p) for p in itertools.permutations(range(3)))
+            if seen == possible:
+                break
     return seen
 
 

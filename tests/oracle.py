@@ -2,33 +2,34 @@
 
 The library counts cycles by pointer jumping, derives sigma from k(k-2) tau
 components and tau from sigma, checks additivity for every column in one
-array comparison, builds switching classes through
-the chain S_1 < ... < S_k on cosets of the swaps (odd n) with compiled
-transpositions, and searches with one iterative cell walk that keeps a
-running square parity, and takes the ensemble census, the four-column cap and the graph
-splits as whole-array passes, and checks orthogonality with one bincount
-per column over its pairs with all later columns.  These functions compute each quantity from
-its definition instead, with a parity kernel of their own (inversion
-counting), a loop over the columns for additivity, a set-based orbit
-search over the matrix-level actions, breadth-first searches and a
-labelling to a fixpoint that apply every generator of any generating set,
-over every word of a class or of the space with every compiled generator,
-a recursive search, one frame per cell, that checks each
-completed column from its definition, loops over column triples, quads
-and vertex pairs with per-entry lookups, and one bincount per column pair.  Apart from the search's visit
-order, which both sides must follow node for node, and the word-level
-searches, which share the compiled generators (checked against the
-matrix-level actions) and the coset reduction with the library and so check
-its quotient and its chain, they share no algorithm with the code they check.
+array comparison, builds switching classes through the chain S_1 < ... <
+S_k on packed cosets of the swaps (odd n) with transpositions compiled to
+affine maps, and searches with one iterative cell walk that keeps a running
+square parity, and takes the ensemble census, the four-column cap and the
+graph splits as whole-array passes, and checks orthogonality with one
+bincount per column over its pairs with all later columns.  These functions
+compute each quantity from its definition instead, with a parity kernel of
+their own (inversion counting), a loop over the columns for additivity, a
+set-based orbit search over the matrix-level actions, breadth-first
+searches and a labelling to a fixpoint that apply every generator of a
+generating set, over every word of a class or of the space or over the
+cosets of the swaps, with generators read off the matrix-level actions and
+cosets reduced by an elimination of their own, a recursive search, one
+frame per cell, that checks each completed column from its definition,
+loops over column triples, quads and vertex pairs with per-entry lookups,
+and one bincount per column pair.  Apart from the search's visit order,
+which both sides must follow node for node, they share no algorithm with
+the code they check.
 """
 
+import functools
 import itertools
 import math
 import random
 
 import numpy as np
 
-from oaparity.classes import _compile, _Quotient, _quotient, act_permute, act_swap
+from oaparity.classes import act_permute, act_swap
 from oaparity.core import LatinSquare, OAError
 from oaparity.parity import (
     SigmaMatrix,
@@ -140,37 +141,119 @@ def orbit_by_actions(state: StandardSigma) -> tuple[int, int]:
     return len(seen), min(seen)
 
 
+class WordMap:
+    """One generator on words, read off a matrix-level action.
+
+    The actions are affine over GF(2) on words (a relabelling moves and
+    flips bits, standardising complements the word on one bit), so the
+    images of the zero word and of each unit word fix one.  It is applied
+    one byte of the input at a time.
+    """
+
+    def __init__(self, k: int, nmod4: int, action):
+        bits = k * (k - 1) // 2 - 1
+        const = action(StandardSigma.from_word(k, nmod4, 0)).word
+        cols = [action(StandardSigma.from_word(k, nmod4, 1 << b)).word ^ const
+                for b in range(bits)]
+        self.tables = []
+        for lo in range(0, bits, 8):
+            table = [const if lo == 0 else 0]
+            for col in cols[lo:lo + 8]:
+                table += [v ^ col for v in table]
+            self.tables.append(np.array(table, dtype=np.uint64))
+
+    def apply(self, words: np.ndarray) -> np.ndarray:
+        out = np.zeros(words.shape, dtype=np.uint64)
+        for c, table in enumerate(self.tables):
+            out ^= table[(words >> np.uint64(8 * c) & np.uint64(255)).astype(np.intp)]
+        return out
+
+
 def word_generators(k: int, nmod4: int) -> list:
-    """Every compiled generator on words: the k - 1 adjacent transpositions,
-    then for odd n the k singleton swaps."""
-    gens = list(_quotient(k, nmod4).gens)
+    """Every generator on words: the k - 1 adjacent transpositions, then for
+    odd n the k singleton swaps, each read off act_permute or act_swap."""
+    gens = []
+    for t in range(1, k):
+        g = list(range(1, k + 1))
+        g[t - 1], g[t] = g[t], g[t - 1]
+        gens.append(WordMap(k, nmod4, lambda s, g=tuple(g): act_permute(s, g)))
     if nmod4 % 2:
-        identity = tuple(range(1, k + 1))
-        gens.extend(_compile(k, nmod4, identity, t) for t in range(1, k + 1))
+        gens.extend(WordMap(k, nmod4, lambda s, t=t: act_swap(s, (t,))) for t in range(1, k + 1))
     return gens
 
 
-def word_quotient(k: int, nmod4: int) -> _Quotient:
-    """The whole word space under every compiled generator, with no cosets
-    taken, for the library's census code."""
-    return _Quotient(k=k, gens=tuple(word_generators(k, nmod4)), basis=(),
-                     bits=k * (k - 1) // 2 - 1)
+class WordSpace:
+    """The words of (k, n mod 4) under every generator, or with ``cosets``
+    (odd n) the cosets x ^ V of the span V of the swap constants under the
+    transpositions, each coset held as its least word.
+
+    The basis of V is eliminated to distinct top bits.  Clearing each top
+    bit in turn, highest first, leaves the one member of a coset with every
+    top bit clear, and any other member has a top bit set where this one
+    has it clear, so it is the least.  An element's packed index is its
+    least word with the top bits dropped.
+    """
+
+    def __init__(self, k: int, nmod4: int, cosets: bool = False):
+        self.k, self.nmod4 = k, nmod4
+        self.bits = k * (k - 1) // 2 - 1
+        gens = word_generators(k, nmod4)
+        rows: dict[int, int] = {}
+        if cosets and nmod4 % 2:
+            gens = gens[:k - 1]  # a swap maps each coset to itself
+            zero = StandardSigma.from_word(k, nmod4, 0)
+            for t in range(1, k + 1):
+                v = act_swap(zero, (t,)).word
+                while v and v.bit_length() - 1 in rows:
+                    v ^= rows[v.bit_length() - 1]
+                if v:
+                    rows[v.bit_length() - 1] = v
+        self.gens = gens
+        self.basis = sorted(rows.items(), reverse=True)
+        self.free = [b for b in range(self.bits) if b not in rows]
+        self.size = 1 << len(self.free)
+        self.coset_size = 1 << len(self.basis)
+
+    def least(self, words: np.ndarray) -> np.ndarray:
+        words = words.copy()
+        for top, vector in self.basis:
+            words ^= (words >> np.uint64(top) & np.uint64(1)) * np.uint64(vector)
+        return words
+
+    def images(self, words: np.ndarray) -> np.ndarray:
+        """The least images of ``words`` under every generator, in one array."""
+        return np.concatenate([self.least(g.apply(words)) for g in self.gens])
+
+    def pack(self, words: np.ndarray) -> np.ndarray:
+        """The packed indices of least words."""
+        if not self.basis:
+            return words.copy()
+        out = np.zeros(words.shape, dtype=np.uint64)
+        for b, v in enumerate(self.free):
+            out |= (words >> np.uint64(v) & np.uint64(1)) << np.uint64(b)
+        return out
+
+    def unpack(self, indices: np.ndarray) -> np.ndarray:
+        """The least words of packed indices."""
+        if not self.basis:
+            return indices.copy()
+        out = np.zeros(indices.shape, dtype=np.uint64)
+        for b, v in enumerate(self.free):
+            out |= (indices >> np.uint64(b) & np.uint64(1)) << np.uint64(v)
+        return out
 
 
-def _bfs_images(frontier: np.ndarray, quotient: _Quotient) -> np.ndarray:
-    """The reduced images of every frontier element under every generator
-    of ``quotient``, in one array."""
-    scratch = np.empty_like(frontier)
-    return np.concatenate([quotient.reduce(g.apply(frontier), scratch) for g in quotient.gens])
+_word_space = functools.cache(WordSpace)
 
 
-def orbit_by_bfs(seed: int, quotient: _Quotient) -> tuple[int, int]:
-    """Elements and least word of ``seed``'s orbit, by a breadth-first
-    search applying every generator of ``quotient`` to each level."""
-    visited = np.array([seed], dtype=np.uint64)
+def orbit_by_bfs(word: int, space: WordSpace) -> tuple[int, int]:
+    """Elements and least word of the orbit of ``word``'s element, by a
+    breadth-first search applying every generator of ``space`` to each
+    level."""
+    visited = space.least(np.array([word], dtype=np.uint64))
     frontier = visited
     while frontier.size:
-        imgs = np.sort(_bfs_images(frontier, quotient))
+        imgs = np.sort(space.images(frontier))
         imgs = imgs[np.append(True, imgs[1:] != imgs[:-1])]
         pos = np.minimum(np.searchsorted(visited, imgs), visited.size - 1)
         frontier = imgs[visited[pos] != imgs]
@@ -181,15 +264,15 @@ def orbit_by_bfs(seed: int, quotient: _Quotient) -> tuple[int, int]:
 def orbit_by_words(state: StandardSigma) -> tuple[int, int]:
     """Size and smallest word of the switching class of ``state``, by a
     breadth-first search over every word of the class with all 2k - 1
-    compiled generators for odd n."""
-    return orbit_by_bfs(state.word, word_quotient(state.k, state.nmod4))
+    generators for odd n."""
+    return orbit_by_bfs(state.word, _word_space(state.k, state.nmod4))
 
 
-def class_sizes_by_bfs(quotient: _Quotient) -> np.ndarray:
-    """Class sizes of a quotient of words ordered by least word, one
+def class_sizes_by_bfs(space: WordSpace) -> np.ndarray:
+    """Class sizes of a space of words ordered by least word, one
     breadth-first search per class with every generator on a visited
     bitmap."""
-    visited = np.zeros(1 << quotient.bits, dtype=bool)
+    visited = np.zeros(1 << space.bits, dtype=bool)
     sizes = []
     for seed in range(visited.size):
         if visited[seed]:
@@ -198,7 +281,7 @@ def class_sizes_by_bfs(quotient: _Quotient) -> np.ndarray:
         frontier = np.array([seed], dtype=np.uint64)
         size = 1
         while frontier.size:
-            imgs = _bfs_images(frontier, quotient)
+            imgs = space.images(frontier)
             frontier = np.unique(imgs[~visited[imgs]])
             visited[frontier] = True
             size += frontier.size
@@ -206,7 +289,7 @@ def class_sizes_by_bfs(quotient: _Quotient) -> np.ndarray:
     return np.array(sizes, dtype=np.int64)
 
 
-def class_labels_by_fixpoint(quotient: _Quotient) -> np.ndarray:
+def class_labels_by_fixpoint(space: WordSpace) -> np.ndarray:
     """The least packed index of each element's class, for every packed
     index, under any generating set.
 
@@ -215,11 +298,10 @@ def class_labels_by_fixpoint(quotient: _Quotient) -> np.ndarray:
     label[label]) until that changes nothing; after a round that lowers no
     label, each class is labelled by its least index.
     """
-    pack, unpack = quotient.packing()
-    label = np.arange(quotient.size, dtype=np.uint32)
-    words = unpack.apply(label)
-    buf = np.empty_like(label)
-    images = [pack.apply(quotient.reduce(g.apply(words), buf)) for g in quotient.gens]
+    label = np.arange(space.size, dtype=np.uint32)
+    words = space.unpack(label.astype(np.uint64))
+    images = [space.pack(space.least(g.apply(words))).astype(np.intp) for g in space.gens]
+    del words
     while True:
         start = label.copy()
         for image in images:
@@ -233,10 +315,10 @@ def class_labels_by_fixpoint(quotient: _Quotient) -> np.ndarray:
             return label
 
 
-def class_sizes_by_fixpoint(quotient: _Quotient) -> np.ndarray:
+def class_sizes_by_fixpoint(space: WordSpace) -> np.ndarray:
     """Class sizes ordered by least word, from ``class_labels_by_fixpoint``."""
-    counts = np.bincount(class_labels_by_fixpoint(quotient), minlength=quotient.size)
-    return counts[counts > 0] * quotient.coset_size
+    counts = np.bincount(class_labels_by_fixpoint(space), minlength=space.size)
+    return counts[counts > 0] * space.coset_size
 
 
 # ---------------------------------------------------------------------------

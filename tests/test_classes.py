@@ -30,14 +30,13 @@ from oaparity.constructions import linear_mols
 
 from conftest import zn_linear_oa
 from oracle import (
+    WordSpace,
     class_labels_by_fixpoint,
     class_sizes_by_bfs,
     class_sizes_by_fixpoint,
     orbit_by_actions,
     orbit_by_bfs,
     orbit_by_words,
-    word_generators,
-    word_quotient,
 )
 
 # class counts and distinct sizes for k = 3..7; multiplicities were frozen
@@ -195,49 +194,54 @@ def test_swap_rejected_for_even_n():
 
 
 def _reference_ops(k, nm):
-    """The matrix-level actions of the generators, in word_generators order."""
-    ops = []
+    """The matrix-level actions of the adjacent transpositions, in
+    ``_quotient(k, nm).gens`` order, and for odd n of the singleton swaps."""
+    transpositions = []
     for t in range(1, k):
         g = list(range(1, k + 1))
         g[t - 1], g[t] = g[t], g[t - 1]
-        ops.append(lambda s, g=tuple(g): act_permute(s, g))
-    if nm % 2:
-        ops.extend(lambda s, t=t: act_swap(s, (t,)) for t in range(1, k + 1))
-    return ops
+        transpositions.append(lambda s, g=tuple(g): act_permute(s, g))
+    swaps = [lambda s, t=t: act_swap(s, (t,)) for t in range(1, k + 1)] if nm % 2 else []
+    return transpositions, swaps
+
+
+def _assert_packed_maps_match_reference(k, nm, indices):
+    # each packed map, applied to all indices at once and to each alone,
+    # equals the matrix-level action on the index's least word, packed
+    # again; a swap maps each coset to itself
+    quotient = _quotient(k, nm)
+    transpositions, swaps = _reference_ops(k, nm)
+    assert len(quotient.gens) == len(transpositions) == k - 1
+    arr = np.array(indices, dtype=quotient.dtype)
+    states = [StandardSigma.from_word(k, nm, quotient.word(i)) for i in indices]
+    for gen, op in zip(quotient.gens, transpositions):
+        images = gen.apply(arr)
+        assert images.dtype == quotient.dtype
+        for i, s, image in zip(indices, states, images.tolist()):
+            one = gen.apply(np.array([i], dtype=quotient.dtype))
+            assert quotient.index(op(s).word) == image == int(one[0]) == gen(i)
+    for op in swaps:
+        for i, s in zip(indices, states):
+            assert quotient.index(op(s).word) == i
 
 
 def test_compiled_generators_match_reference():
-    # the packed-word fast path must agree with the matrix-level actions
-    for k, nm in ((4, 2), (4, 1), (5, 0), (5, 3)):
-        gens = word_generators(k, nm)
-        ops = _reference_ops(k, nm)
-        assert len(gens) == len(ops)
-        b = k * (k - 1) // 2 - 1
-        words = np.arange(1 << b, dtype=np.uint64)
-        for gen, op in zip(gens, ops):
-            images = gen.apply(words)
-            for w in range(1 << b):
-                ref = op(StandardSigma.from_word(k, nm, w))
-                one = gen.apply(np.array([w], dtype=np.uint64))
-                assert ref.word == int(images[w]) == int(one[0])
+    for k in (3, 4, 5):
+        for nm in range(4):
+            _assert_packed_maps_match_reference(k, nm, range(_quotient(k, nm).size))
 
 
-@pytest.mark.parametrize("k, nm", [(6, 0), (6, 3), (8, 2), (8, 1), (10, 0), (10, 3),
-                                   (11, 2), (11, 1)])
+@pytest.mark.parametrize("k, nm", [(6, 0), (6, 3), (7, 1), (7, 2), (8, 2), (8, 1), (9, 0),
+                                   (9, 3), (10, 0), (10, 3), (11, 2), (11, 1)])
 def test_compiled_generators_match_reference_sampled(k, nm):
-    # beyond k = 5 the shift groups move bits by up to k - 2 places; k = 11
-    # packs 54 bits, so a signed or narrow shift would show in the top bits
+    # beyond one 16-bit table the lookups split an index into slices; even
+    # k = 11 packs 54 bits, so a signed or narrow slice would show in the
+    # top bits
     rng = random.Random(1000 * k + nm)
-    b = k * (k - 1) // 2 - 1
-    words = [0, (1 << b) - 1, 1 << (b - 1)] + [rng.getrandbits(b) for _ in range(197)]
-    arr = np.array(words, dtype=np.uint64)
-    gens = word_generators(k, nm)
-    ops = _reference_ops(k, nm)
-    assert len(gens) == len(ops)
-    for gen, op in zip(gens, ops):
-        images = gen.apply(arr)
-        for w, image in zip(words, images.tolist()):
-            assert image == op(StandardSigma.from_word(k, nm, w)).word
+    quotient = _quotient(k, nm)
+    width = quotient.size.bit_length() - 1
+    indices = [0, quotient.size - 1, 1 << (width - 1)] + [rng.getrandbits(width) for _ in range(197)]
+    _assert_packed_maps_match_reference(k, nm, indices)
 
 
 def test_orbit_k3_odd_always_4():
@@ -291,11 +295,22 @@ def test_enumerate_budget(monkeypatch, capsys):
     monkeypatch.setenv("OAPARITY_ORBIT_BUDGET_MB", "127")
     with pytest.raises(ResourceLimitError, match="memory budget"):
         enumerate_classes(8, 0)
-    # the odd k = 8 census labels 2^20 cosets: 7 generator images, the
-    # labels and 5 working arrays of uint32 take 48 MiB
-    monkeypatch.setenv("OAPARITY_ORBIT_BUDGET_MB", "47")
+    # the odd k = 8 census labels 2^20 cosets: the uint32 labels, an intp
+    # image array and a uint32 gather buffer take 16 MiB, and the census
+    # holds nothing else of their size
+    monkeypatch.setenv("OAPARITY_ORBIT_BUDGET_MB", "15")
     with pytest.raises(ResourceLimitError, match="MiB of labels"):
         enumerate_classes(8, 1)
+    monkeypatch.setenv("OAPARITY_ORBIT_BUDGET_MB", "16")
+    _quotient(8, 1)  # compiled and cached before tracing
+    tracemalloc.start()
+    try:
+        table = enumerate_classes(8, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.total_classes == 131
+    assert peak < (16 << 20) + (64 << 10)
 
 
 @pytest.mark.parametrize("nm", [0, 2])
@@ -322,7 +337,7 @@ def test_one_pass_sizes_match_per_class_bfs(k):
     # search walks every word with every generator
     for nm in range(4):
         by_label = _class_sizes_by_label(_quotient(k, nm), 1 << 30)
-        by_bfs = class_sizes_by_bfs(word_quotient(k, nm))
+        by_bfs = class_sizes_by_bfs(WordSpace(k, nm))
         assert by_label.tolist() == by_bfs.tolist()
 
 
@@ -332,7 +347,7 @@ def test_coset_census_matches_word_labels(k):
     # in order, of labelling every word with all 2k - 1 generators
     for nm in range(4):
         cosets = _class_sizes_by_label(_quotient(k, nm), 1 << 30)
-        words = class_sizes_by_fixpoint(word_quotient(k, nm))
+        words = class_sizes_by_fixpoint(WordSpace(k, nm))
         assert cosets.tolist() == words.tolist()
 
 
@@ -341,8 +356,8 @@ def test_coset_census_matches_word_labels(k):
 def test_chain_labels_match_fixpoint_labels(k, nm):
     # the same labels, element by element, as lowering each label to its
     # images' until nothing changes
-    quotient = _quotient(k, nm)
-    assert np.array_equal(_class_labels(quotient, 1 << 30), class_labels_by_fixpoint(quotient))
+    assert np.array_equal(_class_labels(_quotient(k, nm), 1 << 30),
+                          class_labels_by_fixpoint(WordSpace(k, nm, cosets=True)))
 
 
 @pytest.mark.parametrize("k, nm", [(k, nm) for k in (5, 6, 7, 8) for nm in range(4)
@@ -350,26 +365,25 @@ def test_chain_labels_match_fixpoint_labels(k, nm):
 def test_class_labels_are_orbit_canonical_words(k, nm):
     rng = random.Random(40 * k + nm)
     quotient = _quotient(k, nm)
-    pack, unpack = quotient.packing()
     labels = _class_labels(quotient, 1 << 30)
     top = (1 << quotient.bits) - 1
     for word in [0, top] + [rng.getrandbits(quotient.bits) for _ in range(3)]:
         summ = orbit(StandardSigma.from_word(k, nm, word))
-        root = labels[pack.apply(np.array([quotient.least(word)], dtype=np.uint32))[0]]
-        assert int(unpack.apply(np.array([root], dtype=np.uint32))[0]) == summ.canonical.word
+        root = labels[quotient.index(word)]
+        assert quotient.word(int(root)) == summ.canonical.word
         assert np.count_nonzero(labels == root) * quotient.coset_size == summ.size
 
 
 @pytest.mark.parametrize("k", range(3, 12))
 def test_swaps_span_a_space_the_transpositions_keep(k):
     b = k * (k - 1) // 2 - 1
-    full = (1 << b) - 1
     identity = tuple(range(1, k + 1))
+    rng = random.Random(60 + k)
     for nm in (1, 3):
         swaps = [_compile(k, nm, identity, t) for t in range(1, k + 1)]
         # each swap is a translation x -> x ^ c_t
         for swap in swaps:
-            assert swap.moves == ((0, full),) and swap.d_src == -1
+            assert swap.cols == tuple(1 << v for v in range(b))
         quotient = _quotient(k, nm)
         assert len(quotient.basis) == k - 1
         assert quotient.coset_size * quotient.size == 1 << b
@@ -378,13 +392,22 @@ def test_swaps_span_a_space_the_transpositions_keep(k):
         for pivot, vector in quotient.basis:
             assert vector.bit_length() - 1 == pivot
             assert all(other >> pivot & 1 == 0 for p, other in quotient.basis if p != pivot)
-        assert all(quotient.least(swap.xmask) == 0 for swap in swaps)
-        # each transposition is affine, x -> L x ^ g(0), and L maps V into V
-        for g in quotient.gens:
-            zero = int(g.apply(np.zeros(1, dtype=np.uint64))[0])
-            vectors = np.array([v for _, v in quotient.basis], dtype=np.uint64)
-            for image in g.apply(vectors).tolist():
-                assert quotient.least(image ^ zero) == 0
+        assert all(quotient.least(swap.const) == 0 for swap in swaps)
+        # each transposition is affine on words, x -> L x ^ g(0), and L maps
+        # V into V
+        for t in range(1, k):
+            g = list(identity)
+            g[t - 1], g[t] = g[t], g[t - 1]
+            word_map = _compile(k, nm, tuple(g))
+            assert all(quotient.least(word_map.linear(v)) == 0 for _, v in quotient.basis)
+        # packed indices number the cosets in the order of their least words
+        words = [rng.getrandbits(b) for _ in range(20)]
+        for w in words:
+            assert quotient.word(quotient.index(w)) == quotient.least(w)
+            assert quotient.index(quotient.word(quotient.index(w))) == quotient.index(w)
+            assert quotient.index(w) < quotient.size
+        by_least = sorted(words, key=quotient.least)
+        assert [quotient.index(w) for w in by_least] == sorted(map(quotient.index, words))
 
 
 def test_class_of_small_arrays():
@@ -424,8 +447,10 @@ def test_orbit_budget_counts_the_level_images(monkeypatch):
 
 
 def test_odd_orbit_budget(monkeypatch):
-    # an odd-n k = 9 class of 181 440 cosets of 2^8 states: its least words
-    # alone take 1.4 MiB
+    # an odd-n k = 9 class of 181 440 cosets of 2^8 states: its 28-bit
+    # packed indices take 0.7 MiB, and the last step's 9 image sets of the
+    # at least 20 160 cosets of O_8, with their distinct copy and O_8, more
+    # than 1 MiB
     s = random_state(9, 1, random.Random(91))
     assert orbit(s).size == 181440 << 8
     monkeypatch.setenv("OAPARITY_ORBIT_BUDGET_MB", "1")
@@ -479,7 +504,6 @@ def _class_members(k, nm, rng):
     the two smallest classes and every class of one coset for larger k, for
     a quotient the census labels in one pass."""
     quotient = _quotient(k, nm)
-    _, unpack = quotient.packing()
     labels = _class_labels(quotient, 1 << 30)
     counts = np.bincount(labels, minlength=quotient.size)
     roots = np.flatnonzero(counts)
@@ -489,7 +513,7 @@ def _class_members(k, nm, rng):
     words = []
     for root in roots.tolist():
         index = rng.choice(np.flatnonzero(labels == root).tolist())
-        least, word = unpack.apply(np.array([root, index], dtype=np.uint32)).tolist()
+        least, word = quotient.word(root), quotient.word(index)
         for _, vector in quotient.basis:
             word ^= vector * rng.getrandbits(1)
         words += [least, word]
@@ -520,10 +544,10 @@ def test_chain_orbit_matches_coset_bfs_k9(nm):
     # a random k = 9 state, against a breadth-first search of the quotient
     # with every transposition at each level (9! elements at most)
     s = random_state(9, nm, random.Random(900 + nm))
-    quotient = _quotient(9, nm)
-    elements, least = orbit_by_bfs(quotient.least(s.word), quotient)
+    space = WordSpace(9, nm, cosets=True)
+    elements, least = orbit_by_bfs(s.word, space)
     summ = orbit(s)
-    assert (summ.size, summ.canonical.word) == (elements * quotient.coset_size, least)
+    assert (summ.size, summ.canonical.word) == (elements * space.coset_size, least)
 
 
 @pytest.mark.parametrize("k, nm", [(k, nm) for k in (5, 6, 7, 8) for nm in (1, 3)])

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from oaparity.core import OAError, cyclic_square, mols_to_oa
 from oaparity.constructions import block_sigma, linear_mols, residue_pattern_oa
-from oaparity.parity import sigma_from_tau, tau_parity
+from oaparity.parity import check_plausible, sigma_from_tau, tau_parity
 from oaparity import cli, fileio
 
 import oracle
@@ -353,6 +353,33 @@ def test_cli_parity_json_matches_text(tmp_path, capsys):
     assert obj["pp_plausible"] == "yes"
     rc, text, _ = run_cli(capsys, "parity", str(path))
     assert "pp_plausible: yes" in text
+
+
+@pytest.mark.parametrize("command, passes", [("parity", 1), ("ensemble", 1), ("graphs", 1),
+                                              ("class", 0)])
+def test_cli_array_commands_take_the_array_paths(tmp_path, capsys, monkeypatch, command, passes):
+    # an OA file is read as an array, whose sigma comes from the array and
+    # needs no plausibility pass; the output equals that of its parity
+    # report read with --tau
+    from oaparity import ensemble, graphs, parity
+
+    plane = linear_mols(9)
+    oa_path, report_path = tmp_path / "q9.oa", tmp_path / "q9.json"
+    oa_path.write_text(fileio.format_oa(plane))
+    report_path.write_text(json.dumps(fileio.parity_report(plane)))
+    _, from_report, _ = run_cli(capsys, command, str(report_path), "--tau", "--json")
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return check_plausible(t)
+
+    for module in (parity, fileio, ensemble, graphs):
+        monkeypatch.setattr(module, "check_plausible", counted)
+    rc, out, _ = run_cli(capsys, command, str(oa_path), "--json")
+    assert rc == 0
+    assert out == from_report
+    assert len(calls) == passes
 
 
 def test_cli_enumerate(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -5,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oaparity.core import LatinSquare, OAError, OrthogonalArray, UsageError, oa_to_mols
+from oaparity.core import LatinSquare, OAError, OrthogonalArray, UsageError, mols_to_oa, oa_to_mols
 from oaparity.parity import (
     SigmaMatrix,
     latin_square_parities,
@@ -70,6 +71,30 @@ def test_achieved_types():
     assert achieved_parity_types(4) == {"000"}  # a proper subset at order 4
     assert achieved_parity_types(5) == {"000", "011", "101", "110"}
     assert achieved_parity_types(6) == {"111", "100", "010", "001"}
+
+
+def test_achieved_types_match_full_walk():
+    # closing the types seen under S_3 gives every type the walk reaches
+    for n in range(1, 6):
+        assert achieved_parity_types(n) == set(latin_square_walk(n)[1])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_achieved_types_have_conjugate_witnesses(n):
+    # each type derived by conjugation is, by tau_parity, the type of a
+    # conjugate of a walked square: its OA(3, n) with the columns permuted
+    achieved = achieved_parity_types(n)
+    cells, walk = latin_square_walk(n)
+    witnessed = set()
+    for ty in walk:
+        if ty in witnessed:
+            continue
+        rows = mols_to_oa([LatinSquare(np.array(cells).reshape(n, n))]).rows
+        for p in itertools.permutations(range(3)):
+            witnessed.add(tau_parity(OrthogonalArray(rows[:, list(p)])).triple_type(1, 2, 3))
+        if witnessed >= achieved:
+            break
+    assert witnessed == achieved
 
 
 def test_achieved_subset_of_plausible():
