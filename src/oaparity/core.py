@@ -504,25 +504,34 @@ class TransformResult:
     sort_parity: int
 
 
-def apply_transform(a: OrthogonalArray, t: Transform) -> TransformResult:
-    mat = a.rows
+def _check_transform(a: OrthogonalArray, t: Transform) -> None:
+    """Raise OAError unless ``t`` has the length, and for a symbol
+    transform the column, that the shape of ``a`` asks for."""
     if t.kind == "rows":
         if len(t.perm) != a.n * a.n:
             raise OAError(f"row permutation must have length {a.n * a.n}")
-        # re-sorting restores the identical stored array; only the parity of
-        # the logical permutation survives
-        return TransformResult(a, permutation_parity(t.perm))
-    if t.kind == "columns":
+    elif t.kind == "columns":
         if len(t.perm) != a.k:
             raise OAError(f"column permutation must have length {a.k}")
-        new = np.empty_like(mat)
-        for i, gi in enumerate(t.perm, start=1):
-            new[:, gi - 1] = mat[:, i - 1]
     else:
         if len(t.perm) != a.n:
             raise OAError(f"symbol permutation must have length {a.n}")
         if not 1 <= t.column <= a.k:
             raise OAError(f"column {t.column} out of range 1..{a.k}")
+
+
+def apply_transform(a: OrthogonalArray, t: Transform) -> TransformResult:
+    _check_transform(a, t)
+    mat = a.rows
+    if t.kind == "rows":
+        # re-sorting restores the identical stored array; only the parity of
+        # the logical permutation survives
+        return TransformResult(a, permutation_parity(t.perm))
+    if t.kind == "columns":
+        new = np.empty_like(mat)
+        for i, gi in enumerate(t.perm, start=1):
+            new[:, gi - 1] = mat[:, i - 1]
+    else:
         gamma = np.asarray(t.perm, dtype=np.int16)
         new = mat.copy()
         new[:, t.column - 1] = gamma[mat[:, t.column - 1]]

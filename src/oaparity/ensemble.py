@@ -14,6 +14,12 @@ must agree, where mu_c are the sigma-matrix row sums.  Both identities are
 asserted on every census; the remaining laws (bounds, congruence, the
 four-column cap, good-sequence extremality) are evaluated into a report.
 
+The plane conditions of a vector with k = n + 1 are read off mu as well:
+summing tau^c_ij = sigma_ci + sigma_cj over the columns c other than i and j
+gives in_i + in_j + C(n, 2), with in_i the column sums of sigma, so the
+over-columns sum rule holds iff all in-degrees share one parity, and by the
+transpose law sigma_ji = sigma_ij + C(n, 2) iff all mu_c do.
+
 The census works on the tau bit array as a whole: the type of the square on
 columns c1 < c2 < c3 is the 3-bit code tau^{c1}_{c2c3} << 2 |
 tau^{c2}_{c1c3} << 1 | tau^{c3}_{c1c2} (so "rcs" is the code in binary),
@@ -33,7 +39,6 @@ from .core import OAError, OrthogonalArray
 from .parity import (
     TauVector,
     _triples,
-    check_plausible,
     equiparity_type,
     sigma_from_tau,
     sigma_parity,
@@ -97,6 +102,8 @@ class EnsembleCensus:
 
     x counts equiparity squares (type 000 for n = 0,1 mod 4, else 111);
     T is the total tau-graph edge count; mu the sigma row sums.
+    ``pp_plausible`` is "na" unless n is known and k = n+1, and otherwise
+    "yes" iff all mu_c share one parity (the plane conditions).
     ``types_by_triple`` is a read-only (k+1)^3 uint8 array holding at
     [c1, c2, c3], c1 < c2 < c3, the type code of that square (type "rcs" is
     code r << 2 | c << 1 | s); its other entries are zero and unused.
@@ -138,6 +145,9 @@ def ensemble_census(source: OrthogonalArray | TauVector) -> EnsembleCensus:
     from_mu = sum(m * (k - 1 - m) for m in mu)
     if T != from_mu:
         raise OAError(f"edge count {T} disagrees with the row-sum identity ({from_mu})")
+    pp = "na"
+    if tau.n is not None and k == tau.n + 1:
+        pp = "yes" if len({m & 1 for m in mu}) == 1 else "no"
     return EnsembleCensus(
         k=k,
         nmod4=tau.nmod4,
@@ -146,7 +156,7 @@ def ensemble_census(source: OrthogonalArray | TauVector) -> EnsembleCensus:
         x=x,
         T=T,
         mu=tuple(mu),
-        pp_plausible=check_plausible(tau).pp_plausible,
+        pp_plausible=pp,
         types_by_triple=types,
     )
 

@@ -7,6 +7,15 @@ superimposes all k tau-graphs mod 2.  The sigma-graph has the sigma matrix
 as adjacency matrix: undirected when that matrix is symmetric (n = 0, 1 mod
 4), a tournament otherwise.
 
+For k = n + 1 the plane conditions are degree parities.  Summing tau^c_ij =
+sigma_ci + sigma_cj over the columns c other than i and j gives in_i + in_j
++ C(n, 2), in-degrees of the sigma-graph, so the over-columns sum rule of a
+plausible vector holds iff all in-degrees share one parity, and by the
+transpose law iff all out-degrees do.  With k = n + 1 columns that is, for
+n = 0, 1, 2, 3 mod 4: all degrees even; all of one parity; all in- and
+out-degrees odd; in-degrees of one parity and out-degrees of the other.
+``sigma_graph`` reads its degree law off the in-degrees.
+
 Graphs have no loops or parallel edges.  "Complementing" a digraph means
 reversing every edge, and switching a digraph at v reverses the edges at v.
 """
@@ -234,6 +243,15 @@ class SigmaGraphReport:
     degree_law_detail: str
 
 
+# the degree law of a plane, k = n + 1, in the terms of each n mod 4
+_DEGREE_LAWS = (
+    "all degrees even",
+    "all degrees of one parity",
+    "all in-degrees and out-degrees odd",
+    "in-degrees of one parity, out-degrees of the other",
+)
+
+
 def sigma_graph(s: SigmaMatrix) -> SigmaGraphReport:
     oriented = s.nmod4 in (2, 3)
     g = SimpleGraph(k=s.k, directed=oriented, adj=_frozen(s.m.copy()))
@@ -244,20 +262,8 @@ def sigma_graph(s: SigmaMatrix) -> SigmaGraphReport:
     law = None
     detail = ""
     if s.n is not None and s.k == s.n + 1:
-        nm = s.nmod4
-        if nm == 0:
-            ok = all(d % 2 == 0 for d in out_deg)
-            detail = "all degrees even"
-        elif nm == 1:
-            ok = out_uni
-            detail = "all degrees of one parity"
-        elif nm == 2:
-            ok = all(d % 2 == 1 for d in out_deg) and all(d % 2 == 1 for d in in_deg)
-            detail = "all in-degrees and out-degrees odd"
-        else:
-            ok = out_uni and in_uni and (out_deg[0] & 1) != (in_deg[0] & 1)
-            detail = "in-degrees of one parity, out-degrees of the other"
-        law = "pass" if ok else "fail"
+        law = "pass" if in_uni else "fail"
+        detail = _DEGREE_LAWS[s.nmod4]
     return SigmaGraphReport(
         oriented=oriented,
         graph=g,

@@ -48,7 +48,7 @@ from .core import (
     OAError,
     OrthogonalArray,
     Transform,
-    apply_transform,
+    _check_transform,
     parity_batch,
     permutation_parity,
 )
@@ -87,16 +87,15 @@ def latin_square_parities(square: LatinSquare) -> ParityTriple:
 
     Each bit is the mod-2 sum of the parities of the n permutations obtained
     by fixing a row (j -> cells[i,j]), a column (i -> cells[i,j]) or a symbol
-    (i -> j where cells[i,j] is the symbol).
+    (i -> j where cells[i,j] is the symbol).  On the square's OA(3, n), rows
+    (i, j, cells[i,j]), these are the fixed-column bits d[1,3], d[2,3] and
+    d[3,2], read in one kernel call.
     """
     n = square.n
-    cells = square.cells
-    pr = int(parity_batch(cells).sum() & 1)
-    pc = int(parity_batch(cells.T).sum() & 1)
-    sym = np.empty((n, n), dtype=np.int16)
-    sym[cells, np.arange(n)[:, None]] = np.arange(n, dtype=np.int16)[None, :]
-    ps = int(parity_batch(sym).sum() & 1)
-    return ParityTriple(pr, pc, ps)
+    idx = np.arange(n, dtype=np.int16)
+    d = _fixed_column_bits(np.column_stack((np.repeat(idx, n), np.tile(idx, n),
+                                            square.cells.ravel())), n)
+    return ParityTriple(int(d[1, 3]), int(d[2, 3]), int(d[3, 2]))
 
 
 # ---------------------------------------------------------------------------
@@ -520,16 +519,20 @@ def transform_parity_laws(
     the re-sort; a symbol permutation gamma in column c adds n*parity(gamma)
     to every tau component with c in the lower index pair and to the sigma
     entries in row/column c, plus the re-sort complement when c is column 1
-    or 2.  The test suite asserts these predictions against recomputation.
+    or 2.  The re-sort parity has a law of its own: a column relabelling g
+    re-sorts the rows by columns g^-1(1), g^-1(2), a permutation of parity
+    sigma_{g^-1(1) g^-1(2)}; gamma on column 1 or 2 moves n blocks of n rows,
+    or permutes within each of n blocks, by gamma, parity n*parity(gamma);
+    any other transform keeps the stored order.  The transform is not
+    applied; the test suite asserts these predictions against recomputation.
     """
+    _check_transform(a, t)
     tau = tau_parity(a)
     sigma = sigma_parity(a)
     if t.kind == "rows":
         return tau, sigma
 
     k, n = a.k, a.n
-    sort_parity = apply_transform(a, t).sort_parity
-
     if t.kind == "columns":
         g = np.zeros(k + 1, dtype=np.int64)
         g[1:] = np.asarray(t.perm)
@@ -537,9 +540,11 @@ def transform_parity_laws(
         new_bits[g[:, None, None], g[None, :, None], g[None, None, :]] = tau.bits
         new_m = np.zeros_like(sigma.m)
         new_m[g[1:, None], g[None, 1:]] = sigma.m[1:, 1:]
+        sort_parity = new_m[1, 2]  # sigma_{g^-1(1) g^-1(2)}
     else:
         c = t.column
         flip = (n & 1) & permutation_parity(t.perm)
+        sort_parity = flip if c <= 2 else 0
         new_bits = tau.bits
         new_m = sigma.m.copy()
         if flip:

@@ -14,7 +14,14 @@ r + c + s = C(n, 2) mod 2 for every Latin square.
 Enumeration runs the walk with no earlier squares and resumes after any
 square it yielded.  The array search nests one walk per column, a recursion
 at most k deep, and prunes at column completion, where the parity components
-among the filled columns are final and must match the target.
+among the filled columns are final and must match the target.  One rule
+decides every target.  The first square passes iff its running type equals
+the target type: the target string, or the type of a tau target on columns
+1, 2, 3.  At three columns that type and the free sigma bits determine each
+other (tau^1_23 = sigma_13, tau^2_13 = sigma_23 + C(n, 2), tau^3_12 =
+sigma_13 + sigma_23), so no kernel runs there.  From the fourth column on,
+the kernel gives the standardised sigma of the columns so far, and its free
+entries must equal those of the target's, computed once per search.
 
 First-hit and exhaustive searches fold each column's walk by its first row.
 Row 0 of a new column meets no earlier line but its own row (every earlier
@@ -241,10 +248,12 @@ class SearchSpec:
     """What to look for and how hard to try.
 
     ``target`` is a TauVector for the full (k, n), or a 3-bit parity-type
-    string when k = 3.  Modes: "first-hit" (deterministic DFS, first match),
-    "exhaustive" (certifies non-existence; only for k=3 n<=6 and k=4 n<=5),
-    "randomized" (seeded symbol shuffles with restarts).  ``max_nodes``
-    (None for no cap) must be >= 0 and ``restarts`` >= 1.
+    string when k = 3.  The first square is checked by its parity type, each
+    later column by the free sigma entries of the columns so far.  Modes:
+    "first-hit" (deterministic DFS, first match), "exhaustive" (certifies
+    non-existence; only for k=3 n<=6 and k=4 n<=5), "randomized" (seeded
+    symbol shuffles with restarts).  ``max_nodes`` (None for no cap) must be
+    >= 0 and ``restarts`` >= 1.
     """
 
     k: int
@@ -299,7 +308,7 @@ class SearchOutcome:
 
 
 def _partial_tau_matches(columns, n: int, target: StandardSigma) -> bool:
-    """Whether the tau components among the j >= 3 columns so far equal the
+    """Whether the tau components among the j >= 4 columns so far equal the
     target's; plausible taus and standardised sigmas determine each other,
     column by column, so this compares the free sigma entries among them."""
     free = free_pairs(len(columns))
@@ -307,25 +316,26 @@ def _partial_tau_matches(columns, n: int, target: StandardSigma) -> bool:
     return np.array_equal(got[free], target.m[free])
 
 
-def _search(spec: SearchSpec, rng: random.Random | None):
-    """(array or None, nodes, whether the node cap was hit)."""
+def _search(spec: SearchSpec, rng: random.Random | None, sigma: StandardSigma | None):
+    """(array or None, nodes, whether the node cap was hit); ``sigma`` is the
+    standardised sigma of a tau target when k > 3."""
     n, k, target = spec.n, spec.k, spec.target
+    want = target if isinstance(target, str) else target.triple_type(1, 2, 3)
     idx = np.arange(n, dtype=np.int16)
     columns = [np.repeat(idx, n), np.tile(idx, n)]
     nodes = _Nodes(spec.max_nodes)
-    typed = isinstance(target, str)  # a square type, checked by the running parity
-    target = target if typed else sigma_from_tau(target)
 
     def extend() -> bool:
         """Add matching columns until there are k; one level per column."""
         if len(columns) == k:
             return True
+        first = len(columns) == 2  # the walk reports the first square's type
         cells = [0] * (n * n)
         for ty in _walk(n, columns[2:], cells, nodes, rng, fold=True):
-            if typed and ty != target:
+            if first and ty != want:
                 continue
             columns.append(np.array(cells, dtype=np.int16))
-            if (typed or _partial_tau_matches(columns, n, target)) and extend():
+            if (first or _partial_tau_matches(columns, n, sigma)) and extend():
                 return True
             columns.pop()
         return False
@@ -345,19 +355,20 @@ def find_oa_with_parity(spec: SearchSpec) -> SearchOutcome:
     back.  Non-existence is certified only in exhaustive mode with no node
     budget; running out of budget is reported as an inconclusive outcome.
     """
+    sigma = sigma_from_tau(spec.target) if spec.k > 3 else None
     if spec.mode == "randomized":
         seed = spec.seed if spec.seed is not None else 0
         total_nodes = 0
         for attempt in range(spec.restarts):
             rng = random.Random(seed * 1_000_003 + attempt)
-            oa, nodes, capped = _search(spec, rng)
+            oa, nodes, capped = _search(spec, rng, sigma)
             total_nodes += nodes
             if oa is not None:
                 _verify(spec, oa)
                 return SearchOutcome(oa, False, total_nodes, seed)
         return SearchOutcome(None, False, total_nodes, seed)
 
-    oa, nodes, capped = _search(spec, None)
+    oa, nodes, capped = _search(spec, None, sigma)
     if oa is not None:
         _verify(spec, oa)
     return SearchOutcome(oa, oa is None and spec.mode == "exhaustive" and not capped, nodes)

@@ -8,16 +8,16 @@ affine maps, and searches with one iterative cell walk that keeps a running
 square parity, and takes the ensemble census, the four-column cap and the
 graph splits as whole-array passes, and checks orthogonality with one
 bincount per column over its pairs with all later columns.  These functions
-compute each quantity from its definition instead, with a parity kernel of
-their own (inversion counting), a loop over the columns for additivity, a
-set-based orbit search over the matrix-level actions, breadth-first
-searches and a labelling to a fixpoint that apply every generator of a
-generating set, over every word of a class or of the space or over the
-cosets of the swaps, with generators read off the matrix-level actions and
-cosets reduced by an elimination of their own, a recursive search, one
-frame per cell, that checks each completed column from its definition,
-loops over column triples, quads and vertex pairs with per-entry lookups,
-and one bincount per column pair.  Apart from the search's visit order,
+compute each quantity from its definition instead, with parity kernels of
+their own (inversion counting, and cycle following for square types), a
+loop over the columns for additivity, a set-based orbit search over the
+matrix-level actions, breadth-first searches and a labelling to a fixpoint
+that apply every generator of a generating set, over every word of a class
+or of the space or over the cosets of the swaps, with generators read off
+the matrix-level actions and cosets reduced by an elimination of their own,
+a recursive search, one frame per cell, that checks each completed column
+from its definition, loops over column triples, quads and vertex pairs with
+per-entry lookups, and one bincount per column pair.  Apart from the search's visit order,
 which both sides must follow node for node, they share no algorithm with
 the code they check.
 """
@@ -38,7 +38,6 @@ from oaparity.parity import (
     binom2_bit,
     check_plausible,
     equiparity_type,
-    latin_square_parities,
     sigma_from_tau,
 )
 
@@ -360,6 +359,34 @@ def enumerate_latin_squares(n: int, resume_after: LatinSquare | None = None):
     yield from rec(0, cursor is not None)
 
 
+def cycle_parity(images) -> int:
+    """Parity of a permutation, n minus its number of cycles, by following
+    each cycle."""
+    seen = [False] * len(images)
+    cycles = 0
+    for start in range(len(images)):
+        if not seen[start]:
+            cycles += 1
+            x = start
+            while not seen[x]:
+                seen[x] = True
+                x = images[x]
+    return (len(images) - cycles) & 1
+
+
+def square_type(cells) -> str:
+    """The 'rcs' parity type of a Latin square given as an n x n array: the
+    parities of its rows j -> cells[i, j], its columns i -> cells[i, j] and
+    its symbols i -> j where cells[i, j] is the symbol, each summed mod 2."""
+    rows = [[int(x) for x in row] for row in cells]
+    columns = [list(col) for col in zip(*rows)]
+    symbols = [[0] * len(rows) for _ in rows]
+    for i, row in enumerate(rows):
+        for j, s in enumerate(row):
+            symbols[s][i] = j
+    return "".join(str(sum(map(cycle_parity, perms)) & 1) for perms in (rows, columns, symbols))
+
+
 class _Budget(Exception):
     pass
 
@@ -373,9 +400,9 @@ def search(spec, rng):
     """Backtracking search for ``spec``: (rows or None, nodes, capped).
 
     Columns are filled cell by cell with one recursion level per cell.  A
-    completed square of a type target is checked with
-    ``latin_square_parities``; a completed column of a tau target with the
-    tau bits of the columns so far, each component from its definition.
+    completed square of a type target is checked with ``square_type``; a
+    completed column of a tau target with the tau bits of the columns so
+    far, each component from its definition.
     ``rng`` shuffles each cell's ascending symbol list in randomized mode.
     """
     n, k, node_cap = spec.n, spec.k, spec.max_nodes
@@ -385,8 +412,7 @@ def search(spec, rng):
 
     def column_done() -> bool:
         if isinstance(spec.target, str):
-            square = LatinSquare(columns[-1].reshape(n, n))
-            return latin_square_parities(square).type_str == spec.target
+            return square_type(columns[-1].reshape(n, n)) == spec.target
         upto = len(columns)
         sub = spec.target.bits[:upto + 1, :upto + 1, :upto + 1]
         bits = _tau_bits(np.column_stack(columns), n)

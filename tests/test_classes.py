@@ -14,6 +14,7 @@ from oaparity.classes import (
     orbit,
     _class_labels,
     _class_sizes_by_label,
+    _class_sizes_by_orbit,
     _compile,
     _distinct,
     _quotient,
@@ -339,6 +340,16 @@ def test_one_pass_sizes_match_per_class_bfs(k):
         by_label = _class_sizes_by_label(_quotient(k, nm), 1 << 30)
         by_bfs = class_sizes_by_bfs(WordSpace(k, nm))
         assert by_label.tolist() == by_bfs.tolist()
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
+def test_bitmap_census_matches_labels_for_even_n(k):
+    # the census that even k = 8 needs, one chain orbit per class on a
+    # visited bitmap, lists the sizes that labelling gives, in order
+    for nm in (0, 2):
+        quotient = _quotient(k, nm)
+        assert _class_sizes_by_orbit(quotient, 1 << 30).tolist() == \
+            _class_sizes_by_label(quotient, 1 << 30).tolist()
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6])

@@ -355,13 +355,14 @@ def test_cli_parity_json_matches_text(tmp_path, capsys):
     assert "pp_plausible: yes" in text
 
 
-@pytest.mark.parametrize("command, passes", [("parity", 1), ("ensemble", 1), ("graphs", 1),
+@pytest.mark.parametrize("command, passes", [("parity", 1), ("ensemble", 0), ("graphs", 1),
                                               ("class", 0)])
 def test_cli_array_commands_take_the_array_paths(tmp_path, capsys, monkeypatch, command, passes):
     # an OA file is read as an array, whose sigma comes from the array and
     # needs no plausibility pass; the output equals that of its parity
-    # report read with --tau
-    from oaparity import ensemble, graphs, parity
+    # report read with --tau; the census reads the plane conditions off its
+    # row sums, so it needs no pass either
+    from oaparity import graphs, parity
 
     plane = linear_mols(9)
     oa_path, report_path = tmp_path / "q9.oa", tmp_path / "q9.json"
@@ -374,7 +375,7 @@ def test_cli_array_commands_take_the_array_paths(tmp_path, capsys, monkeypatch, 
         calls.append(t)
         return check_plausible(t)
 
-    for module in (parity, fileio, ensemble, graphs):
+    for module in (parity, fileio, graphs):
         monkeypatch.setattr(module, "check_plausible", counted)
     rc, out, _ = run_cli(capsys, command, str(oa_path), "--json")
     assert rc == 0

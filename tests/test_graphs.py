@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oaparity.core import OAError, Transform, apply_transform
+from oaparity.ensemble import ensemble_census
 from oaparity.graphs import (
     SimpleGraph,
     graph_complement,
@@ -233,10 +234,28 @@ def test_stack_cliques_below_plane_size():
             assert not g.has_edge(u, v)
 
 
+def degree_law_by_residue(s) -> bool:
+    """The plane degree law of a sigma with k = n+1, as stated for each n
+    mod 4."""
+    out_deg = [int(d) for d in s.m[1:, 1:].sum(axis=1)]
+    in_deg = [int(d) for d in s.m[1:, 1:].sum(axis=0)]
+    out_uni = len({d & 1 for d in out_deg}) == 1
+    in_uni = len({d & 1 for d in in_deg}) == 1
+    if s.nmod4 == 0:
+        return all(d % 2 == 0 for d in out_deg)
+    if s.nmod4 == 1:
+        return out_uni
+    if s.nmod4 == 2:
+        return all(d % 2 == 1 for d in out_deg) and all(d % 2 == 1 for d in in_deg)
+    return out_uni and in_uni and (out_deg[0] & 1) != (in_deg[0] & 1)
+
+
 def test_plane_condition_derivations_agree():
-    # k = n+1: the over-columns sum rule of check_plausible, the sigma-graph
-    # degree law and the refined stack shape decide the same vectors, on
-    # pp_plausible_sigma completions and on one-bit perturbations of them
+    # k = n+1: the over-columns sum rule of check_plausible, the degree law
+    # stated per n mod 4, the sigma-graph degree law and the census's
+    # pp_plausible (both read off degree parities) and the refined stack
+    # shape decide the same vectors, on pp_plausible_sigma completions and
+    # on one-bit perturbations of them
     rng = random.Random(15)
     seen = {True: 0, False: 0}
     for n in range(3, 41):
@@ -251,7 +270,9 @@ def test_plane_condition_derivations_agree():
             for s in (std, StandardSigma.from_upper(k, n % 4, up, n=n)):
                 t = tau_from_sigma(s)
                 plane = check_plausible(t).pp_plausible == "yes"
+                assert degree_law_by_residue(s) == plane, (n, s.word)
                 assert (sigma_graph(s).degree_law == "pass") == plane, (n, s.word)
+                assert ensemble_census(t).pp_plausible == ("yes" if plane else "no"), (n, s.word)
                 stk = stack(t)
                 assert (stk.refined is not None) == plane, (n, s.word)
                 if plane:

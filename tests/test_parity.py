@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -512,6 +513,22 @@ def test_transform_chains_follow_the_laws(p, length, rng):
         a = apply_transform(a, t).oa
         assert tau_parity(a) == pred_tau
         assert sigma_parity(a) == pred_sigma == direct_sigma(a)
+
+
+@pytest.mark.parametrize("t", [
+    Transform(kind="rows", perm=(1, 0)),
+    Transform(kind="columns", perm=(2, 1, 3)),
+    Transform(kind="symbols", perm=(1, 0, 2, 3), column=1),
+    Transform(kind="symbols", perm=(1, 0, 2), column=5),
+])
+def test_transform_laws_refuse_what_apply_transform_refuses(t):
+    # the prediction reads the re-sort parity off sigma, so it checks the
+    # transform against the array itself, with apply_transform's message
+    a = zn_linear_oa(3)
+    with pytest.raises(OAError) as applied:
+        apply_transform(a, t)
+    with pytest.raises(OAError, match=re.escape(str(applied.value))):
+        transform_parity_laws(a, t)
 
 
 def test_even_n_odd_symbol_perm_changes_nothing():

@@ -14,6 +14,7 @@ from oaparity.parity import (
     tau_from_sigma,
     tau_parity,
 )
+from oaparity import search
 from oaparity.constructions import linear_mols
 from oaparity.search import (
     SearchSpec,
@@ -302,6 +303,46 @@ def test_visit_order_is_pinned():
         out = find_oa_with_parity(SearchSpec(4, 5, target, max_nodes=480000))
         assert out.nodes == nodes, word
         assert tau_parity(out.found) == target
+
+
+def test_kernel_checks_start_at_the_fourth_column(monkeypatch):
+    # the first square is decided by the walk's running type, so a capped
+    # OA(4, 5) search calls the kernel check only on four-column stacks and
+    # visits the nodes it visited when three-column stacks were checked too
+    calls = []
+    check = search._partial_tau_matches
+
+    def counted(columns, n, target):
+        calls.append(len(columns))
+        return check(columns, n, target)
+
+    monkeypatch.setattr(search, "_partial_tau_matches", counted)
+    for word, nodes in _K4N5_FOUND_NODES.items():
+        out = find_oa_with_parity(SearchSpec(4, 5, _word_target(4, 5, word), max_nodes=480000))
+        assert out.nodes == nodes, word
+    assert calls and set(calls) == {4}
+
+
+def test_type_and_tau_targets_search_alike(monkeypatch):
+    # at k = 3 a type string and the tau vector of that type are one target:
+    # both are checked by the first square's running type, with no sigma
+    # built and no kernel run
+    def unused(*args):
+        raise AssertionError("no sigma or kernel check at k = 3")
+
+    monkeypatch.setattr(search, "sigma_from_tau", unused)
+    monkeypatch.setattr(search, "_partial_tau_matches", unused)
+    for n in range(3, 7):
+        targets = [_word_target(3, n, word) for word in range(4)]
+        assert {t.triple_type(1, 2, 3) for t in targets} == set(plausible_types(n % 4))
+        for tau in targets:
+            ty = tau.triple_type(1, 2, 3)
+            for options in [{}, {"mode": "exhaustive"}, {"max_nodes": 50}] + [
+                    {"mode": "randomized", "seed": seed, "restarts": 3, "max_nodes": 40}
+                    for seed in range(3)]:
+                by_type = find_oa_with_parity(SearchSpec(3, n, ty, **options))
+                by_tau = find_oa_with_parity(SearchSpec(3, n, tau, **options))
+                assert by_type == by_tau, (n, ty, options)
 
 
 def test_first_hit_needs_no_recursion_per_cell():
