@@ -69,23 +69,41 @@ def permutation_parity(images) -> int:
     return (n - cycles) & 1
 
 
-# elements per pointer-jumping pass; three int32 arrays of this length stay
-# cache-resident, which measured faster than 2^18 or more at n = 32 and 59
+# elements per chunk: the chunk's uint64 words take 512 KiB at 2^16.  On
+# one batch of each shape the arrays benchmark passes (lengths 16 to 59),
+# best of 9 interleaved, 2^14..2^18 took 21.6, 16.9, 15.2, 16.5 and 27.2 ms
 _KERNEL_CHUNK = 1 << 16
 
 
 def parity_batch(perms: np.ndarray) -> np.ndarray:
-    """Parity bits of many permutations at once, (n - #cycles) mod 2.
+    """Parity bits of many permutations at once: their inversion counts mod 2.
 
     ``perms`` has shape (m, n), each row a permutation of 0..n-1, in any
-    integer dtype and memory layout.  Cycles are counted by pointer jumping
-    (Wyllie, "The complexity of parallel computations", 1979): after
-    ceil(log2 n) rounds of ``lab = min(lab, lab[nxt]); nxt = nxt[nxt]`` each
-    element's label is the least element of its cycle, so the cycles are the
-    elements that are their own label.  That is O(n log n) per permutation,
-    done on int32 labels over chunks of about ``_KERNEL_CHUNK`` elements so
-    memory stays flat for any batch size.  Tests compare it with
-    ``permutation_parity`` and an inversion-counting oracle.
+    integer dtype and memory layout.  For n <= 64 each row is swept once,
+    with one 64-bit word ``seen`` per row: after position t, bit v of seen
+    marks the values at positions <= t, so ``(seen >> x_t) >> 1`` marks the
+    earlier values greater than x_t.  As popcount(a) + popcount(b) =
+    popcount(a ^ b) (mod 2), the parity is the popcount parity of the XOR
+    of those words over t, which a fold by 32, 16, ..., 1 gives.
+
+    Longer rows take radix-64 levels: level l keeps one word per value
+    prefix x >> 6(l+1) and sets bit (x >> 6l) & 63 in it, so an earlier
+    x' > x is counted at exactly one level, the highest where their digits
+    differ; n <= 64 is the one-level case.  A level's words are running
+    XORs down the row's elements grouped by prefix, in position order (a
+    stable sort), and each row is padded with n, n+1, ... up to whole
+    groups, which adds no inversion.
+
+    The sweep is one numpy pass per position over all rows of a chunk of
+    about ``_KERNEL_CHUNK`` elements, narrowed to the smallest unsigned
+    dtype that holds the values after the range check, so memory stays flat
+    for any batch size.  With a pass per position, long rows in small
+    batches are slow: 36 rows of length 65 take about 4x, and 64 rows of
+    length 4097 (padded to 8192) about 10x, the time of pointer jumping,
+    whose ceil(log2 n) passes each cover the whole chunk.  Nothing in the
+    package builds permutations longer than 59.  Tests
+    compare it with ``permutation_parity`` (cycle following) and an
+    inversion-counting oracle.
     """
     perms = np.asarray(perms)
     if perms.ndim != 2:
@@ -94,27 +112,39 @@ def parity_batch(perms: np.ndarray) -> np.ndarray:
     out = np.zeros(m, dtype=np.uint8)
     if n == 0:
         return out
-    rows = max(1, _KERNEL_CHUNK // n)
-    rounds = (n - 1).bit_length()
+    levels = max(1, -(-(n - 1).bit_length() // 6))
+    unit = 64 ** (levels - 1)
+    width = -(-n // unit) * unit  # n padded to whole groups of every level
+    dtype = np.min_scalar_type(width - 1)
+    rows = max(1, _KERNEL_CHUNK // width)
+    one = np.uint64(1)
     for lo in range(0, m, rows):
         block = perms[lo:lo + rows]
         if block.min() < 0 or block.max() >= n:
             raise OAError(f"parity_batch entries must lie in [0, {n - 1}]")
-        block = block.astype(np.int32)
         b = len(block)
-        ids = np.arange(b * n, dtype=np.int32)
-        # successor of each element as an index into the flattened chunk
-        nxt = (block + ids[::n, None]).reshape(b * n)
-        lab = ids.copy()
-        tmp = np.empty_like(lab)
-        for r in range(rounds):
-            np.take(lab, nxt, out=tmp)
-            np.minimum(lab, tmp, out=lab)
-            if r + 1 < rounds:
-                np.take(nxt, nxt, out=tmp)
-                nxt, tmp = tmp, nxt
-        cycles = np.count_nonzero((lab == ids).reshape(b, n), axis=1)
-        out[lo:lo + b] = (n - cycles) & 1
+        # positions down, rows across, so a position is one contiguous row
+        x = np.empty((width, b), dtype=dtype)
+        x[:n] = block.T
+        x[n:] = np.arange(n, width, dtype=dtype)[:, None]
+        acc = np.zeros(b, dtype=np.uint64)
+        for level in reversed(range(levels)):
+            if level < levels - 1:
+                # group by the prefix above this level, keeping position order
+                order = np.argsort(x >> (6 * level + 6), axis=0, kind="stable")
+                x = np.take_along_axis(x, order, axis=0)
+            digit = ((x >> (6 * level)) & 63).astype(np.uint64)
+            seen = np.left_shift(one, digit)
+            size = min(64 ** (level + 1), width)
+            steps = list(seen.reshape(width // size, size, b).swapaxes(0, 1))
+            for prev, cur in zip(steps, steps[1:]):
+                np.bitwise_xor(cur, prev, out=cur)
+            digit += one
+            seen >>= digit
+            acc ^= np.bitwise_xor.reduce(seen, axis=0)
+        for shift in (32, 16, 8, 4, 2, 1):
+            acc ^= acc >> np.uint64(shift)
+        out[lo:lo + b] = acc & one
     return out
 
 

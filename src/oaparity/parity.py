@@ -24,10 +24,12 @@ tau determines.
 Both follow from the k(k-2) fixed-column bits d[c, j] = tau^c_{w(c) j}, with
 w(1) = 2 and w(c) = 1 otherwise, by one formula (``_sigma_upper``).
 ``sigma_parity`` gets d of an array from k(k-2)*n permutations of length n in
-one ``parity_batch`` call, not from C(k,2) permutations of length n^2, and
-``tau_parity`` is ``tau_from_sigma`` of it, so the additivity identity
-tau^c_{ij} = tau^c_{wi} + tau^c_{wj} holds by construction there and the
-tests compare it with every component computed directly.
+one ``parity_batch`` call, not from C(k,2) permutations of length n^2; that
+call counts inversions mod 2 in one bit-parallel sweep down the n positions
+of every permutation at once.  ``tau_parity`` is ``tau_from_sigma`` of it,
+so the additivity identity tau^c_{ij} = tau^c_{wi} + tau^c_{wj} holds by
+construction there and the tests compare it with every component computed
+directly.
 ``sigma_from_tau`` checks plausibility, then reads d off the tau vector.
 
 A ``TauVector`` reads the components with i < j of whatever array it is
@@ -440,11 +442,18 @@ def sigma_from_tau(t: TauVector) -> StandardSigma:
 # plausibility
 
 
-def _triples(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index arrays (c1, c2, c3) of the column triples c1 < c2 < c3 of a
-    (k+1)^3 array, in lexicographic order."""
+@lru_cache(maxsize=None)
+def _triples(k: int) -> tuple[np.ndarray, ...]:
+    """Read-only index arrays (c1, c2, c3) of the column triples c1 < c2 <
+    c3 of a (k+1)^3 array, in lexicographic order.  They are cached in the
+    narrowest unsigned dtype, 3 bytes a triple for k < 256, so the cache
+    costs less memory than intp indices at 24."""
     c1, c2, c3 = np.ix_(*(np.arange(k + 1),) * 3)
-    return np.nonzero((0 < c1) & (c1 < c2) & (c2 < c3))
+    tri = np.nonzero((0 < c1) & (c1 < c2) & (c2 < c3))
+    tri = tuple(idx.astype(np.min_scalar_type(k)) for idx in tri)
+    for idx in tri:
+        idx.setflags(write=False)
+    return tri
 
 
 @dataclass(frozen=True)

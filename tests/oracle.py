@@ -1,25 +1,28 @@
 """Brute-force oracles for quantities the library derives.
 
-The library counts cycles by pointer jumping, derives sigma from k(k-2) tau
-components and tau from sigma, checks additivity for every column in one
-array comparison, builds switching classes through the chain S_1 < ... <
-S_k on packed cosets of the swaps (odd n) with transpositions compiled to
-affine maps, and searches with one iterative cell walk that keeps a running
-square parity, and takes the ensemble census, the four-column cap and the
-graph splits as whole-array passes, and checks orthogonality with one
-bincount per column over its pairs with all later columns.  These functions
-compute each quantity from its definition instead, with parity kernels of
-their own (inversion counting, and cycle following for square types), a
-loop over the columns for additivity, a set-based orbit search over the
-matrix-level actions, breadth-first searches and a labelling to a fixpoint
-that apply every generator of a generating set, over every word of a class
-or of the space or over the cosets of the swaps, with generators read off
-the matrix-level actions and cosets reduced by an elimination of their own,
-a recursive search, one frame per cell, that checks each completed column
+The library counts inversions mod 2 with one sweep of bit-parallel words
+per row, derives sigma from k(k-2) tau components and tau from sigma,
+checks additivity for every column in one array comparison, builds
+switching classes through the chain S_1 < ... < S_k on packed cosets of the
+swaps (odd n) with transpositions compiled to affine maps, and searches
+with one iterative cell walk that keeps a running square parity, and takes
+the ensemble census, the four-column cap and the graph splits as
+whole-array passes, and checks orthogonality with one bincount per column
+over its pairs with all later columns.  These functions compute each
+quantity from its definition instead, with parity kernels of their own
+(inversions counted by comparing every pair of positions, and cycle
+following for square types; the kernel's tests also compare it with the
+library's own cycle following, ``permutation_parity``), a loop over the
+columns for additivity, a set-based orbit search over the matrix-level
+actions, breadth-first searches and a labelling to a fixpoint that apply
+every generator of a generating set, over every word of a class or of the
+space or over the cosets of the swaps, with generators read off the
+matrix-level actions and cosets reduced by an elimination of their own, a
+recursive search, one frame per cell, that checks each completed column
 from its definition, loops over column triples, quads and vertex pairs with
-per-entry lookups, and one bincount per column pair.  Apart from the search's visit order,
-which both sides must follow node for node, they share no algorithm with
-the code they check.
+per-entry lookups, and one bincount per column pair.  Apart from the
+search's visit order, which both sides must follow node for node, they
+share no algorithm with the code they check.
 """
 
 import functools
@@ -44,18 +47,12 @@ from oaparity.parity import (
 
 def inversion_parity(perms) -> np.ndarray:
     """Parity bits of the rows of an (m, n) array of permutations, by
-    counting inversions in O(n^2) per row."""
+    comparing each position with every later one, O(n^2) per row."""
     perms = np.asarray(perms)
-    m, n = perms.shape
-    out = np.empty(m, dtype=np.uint8)
-    iu, ju = np.triu_indices(n, 1)
-    # chunk so the (chunk, n*(n-1)/2) comparison table stays modest
-    chunk = max(1, (1 << 22) // max(1, len(iu)))
-    for lo in range(0, m, chunk):
-        block = perms[lo:lo + chunk]
-        inv = (block[:, iu] > block[:, ju]).sum(axis=1)
-        out[lo:lo + chunk] = inv & 1
-    return out
+    inv = np.zeros(len(perms), dtype=np.int64)
+    for t in range(perms.shape[1] - 1):
+        inv += np.count_nonzero(perms[:, t + 1:] < perms[:, t, None], axis=1)
+    return (inv & 1).astype(np.uint8)
 
 
 def _tau_bits(mat: np.ndarray, n: int) -> np.ndarray:

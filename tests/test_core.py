@@ -103,6 +103,21 @@ def test_parity_batch_matches_both_oracles(perms):
     assert got.tolist() == [permutation_parity(p) for p in perms]
 
 
+@pytest.mark.parametrize("n", [63, 64, 65, 4095, 4096, 4097])
+def test_parity_batch_at_level_boundaries(n):
+    """Lengths on each side of one and two radix-64 levels, in a batch one
+    row longer than the rows of n elements that fit one kernel chunk, in
+    every input dtype that holds n - 1."""
+    m = core._KERNEL_CHUNK // n + 1
+    perms = np.random.default_rng(n).permuted(np.tile(np.arange(n), (m, 1)), axis=1)
+    want = inversion_parity(perms)
+    assert want.tolist() == [permutation_parity(p) for p in perms]
+    assert 0 < want.sum() < m
+    for dtype in (np.uint8, np.uint16, np.int64, np.uint64):
+        if n - 1 <= np.iinfo(dtype).max:
+            assert np.array_equal(parity_batch(perms.astype(dtype)), want)
+
+
 def test_parity_batch_rejects_out_of_range_entries():
     with pytest.raises(OAError):
         parity_batch(np.array([[0, 2]]))

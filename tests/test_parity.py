@@ -35,6 +35,7 @@ from oaparity.parity import (
     _fixed_column_bits,
     _read_fixed_columns,
     _sigma_upper,
+    _triples,
 )
 from oaparity.constructions import linear_mols, residue_pattern_oa
 
@@ -459,6 +460,15 @@ def test_implausible_vector_reports_witness():
     rep = check_plausible(t)
     assert not rep.plausible
     assert rep.violations[0][0] in ("additivity", "triple")
+
+
+def test_triples_are_cached_read_only_and_lexicographic():
+    for k in (3, 4, 7):
+        tri = _triples(k)
+        assert _triples(k) is tri
+        assert all(not idx.flags.writeable for idx in tri)
+        assert list(zip(*(idx.tolist() for idx in tri))) == list(
+            itertools.combinations(range(1, k + 1), 3))
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 8, 13])
