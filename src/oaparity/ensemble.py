@@ -22,10 +22,12 @@ transpose law sigma_ji = sigma_ij + C(n, 2) iff all mu_c do.
 
 The census works on the tau bit array as a whole: the type of the square on
 columns c1 < c2 < c3 is the 3-bit code tau^{c1}_{c2c3} << 2 |
-tau^{c2}_{c1c3} << 1 | tau^{c3}_{c1c2} (so "rcs" is the code in binary),
-computed for all triples in one gather and counted with ``np.bincount``.
-The four-column cap is checked on the array of equiparity flags, one slab
-of quads per first column.
+tau^{c2}_{c1c3} << 1 | tau^{c3}_{c1c2} (so "rcs" is the code in binary).
+The three bits sit at [c1, c2, c3] of ``bits``, ``bits.transpose(1, 0, 2)``
+and ``bits.transpose(1, 2, 0)``, so one whole-array expression over these
+views codes every square, and ``np.bincount`` counts the codes under the
+mask of the triples.  The four-column cap is checked on the array of
+equiparity flags under the same mask, one slab of quads per first column.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 from .core import OAError, OrthogonalArray
 from .parity import (
     TauVector,
-    _triples,
+    _triple_mask,
     equiparity_type,
     sigma_from_tau,
     sigma_parity,
@@ -81,15 +83,16 @@ def is_good(seq: GoodSequence) -> bool:
 
 
 def optimal_mu(n: int) -> GoodSequence:
-    """The extremal good sequence: three terms n-1, one term n-3, then each
-    term four less than the term four places earlier.  Defined for
-    n = 2,3 mod 4; its ensemble realises the equiparity lower bound."""
+    """The extremal good sequence: the first n+1 terms of three terms n-1,
+    one term n-3, then each term four less than the term four places
+    earlier (n = 2 keeps only the three terms 1).  Defined for n = 2,3
+    mod 4; its ensemble realises the equiparity lower bound."""
     if n % 4 not in (2, 3):
         raise OAError(f"need n = 2,3 mod 4, got {n}")
     terms = [n - 1, n - 1, n - 1, n - 3]
     while len(terms) < n + 1:
         terms.append(terms[-4] - 4)
-    return GoodSequence(n=n, terms=tuple(terms))
+    return GoodSequence(n=n, terms=tuple(terms[:n + 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +109,9 @@ class EnsembleCensus:
     "yes" iff all mu_c share one parity (the plane conditions).
     ``types_by_triple`` is a read-only (k+1)^3 uint8 array holding at
     [c1, c2, c3], c1 < c2 < c3, the type code of that square (type "rcs" is
-    code r << 2 | c << 1 | s); its other entries are zero and unused.
+    code r << 2 | c << 1 | s, with r, c and s read at [c1, c2, c3] of tau's
+    bits and their transposes (1, 0, 2) and (1, 2, 0)); its other entries
+    are zero and unused.
     """
 
     k: int
@@ -128,12 +133,11 @@ def ensemble_census(source: OrthogonalArray | TauVector) -> EnsembleCensus:
         tau, mu = source, sigma_from_tau(source).row_sums()
     k = tau.k
     bits = tau.bits
-    c1, c2, c3 = _triples(k)
-    code = bits[c1, c2, c3] << 2 | bits[c2, c1, c3] << 1 | bits[c3, c1, c2]
-    counts = np.bincount(code, minlength=8)
-    types = np.zeros((k + 1,) * 3, dtype=np.uint8)
-    types[c1, c2, c3] = code
+    mask = _triple_mask(k)
+    types = bits << 2 | bits.transpose(1, 0, 2) << 1 | bits.transpose(1, 2, 0)
+    types *= mask  # zero off the triples
     types.setflags(write=False)
+    counts = np.bincount(types[mask], minlength=8)
     x = int(counts[int(equiparity_type(tau.nmod4), 2)])
     T = int(bits.sum()) // 2  # bits[c] is the adjacency matrix of tau-graph c
     if tau.nmod4 in (0, 1):
@@ -165,9 +169,8 @@ def _four_column_witness(census: EnsembleCensus) -> tuple | None:
     """The lexicographically first quad a < b < c < d whose four triples
     hold more than two equiparity squares, or None."""
     k = census.k
-    tri = _triples(k)
-    equi = np.zeros((k + 1,) * 3, dtype=np.uint8)
-    equi[tri] = census.types_by_triple[tri] == int(equiparity_type(census.nmod4), 2)
+    equi = census.types_by_triple == int(equiparity_type(census.nmod4), 2)
+    equi = (equi & _triple_mask(k)).view(np.uint8)  # bool + bool is OR, not +
     for a in range(1, k - 2):
         # hits[b, c, d] = e[a,b,c] + e[a,b,d] + e[a,c,d] + e[b,c,d] over
         # b, c, d > a; e is zero off the triples, so three or more hits

@@ -132,6 +132,14 @@ def _bit(bit) -> int:
     return bit
 
 
+def _columns(*indices) -> None:
+    """Column indices in JSON data are integers; a boolean or a float is not
+    one, so ``true`` is not column 1 and 3.5 is not column 3."""
+    for c in indices:
+        if isinstance(c, bool) or not isinstance(c, int):
+            raise FormatError(f"column index must be an integer, got {c!r}")
+
+
 # ---------------------------------------------------------------------------
 # orthogonal arrays
 
@@ -247,6 +255,7 @@ def sigma_from_json(obj: dict) -> SigmaMatrix:
         k, nmod4, n = _shape(obj)
         pairs = obj["upper"]
         for i, j, _ in pairs:
+            _columns(i, j)
             if not 1 <= i < j <= k:
                 raise FormatError(f"bad pair ({i}, {j}) in sigma data")
         _expect_each_once([(i, j) for i, j, _ in pairs], k * (k - 1) // 2, "column pairs")
@@ -316,6 +325,7 @@ def tau_from_report(obj: dict) -> TauVector:
         k, nmod4, n = _shape(obj)
         entries = [tuple(e) for e in obj["tau"]]
         for c, i, j, bit in entries:
+            _columns(c, i, j)
             if len({c, i, j}) != 3 or not all(1 <= x <= k for x in (c, i, j)):
                 raise FormatError(f"bad column triple ({c}, {i}, {j}) in tau data")
             _bit(bit)

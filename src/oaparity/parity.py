@@ -442,18 +442,16 @@ def sigma_from_tau(t: TauVector) -> StandardSigma:
 # plausibility
 
 
-@lru_cache(maxsize=None)
-def _triples(k: int) -> tuple[np.ndarray, ...]:
-    """Read-only index arrays (c1, c2, c3) of the column triples c1 < c2 <
-    c3 of a (k+1)^3 array, in lexicographic order.  They are cached in the
-    narrowest unsigned dtype, 3 bytes a triple for k < 256, so the cache
-    costs less memory than intp indices at 24."""
-    c1, c2, c3 = np.ix_(*(np.arange(k + 1),) * 3)
-    tri = np.nonzero((0 < c1) & (c1 < c2) & (c2 < c3))
-    tri = tuple(idx.astype(np.min_scalar_type(k)) for idx in tri)
-    for idx in tri:
-        idx.setflags(write=False)
-    return tri
+def _triple_mask(k: int) -> np.ndarray:
+    """Read-only mask of the column triples 1 <= c1 < c2 < c3 <= k of a
+    (k+1)^3 array.  The square on such a triple has its row, column and
+    symbol bits at [c1, c2, c3] of ``bits``, ``bits.transpose(1, 0, 2)``
+    and ``bits.transpose(1, 2, 0)``, tau's three zero-copy views.  Built
+    per call: a cache would keep (k+1)^3 bytes for every k ever seen."""
+    up = np.triu(_off_diagonal(k))  # 1 <= i < j <= k
+    mask = up[:, :, None] & up[None, :, :]
+    mask.setflags(write=False)
+    return mask
 
 
 @dataclass(frozen=True)
@@ -473,9 +471,14 @@ class PlausibilityReport:
 def check_plausible(t: TauVector) -> PlausibilityReport:
     """Check index symmetry, fixed-column additivity and the triple law.
 
-    Symmetry holds by construction of ``TauVector.bits``.  For plane
-    candidates (k = n+1) the over-columns sum rule for each pair is also
-    evaluated and reported as ``pp_plausible``.
+    Symmetry holds by construction of ``TauVector.bits``.  The triple law
+    is the Latin-square law r + c + s = C(n, 2) mod 2 ("any two parities
+    determine the third") on every square of the ensemble: the square on
+    columns c1 < c2 < c3 has row, column and symbol bits tau^{c1}_{c2c3},
+    tau^{c2}_{c1c3} and tau^{c3}_{c1c2}; its witness is the first triple
+    that breaks it, in lexicographic order.  For plane candidates
+    (k = n+1) the over-columns sum rule for each pair is also evaluated and
+    reported as ``pp_plausible``.
     """
     k = t.k
     kk = binom2_bit(t.nmod4)
@@ -489,21 +492,19 @@ def check_plausible(t: TauVector) -> PlausibilityReport:
         c, i, j = np.argwhere(bad)[0]
         violations.append(("additivity", (int(c), int(i), int(j))))
 
-    # tau^{c1}_{c2c3} + tau^{c2}_{c1c3} + tau^{c3}_{c1c2} = C(n,2) on every triple
-    c1, c2, c3 = _triples(k)
-    bad3 = np.flatnonzero(full[c1, c2, c3] ^ full[c2, c1, c3] ^ full[c3, c1, c2] != kk)
-    if bad3.size:
-        v = bad3[0]
-        violations.append(("triple", (int(c1[v]), int(c2[v]), int(c3[v]))))
+    # r + c + s = C(n,2) on the square of every triple c1 < c2 < c3
+    square_sum = full ^ full.transpose(1, 0, 2) ^ full.transpose(1, 2, 0)
+    bad3 = (square_sum != kk) & _triple_mask(k)
+    if bad3.any():
+        c1, c2, c3 = np.argwhere(bad3)[0]
+        violations.append(("triple", (int(c1), int(c2), int(c3))))
 
     plausible = not violations
 
     pp = "na"
     if t.n is not None and t.k == t.n + 1:
         sums = full[1:].sum(axis=0) & 1
-        upper = np.triu(np.ones((k + 1, k + 1), dtype=bool), 1)
-        upper[0, :] = False
-        badpp = (sums != kk) & upper
+        badpp = (sums != kk) & np.triu(_off_diagonal(k))
         if badpp.any():
             i, j = np.argwhere(badpp)[0]
             violations.append(("pp", (int(i), int(j))))

@@ -637,3 +637,16 @@ def additivity_violation(t: TauVector):
                 if bit(c, i, j) != bit(c, i, w) ^ bit(c, j, w):
                     return c, i, j
     return None
+
+
+def triple_violation(t: TauVector):
+    """The first triple c1 < c2 < c3, in lexicographic order, whose square
+    breaks the law r + c + s = C(n, 2) mod 2, r, c and s its row, column and
+    symbol bits tau^{c1}_{c2c3}, tau^{c2}_{c1c3} and tau^{c3}_{c1c2}; None
+    when every square keeps it.  One triple at a time, with per-entry
+    lookups."""
+    kk = binom2_bit(t.nmod4)
+    for c1, c2, c3 in itertools.combinations(range(1, t.k + 1), 3):
+        if t.get(c1, c2, c3) ^ t.get(c2, c1, c3) ^ t.get(c3, c1, c2) != kk:
+            return c1, c2, c3
+    return None

@@ -1,7 +1,7 @@
 """Acceptance suite: one check per release criterion, exact tolerances.
 
 Each test prints a single PASS line (visible with -s or in the captured
-output); the even-n k=8 enumeration runs only with ``-m slow``.
+output).
 """
 
 import math
@@ -183,7 +183,6 @@ def test_criterion_01_k8_odd_n():
     report("1o", "k=8 odd-n class counts, sizes and multiplicities match", t0)
 
 
-@pytest.mark.slow
 def test_criterion_01_slow_k8():
     t0 = time.time()
     _check_k8([(8, 0), (8, 2)])

@@ -151,7 +151,7 @@ def test_four_column_cap_on_desarguesian():
         assert rep["four-column-cap"].passed
 
 
-def _triples_by_code(codes: np.ndarray) -> dict:
+def _types_by_code(codes: np.ndarray) -> dict:
     k = codes.shape[0] - 1
     return {
         tri: f"{codes[tri]:03b}" for tri in itertools.combinations(range(1, k + 1), 3)
@@ -178,7 +178,7 @@ def test_census_and_laws_match_oracle():
         assert c.type_counts == want["type_counts"]
         assert (c.x, c.T, c.mu, c.pp_plausible) == (
             want["x"], want["T"], want["mu"], want["pp_plausible"])
-        assert _triples_by_code(c.types_by_triple) == want["types_by_triple"]
+        assert _types_by_code(c.types_by_triple) == want["types_by_triple"]
         assert not c.types_by_triple.flags.writeable
         off = np.ones(c.types_by_triple.shape, dtype=bool)
         off[tuple(np.array(list(want["types_by_triple"])).T)] = False
@@ -231,7 +231,7 @@ def test_four_column_witness_matches_oracle():
                 codes = np.zeros((k + 1,) * 3, dtype=np.uint8)
                 for tri in itertools.combinations(range(1, k + 1), 3):
                     codes[tri] = 7 if rng.random() < p else rng.randrange(7)
-                want = oracle.four_column_witness(k, _triples_by_code(codes), nm)
+                want = oracle.four_column_witness(k, _types_by_code(codes), nm)
                 cap = check_ensemble_laws(_hand_built(k, nm, codes))["four-column-cap"]
                 assert cap.witness == want
                 assert cap.passed == (want is None)
@@ -264,7 +264,7 @@ def test_optimal_mu_is_good_and_greedy():
 
 
 def test_block_sigma_row_sums_are_good():
-    for n in (6, 7, 10, 11):
+    for n in (2, 3, 6, 7, 10, 11):
         mu = tuple(sorted(block_sigma(n).row_sums(), reverse=True))
         assert is_good(GoodSequence(n=n, terms=mu))
         assert mu == optimal_mu(n).terms

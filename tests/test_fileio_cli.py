@@ -218,7 +218,16 @@ _BAD_ENTRIES = {
     "tau-bit-3": (_REPORT_DOC, "tau", [1, 2, 3, 3], "parity bit must be the integer 0 or 1"),
     "tau-bit-true": (_REPORT_DOC, "tau", [1, 2, 3, True], "parity bit must be the integer 0 or 1"),
     "tau-bit-negative": (_REPORT_DOC, "tau", [1, 2, 3, -1], "parity bit must be the integer 0 or 1"),
+    # a column index is a JSON integer: true is not column 1, and 3.5 is not
+    # truncated to column 3, which would read the document as another tau
+    "pair-column-true": (_SIGMA_DOC, "upper", [True, 2, 0], "column index must be an integer"),
+    "pair-column-2.0": (_SIGMA_DOC, "upper", [1, 2.0, 0], "column index must be an integer"),
+    "pair-column-3.5": (_SIGMA_DOC, "upper", [1, 3.5, 0], "column index must be an integer"),
+    "tau-column-true": (_REPORT_DOC, "tau", [True, 2, 3, 0], "column index must be an integer"),
+    "tau-column-2.0": (_REPORT_DOC, "tau", [1, 2.0, 3, 0], "column index must be an integer"),
+    "tau-column-3.5": (_REPORT_DOC, "tau", [1, 2, 3.5, 0], "column index must be an integer"),
 }
+_NON_INT_COLUMNS = [f"{key}-column-{c}" for key in ("pair", "tau") for c in ("true", "2.0", "3.5")]
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_ENTRIES))
@@ -583,12 +592,15 @@ def _with_base(doc: dict, base) -> dict:
         (b'{"kind": "sigma", "k": 3, "nmod4": 0, "upper": "\xff"}', ["--tau"]),
         *[(json.dumps(_with_base(fileio.oa_to_json(zn_linear_oa(3), int(b)), b)), [])
           for b in _BAD_BASES],
+        *[(json.dumps(_with_entry(doc, key, 0, entry)), ["--tau"])
+          for doc, key, entry, _ in map(_BAD_ENTRIES.get, _NON_INT_COLUMNS)],
     ],
     ids=["short-pair", "missing-k", "non-int-k", "non-int-bit", "bit-3", "tau-bit-true",
          "not-json", "short-tau", "tau-column-out-of-range", "directory",
          "array-not-json", "array-without-rows", "huge-k-report", "huge-k-sigma",
          "float-k", "bool-k", "oa-symbol-40000", "oa-symbol-65536",
-         "oa-json-symbol-65536", "oa-not-utf8", "sigma-not-utf8", *[f"oa-json-base-{b!r}" for b in _BAD_BASES]],
+         "oa-json-symbol-65536", "oa-not-utf8", "sigma-not-utf8", *[f"oa-json-base-{b!r}" for b in _BAD_BASES],
+         *_NON_INT_COLUMNS],
 )
 def test_cli_malformed_input_fails_closed(tmp_path, capsys, content, flags):
     path = tmp_path / "in.json"

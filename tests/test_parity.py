@@ -35,7 +35,7 @@ from oaparity.parity import (
     _fixed_column_bits,
     _read_fixed_columns,
     _sigma_upper,
-    _triples,
+    _triple_mask,
 )
 from oaparity.constructions import linear_mols, residue_pattern_oa
 
@@ -46,7 +46,7 @@ from conftest import (
     random_transform,
     zn_linear_oa,
 )
-from oracle import _sigma_bits, additivity_violation, direct_sigma, direct_tau
+from oracle import _sigma_bits, additivity_violation, direct_sigma, direct_tau, triple_violation
 from oracle import _tau_bits as oracle_tau_bits
 
 
@@ -462,12 +462,11 @@ def test_implausible_vector_reports_witness():
     assert rep.violations[0][0] in ("additivity", "triple")
 
 
-def test_triples_are_cached_read_only_and_lexicographic():
+def test_triple_mask_is_read_only_and_marks_each_triple():
     for k in (3, 4, 7):
-        tri = _triples(k)
-        assert _triples(k) is tri
-        assert all(not idx.flags.writeable for idx in tri)
-        assert list(zip(*(idx.tolist() for idx in tri))) == list(
+        mask = _triple_mask(k)
+        assert mask.shape == (k + 1,) * 3 and not mask.flags.writeable
+        assert [tuple(v) for v in np.argwhere(mask).tolist()] == list(
             itertools.combinations(range(1, k + 1), 3))
 
 
@@ -482,6 +481,23 @@ def test_additivity_matches_per_column_oracle(k):
             found = [w for kind, w in check_plausible(t).violations if kind == "additivity"]
             expect = additivity_violation(t)
             assert found == ([] if expect is None else [expect])
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 8, 13])
+def test_triple_law_matches_per_triple_oracle(k):
+    # the "triple" witness of check_plausible is the first triple, in
+    # lexicographic order, whose square breaks the square law, on vectors
+    # with 0..5 components flipped
+    rng = random.Random(90 + k)
+    witnessed = 0
+    for nm in range(4):
+        for flips in range(6):
+            t = flip_components(random_plausible_tau(rng, k, nm), rng, flips)
+            found = [w for kind, w in check_plausible(t).violations if kind == "triple"]
+            expect = triple_violation(t)
+            assert found == ([] if expect is None else [expect])
+            witnessed += expect is not None
+    assert witnessed > 10
 
 
 def test_standardise_by_out_degree():
