@@ -289,14 +289,19 @@ class _Quotient:
         return 1 << len(self.basis)
 
     @property
+    def width(self) -> int:
+        """The bits of a packed index."""
+        return self.bits - len(self.basis)
+
+    @property
     def size(self) -> int:
         """The number of elements (cosets for odd n, words for even n)."""
-        return 1 << (self.bits - len(self.basis))
+        return 1 << self.width
 
     @property
     def dtype(self) -> np.dtype:
         """The narrowest unsigned integer type that holds a packed index."""
-        return np.dtype(np.uint32 if self.bits - len(self.basis) <= 32 else np.uint64)
+        return np.dtype(np.uint32 if self.width <= 32 else np.uint64)
 
     def least(self, word: int) -> int:
         """The least word of ``word``'s coset: its pivot bits cleared."""
@@ -426,12 +431,13 @@ def orbit(s: StandardSigma) -> OrbitSummary:
     (see the module docstring), on its cosets for odd n and its words for
     even n; each step must fit the memory budget
     (``OAPARITY_ORBIT_BUDGET_MB``).  The size is checked against the
-    divisibility bound (k! for even n, k! * 2^(k-1) for odd n).
+    divisibility bound (k! for even n, k! * 2^(k-1) for odd n).  Packed
+    indices must fit 64 bits: k <= 11, and k = 12 for odd n.
     """
-    b = s.k * (s.k - 1) // 2 - 1
-    if b > 63:
-        raise OAError(f"orbit search packs states into 64-bit words (k <= 11, got k={s.k})")
     quotient = _quotient(s.k, s.nmod4)
+    if quotient.width > 64:
+        raise OAError(f"orbit search packs states into 64-bit indices, but k={s.k} with "
+                      f"n = {s.nmod4} mod 4 needs {quotient.width} bits")
     cosets = _chain_orbit(quotient.index(s.word), quotient, _budget_bytes())
     size = cosets.size * quotient.coset_size
     bound = _orbit_bound(s.k, s.nmod4)

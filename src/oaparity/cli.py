@@ -17,8 +17,8 @@ import sys
 from pathlib import Path
 
 from . import classes, constructions, ensemble, fileio, graphs, search
-from .core import LatinSquare, OAError, OrthogonalArray, UsageError, oa_to_mols
-from .parity import plausible_types, sigma_from_tau, sigma_parity, tau_parity
+from .core import LatinSquare, OAError, UsageError, oa_to_mols
+from .parity import plausible_types, sigma_from_tau, tau_parity
 
 
 def _emit(args, text_lines, obj):
@@ -40,12 +40,12 @@ def _load_oa(path):
     return fileio.parse_oa(fileio.read_text(path))
 
 
-def _load_source(args):
-    """The array of an OA file, or with --tau the tau vector of a
-    sigma/parity-report JSON file."""
+def _load_tau(args):
+    """The tau vector of an OA file, or with --tau of a sigma/parity-report
+    JSON file."""
     if args.tau:
         return fileio.load_tau(args.file)
-    return _load_oa(args.file)
+    return tau_parity(_load_oa(args.file))
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +59,7 @@ def cmd_validate(args):
 
 
 def cmd_parity(args):
-    obj = fileio.parity_report(_load_source(args))
+    obj = fileio.parity_report(_load_tau(args))
     lines = [
         f"k={obj['k']} nmod4={obj['nmod4']}"
         + (f" n={obj['n']}" if obj["n"] is not None else ""),
@@ -77,11 +77,8 @@ def cmd_parity(args):
 
 
 def cmd_graphs(args):
-    source = _load_source(args)
-    if isinstance(source, OrthogonalArray):
-        tau, sigma = tau_parity(source), sigma_parity(source)
-    else:
-        tau, sigma = source, sigma_from_tau(source)
+    tau = _load_tau(args)
+    sigma = sigma_from_tau(tau)
     decomps = graphs.tau_graphs(tau)
     stk = graphs.stack(tau)
     sg = graphs.sigma_graph(sigma)
@@ -127,11 +124,7 @@ def cmd_graphs(args):
 
 
 def cmd_class(args):
-    source = _load_source(args)
-    if isinstance(source, OrthogonalArray):
-        summary = classes.class_of_oa(source)
-    else:
-        summary = classes.orbit(sigma_from_tau(source))
+    summary = classes.orbit(sigma_from_tau(_load_tau(args)))
     obj = {
         "k": summary.canonical.k,
         "nmod4": summary.canonical.nmod4,
@@ -205,7 +198,7 @@ def cmd_construct(args):
 
 
 def cmd_ensemble(args):
-    census = ensemble.ensemble_census(_load_source(args))
+    census = ensemble.ensemble_census(_load_tau(args))
     report = ensemble.check_ensemble_laws(census)
     obj = {
         "k": census.k,

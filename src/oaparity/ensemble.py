@@ -43,7 +43,6 @@ from .parity import (
     _triple_mask,
     equiparity_type,
     sigma_from_tau,
-    sigma_parity,
     tau_parity,
 )
 
@@ -127,10 +126,8 @@ class EnsembleCensus:
 
 def ensemble_census(source: OrthogonalArray | TauVector) -> EnsembleCensus:
     """Census of an array or of a bare (plausible) tau vector."""
-    if isinstance(source, OrthogonalArray):
-        tau, mu = tau_parity(source), sigma_parity(source).row_sums()
-    else:
-        tau, mu = source, sigma_from_tau(source).row_sums()
+    tau = tau_parity(source) if isinstance(source, OrthogonalArray) else source
+    mu = sigma_from_tau(tau).row_sums()
     k = tau.k
     bits = tau.bits
     mask = _triple_mask(k)

@@ -27,7 +27,6 @@ from .parity import (
     TauVector,
     check_plausible,
     sigma_from_tau,
-    sigma_parity,
     tau_from_sigma,
     tau_parity,
 )
@@ -300,8 +299,7 @@ def _expect_each_once(keys: list, count: int, what: str) -> None:
 def parity_report(source: OrthogonalArray | TauVector) -> dict:
     """The canonical JSON report: tau entries, standardised sigma pairs,
     plausibility flags."""
-    is_array = isinstance(source, OrthogonalArray)
-    tau = tau_parity(source) if is_array else source
+    tau = tau_parity(source) if isinstance(source, OrthogonalArray) else source
     rep = check_plausible(tau)
     obj = {
         "k": tau.k,
@@ -312,8 +310,7 @@ def parity_report(source: OrthogonalArray | TauVector) -> dict:
         "pp_plausible": rep.pp_plausible,
     }
     if rep.plausible:
-        sigma = sigma_parity(source) if is_array else sigma_from_tau(tau)
-        obj["sigma_standard"] = sigma.pairs()
+        obj["sigma_standard"] = sigma_from_tau(tau).pairs()
     else:
         obj["sigma_standard"] = None
         obj["violations"] = [[kind, list(w)] for kind, w in rep.violations]

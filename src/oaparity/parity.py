@@ -30,7 +30,9 @@ of every permutation at once.  ``tau_parity`` is ``tau_from_sigma`` of it,
 so the additivity identity tau^c_{ij} = tau^c_{wi} + tau^c_{wj} holds by
 construction there and the tests compare it with every component computed
 directly.
-``sigma_from_tau`` checks plausibility, then reads d off the tau vector.
+A tau that ``tau_from_sigma`` derives carries the standardised sigma it came
+from, so ``sigma_from_tau`` hands that back, with no plausibility pass; of
+any other tau it checks plausibility, then reads d off the vector.
 
 A ``TauVector`` reads the components with i < j of whatever array it is
 given and stores them in both index orders, so tau^c_{ij} = tau^c_{ji} holds
@@ -127,7 +129,7 @@ class TauVector:
     a concrete alphabet size.
     """
 
-    __slots__ = ("k", "nmod4", "n", "bits")
+    __slots__ = ("k", "nmod4", "n", "bits", "_sigma")
 
     def __init__(self, k: int, nmod4: int, bits: np.ndarray, n: int | None = None):
         if k < 3:
@@ -144,6 +146,7 @@ class TauVector:
         object.__setattr__(self, "nmod4", nmod4 % 4)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "bits", arr)
+        object.__setattr__(self, "_sigma", None)  # set by tau_from_sigma
 
     def __setattr__(self, name, value):
         raise AttributeError("TauVector is immutable")
@@ -333,7 +336,10 @@ class StandardSigma(SigmaMatrix):
 
 
 def standardise(sigma: SigmaMatrix) -> StandardSigma:
-    """Pick between a sigma matrix and its complement by zeroing entry (1,2)."""
+    """Pick between a sigma matrix and its complement by zeroing entry (1,2);
+    a ``StandardSigma`` is returned as it is."""
+    if isinstance(sigma, StandardSigma):
+        return sigma
     chosen = sigma.complement() if sigma.m[1, 2] else sigma
     return StandardSigma(sigma.k, sigma.nmod4, chosen.m, n=sigma.n)
 
@@ -423,13 +429,23 @@ def _sigma_upper(d: np.ndarray, nmod4: int) -> np.ndarray:
 
 
 def tau_from_sigma(s: SigmaMatrix) -> TauVector:
-    """tau^c_{ij} = sigma_ci + sigma_cj; complements map to the same vector."""
-    t = s.m[:, :, None] ^ s.m[:, None, :]
-    return TauVector(k=s.k, nmod4=s.nmod4, bits=t, n=s.n)
+    """tau^c_{ij} = sigma_ci + sigma_cj; complements map to the same vector.
+
+    The vector carries ``standardise(s)`` for ``sigma_from_tau``: it is
+    plausible by construction, additivity by the formula and the triple law
+    by the transpose law of s.
+    """
+    t = TauVector(k=s.k, nmod4=s.nmod4, bits=s.m[:, :, None] ^ s.m[:, None, :], n=s.n)
+    object.__setattr__(t, "_sigma", standardise(s))
+    return t
 
 
 def sigma_from_tau(t: TauVector) -> StandardSigma:
-    """Recover the standardised sigma-parity determined by a plausible tau."""
+    """The standardised sigma-parity determined by a plausible tau: the one
+    it carries if ``tau_from_sigma`` built it, else read off it once
+    ``check_plausible`` has passed."""
+    if t._sigma is not None:
+        return t._sigma
     report = check_plausible(t)
     if not report.plausible:
         kind, witness = report.violations[0]
@@ -525,29 +541,28 @@ def transform_parity_laws(
     """Predicted tau and sigma of the stored result of ``apply_transform``.
 
     Row permutations leave the stored array (hence both parities) unchanged;
-    column permutations relabel indices and complement sigma by the parity of
-    the re-sort; a symbol permutation gamma in column c adds n*parity(gamma)
-    to every tau component with c in the lower index pair and to the sigma
-    entries in row/column c, plus the re-sort complement when c is column 1
-    or 2.  The re-sort parity has a law of its own: a column relabelling g
-    re-sorts the rows by columns g^-1(1), g^-1(2), a permutation of parity
-    sigma_{g^-1(1) g^-1(2)}; gamma on column 1 or 2 moves n blocks of n rows,
-    or permutes within each of n blocks, by gamma, parity n*parity(gamma);
-    any other transform keeps the stored order.  The transform is not
-    applied; the test suite asserts these predictions against recomputation.
+    column permutations relabel sigma's indices and complement it by the
+    parity of the re-sort; a symbol permutation gamma in column c adds
+    n*parity(gamma) to the sigma entries in row/column c (so to every tau
+    component with c in the lower index pair), plus the re-sort complement
+    when c is column 1 or 2.  The re-sort parity has a law of its own: a
+    column relabelling g re-sorts the rows by columns g^-1(1), g^-1(2), a
+    permutation of parity sigma_{g^-1(1) g^-1(2)}; gamma on column 1 or 2
+    moves n blocks of n rows, or permutes within each of n blocks, by
+    gamma, parity n*parity(gamma); any other transform keeps the stored
+    order.  The predicted tau is ``tau_from_sigma`` of the predicted sigma.
+    The transform is not applied; the test suite asserts these predictions
+    against recomputation.
     """
     _check_transform(a, t)
-    tau = tau_parity(a)
     sigma = sigma_parity(a)
     if t.kind == "rows":
-        return tau, sigma
+        return tau_parity(a), sigma
 
     k, n = a.k, a.n
     if t.kind == "columns":
         g = np.zeros(k + 1, dtype=np.int64)
         g[1:] = np.asarray(t.perm)
-        new_bits = np.zeros_like(tau.bits)
-        new_bits[g[:, None, None], g[None, :, None], g[None, None, :]] = tau.bits
         new_m = np.zeros_like(sigma.m)
         new_m[g[1:, None], g[None, 1:]] = sigma.m[1:, 1:]
         sort_parity = new_m[1, 2]  # sigma_{g^-1(1) g^-1(2)}
@@ -555,18 +570,12 @@ def transform_parity_laws(
         c = t.column
         flip = (n & 1) & permutation_parity(t.perm)
         sort_parity = flip if c <= 2 else 0
-        new_bits = tau.bits
         new_m = sigma.m.copy()
         if flip:
-            # every component tau^u_{ij} with c in {i, j}; the constructor
-            # drops the entries that are not components
-            i, j = np.ogrid[:k + 1, :k + 1]
-            new_bits = new_bits ^ ((i == c) | (j == c))
             new_m[c, 1:] ^= 1
             new_m[1:, c] ^= 1
             new_m[c, c] = 0
     new_sigma = SigmaMatrix(k=k, nmod4=n % 4, m=new_m, n=n)
-    return (
-        TauVector(k=k, nmod4=n % 4, bits=new_bits, n=n),
-        new_sigma.complement() if sort_parity else new_sigma,
-    )
+    if sort_parity:
+        new_sigma = new_sigma.complement()
+    return tau_from_sigma(new_sigma), new_sigma

@@ -356,29 +356,24 @@ def find_oa_with_parity(spec: SearchSpec) -> SearchOutcome:
     budget; running out of budget is reported as an inconclusive outcome.
     """
     sigma = sigma_from_tau(spec.target) if spec.k > 3 else None
-    if spec.mode == "randomized":
-        seed = spec.seed if spec.seed is not None else 0
-        total_nodes = 0
-        for attempt in range(spec.restarts):
-            rng = random.Random(seed * 1_000_003 + attempt)
-            oa, nodes, capped = _search(spec, rng, sigma)
-            total_nodes += nodes
-            if oa is not None:
-                _verify(spec, oa)
-                return SearchOutcome(oa, False, total_nodes, seed)
-        return SearchOutcome(None, False, total_nodes, seed)
-
-    oa, nodes, capped = _search(spec, None, sigma)
-    if oa is not None:
-        _verify(spec, oa)
-    return SearchOutcome(oa, oa is None and spec.mode == "exhaustive" and not capped, nodes)
+    randomized = spec.mode == "randomized"
+    seed = (0 if spec.seed is None else spec.seed) if randomized else None
+    total_nodes = 0
+    for attempt in range(spec.restarts if randomized else 1):
+        rng = random.Random(seed * 1_000_003 + attempt) if randomized else None
+        oa, nodes, capped = _search(spec, rng, sigma)
+        total_nodes += nodes
+        if oa is not None:
+            _verify(spec, oa)
+            return SearchOutcome(oa, False, total_nodes, seed)
+    return SearchOutcome(None, spec.mode == "exhaustive" and not capped, total_nodes, seed)
 
 
 def _verify(spec: SearchSpec, oa: OrthogonalArray) -> None:
+    got = tau_parity(oa)
     if isinstance(spec.target, str):
-        got = tau_parity(oa)
         ty = got.triple_type(1, 2, 3)
         if ty != spec.target:
             raise OAError(f"search returned type {ty}, wanted {spec.target}")
-    elif tau_parity(oa) != spec.target:
+    elif got != spec.target:
         raise OAError("search result does not match the target tau vector")

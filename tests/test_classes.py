@@ -486,8 +486,21 @@ def test_orbit_budget_must_be_a_whole_number(monkeypatch, tmp_path, capsys):
 
 
 def test_orbit_rejects_overwide_words():
-    with pytest.raises(OAError):
+    # packed indices must fit 64 bits: the 65-bit words of even k = 12 do
+    # not, nor odd k = 13's cosets, 77-bit words less 12 pivot bits
+    with pytest.raises(OAError, match="needs 65 bits"):
         orbit(StandardSigma.from_word(12, 0, 0))
+    with pytest.raises(OAError, match="needs 65 bits"):
+        orbit(StandardSigma.from_word(13, 1, 0))
+
+
+def test_orbit_of_the_q11_plane():
+    # odd k = 12 packs its cosets into 54 bits (65-bit words less 11 pivot
+    # bits); the class of the order-11 plane is 9! cosets, 12! * 2^11 / 1320
+    # states, so its stabiliser has order 1320
+    summ = class_of_oa(linear_mols(11))
+    assert summ.size == math.factorial(12) * 2 ** 11 // 1320 == 743_178_240
+    assert orbit(summ.canonical) == summ
 
 
 def test_orbit_of_each_small_word_matches_enumeration():

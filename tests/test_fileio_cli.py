@@ -367,16 +367,20 @@ def test_cli_parity_json_matches_text(tmp_path, capsys):
 @pytest.mark.parametrize("command, passes", [("parity", 1), ("ensemble", 0), ("graphs", 1),
                                               ("class", 0)])
 def test_cli_array_commands_take_the_array_paths(tmp_path, capsys, monkeypatch, command, passes):
-    # an OA file is read as an array, whose sigma comes from the array and
-    # needs no plausibility pass; the output equals that of its parity
-    # report read with --tau; the census reads the plane conditions off its
-    # row sums, so it needs no pass either
+    # one loader: an OA file is read as its tau, which carries the array's
+    # sigma, and so does the tau of a sigma file read with --tau, so neither
+    # needs a plausibility pass to get its sigma; both outputs equal that of
+    # the array's parity report read with --tau, whose sigma is checked; the
+    # census reads the plane conditions off the sigma row sums, so it needs
+    # no pass either
     from oaparity import graphs, parity
 
     plane = linear_mols(9)
     oa_path, report_path = tmp_path / "q9.oa", tmp_path / "q9.json"
+    sigma_path = tmp_path / "q9-sigma.json"
     oa_path.write_text(fileio.format_oa(plane))
     report_path.write_text(json.dumps(fileio.parity_report(plane)))
+    sigma_path.write_text(json.dumps(fileio.sigma_to_json(parity.sigma_parity(plane))))
     _, from_report, _ = run_cli(capsys, command, str(report_path), "--tau", "--json")
     calls = []
 
@@ -386,10 +390,12 @@ def test_cli_array_commands_take_the_array_paths(tmp_path, capsys, monkeypatch, 
 
     for module in (parity, fileio, graphs):
         monkeypatch.setattr(module, "check_plausible", counted)
-    rc, out, _ = run_cli(capsys, command, str(oa_path), "--json")
-    assert rc == 0
-    assert out == from_report
-    assert len(calls) == passes
+    for argv in ([str(oa_path)], [str(sigma_path), "--tau"]):
+        calls.clear()
+        rc, out, _ = run_cli(capsys, command, *argv, "--json")
+        assert rc == 0
+        assert out == from_report
+        assert len(calls) == passes
 
 
 def test_cli_enumerate(capsys):

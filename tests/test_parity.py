@@ -383,6 +383,35 @@ def test_sigma_tau_roundtrip_on_oa():
         assert standardise(direct_sigma(a)) == std
 
 
+def test_derived_tau_carries_its_sigma(monkeypatch):
+    # tau_from_sigma's vector is plausible by construction, so sigma_from_tau
+    # hands back standardise(s) with no plausibility pass; the same bits in
+    # a TauVector of their own are checked and give the same sigma, and an
+    # implausible vector still raises
+    import oaparity.parity as P
+
+    rng = random.Random(41)
+    cases = []
+    for k in range(3, 21):
+        for nm in range(4):
+            for n in (None, 4 * rng.randrange(1, 6) + nm):
+                up = np.array([[rng.randrange(2) for _ in range(k + 1)] for _ in range(k + 1)])
+                cases.append(SigmaMatrix.from_upper(k, nm, up, n=n))
+    calls = []
+    monkeypatch.setattr(P, "check_plausible", lambda t: calls.append(t))
+    derived = [(s, tau_from_sigma(s)) for s in cases]
+    for s, t in derived:
+        got = sigma_from_tau(t)
+        assert got == standardise(s) and isinstance(got, StandardSigma)
+        assert got.n == t.n == s.n
+    assert calls == []
+    monkeypatch.undo()
+    for s, t in derived:
+        assert sigma_from_tau(TauVector(t.k, t.nmod4, t.bits, n=t.n)) == standardise(s)
+        with pytest.raises(OAError, match="not plausible"):
+            sigma_from_tau(flip_components(t, rng, 1))
+
+
 def test_sigma_from_zero_tau_even():
     t = TauVector(k=4, nmod4=0, bits=np.zeros((5, 5, 5), dtype=np.uint8))
     std = sigma_from_tau(t)
