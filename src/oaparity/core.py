@@ -400,6 +400,16 @@ def _check_orthogonal(arr: np.ndarray, n: int) -> None:
             )
 
 
+def _storage_order(arr: np.ndarray, n: int) -> np.ndarray:
+    """The row order that sorts ``arr`` on the single key col1 * n + col2.
+
+    Where columns 1 and 2 are orthogonal the keys are distinct, so this is
+    the lexicographic order on all columns; where they are not,
+    ``_check_orthogonal`` refuses the array whatever its row order.
+    """
+    return np.argsort(arr[:, 0].astype(np.int32) * n + arr[:, 1])
+
+
 class OrthogonalArray:
     """An OA(k, n): n^2 rows of k symbols, every column pair orthogonal.
 
@@ -420,7 +430,7 @@ class OrthogonalArray:
         if not 3 <= k <= n + 1:
             raise OAError(f"need 3 <= k <= n+1, got k={k}, n={n}")
         arr = _narrow_symbols(arr, n)
-        arr = arr[np.lexsort(arr.T[::-1])]
+        arr = arr[_storage_order(arr, n)]
         _check_orthogonal(arr, n)
         arr.setflags(write=False)
         object.__setattr__(self, "k", k)
@@ -567,5 +577,5 @@ def apply_transform(a: OrthogonalArray, t: Transform) -> TransformResult:
         new[:, t.column - 1] = gamma[mat[:, t.column - 1]]
         if t.column > 2:
             return TransformResult(OrthogonalArray(new), 0)
-    order = np.lexsort(new.T[::-1])
+    order = _storage_order(new, a.n)
     return TransformResult(OrthogonalArray(new), permutation_parity(order))

@@ -60,8 +60,10 @@ def read_text(path) -> str:
         raise FormatError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
-def _lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def _lines(lines: list[str]):
+    """(line number, stripped line) of each of the ``lines`` of a text that
+    is neither blank nor a whole-line '#' comment."""
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield lineno, line
@@ -76,6 +78,17 @@ def _loadtxt(lines: list[str]) -> np.ndarray:
     on characters outside the Basic Multilingual Plane.
     """
     return np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None)
+
+
+def _one_call(lines: list[str], width: int) -> np.ndarray | None:
+    """ASCII ``lines`` as a table of ``width`` columns read by one
+    ``_loadtxt`` call, or None if the call refuses them or finds another
+    width."""
+    try:
+        table = _loadtxt(lines)
+    except ValueError:
+        return None
+    return table if table.shape[1] == width else None
 
 
 def _parse_ints(fields, lineno) -> list[int]:
@@ -98,11 +111,8 @@ def _read_rows(lines: list, width: int, base: int) -> np.ndarray:
     """
     body = [line for _, line in lines]
     if body and all(map(str.isascii, body)):
-        try:
-            table = _loadtxt(body)
-        except ValueError:
-            table = None
-        if table is not None and table.shape[1] == width:
+        table = _one_call(body, width)
+        if table is not None:
             return table - base
     rows = []
     for lineno, line in lines:
@@ -111,6 +121,38 @@ def _read_rows(lines: list, width: int, base: int) -> np.ndarray:
             raise FormatError(f"expected {width} symbols per row", lineno)
         rows.append(_parse_ints(fields, lineno))
     return np.array(rows, dtype=np.int64) - base
+
+
+def _parse_table(text: str, usage: str) -> tuple[list[int], np.ndarray]:
+    """The header integers and the data rows of a text file holding one
+    table: a header line ``usage`` (a tag and then names, the first the row
+    width and the last the symbol base), then the rows, less the base.
+
+    The header is the first line of the ``_lines`` walk.  ASCII text with
+    no '#' then goes in one pass: every later line to one ``_loadtxt``
+    call, which skips blank lines and edge whitespace as the walk does.  Any
+    other text, or a table that call refuses, is walked on by ``_read_rows``,
+    which alone raises FormatError for the data rows, with the line number
+    of the first bad one.
+    """
+    raw = text.splitlines()
+    walk = _lines(raw)
+    first = next(walk, None)
+    if first is None:
+        raise FormatError("empty file", 1)
+    lineno, header = first[0], first[1].split()
+    tag, *names = usage.split()
+    if len(header) != 1 + len(names) or header[0] != tag:
+        raise FormatError(f"header must be '{usage}'", lineno)
+    ints = _parse_ints(header[1:], lineno)
+    width, base = ints[0], _base(ints[-1], lineno)
+    if text.isascii() and "#" not in text:
+        body = raw[lineno:]
+        # loadtxt warns on a table with no data
+        table = _one_call(body, width) if any(map(str.strip, body)) else None
+        if table is not None:
+            return ints, table - base
+    return ints, _read_rows(list(walk), width, base)
 
 
 def _base(base, lineno=None) -> int:
@@ -144,17 +186,18 @@ def _columns(*indices) -> None:
 
 
 def parse_oa(text: str) -> OrthogonalArray:
+    """The array in ``text``: its JSON mirror, or 'OA k n base' and n^2
+    rows of k symbols.
+
+    Valid ASCII text with no '#' is read in one pass, the rows by one
+    ``np.loadtxt`` call; any other text, or rows that call refuses, is
+    walked line by line, and the first bad line raises FormatError with its
+    line number (``_parse_table``).
+    """
     if text.lstrip().startswith("{"):
         with _malformed("array JSON"):
             return oa_from_json(json.loads(text))
-    lines = list(_lines(text))
-    if not lines:
-        raise FormatError("empty file", 1)
-    lineno, header = lines[0][0], lines[0][1].split()
-    if len(header) != 4 or header[0] != "OA":
-        raise FormatError("header must be 'OA k n base'", lineno)
-    k, n, base = _parse_ints(header[1:], lineno)
-    rows = _read_rows(lines[1:], k, _base(base, lineno))
+    (k, n, _), rows = _parse_table(text, "OA k n base")
     if len(rows) != n * n:
         raise FormatError(f"expected {n * n} rows, got {len(rows)}")
     a = OrthogonalArray(rows)
@@ -198,14 +241,7 @@ def parse_square(text: str) -> LatinSquare:
     if text.lstrip().startswith("{"):
         with _malformed("square JSON"):
             return square_from_json(json.loads(text))
-    lines = list(_lines(text))
-    if not lines:
-        raise FormatError("empty file", 1)
-    lineno, header = lines[0][0], lines[0][1].split()
-    if len(header) != 3 or header[0] != "LS":
-        raise FormatError("header must be 'LS n base'", lineno)
-    n, base = _parse_ints(header[1:], lineno)
-    cells = _read_rows(lines[1:], n, _base(base, lineno))
+    (n, _), cells = _parse_table(text, "LS n base")
     if len(cells) != n:
         raise FormatError(f"expected {n} rows, got {len(cells)}")
     return LatinSquare(cells)
@@ -367,7 +403,7 @@ class CatalogueEntry:
 
 def parse_catalogue(text: str, provenance: str = "<memory>") -> list[CatalogueEntry]:
     entries = []
-    lines = list(_lines(text))
+    lines = list(_lines(text.splitlines()))
     pos = 0
     while pos < len(lines):
         lineno, fields = lines[pos][0], lines[pos][1].split()

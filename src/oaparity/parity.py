@@ -21,15 +21,16 @@ subtype whose (1,2) entry is zero.  Because sigma_12 is the identity in
 storage order, the stored sigma of an array *is* the standardised sigma its
 tau determines.
 
-Both follow from the k(k-2) fixed-column bits d[c, j] = tau^c_{w(c) j}, with
-w(1) = 2 and w(c) = 1 otherwise, by one formula (``_sigma_upper``).
-``sigma_parity`` gets d of an array from k(k-2)*n permutations of length n in
-one ``parity_batch`` call, not from C(k,2) permutations of length n^2; that
-call counts inversions mod 2 in one bit-parallel sweep down the n positions
-of every permutation at once.  ``tau_parity`` is ``tau_from_sigma`` of it,
-so the additivity identity tau^c_{ij} = tau^c_{wi} + tau^c_{wj} holds by
-construction there and the tests compare it with every component computed
-directly.
+Both follow from the fixed-column bits d[c, j] = tau^c_{w(c) j}, with
+w(1) = 2 and w(c) = 1 otherwise, by one formula (``_sigma_upper``).  It
+reads C(k,2) - 1 families, one per free sigma bit: d[c, j] for each free
+pair (c, j) of ``free_pairs``.  ``sigma_parity`` gets them from an array's
+(C(k,2) - 1)*n permutations of length n in one ``parity_batch`` call, not
+from C(k,2) permutations of length n^2; that call counts inversions mod 2
+in one bit-parallel sweep down the n positions of every permutation at
+once.  ``tau_parity`` is ``tau_from_sigma`` of it, so the additivity
+identity tau^c_{ij} = tau^c_{wi} + tau^c_{wj} holds by construction there
+and the tests compare it with every component computed directly.
 A tau that ``tau_from_sigma`` derives carries the standardised sigma it came
 from, so ``sigma_from_tau`` hands that back, with no plausibility pass; of
 any other tau it checks plausibility, then reads d off the vector.
@@ -92,14 +93,16 @@ def latin_square_parities(square: LatinSquare) -> ParityTriple:
     Each bit is the mod-2 sum of the parities of the n permutations obtained
     by fixing a row (j -> cells[i,j]), a column (i -> cells[i,j]) or a symbol
     (i -> j where cells[i,j] is the symbol).  On the square's OA(3, n), rows
-    (i, j, cells[i,j]), these are the fixed-column bits d[1,3], d[2,3] and
-    d[3,2], read in one kernel call.
+    (i, j, cells[i,j]), the row and column bits are the fixed-column bits
+    d[1,3] and d[2,3], its two families, read in one kernel call; any two
+    parities determine the third, s = r + c + C(n,2) mod 2.
     """
     n = square.n
     idx = np.arange(n, dtype=np.int16)
     d = _fixed_column_bits(np.column_stack((np.repeat(idx, n), np.tile(idx, n),
                                             square.cells.ravel())), n)
-    return ParityTriple(int(d[1, 3]), int(d[2, 3]), int(d[3, 2]))
+    r, c = int(d[1, 3]), int(d[2, 3])
+    return ParityTriple(r, c, r ^ c ^ binom2_bit(n % 4))
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +365,12 @@ def standardise_by_out_degree(sigma: SigmaMatrix, parity: int) -> SigmaMatrix:
 # parity of an orthogonal array
 
 
-def _fixed_column_bits(mat: np.ndarray, n: int) -> np.ndarray:
-    """The fixed-column bits d of an OA matrix in any row order.
+def _fixed_column_bits(mat: np.ndarray, n: int, last_only: bool = False) -> np.ndarray:
+    """The fixed-column bits d of an OA matrix in any row order, at the
+    C(k,2) - 1 families that carry the free sigma bits: d[c, j] for each
+    free pair (c, j), c in {1, 2} with j >= 3 and 3 <= c < j.  With
+    ``last_only``, only the k - 1 families (c, k) of the last column.  Other
+    entries are zero.
 
     They determine the other components by additivity, tau^c_{ij} =
     tau^c_{wi} + tau^c_{wj}: within a symbol class of c, pi_ij = pi_wj o
@@ -373,14 +380,12 @@ def _fixed_column_bits(mat: np.ndarray, n: int) -> np.ndarray:
     column stacks.
     """
     k = mat.shape[1]
-    w = np.where(np.arange(k + 1) == 1, 2, 1)  # the fixed column w of column c
-    c, j = np.indices((k + 1, k + 1)).reshape(2, -1)
-    keep = (c >= 1) & (j >= 1) & (j != c) & (j != w[c])
-    c, j = c[keep], j[keep]
+    c, j = (np.arange(1, k), np.full(k - 1, k)) if last_only else free_pairs(k)
     # family (c, j): row s is pi_wj on the symbol class s of column c, read
-    # off the rows sorted by (column c, column w)
-    sym = mat.astype(np.int32)
-    order = np.argsort(sym * n + sym[:, w[1:] - 1], axis=0)
+    # off the rows sorted by (column c, column w); no family has c = k
+    sym = mat[:, :k - 1].astype(np.int32)
+    w = np.where(np.arange(k - 1) == 0, 1, 0)  # 0-based fixed column of each c
+    order = np.argsort(sym * n + sym[:, w], axis=0)
     perms = mat[order.T][c - 1, :, j - 1]
     par = parity_batch(perms.reshape(len(c) * n, n)).reshape(len(c), n)
     d = np.zeros((k + 1, k + 1), dtype=np.uint8)
@@ -419,12 +424,12 @@ def _read_fixed_columns(bits: np.ndarray) -> np.ndarray:
 def _sigma_upper(d: np.ndarray, nmod4: int) -> np.ndarray:
     """The standardised sigma that d determines, in the entries i < j:
     sigma_1j = d[1,j], sigma_2j = d[2,j] + C(n,2) and sigma_ij = d[1,i] +
-    d[i,j] + C(n,2) for 3 <= i < j.  Rows 3 and up also fill i >= j."""
+    d[i,j] + C(n,2) for 3 <= i < j."""
     kk = binom2_bit(nmod4)
     up = np.zeros_like(d)
     up[1, 3:] = d[1, 3:]
     up[2, 3:] = d[2, 3:] ^ kk
-    up[3:] = d[1, 3:, None] ^ d[3:] ^ kk
+    up[3:, 3:] = np.triu(d[1, 3:, None] ^ d[3:, 3:] ^ kk, 1)
     return up
 
 

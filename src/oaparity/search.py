@@ -20,8 +20,9 @@ the target type: the target string, or the type of a tau target on columns
 1, 2, 3.  At three columns that type and the free sigma bits determine each
 other (tau^1_23 = sigma_13, tau^2_13 = sigma_23 + C(n, 2), tau^3_12 =
 sigma_13 + sigma_23), so no kernel runs there.  From the fourth column on,
-the kernel gives the standardised sigma of the columns so far, and its free
-entries must equal those of the target's, computed once per search.
+the kernel runs the new column's families only, and the standardised sigma
+entries they give, between the new column and each earlier one, must equal
+the target's, computed once per search.
 
 First-hit and exhaustive searches fold each column's walk by its first row.
 Row 0 of a new column meets no earlier line but its own row (every earlier
@@ -55,7 +56,7 @@ import numpy as np
 
 from .core import LatinSquare, OAError, OrthogonalArray, UsageError
 from .parity import (StandardSigma, TauVector, _fixed_column_bits, _sigma_upper, binom2_bit,
-                     check_plausible, free_pairs, plausible_types, sigma_from_tau, tau_parity)
+                     check_plausible, plausible_types, sigma_from_tau, tau_parity)
 
 MAX_ENUM_ORDER = 6
 
@@ -310,10 +311,14 @@ class SearchOutcome:
 def _partial_tau_matches(columns, n: int, target: StandardSigma) -> bool:
     """Whether the tau components among the j >= 4 columns so far equal the
     target's; plausible taus and standardised sigmas determine each other,
-    column by column, so this compares the free sigma entries among them."""
-    free = free_pairs(len(columns))
-    got = _sigma_upper(_fixed_column_bits(np.column_stack(columns), n), n % 4)
-    return np.array_equal(got[free], target.m[free])
+    column by column, so this compares the free sigma entries among them.
+    Those of the earlier columns matched when each was added, so only the
+    new column's j - 1 families run, and sigma_1i = d[1, i] of an earlier
+    column i is the target's."""
+    j = len(columns)
+    d = _fixed_column_bits(np.column_stack(columns), n, last_only=True)
+    d[1, 3:j] = target.m[1, 3:j]
+    return np.array_equal(_sigma_upper(d, n % 4)[1:j, j], target.m[1:j, j])
 
 
 def _search(spec: SearchSpec, rng: random.Random | None, sigma: StandardSigma | None):

@@ -1,8 +1,10 @@
 """Brute-force oracles for quantities the library derives.
 
 The library counts inversions mod 2 with one sweep of bit-parallel words
-per row, derives sigma from k(k-2) tau components and tau from sigma,
-checks additivity for every column in one array comparison, builds
+per row, derives sigma from C(k,2) - 1 tau components, one per free sigma
+bit, and tau from sigma, derives a square's symbol parity from its row and
+column parities, checks additivity for every column in one array
+comparison, builds
 switching classes through the chain S_1 < ... < S_k on packed cosets of the
 swaps (odd n) with transpositions compiled to affine maps, and searches
 with one iterative cell walk that keeps a running square parity, and takes

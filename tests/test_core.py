@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oaparity import core
-from oaparity.constructions import linear_mols
+from oaparity.constructions import linear_mols, residue_pattern_oa
 from oaparity.core import (
     LatinSquare,
     OAError,
@@ -269,6 +269,22 @@ def test_mols_to_oa_names_the_squares_like_the_oracle(q):
         assert (err.value.pair, err.value.repeated) == ((a + 1, b + 1), (u, v))
         assert str(err.value) == (
             f"squares {a + 1} and {b + 1} are not orthogonal: pair ({u}, {v}) repeats")
+
+
+@pytest.mark.parametrize("base", [("plane", 2), ("plane", 4), ("plane", 9), ("plane", 16),
+                                  ("plane", 27), ("residue", 11), ("residue", 43)], ids=str)
+def test_stored_rows_are_in_lexicographic_order(base):
+    # rows are sorted on the one key col1 * n + col2; on an orthogonal pair
+    # (1, 2) that is the lexicographic order on all columns
+    kind, n = base
+    rows0 = (linear_mols(n) if kind == "plane" else residue_pattern_oa(n, "rnr")).rows
+    rng = random.Random(300 + n)
+    for _ in range(8):
+        k = rng.randint(3, rows0.shape[1])
+        cols = rng.sample(range(rows0.shape[1]), k)
+        sym = np.asarray([rng.sample(range(n), n) for _ in cols], dtype=np.int16)
+        rows = sym[np.arange(k), rows0[:, cols]][rng.sample(range(n * n), n * n)]
+        assert np.array_equal(OrthogonalArray(rows).rows, rows[np.lexsort(rows.T[::-1])])
 
 
 def test_oa_rejects_k2_and_wide():

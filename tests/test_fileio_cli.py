@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from oaparity.core import OAError, cyclic_square, mols_to_oa
 from oaparity.constructions import block_sigma, linear_mols, residue_pattern_oa
 from oaparity.parity import check_plausible, sigma_from_tau, tau_parity
+import oaparity
 from oaparity import cli, fileio
 
 import oracle
@@ -66,13 +71,16 @@ _FILLER = st.sampled_from(["", "   ", "\t", "#", "# note", "  # indented note", 
 _PAD = st.sampled_from(["", " ", "\t", " \t "])
 
 
+_TEXT_SQUARES = [cyclic_square(1), cyclic_square(2), zn_linear_square(3, 2), cyclic_square(6)]
+
+
 @st.composite
-def _decorated_oa_text(draw):
-    """A text ``format_oa`` wrote, with blank and comment lines mixed in and
-    each line's spacing changed; the array it holds."""
-    a = draw(st.sampled_from(_TEXT_ARRAYS))
+def _decorated_text(draw, values=_TEXT_ARRAYS, fmt=fileio.format_oa):
+    """A text ``fmt`` wrote of one of ``values``, with blank and comment
+    lines mixed in and each line's spacing changed; the value it holds."""
+    a = draw(st.sampled_from(values))
     lines = []
-    for line in fileio.format_oa(a, draw(st.sampled_from([0, 1]))).splitlines():
+    for line in fmt(a, draw(st.sampled_from([0, 1]))).splitlines():
         lines += draw(st.lists(_FILLER, max_size=2))
         sep = draw(st.sampled_from([" ", "  ", "\t", " \t", "\u2003"]))
         lines.append(draw(_PAD) + sep.join(line.split()) + draw(_PAD))
@@ -81,7 +89,7 @@ def _decorated_oa_text(draw):
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(_decorated_oa_text())
+@given(_decorated_text())
 def test_oa_text_roundtrips_with_comments_and_blank_lines(case):
     a, text = case
     assert fileio.parse_oa(text) == a
@@ -90,10 +98,13 @@ def test_oa_text_roundtrips_with_comments_and_blank_lines(case):
 _GOOD_TEXT = fileio.format_oa(zn_linear_oa(3), 1)
 
 
+_GOOD_SQUARE_TEXT = fileio.format_square(zn_linear_square(3, 2), 1)
+
+
 @st.composite
-def _mutated_oa_text(draw):
-    """The q=3 array's text cut short, or with a span replaced by other text."""
-    text = _GOOD_TEXT
+def _mutated_text(draw, text=_GOOD_TEXT):
+    """A good text, the q=3 array's by default, cut short, or with a span
+    replaced by other text."""
     cut = draw(st.integers(0, len(text)))
     if draw(st.booleans()):
         return text[:cut]
@@ -103,7 +114,7 @@ def _mutated_oa_text(draw):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(_mutated_oa_text())
+@given(_mutated_text())
 @example(_GOOD_TEXT.replace("1 1 1 1", "1 1 1 1_0", 1))
 @example(_GOOD_TEXT.replace("1 1 1 1", "1 1 1 \U0009c6ca", 1))
 @example(_GOOD_TEXT.replace("1 1 1 1", f"1 1 1 {2**63}", 1))
@@ -113,6 +124,85 @@ def test_mutated_oa_text_raises_only_oa_error(text):
     except OAError:
         return
     assert (a.k, a.n) == (4, 3)
+
+
+def _outcome(parse, text):
+    """What ``parse`` makes of ``text``: the value, or the error's type,
+    message and line."""
+    try:
+        return parse(text)
+    except OAError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+
+
+def _assert_read_as_walked(parse, text):
+    """``text`` reads as the line walk reads it.  A whole-line comment
+    appended at the end keeps the one-pass read away and changes nothing
+    else, so the two outcomes must be equal; with the comment lines taken
+    out, the text is the one-pass read's when it is ASCII."""
+    for t in (text, "".join(line for line in text.splitlines(True) if "#" not in line)):
+        if not t.lstrip().startswith("{"):
+            assert _outcome(parse, t) == _outcome(parse, t + "\n#"), repr(t)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_decorated_text().map(lambda case: case[1]), _mutated_text()))
+def test_one_pass_oa_read_matches_line_walk(text):
+    _assert_read_as_walked(fileio.parse_oa, text)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_decorated_text(_TEXT_SQUARES, fileio.format_square).map(lambda case: case[1]),
+                 _mutated_text(_GOOD_SQUARE_TEXT)))
+def test_one_pass_square_read_matches_line_walk(text):
+    _assert_read_as_walked(fileio.parse_square, text)
+
+
+def _set_line(i: int, edit):
+    """An edit of a text that replaces its line i (0-based) by ``edit`` of it."""
+    def apply(text: str) -> str:
+        lines = text.splitlines()
+        lines[i] = edit(lines[i])
+        return "\n".join(lines) + "\n"
+    return apply
+
+
+# (name, edit of a good text, whether the one-pass read takes it, and the
+# FormatError's line for a text that must be refused, or 0 for one that reads
+# as the good text, -1 for a refusal with no line)
+_TEXT_EDITS = [
+    ("crlf", lambda t: t.replace("\n", "\r\n"), True, 0),
+    ("blank-lines-before-header", lambda t: "\n \t\n\n" + t, True, 0),
+    ("whitespace-only-line", _set_line(1, lambda line: line + "\n \t  "), True, 0),
+    ("form-feed-line", _set_line(1, lambda line: line + "\n\x0c"), True, 0),
+    ("file-separator-line", _set_line(2, lambda line: line + "\x1c"), True, 0),
+    ("edge-whitespace", _set_line(1, lambda line: "\t" + line.replace(" ", "\x1f") + " "), True, 0),
+    ("trailing-comment", _set_line(2, lambda line: line + " # note"), False, 3),
+    ("whole-line-comment", _set_line(1, lambda line: line + "\n# note"), False, 0),
+    ("non-ascii-digit", _set_line(2, lambda line: line[:-1] + "\u0661"), False, 3),
+    ("short-row", _set_line(2, lambda line: line[:-2]), False, 3),
+    ("header-only", lambda t: t.splitlines()[0] + "\n\n  \n", False, -1),
+]
+
+
+@pytest.mark.parametrize("name, edit, one_pass, line", _TEXT_EDITS, ids=[e[0] for e in _TEXT_EDITS])
+@pytest.mark.parametrize("parse, good", [(fileio.parse_oa, _GOOD_TEXT),
+                                         (fileio.parse_square, _GOOD_SQUARE_TEXT)],
+                         ids=["oa", "square"])
+def test_one_pass_read_examples(monkeypatch, parse, good, name, edit, one_pass, line):
+    text = edit(good)
+    _assert_read_as_walked(parse, text)
+    walks = []
+    read_rows = fileio._read_rows
+    monkeypatch.setattr(fileio, "_read_rows", lambda *args: walks.append(args) or read_rows(*args))
+    got = _outcome(parse, text)
+    # the one pass reads valid ASCII text with no '#'; any other text, or
+    # one that pass refuses, is walked line by line
+    assert bool(walks) != one_pass
+    if line == 0:
+        assert got == parse(good)
+    else:
+        assert got[0] == "FormatError" and got[2] == (None if line < 0 else line), got
 
 
 @pytest.mark.parametrize(
@@ -309,6 +399,20 @@ def test_catalogue_non_latin_square():
 
 # ---------------------------------------------------------------------------
 # the command line
+
+
+def test_cli_array_commands_leave_numpy_ma_unimported(tmp_path):
+    # numpy.ma costs every CLI process its import time and memory; no call
+    # on these paths (np.unique among them) may pull it in
+    path = tmp_path / "plane9.oa"
+    path.write_text(fileio.format_oa(linear_mols(9)))
+    script = (f"import sys; from oaparity import cli; "
+              f"codes = [cli.main([cmd, '--json', {str(path)!r}]) for cmd in ('parity', 'ensemble')]; "
+              f"print(codes, 'numpy.ma' in sys.modules, file=sys.stderr)")
+    env = dict(os.environ, PYTHONPATH=str(Path(oaparity.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.stderr.splitlines()[-1] == "[0, 0] False", out.stderr
 
 
 def run_cli(capsys, *argv):

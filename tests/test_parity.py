@@ -23,6 +23,7 @@ from oaparity.parity import (
     binom2_bit,
     check_plausible,
     equiparity_type,
+    free_pairs,
     latin_square_parities,
     plausible_types,
     sigma_from_tau,
@@ -244,9 +245,9 @@ def test_sigma_parity_needs_no_tau_and_no_plausibility_pass(monkeypatch):
 
 
 def test_tau_parity_matches_direct_oracle():
-    # tau is derived from sigma, so from k(k-2) components by additivity; the
-    # oracle computes every component from its permutations and counts their
-    # inversions
+    # tau is derived from sigma, so from the C(k,2) - 1 fixed-column families
+    # that carry the free sigma bits, by additivity; the oracle computes every
+    # component from its permutations and counts their inversions
     rng = random.Random(14)
     arrays = _oracle_arrays(rng, (2, 3, 4, 5, 7, 8, 9, 11, 13, 16), (11, 19, 23, 43))
     for a in arrays:
@@ -254,9 +255,15 @@ def test_tau_parity_matches_direct_oracle():
         assert tau_parity(a) == direct, (a.k, a.n)
         shuffled = a.rows[rng.sample(range(a.n * a.n), a.n * a.n)]
         assert np.array_equal(kernel_tau_bits(shuffled, a.n), direct.bits), (a.k, a.n)
-        assert np.array_equal(
-            _fixed_column_bits(shuffled, a.n), _read_fixed_columns(direct.bits)
-        ), (a.k, a.n)
+        # the families computed are the free pairs, or the last column's;
+        # every other entry is left zero
+        free = np.zeros((a.k + 1, a.k + 1), dtype=bool)
+        free[free_pairs(a.k)] = True
+        want = np.where(free, _read_fixed_columns(direct.bits), 0)
+        assert np.array_equal(_fixed_column_bits(shuffled, a.n), want), (a.k, a.n)
+        last = np.zeros_like(want)
+        last[1:a.k, a.k] = want[1:a.k, a.k]
+        assert np.array_equal(_fixed_column_bits(shuffled, a.n, last_only=True), last), (a.k, a.n)
         # plausibility holds by construction for derived tau; the oracle's
         # full tau must satisfy the same laws and give the same report
         report = check_plausible(direct)

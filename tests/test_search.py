@@ -9,8 +9,10 @@ import pytest
 from oaparity.core import LatinSquare, OAError, OrthogonalArray, UsageError, mols_to_oa, oa_to_mols
 from oaparity.parity import (
     SigmaMatrix,
+    StandardSigma,
     latin_square_parities,
     plausible_types,
+    sigma_parity,
     tau_from_sigma,
     tau_parity,
 )
@@ -321,6 +323,39 @@ def test_kernel_checks_start_at_the_fourth_column(monkeypatch):
         out = find_oa_with_parity(SearchSpec(4, 5, _word_target(4, 5, word), max_nodes=480000))
         assert out.nodes == nodes, word
     assert calls and set(calls) == {4}
+
+
+def test_column_check_runs_only_the_new_columns_families(monkeypatch):
+    # adding column m runs the m - 1 families (c, m) and compares sigma
+    # column m with the target's; the earlier columns' entries were checked
+    # when those columns were added
+    import oaparity.parity as P
+
+    rows = []
+    batch = P.parity_batch
+    monkeypatch.setattr(P, "parity_batch", lambda perms: rows.append(len(perms)) or batch(perms))
+    rng = random.Random(23)
+    for q in (4, 5, 7, 8, 9):
+        plane = linear_mols(q).rows
+        for _ in range(4):
+            k = rng.randint(4, q + 1)
+            arr = plane[:, [0, 1, *rng.sample(range(2, q + 1), k - 2)]].copy()
+            for col in range(2, k):  # relabel symbols, which flips sigma entries for odd q
+                arr[:, col] = np.asarray(rng.sample(range(q), q))[arr[:, col]]
+            target = sigma_parity(OrthogonalArray(arr))
+            columns = list(arr.T)
+            for m in range(4, k + 1):
+                rows.clear()
+                assert search._partial_tau_matches(columns[:m], q, target)
+                assert rows == [(m - 1) * q]
+                # a flip in column m is caught; one in an earlier column
+                # below row 1 (whose entries stand in for d[1, j]) is not
+                # looked at
+                for i, j in [(rng.randrange(1, m), m), (2, rng.randrange(3, m))]:
+                    up = target.m.copy()
+                    up[i, j] ^= 1
+                    flipped = StandardSigma.from_upper(k, q % 4, up, n=q)
+                    assert search._partial_tau_matches(columns[:m], q, flipped) == (j < m)
 
 
 def test_type_and_tau_targets_search_alike(monkeypatch):
