@@ -36,6 +36,14 @@ class OrthogonalityError(OAError):
         self.repeated = repeated  # a repeated ordered symbol pair
 
 
+class PermutationError(OAError):
+    """A row given to ``parity_batch`` as a permutation is not one."""
+
+    def __init__(self, msg: str, row: int):
+        super().__init__(msg)
+        self.row = row  # the first such row of the batch
+
+
 class ResourceLimitError(OAError):
     """An enumeration exceeded its configured memory budget."""
 
@@ -94,6 +102,14 @@ def parity_batch(perms: np.ndarray) -> np.ndarray:
     stable sort), and each row is padded with n, n+1, ... up to whole
     groups, which adds no inversion.
 
+    A row that is not a permutation is refused: ``PermutationError`` names
+    the first one.  For n <= 64 the check is free, as the running XOR of
+    1 << x at a row's last position has all n low bits set exactly when
+    each value occurs an odd number of times, so once.  Longer rows are
+    checked the same way in each radix-64 window of level 0, whose values
+    must also have the window's index as their sorted prefix x >> 6;
+    without that, [0..63, 0..63] would pass at n = 128.
+
     The sweep is one numpy pass per position over all rows of a chunk of
     about ``_KERNEL_CHUNK`` elements, narrowed to the smallest unsigned
     dtype that holds the values after the range check, so memory stays flat
@@ -139,6 +155,16 @@ def parity_batch(perms: np.ndarray) -> np.ndarray:
             steps = list(seen.reshape(width // size, size, b).swapaxes(0, 1))
             for prev, cur in zip(steps, steps[1:]):
                 np.bitwise_xor(cur, prev, out=cur)
+            if level == 0:
+                # each window holds every digit once, and only its own prefix
+                ok = steps[-1] == np.uint64((1 << size) - 1)  # windows x rows
+                if levels > 1:
+                    prefix = (x >> 6) == (np.arange(width) >> 6)[:, None]
+                    ok &= prefix.reshape(width // size, size, b).all(axis=1)
+                if not ok.all():
+                    row = lo + int(np.argmin(ok.all(axis=0)))
+                    raise PermutationError(
+                        f"parity_batch row {row} is not a permutation of 0..{n - 1}", row)
             digit += one
             seen >>= digit
             acc ^= np.bitwise_xor.reduce(seen, axis=0)
@@ -369,35 +395,16 @@ def cyclic_square(n: int) -> LatinSquare:
 # orthogonal arrays
 
 
-def _check_orthogonal(arr: np.ndarray, n: int) -> None:
-    """Raise OrthogonalityError unless every column pair of ``arr`` holds each
-    ordered symbol pair once.
-
-    One ``bincount`` per column i covers its pairs with every later column j:
-    pair (i, j) has codes a_i * n + a_j, offset into the (j - i - 1)-th block
-    of n^2.  The error names the first failing pair (i, j) in lexicographic
-    order and its least repeated symbol pair.  Codes stay below k * n^2, so
-    int32 holds them up to 2^31.
-    """
-    k = arr.shape[1]
-    nn = n * n
-    dtype = np.int32 if k * nn < 2**31 else np.int64
-    cols = arr.T.astype(dtype)
-    # column j plus the start j * n^2 of its block; column i's codes subtract
-    # (i + 1) * n^2 so that its first later column lands in block 0
-    placed = cols + np.arange(0, k * nn, nn, dtype=dtype)[:, None]
-    for i in range(k - 1):
-        codes = placed[i + 1:] + (cols[i] * n - (i + 1) * nn)
-        counts = np.bincount(codes.ravel(), minlength=(k - 1 - i) * nn)
-        if counts.max() > 1:
-            block, code = divmod(int(np.argmax(counts > 1)), nn)
-            pair = (i + 1, i + 2 + block)
-            raise OrthogonalityError(
-                f"columns {pair[0]} and {pair[1]} repeat the ordered pair "
-                f"({code // n}, {code % n})",
-                pair=pair,
-                repeated=(code // n, code % n),
-            )
+def _not_orthogonal(arr: np.ndarray, n: int, i: int, j: int) -> OrthogonalityError:
+    """The error for columns i < j (1-based) of ``arr``, which repeat an
+    ordered symbol pair: it names the least repeated one."""
+    codes = arr[:, i - 1].astype(np.int32) * n + arr[:, j - 1]
+    u, v = divmod(int(np.argmax(np.bincount(codes, minlength=n * n) > 1)), n)
+    return OrthogonalityError(
+        f"columns {i} and {j} repeat the ordered pair ({u}, {v})",
+        pair=(i, j),
+        repeated=(u, v),
+    )
 
 
 def _storage_order(arr: np.ndarray, n: int) -> np.ndarray:
@@ -405,7 +412,7 @@ def _storage_order(arr: np.ndarray, n: int) -> np.ndarray:
 
     Where columns 1 and 2 are orthogonal the keys are distinct, so this is
     the lexicographic order on all columns; where they are not,
-    ``_check_orthogonal`` refuses the array whatever its row order.
+    ``OrthogonalArray`` refuses the array whatever its row order.
     """
     return np.argsort(arr[:, 0].astype(np.int32) * n + arr[:, 1])
 
@@ -414,12 +421,19 @@ class OrthogonalArray:
     """An OA(k, n): n^2 rows of k symbols, every column pair orthogonal.
 
     Rows are sorted into lexicographic storage order on construction;
-    3 <= k <= n+1 is enforced.
+    3 <= k <= n+1 is enforced.  Columns 1 and 2 are orthogonal when the
+    sorted keys col1 * n + col2 are 0..n^2 - 1.  Every other pair is checked
+    by the pass that reads the array's sigma-parity off the kernel
+    (``parity._stored_sigma``), and the array keeps that sigma for
+    ``sigma_parity``.  An ``OrthogonalityError`` names the first failing
+    pair in lexicographic order and its least repeated symbol pair.
     """
 
-    __slots__ = ("k", "n", "rows")
+    __slots__ = ("k", "n", "rows", "_sigma")
 
     def __init__(self, rows):
+        from .parity import _stored_sigma  # parity imports this module
+
         arr = np.array(rows)
         if arr.ndim != 2:
             raise OAError(f"array must be 2-d, got shape {arr.shape}")
@@ -431,8 +445,10 @@ class OrthogonalArray:
             raise OAError(f"need 3 <= k <= n+1, got k={k}, n={n}")
         arr = _narrow_symbols(arr, n)
         arr = arr[_storage_order(arr, n)]
-        _check_orthogonal(arr, n)
+        if not np.array_equal(arr[:, 0].astype(np.int32) * n + arr[:, 1], np.arange(m)):
+            raise _not_orthogonal(arr, n, 1, 2)
         arr.setflags(write=False)
+        object.__setattr__(self, "_sigma", _stored_sigma(arr, n))
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", arr)
@@ -495,12 +511,13 @@ def oa_to_mols(a: OrthogonalArray) -> list[LatinSquare]:
 def rows_agree_in_one_column(a: OrthogonalArray) -> bool:
     """Whether every two distinct rows agree in exactly one column.
 
-    Holds for every OA(n+1, n); used as a structural check on plane arrays.
+    Two rows of an OA agree in at most one column, as two agreements would
+    repeat a symbol pair.  A row agrees in column c with the n - 1 other
+    rows of its symbol class there, so with (n - 1) * k rows in all, out of
+    n^2 - 1 = (n - 1)(n + 1): every other row exactly when k = n + 1, the
+    plane arrays.
     """
-    m = a.rows.shape[0]
-    agree = (a.rows[:, None, :] == a.rows[None, :, :]).sum(axis=2)
-    agree[np.arange(m), np.arange(m)] = 1
-    return bool(np.all(agree == 1))
+    return a.k == a.n + 1
 
 
 # ---------------------------------------------------------------------------

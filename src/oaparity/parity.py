@@ -24,11 +24,15 @@ tau determines.
 Both follow from the fixed-column bits d[c, j] = tau^c_{w(c) j}, with
 w(1) = 2 and w(c) = 1 otherwise, by one formula (``_sigma_upper``).  It
 reads C(k,2) - 1 families, one per free sigma bit: d[c, j] for each free
-pair (c, j) of ``free_pairs``.  ``sigma_parity`` gets them from an array's
-(C(k,2) - 1)*n permutations of length n in one ``parity_batch`` call, not
-from C(k,2) permutations of length n^2; that call counts inversions mod 2
-in one bit-parallel sweep down the n positions of every permutation at
-once.  ``tau_parity`` is ``tau_from_sigma`` of it, so the additivity
+pair (c, j) of ``free_pairs``.  An ``OrthogonalArray`` gets them, when it
+is built, from its (C(k,2) - 1)*n permutations of length n in one
+``parity_batch`` call, not from C(k,2) permutations of length n^2; that
+call counts inversions mod 2 in one bit-parallel sweep down the n
+positions of every permutation at once.  The kernel refuses a row that is
+not a permutation, and a family's rows are permutations exactly when its
+two columns are orthogonal, so the same call is the array's orthogonality
+check.  The array keeps the sigma, which ``sigma_parity`` returns, and
+``tau_parity`` is ``tau_from_sigma`` of it, so the additivity
 identity tau^c_{ij} = tau^c_{wi} + tau^c_{wj} holds by construction there
 and the tests compare it with every component computed directly.
 A tau that ``tau_from_sigma`` derives carries the standardised sigma it came
@@ -52,8 +56,10 @@ from .core import (
     LatinSquare,
     OAError,
     OrthogonalArray,
+    PermutationError,
     Transform,
     _check_transform,
+    _not_orthogonal,
     parity_batch,
     permutation_parity,
 )
@@ -94,8 +100,9 @@ def latin_square_parities(square: LatinSquare) -> ParityTriple:
     by fixing a row (j -> cells[i,j]), a column (i -> cells[i,j]) or a symbol
     (i -> j where cells[i,j] is the symbol).  On the square's OA(3, n), rows
     (i, j, cells[i,j]), the row and column bits are the fixed-column bits
-    d[1,3] and d[2,3], its two families, read in one kernel call; any two
-    parities determine the third, s = r + c + C(n,2) mod 2.
+    d[1,3] and d[2,3], its two families, which are the square's rows and
+    columns, read in one kernel call; any two parities determine the third,
+    s = r + c + C(n,2) mod 2.
     """
     n = square.n
     idx = np.arange(n, dtype=np.int16)
@@ -365,43 +372,80 @@ def standardise_by_out_degree(sigma: SigmaMatrix, parity: int) -> SigmaMatrix:
 # parity of an orthogonal array
 
 
-def _fixed_column_bits(mat: np.ndarray, n: int, last_only: bool = False) -> np.ndarray:
-    """The fixed-column bits d of an OA matrix in any row order, at the
-    C(k,2) - 1 families that carry the free sigma bits: d[c, j] for each
-    free pair (c, j), c in {1, 2} with j >= 3 and 3 <= c < j.  With
-    ``last_only``, only the k - 1 families (c, k) of the last column.  Other
-    entries are zero.
+def _fixed_column_bits(rows: np.ndarray, n: int, last_only: bool = False) -> np.ndarray:
+    """The fixed-column bits d of OA rows in storage order, at the C(k,2) - 1
+    families that carry the free sigma bits: d[c, j] for each free pair
+    (c, j), c in {1, 2} with j >= 3 and 3 <= c < j.  With ``last_only``,
+    only the k - 1 families (c, k) of the last column.  Other entries are
+    zero.
 
     They determine the other components by additivity, tau^c_{ij} =
     tau^c_{wi} + tau^c_{wj}: within a symbol class of c, pi_ij = pi_wj o
-    pi_iw, and parity(pi_iw) = parity(pi_wi).  The permutations exist
-    because every column pair of ``mat`` is orthogonal, which
-    ``OrthogonalArray`` checks and the search guarantees for its partial
-    column stacks.
+    pi_iw, and parity(pi_iw) = parity(pi_wi).  Family (c, j) holds pi_wj on
+    each symbol class of c, and its n rows are permutations exactly when
+    columns c and j are orthogonal, given that columns 1 and 2 are (the
+    storage order of ``rows``) and, for c >= 3, columns 1 and c, an earlier
+    family.  So the kernel, which refuses a row that is not a permutation,
+    checks every pair it reads: the first refused row is in the family of
+    the first pair that fails, in lexicographic order, and it is raised as
+    ``OrthogonalityError``.
+
+    With L_j[u, v] = column j at row (u, v), family (1, j) is the rows of
+    L_j and family (2, j) its columns, both views of ``rows``; family
+    (c, j), c >= 3, reads L_j[u, v] at the v where L_c[u, v] = s, found by
+    one inverse scatter of the squares L_3..L_{k-1}.  The families are laid
+    out positions first, so the kernel reads each position as one run.
     """
-    k = mat.shape[1]
+    k = rows.shape[1]
     c, j = (np.arange(1, k), np.full(k - 1, k)) if last_only else free_pairs(k)
-    # family (c, j): row s is pi_wj on the symbol class s of column c, read
-    # off the rows sorted by (column c, column w); no family has c = k
-    sym = mat[:, :k - 1].astype(np.int32)
-    w = np.where(np.arange(k - 1) == 0, 1, 0)  # 0-based fixed column of each c
-    order = np.argsort(sym * n + sym[:, w], axis=0)
-    perms = mat[order.T][c - 1, :, j - 1]
-    par = parity_batch(perms.reshape(len(c) * n, n)).reshape(len(c), n)
+    grid = rows.reshape(n, n, k)  # [u, v, column - 1]
+    squares = grid[:, :, j[0] - 1:]  # the L_j of families (1, j) and (2, j)
+    m = squares.shape[2]
+    perms = np.empty((n, len(c), n), dtype=rows.dtype)  # [position, family, row]
+    perms[:, :m] = squares.transpose(1, 2, 0)
+    perms[:, m:2 * m] = squares.transpose(0, 2, 1)
+    if k > 3:
+        # where[u, c - 3, s]: the row u * n + v with L_c[u, v] = s; zero rows
+        # stand in where row u of L_c repeats a symbol, and then family
+        # (1, c) is refused first
+        where = np.zeros((n, k - 3, n), dtype=np.intp)
+        where.reshape(-1)[grid[:, :, 2:k - 1].transpose(0, 2, 1)
+                          + np.arange(0, where.size, n).reshape(n, k - 3, 1)] = (
+            np.arange(n * n).reshape(n, 1, n))
+        if last_only:
+            perms[:, 2:] = rows[:, k - 1].take(where)
+        else:
+            found = rows.take(where, axis=0)  # [u, c - 3, s, column - 1]
+            f = 2 * m
+            for col in range(3, k):
+                perms[:, f:f + k - col] = found[:, col - 3, :, col:].transpose(0, 2, 1)
+                f += k - col
+    try:
+        par = parity_batch(perms.reshape(n, len(c) * n).T)
+    except PermutationError as exc:
+        fam = exc.row // n
+        raise _not_orthogonal(rows, n, int(c[fam]), int(j[fam])) from None
     d = np.zeros((k + 1, k + 1), dtype=np.uint8)
-    d[c, j] = par.sum(axis=1) & 1
+    d[c, j] = par.reshape(len(c), n).sum(axis=1) & 1
     return d
 
 
-@lru_cache(maxsize=256)
-def sigma_parity(a: OrthogonalArray) -> StandardSigma:
-    """The sigma-parity of an orthogonal array at its stored row order.
+def _stored_sigma(rows: np.ndarray, n: int) -> StandardSigma:
+    """The sigma-parity of OA rows in storage order whose columns 1 and 2
+    are orthogonal; ``OrthogonalityError`` if another pair is not.
 
     Stored rows are sorted on columns 1 and 2, so sigma_12 is the identity
     and the stored sigma is the standardised one.
     """
-    up = _sigma_upper(_fixed_column_bits(a.rows, a.n), a.n % 4)
-    return StandardSigma.from_upper(a.k, a.n % 4, up, n=a.n)
+    up = _sigma_upper(_fixed_column_bits(rows, n), n % 4)
+    return StandardSigma.from_upper(rows.shape[1], n % 4, up, n=n)
+
+
+@lru_cache(maxsize=256)
+def sigma_parity(a: OrthogonalArray) -> StandardSigma:
+    """The sigma-parity of an orthogonal array at its stored row order, read
+    when the array was built."""
+    return a._sigma
 
 
 @lru_cache(maxsize=256)

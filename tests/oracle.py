@@ -9,8 +9,9 @@ switching classes through the chain S_1 < ... < S_k on packed cosets of the
 swaps (odd n) with transpositions compiled to affine maps, and searches
 with one iterative cell walk that keeps a running square parity, and takes
 the ensemble census, the four-column cap and the graph splits as
-whole-array passes, and checks orthogonality with one bincount per column
-over its pairs with all later columns.  These functions compute each
+whole-array passes, checks orthogonality by the kernel's refusal of rows
+that are not permutations in the families it reads sigma from, and tells
+whether rows agree in one column from k = n + 1.  These functions compute each
 quantity from its definition instead, with parity kernels of their own
 (inversions counted by comparing every pair of positions, and cycle
 following for square types; the kernel's tests also compare it with the
@@ -22,7 +23,8 @@ space or over the cosets of the swaps, with generators read off the
 matrix-level actions and cosets reduced by an elimination of their own, a
 recursive search, one frame per cell, that checks each completed column
 from its definition, loops over column triples, quads and vertex pairs with
-per-entry lookups, and one bincount per column pair.  Apart from the
+per-entry lookups, one bincount per column pair, and a comparison of every
+pair of rows.  Apart from the
 search's visit order, which both sides must follow node for node, they
 share no algorithm with the code they check.
 """
@@ -597,7 +599,16 @@ def stack_parts(t: TauVector) -> tuple[tuple, tuple]:
 
 
 # ---------------------------------------------------------------------------
-# orthogonality, one column pair at a time
+# orthogonality, one pair of columns or of rows at a time
+
+
+def rows_agree_in_one_column(a) -> bool:
+    """Whether every two distinct rows of an OA agree in exactly one column,
+    by comparing every pair of rows."""
+    m = a.rows.shape[0]
+    agree = (a.rows[:, None, :] == a.rows[None, :, :]).sum(axis=2)
+    agree[np.arange(m), np.arange(m)] = 1
+    return bool(np.all(agree == 1))
 
 
 def orthogonality_violation(rows, n: int):

@@ -31,6 +31,7 @@ from oaparity.constructions import (
 from oaparity.ensemble import ensemble_census
 
 from conftest import zn_linear_oa
+import oracle
 
 
 def test_linear_mols_q2_is_the_unique_oa32():
@@ -41,7 +42,7 @@ def test_linear_mols_q2_is_the_unique_oa32():
 def test_linear_mols_is_a_plane_array(q):
     a = linear_mols(q)
     assert (a.k, a.n) == (q + 1, q)
-    assert rows_agree_in_one_column(a)
+    assert rows_agree_in_one_column(a) and oracle.rows_agree_in_one_column(a)
     report = check_plausible(tau_parity(a))
     assert report.plausible and report.pp_plausible == "yes"
 

@@ -11,6 +11,7 @@ from oaparity.core import (
     OAError,
     OrthogonalArray,
     OrthogonalityError,
+    PermutationError,
     Transform,
     apply_transform,
     cyclic_square,
@@ -116,6 +117,33 @@ def test_parity_batch_at_level_boundaries(n):
     for dtype in (np.uint8, np.uint16, np.int64, np.uint64):
         if n - 1 <= np.iinfo(dtype).max:
             assert np.array_equal(parity_batch(perms.astype(dtype)), want)
+
+
+@pytest.mark.parametrize("n", [5, 63, 64, 65, 4096, 4097])
+def test_parity_batch_refuses_a_repeated_value(n):
+    """A row with one value written over another is refused, in a batch one
+    row longer than the rows of n elements that fit one kernel chunk; the
+    error names the first such row, in the first chunk or a later one."""
+    m = core._KERNEL_CHUNK // n + 1
+    rng = np.random.default_rng(n)
+    perms = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
+    for r in (m - 1, 1):
+        i, j = rng.choice(n, 2, replace=False)
+        perms[r, i] = perms[r, j]
+    for first in (1, m - 1):
+        with pytest.raises(PermutationError) as err:
+            parity_batch(perms)
+        assert err.value.row == first
+        perms[first] = np.arange(n)
+    assert np.array_equal(parity_batch(perms), inversion_parity(perms))
+
+
+def test_parity_batch_refuses_a_repeated_window():
+    # each radix-64 window of [0..63, 0..63] holds every digit once; only
+    # the windows' prefixes show that the row is no permutation of 0..127
+    with pytest.raises(PermutationError) as err:
+        parity_batch(np.stack([np.arange(128), np.tile(np.arange(64), 2)]))
+    assert err.value.row == 1
 
 
 def test_parity_batch_rejects_out_of_range_entries():
@@ -230,15 +258,17 @@ def test_oa_validation_catches_repeats():
     assert err.value.pair is not None
 
 
-@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 67])
 def test_orthogonality_error_matches_per_pair_oracle(q):
     # one changed symbol repeats a pair with every other column; the array
-    # and the oracle must name the same first pair and least repeated pair
+    # and the oracle must name the same first pair and least repeated pair;
+    # at q = 67 the kernel checks its rows in two radix-64 levels
     rng = random.Random(q)
-    plane = linear_mols(q).rows
+    plane = (zn_linear_oa(q, k=4) if q > 32 else linear_mols(q)).rows
+    width = plane.shape[1]
     for _ in range(25):
-        k = rng.randint(3, q + 1)
-        cols = rng.sample(range(q + 1), k)
+        k = rng.randint(3, width)
+        cols = rng.sample(range(width), k)
         sym = np.asarray([rng.sample(range(q), q) for _ in cols], dtype=np.int16)
         rows = sym[np.arange(k), plane[:, cols]][rng.sample(range(q * q), q * q)]
         r, c = rng.randrange(q * q), rng.randrange(k)
@@ -308,6 +338,14 @@ def test_rows_agree_in_one_column():
     assert rows_agree_in_one_column(zn_linear_oa(5))
     # k < n+1 arrays do not have the property
     assert not rows_agree_in_one_column(zn_linear_oa(5, k=3))
+    # the library reads it off k = n + 1, the oracle compares every pair of
+    # rows, on the planes and their column subsets of every size
+    rng = random.Random(306)
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        plane = linear_mols(q).rows
+        for k in range(3, q + 2):
+            a = OrthogonalArray(plane[:, rng.sample(range(q + 1), k)])
+            assert rows_agree_in_one_column(a) == oracle.rows_agree_in_one_column(a) == (k == q + 1)
 
 
 # ---------------------------------------------------------------------------

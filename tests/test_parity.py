@@ -11,6 +11,7 @@ from oaparity.core import (
     OAError,
     OrthogonalArray,
     Transform,
+    _storage_order,
     apply_transform,
     cyclic_square,
     mols_to_oa,
@@ -53,8 +54,8 @@ from oracle import _tau_bits as oracle_tau_bits
 
 def kernel_tau_bits(mat, n):
     """Tau bits of an OA matrix in any row order, through the library's
-    fixed-column kernel, sigma formula and tau view."""
-    up = _sigma_upper(_fixed_column_bits(mat, n), n % 4)
+    storage sort, fixed-column kernel, sigma formula and tau view."""
+    up = _sigma_upper(_fixed_column_bits(mat[_storage_order(mat, n)], n), n % 4)
     return tau_from_sigma(SigmaMatrix.from_upper(mat.shape[1], n % 4, up)).bits
 
 
@@ -244,6 +245,27 @@ def test_sigma_parity_needs_no_tau_and_no_plausibility_pass(monkeypatch):
         assert P.sigma_parity.__wrapped__(a) == direct_sigma(a)
 
 
+def test_arrays_read_sigma_through_the_kernel_name_in_parity(monkeypatch):
+    # a kernel that flips the first permutation's parity flips d[1, 3], so
+    # sigma_13, of an array built while it is in place: building calls
+    # the kernel as oaparity.parity.parity_batch, the name a caller that
+    # wraps or replaces the kernel patches
+    import oaparity.parity as P
+
+    rows = linear_mols(7).rows
+    want = direct_sigma(OrthogonalArray(rows)).m
+    batch = P.parity_batch
+
+    def flip_first(perms):
+        bits = batch(perms).copy()
+        bits[0] ^= 1
+        return bits
+
+    monkeypatch.setattr(P, "parity_batch", flip_first)
+    got = P.sigma_parity.__wrapped__(OrthogonalArray(rows)).m
+    assert got[1, 3] == want[1, 3] ^ 1
+
+
 def test_tau_parity_matches_direct_oracle():
     # tau is derived from sigma, so from the C(k,2) - 1 fixed-column families
     # that carry the free sigma bits, by additivity; the oracle computes every
@@ -260,10 +282,10 @@ def test_tau_parity_matches_direct_oracle():
         free = np.zeros((a.k + 1, a.k + 1), dtype=bool)
         free[free_pairs(a.k)] = True
         want = np.where(free, _read_fixed_columns(direct.bits), 0)
-        assert np.array_equal(_fixed_column_bits(shuffled, a.n), want), (a.k, a.n)
+        assert np.array_equal(_fixed_column_bits(a.rows, a.n), want), (a.k, a.n)
         last = np.zeros_like(want)
         last[1:a.k, a.k] = want[1:a.k, a.k]
-        assert np.array_equal(_fixed_column_bits(shuffled, a.n, last_only=True), last), (a.k, a.n)
+        assert np.array_equal(_fixed_column_bits(a.rows, a.n, last_only=True), last), (a.k, a.n)
         # plausibility holds by construction for derived tau; the oracle's
         # full tau must satisfy the same laws and give the same report
         report = check_plausible(direct)
