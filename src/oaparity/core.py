@@ -77,9 +77,10 @@ def permutation_parity(images) -> int:
     return (n - cycles) & 1
 
 
-# elements per chunk: the chunk's uint64 words take 512 KiB at 2^16.  On
-# one batch of each shape the arrays benchmark passes (lengths 16 to 59),
-# best of 9 interleaved, 2^14..2^18 took 21.6, 16.9, 15.2, 16.5 and 27.2 ms
+# elements per chunk: at 2^16 the chunk's words take 128 KiB for n <= 16,
+# 256 KiB for n <= 32 and 512 KiB beyond.  On one batch of each shape the
+# arrays benchmark passes (lengths 16 to 59), best of 15 interleaved on a
+# 2-core host, 2^14..2^18 took 7.9, 6.2, 5.3, 5.3 and 7.4 ms
 _KERNEL_CHUNK = 1 << 16
 
 
@@ -88,19 +89,21 @@ def parity_batch(perms: np.ndarray) -> np.ndarray:
 
     ``perms`` has shape (m, n), each row a permutation of 0..n-1, in any
     integer dtype and memory layout.  For n <= 64 each row is swept once,
-    with one 64-bit word ``seen`` per row: after position t, bit v of seen
-    marks the values at positions <= t, so ``(seen >> x_t) >> 1`` marks the
+    with one word ``seen`` per row: after position t, bit v of seen marks
+    the values at positions <= t, so ``(seen >> x_t) >> 1`` marks the
     earlier values greater than x_t.  As popcount(a) + popcount(b) =
     popcount(a ^ b) (mod 2), the parity is the popcount parity of the XOR
-    of those words over t, which a fold by 32, 16, ..., 1 gives.
+    of those words over t, which a fold by halves of the word gives.  The
+    word has 16 bits for n <= 16, 32 for n <= 32 and 64 otherwise, and the
+    values, cast to it, are the shift counts themselves.
 
-    Longer rows take radix-64 levels: level l keeps one word per value
-    prefix x >> 6(l+1) and sets bit (x >> 6l) & 63 in it, so an earlier
-    x' > x is counted at exactly one level, the highest where their digits
-    differ; n <= 64 is the one-level case.  A level's words are running
-    XORs down the row's elements grouped by prefix, in position order (a
-    stable sort), and each row is padded with n, n+1, ... up to whole
-    groups, which adds no inversion.
+    Longer rows take radix-64 levels on 64-bit words: level l keeps one
+    word per value prefix x >> 6(l+1) and sets bit (x >> 6l) & 63 in it,
+    so an earlier x' > x is counted at exactly one level, the highest where
+    their digits differ; n <= 64 is the one-level case.  A level's words
+    are running XORs down the row's elements grouped by prefix, in position
+    order (a stable sort), and each row is padded with n, n+1, ... up to
+    whole groups, which adds no inversion.
 
     A row that is not a permutation is refused: ``PermutationError`` names
     the first one.  For n <= 64 the check is free, as the running XOR of
@@ -111,15 +114,14 @@ def parity_batch(perms: np.ndarray) -> np.ndarray:
     without that, [0..63, 0..63] would pass at n = 128.
 
     The sweep is one numpy pass per position over all rows of a chunk of
-    about ``_KERNEL_CHUNK`` elements, narrowed to the smallest unsigned
-    dtype that holds the values after the range check, so memory stays flat
-    for any batch size.  With a pass per position, long rows in small
-    batches are slow: 36 rows of length 65 take about 4x, and 64 rows of
-    length 4097 (padded to 8192) about 10x, the time of pointer jumping,
-    whose ceil(log2 n) passes each cover the whole chunk.  Nothing in the
-    package builds permutations longer than 59.  Tests
-    compare it with ``permutation_parity`` (cycle following) and an
-    inversion-counting oracle.
+    about ``_KERNEL_CHUNK`` elements, so memory stays flat for any batch
+    size.  With a pass per position, long rows in small batches are slow:
+    36 rows of length 65 take about 4x, and 64 rows of length 4097 (padded
+    to 8192) about 10x, the time of pointer jumping, whose ceil(log2 n)
+    passes each cover the whole chunk.  Nothing in the package builds
+    permutations longer than 59.  Tests compare it with
+    ``permutation_parity`` (cycle following) and an inversion-counting
+    oracle.
     """
     perms = np.asarray(perms)
     if perms.ndim != 2:
@@ -131,9 +133,12 @@ def parity_batch(perms: np.ndarray) -> np.ndarray:
     levels = max(1, -(-(n - 1).bit_length() // 6))
     unit = 64 ** (levels - 1)
     width = -(-n // unit) * unit  # n padded to whole groups of every level
-    dtype = np.min_scalar_type(width - 1)
+    bits = 16 if width <= 16 else 32 if width <= 32 else 64
+    word = np.dtype(f"uint{bits}")
+    # one level takes the values as digits; more keep them narrow to sort
+    dtype = word if levels == 1 else np.min_scalar_type(width - 1)
     rows = max(1, _KERNEL_CHUNK // width)
-    one = np.uint64(1)
+    one = word.type(1)
     for lo in range(0, m, rows):
         block = perms[lo:lo + rows]
         if block.min() < 0 or block.max() >= n:
@@ -143,13 +148,13 @@ def parity_batch(perms: np.ndarray) -> np.ndarray:
         x = np.empty((width, b), dtype=dtype)
         x[:n] = block.T
         x[n:] = np.arange(n, width, dtype=dtype)[:, None]
-        acc = np.zeros(b, dtype=np.uint64)
+        acc = np.zeros(b, dtype=word)
         for level in reversed(range(levels)):
             if level < levels - 1:
                 # group by the prefix above this level, keeping position order
                 order = np.argsort(x >> (6 * level + 6), axis=0, kind="stable")
                 x = np.take_along_axis(x, order, axis=0)
-            digit = ((x >> (6 * level)) & 63).astype(np.uint64)
+            digit = x if levels == 1 else ((x >> (6 * level)) & 63).astype(word)
             seen = np.left_shift(one, digit)
             size = min(64 ** (level + 1), width)
             steps = list(seen.reshape(width // size, size, b).swapaxes(0, 1))
@@ -157,7 +162,7 @@ def parity_batch(perms: np.ndarray) -> np.ndarray:
                 np.bitwise_xor(cur, prev, out=cur)
             if level == 0:
                 # each window holds every digit once, and only its own prefix
-                ok = steps[-1] == np.uint64((1 << size) - 1)  # windows x rows
+                ok = steps[-1] == word.type((1 << size) - 1)  # windows x rows
                 if levels > 1:
                     prefix = (x >> 6) == (np.arange(width) >> 6)[:, None]
                     ok &= prefix.reshape(width // size, size, b).all(axis=1)
@@ -168,8 +173,10 @@ def parity_batch(perms: np.ndarray) -> np.ndarray:
             digit += one
             seen >>= digit
             acc ^= np.bitwise_xor.reduce(seen, axis=0)
-        for shift in (32, 16, 8, 4, 2, 1):
-            acc ^= acc >> np.uint64(shift)
+        shift = bits // 2
+        while shift:
+            acc ^= acc >> word.type(shift)
+            shift //= 2
         out[lo:lo + b] = acc & one
     return out
 
@@ -426,10 +433,11 @@ class OrthogonalArray:
     by the pass that reads the array's sigma-parity off the kernel
     (``parity._stored_sigma``), and the array keeps that sigma for
     ``sigma_parity``.  An ``OrthogonalityError`` names the first failing
-    pair in lexicographic order and its least repeated symbol pair.
+    pair in lexicographic order and its least repeated symbol pair.  The
+    hash, which the parity caches take on every lookup, is computed once.
     """
 
-    __slots__ = ("k", "n", "rows", "_sigma")
+    __slots__ = ("k", "n", "rows", "_sigma", "_hash")
 
     def __init__(self, rows):
         from .parity import _stored_sigma  # parity imports this module
@@ -452,6 +460,7 @@ class OrthogonalArray:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", arr)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("OrthogonalArray is immutable")
@@ -464,7 +473,9 @@ class OrthogonalArray:
         return isinstance(other, OrthogonalArray) and np.array_equal(self.rows, other.rows)
 
     def __hash__(self):
-        return hash((self.k, self.n, self.rows.tobytes()))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.k, self.n, self.rows.tobytes())))
+        return self._hash
 
     def __repr__(self):
         return f"OrthogonalArray(k={self.k}, n={self.n})"

@@ -2,8 +2,12 @@
 
 For a parity vector on k columns, the tau-graph of column c joins {i, j}
 when tau^c_{ij} = 1; it always decomposes as an isolated vertex c plus a
-complete bipartite graph on the rest (one side may be empty).  The stack
-superimposes all k tau-graphs mod 2.  The sigma-graph has the sigma matrix
+complete bipartite graph on the rest (one side may be empty).  As tau^c_{ij}
+= sigma_ci + sigma_cj, its sides are the values of sigma row c, and so of
+row c of the fixed-column bits d[c, j] = tau^c_{w(c) j}, w(c) the lowest
+vertex other than c; ``tau_graphs`` reads all k decompositions off d after
+one additivity test over the whole vector.  The stack superimposes all k
+tau-graphs mod 2.  The sigma-graph has the sigma matrix
 as adjacency matrix: undirected when that matrix is symmetric (n = 0, 1 mod
 4), a tournament otherwise.
 
@@ -27,7 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import OAError
-from .parity import SigmaMatrix, TauVector, _off_diagonal, check_plausible
+from .parity import (
+    SigmaMatrix,
+    TauVector,
+    _additivity_witness,
+    _off_diagonal,
+    _read_fixed_columns,
+    check_plausible,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,11 +174,25 @@ def _split_bipartite(
 
 
 def tau_graphs(t: TauVector) -> list[TauGraphDecomposition]:
-    """Decompose every tau-graph as isolated vertex + complete bipartite."""
-    verts = np.arange(1, t.k + 1)
+    """Decompose every tau-graph as isolated vertex + complete bipartite.
+
+    As tau^c_{ij} = tau^c_{wi} + tau^c_{wj} with w = w(c), the lowest
+    vertex other than c, the sides of tau-graph c are the values of row c
+    of the fixed-column bits d, w on side 0.  One additivity test over all
+    columns checks every graph against that prediction and names the first
+    column, and its first pair, that breaks it.
+    """
+    d = _read_fixed_columns(t.bits)
+    witness = _additivity_witness(t.bits, d)
+    if witness is not None:
+        _, i, j = witness
+        raise OAError(f"edge set is not complete bipartite (offending pair ({i}, {j}))")
+    verts = range(1, t.k + 1)
     out = []
-    for c in range(1, t.k + 1):
-        p1, p2 = _split_bipartite(t.bits[c], verts[verts != c])
+    for c, side in enumerate(d.tolist()[1:], start=1):
+        part2 = tuple(v for v in verts if side[v])
+        rest = tuple(v for v in verts if v != c and not side[v])
+        p1, p2 = (rest, part2) if part2 else ((), rest)
         out.append(TauGraphDecomposition(c=c, part1=p1, part2=p2))
     return out
 

@@ -465,6 +465,19 @@ def _read_fixed_columns(bits: np.ndarray) -> np.ndarray:
     return d
 
 
+def _additivity_witness(bits: np.ndarray, d: np.ndarray) -> tuple[int, int, int] | None:
+    """The first component (c, i, j), i < j, in lexicographic order that
+    breaks tau^c_{ij} = tau^c_{wi} + tau^c_{wj}, w = w(c), of a (k+1)^3 tau
+    bit array with fixed-column bits d; None when every one holds.  That
+    is the first column, and its first pair, whose tau-graph is not an
+    isolated c plus the complete bipartite graph with sides read off d[c]."""
+    bad = (bits ^ d[:, :, None] ^ d[:, None, :]) & _canonical_mask(len(d) - 1)
+    if not bad.any():
+        return None
+    c, i, j = np.argwhere(bad)[0].tolist()
+    return c, i, j
+
+
 def _sigma_upper(d: np.ndarray, nmod4: int) -> np.ndarray:
     """The standardised sigma that d determines, in the entries i < j:
     sigma_1j = d[1,j], sigma_2j = d[2,j] + C(n,2) and sigma_ij = d[1,i] +
@@ -550,12 +563,9 @@ def check_plausible(t: TauVector) -> PlausibilityReport:
     full = t.bits
     violations = []
 
-    # tau^c_ij = tau^c_wi + tau^c_wj with w = w(c), every c at once
-    d = _read_fixed_columns(full)
-    bad = ((full ^ d[:, :, None] ^ d[:, None, :]) != 0) & _canonical_mask(k)
-    if bad.any():
-        c, i, j = np.argwhere(bad)[0]
-        violations.append(("additivity", (int(c), int(i), int(j))))
+    witness = _additivity_witness(full, _read_fixed_columns(full))
+    if witness is not None:
+        violations.append(("additivity", witness))
 
     # r + c + s = C(n,2) on the square of every triple c1 < c2 < c3
     square_sum = full ^ full.transpose(1, 0, 2) ^ full.transpose(1, 2, 0)

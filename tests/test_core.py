@@ -104,14 +104,17 @@ def test_parity_batch_matches_both_oracles(perms):
     assert got.tolist() == [permutation_parity(p) for p in perms]
 
 
-@pytest.mark.parametrize("n", [63, 64, 65, 4095, 4096, 4097])
+@pytest.mark.parametrize("n", [15, 16, 17, 31, 32, 33, 63, 64, 65, 4095, 4096, 4097])
 def test_parity_batch_at_level_boundaries(n):
-    """Lengths on each side of one and two radix-64 levels, in a batch one
-    row longer than the rows of n elements that fit one kernel chunk, in
-    every input dtype that holds n - 1."""
+    """Lengths on each side of the 16-, 32- and 64-bit words of the sweep
+    and of one and two radix-64 levels, in a batch one row longer than the
+    rows of n elements that fit one kernel chunk, in every input dtype that
+    holds n - 1.  The reversed row has every pair inverted."""
     m = core._KERNEL_CHUNK // n + 1
     perms = np.random.default_rng(n).permuted(np.tile(np.arange(n), (m, 1)), axis=1)
+    perms[1] = np.arange(n)[::-1]
     want = inversion_parity(perms)
+    assert want[1] == n * (n - 1) // 2 % 2
     assert want.tolist() == [permutation_parity(p) for p in perms]
     assert 0 < want.sum() < m
     for dtype in (np.uint8, np.uint16, np.int64, np.uint64):
@@ -119,17 +122,19 @@ def test_parity_batch_at_level_boundaries(n):
             assert np.array_equal(parity_batch(perms.astype(dtype)), want)
 
 
-@pytest.mark.parametrize("n", [5, 63, 64, 65, 4096, 4097])
+@pytest.mark.parametrize("n", [5, 15, 16, 17, 31, 32, 33, 63, 64, 65, 4096, 4097])
 def test_parity_batch_refuses_a_repeated_value(n):
     """A row with one value written over another is refused, in a batch one
     row longer than the rows of n elements that fit one kernel chunk; the
-    error names the first such row, in the first chunk or a later one."""
+    error names the first such row, in the first chunk or a later one.
+    Row 1 loses n - 1, the word's top bit at n = 16, 32 and 64."""
     m = core._KERNEL_CHUNK // n + 1
     rng = np.random.default_rng(n)
     perms = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
-    for r in (m - 1, 1):
-        i, j = rng.choice(n, 2, replace=False)
-        perms[r, i] = perms[r, j]
+    i, j = rng.choice(n, 2, replace=False)
+    perms[m - 1, i] = perms[m - 1, j]
+    top = perms[1] == n - 1
+    perms[1, top] = perms[1, ~top][0]
     for first in (1, m - 1):
         with pytest.raises(PermutationError) as err:
             parity_batch(perms)
@@ -315,6 +320,14 @@ def test_stored_rows_are_in_lexicographic_order(base):
         sym = np.asarray([rng.sample(range(n), n) for _ in cols], dtype=np.int16)
         rows = sym[np.arange(k), rows0[:, cols]][rng.sample(range(n * n), n * n)]
         assert np.array_equal(OrthogonalArray(rows).rows, rows[np.lexsort(rows.T[::-1])])
+
+
+def test_oa_hash_is_kept_and_equal_arrays_hash_equal():
+    a = linear_mols(5)
+    b = OrthogonalArray(a.rows[::-1])  # equal after sorting, built apart
+    assert a == b and a is not b
+    assert hash(a) == hash((a.k, a.n, a.rows.tobytes())) == hash(b)
+    assert a._hash == hash(a)  # kept after the first call
 
 
 def test_oa_rejects_k2_and_wide():

@@ -152,11 +152,11 @@ def _stack_parts(t):
 
 
 def _vectors(rng):
-    for k in (3, 4, 5, 6, 8, 11, 15, 20):
+    for k in (3, 4, 5, 6, 8, 11, 15, 20, 33):
         for nm in range(4):
             for n in (None, k - 1 if (k - 1) % 4 == nm else None):
                 yield random_plausible_tau(rng, k, nm, n=n)
-    for q in (3, 4, 5, 7, 8, 9, 11, 16):
+    for q in (3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 31, 32):
         yield tau_parity(linear_mols(q))
 
 
