@@ -306,7 +306,7 @@ def test_criterion_07_ensemble_suite(desarguesian):
         assert circ.x == max_equiparity(n + 1), n
         if circ.pp_plausible == "yes":
             assert circ.x % 4 == math.ceil(n / 4) % 4, n
-        # both edge-count identities are asserted inside ensemble_census
+        # ensemble_census checks T, taken from mu, against the type census
     for q in (3, 7, 11):
         rep = check_ensemble_laws(ensemble_census(desarguesian[q]))
         assert rep["four-column-cap"].passed

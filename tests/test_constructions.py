@@ -169,14 +169,19 @@ def test_pp_sigma_equals_all_pp_vectors_small():
         assert completions == everything
 
 
-def test_pp_sigma_random_n6():
+def test_pp_sigma_random_completions_are_plane_plausible():
     import random
 
     rng = random.Random(31)
-    for _ in range(20):
-        bits = [rng.randrange(2) for _ in range(14)]
-        std = pp_plausible_sigma(6, bits)
-        assert check_plausible(tau_from_sigma(std)).pp_plausible == "yes"
+    for n in (*range(5, 13), 30, 31, 47, 62, 63):
+        nbits = n * (n - 1) // 2 - 1 + (n % 2)
+        for density in (0.1, 0.5, 0.9):
+            for _ in range(4):
+                bits = [int(rng.random() < density) for _ in range(nbits)]
+                std = pp_plausible_sigma(n, bits)
+                rep = check_plausible(tau_from_sigma(std))
+                assert rep.plausible and rep.pp_plausible == "yes", (n, bits)
+                assert len({m & 1 for m in std.row_sums()}) == 1
 
 
 def test_pp_sigma_wrong_length():
@@ -281,7 +286,7 @@ def test_wrong_total_is_infeasible():
     assert not feasible_type_counts(7, 3, 1, 1, 0).feasible
 
 
-@pytest.mark.parametrize("n", [5, 6, 7, 8])
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10, 11, 12])
 def test_witness_realises_requested_counts(n):
     from oaparity.parity import equiparity_type, plausible_types
 
@@ -297,6 +302,8 @@ def test_witness_realises_requested_counts(n):
                     continue
                 hits += 1
                 t = tau_from_sigma(res.witness)
+                assert check_plausible(t).pp_plausible == "yes"
+                assert len({m & 1 for m in res.witness.row_sums()}) == 1
                 got = {ty: 0 for ty in types}
                 for c in range(3, n + 2):
                     got[t.triple_type(1, 2, c)] += 1
