@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LatinSquare, OAError, OrthogonalArray, field_table, mols_to_oa
-from .parity import SigmaMatrix, StandardSigma
+from .parity import SigmaMatrix, StandardSigma, free_pairs
 
 
 def linear_mols(q: int) -> OrthogonalArray:
@@ -187,13 +187,10 @@ def pp_plausible_sigma(n: int, free_bits) -> StandardSigma:
     if len(bits) != expected:
         raise OAError(f"need {expected} free bits for n={n}, got {len(bits)}")
     upper = np.zeros((k + 1, k + 1), dtype=np.uint8)
-    it = iter(bits)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if (i, j) != (1, 2):
-                upper[i, j] = next(it)
+    i, j = free_pairs(n)
+    upper[i, j] = bits[: len(i)]
     if n % 2:
-        upper[1, k] = next(it)
+        upper[1, k] = bits[-1]
         return _force_last_column(n, upper, first=2, delta=None)
     # every degree even for n = 0 mod 4, odd for n = 2 mod 4
     return _force_last_column(n, upper, first=1, delta=nmod4 // 2)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -173,6 +174,18 @@ def _bit(bit) -> int:
     return bit
 
 
+def _symbols(table) -> np.ndarray:
+    """The symbols of a JSON array or square as an array.  numpy reads
+    ``true`` and ``false`` among integers as 1 and 0, so they are refused
+    here: a boolean is not a symbol."""
+    arr = np.asarray(table)
+    if arr.dtype.kind == "b" or (
+        arr.dtype.kind in "iu" and arr.ndim == 2 and bool in set(map(type, chain(*table)))
+    ):
+        raise FormatError("symbols must be integers, not true or false")
+    return arr
+
+
 def _columns(*indices) -> None:
     """Column indices in JSON data are integers; a boolean or a float is not
     one, so ``true`` is not column 1 and 3.5 is not column 3."""
@@ -229,7 +242,7 @@ def oa_to_json(a: OrthogonalArray, base: int = 0) -> dict:
 def oa_from_json(obj: dict) -> OrthogonalArray:
     if obj.get("kind") != "oa":
         raise FormatError(f"expected kind 'oa', got {obj.get('kind')!r}")
-    rows = np.asarray(obj["rows"]) - _base(obj.get("base", 0))
+    rows = _symbols(obj["rows"]) - _base(obj.get("base", 0))
     return OrthogonalArray(rows)
 
 
@@ -263,7 +276,7 @@ def square_to_json(square: LatinSquare, base: int = 0) -> dict:
 def square_from_json(obj: dict) -> LatinSquare:
     if obj.get("kind") != "latin_square":
         raise FormatError(f"expected kind 'latin_square', got {obj.get('kind')!r}")
-    return LatinSquare(np.asarray(obj["cells"]) - _base(obj.get("base", 0)))
+    return LatinSquare(_symbols(obj["cells"]) - _base(obj.get("base", 0)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,22 +2,27 @@
 
 For a parity vector on k columns, the tau-graph of column c joins {i, j}
 when tau^c_{ij} = 1; it always decomposes as an isolated vertex c plus a
-complete bipartite graph on the rest (one side may be empty).  As tau^c_{ij}
-= sigma_ci + sigma_cj, its sides are the values of sigma row c, and so of
-row c of the fixed-column bits d[c, j] = tau^c_{w(c) j}, w(c) the lowest
-vertex other than c; ``tau_graphs`` reads all k decompositions off d after
-one additivity test over the whole vector.  The stack superimposes all k
-tau-graphs mod 2.  The sigma-graph has the sigma matrix
+complete bipartite graph on the rest (one side may be empty).  The stack
+superimposes all k tau-graphs mod 2.  The sigma-graph has the sigma matrix
 as adjacency matrix: undirected when that matrix is symmetric (n = 0, 1 mod
 4), a tournament otherwise.
 
-For k = n + 1 the plane conditions are degree parities.  Summing tau^c_ij =
-sigma_ci + sigma_cj over the columns c other than i and j gives in_i + in_j
-+ C(n, 2), in-degrees of the sigma-graph, so the over-columns sum rule of a
-plausible vector holds iff all in-degrees share one parity, and by the
-transpose law iff all out-degrees do.  With k = n + 1 columns that is, for
-n = 0, 1, 2, 3 mod 4: all degrees even; all of one parity; all in- and
-out-degrees odd; in-degrees of one parity and out-degrees of the other.
+The graphs of a tau are read off its one sigma, ``sigma_from_tau(t)``, so
+they take a plausible tau and raise that function's OAError on any other.
+As tau^c_{ij} = sigma_ci + sigma_cj, the sides of tau-graph c are the
+values of sigma row c.  Summing over the columns c other than i and j
+gives the stack: i ~ j exactly when in_i + in_j + C(n, 2) is odd, in_v
+the in-degrees of the sigma-graph.  So the stack's parts are the in-degree
+parity classes: the sides of a complete bipartite graph for n = 0, 1 mod 4,
+two cliques for n = 2, 3 mod 4.
+
+For k = n + 1 the plane conditions are degree parities.  The over-columns
+sum rule of a plausible vector asks every pair of the stack to sum to
+C(n, 2), so it holds iff all in-degrees share one parity, and by the
+transpose law iff all out-degrees do: there is one class.  With k = n + 1
+columns that is, for n = 0, 1, 2, 3 mod 4: all degrees even; all of one
+parity; all in- and out-degrees odd; in-degrees of one parity and
+out-degrees of the other.
 ``sigma_graph`` reads its degree law off the in-degrees.
 
 Graphs have no loops or parallel edges.  "Complementing" a digraph means
@@ -31,14 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import OAError
-from .parity import (
-    SigmaMatrix,
-    TauVector,
-    _additivity_witness,
-    _off_diagonal,
-    _read_fixed_columns,
-    check_plausible,
-)
+from .parity import SigmaMatrix, TauVector, _off_diagonal, binom2_bit, sigma_from_tau
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,47 +148,20 @@ def tau_graph(t: TauVector, c: int) -> SimpleGraph:
     return SimpleGraph(k=t.k, directed=False, adj=t.bits[c])
 
 
-def _split_bipartite(
-    adj: np.ndarray, verts: np.ndarray, what: str = "edge set is not complete bipartite"
-) -> tuple[tuple, tuple]:
-    """Split ``verts`` (ascending) into the sides of the complete bipartite
-    graph with 0/1 adjacency matrix ``adj`` restricted to them.
-
-    The side of each vertex is read off the row of the first vertex w, and
-    every pair is checked against the prediction "adjacent iff on different
-    sides".  Returns (side of w, other side), or ((), verts) when there are
-    no edges.  Raises OAError naming the lexicographically first pair that
-    breaks the prediction.
-    """
-    sub = adj[np.ix_(verts, verts)] != 0
-    side = sub[0]  # w has no loop, so it is on side False
-    wrong = np.triu(sub != (side[:, None] ^ side[None, :]), 1)
-    if wrong.any():
-        i, j = verts[np.argwhere(wrong)[0]].tolist()
-        raise OAError(f"{what} (offending pair ({i}, {j}))")
-    if not side.any():
-        return (), tuple(verts.tolist())
-    return tuple(verts[~side].tolist()), tuple(verts[side].tolist())
-
-
 def tau_graphs(t: TauVector) -> list[TauGraphDecomposition]:
-    """Decompose every tau-graph as isolated vertex + complete bipartite.
+    """Decompose every tau-graph of a plausible tau as isolated vertex +
+    complete bipartite.
 
-    As tau^c_{ij} = tau^c_{wi} + tau^c_{wj} with w = w(c), the lowest
-    vertex other than c, the sides of tau-graph c are the values of row c
-    of the fixed-column bits d, w on side 0.  One additivity test over all
-    columns checks every graph against that prediction and names the first
-    column, and its first pair, that breaks it.
+    As tau^c_{ij} = sigma_ci + sigma_cj, the sides of tau-graph c are the
+    values of row c of ``sigma_from_tau(t)``, with w(c), the lowest vertex
+    other than c, on side 0.  The side of v is sigma_cv + sigma_c1: w(c) = 1
+    for c >= 2, and for c = 1 standardisation pins sigma_12 = 0 = sigma_11.
     """
-    d = _read_fixed_columns(t.bits)
-    witness = _additivity_witness(t.bits, d)
-    if witness is not None:
-        _, i, j = witness
-        raise OAError(f"edge set is not complete bipartite (offending pair ({i}, {j}))")
+    m = sigma_from_tau(t).m
     verts = range(1, t.k + 1)
     out = []
-    for c, side in enumerate(d.tolist()[1:], start=1):
-        part2 = tuple(v for v in verts if side[v])
+    for c, side in enumerate((m ^ m[:, 1:2]).tolist()[1:], start=1):
+        part2 = tuple(v for v in verts if v != c and side[v])
         rest = tuple(v for v in verts if v != c and not side[v])
         p1, p2 = (rest, part2) if part2 else ((), rest)
         out.append(TauGraphDecomposition(c=c, part1=p1, part2=p2))
@@ -217,32 +188,39 @@ class StackClassification:
     refined: str | None = None
 
 
+def _odd_in_degrees(t: TauVector) -> np.ndarray:
+    """in_v mod 2 of the sigma-graph of a plausible tau, at index v."""
+    return sigma_from_tau(t).m.sum(axis=0) & 1
+
+
 def stack_graph(t: TauVector) -> SimpleGraph:
-    adj = (t.bits[1:].sum(axis=0) & 1).astype(np.uint8)
-    return SimpleGraph(k=t.k, directed=False, adj=_frozen(adj))
+    """The stack of a plausible tau: i ~ j exactly when in_i + in_j + C(n, 2)
+    is odd."""
+    odd = _odd_in_degrees(t)
+    adj = (odd[:, None] ^ odd[None, :] ^ binom2_bit(t.nmod4)) & _off_diagonal(t.k)
+    return SimpleGraph(k=t.k, directed=False, adj=_frozen(adj.astype(np.uint8)))
 
 
 def stack(t: TauVector) -> StackClassification:
-    """Classify the stack per the residue of n mod 4."""
-    g = stack_graph(t)
-    k = t.k
-    verts = np.arange(1, k + 1)
-    if t.nmod4 in (0, 1):
-        p1, p2 = _split_bipartite(g.adj, verts)
-        shape = "complete-bipartite"
-    else:
-        # two cliques are the sides of the complete bipartite complement
-        c1, c2 = _split_bipartite(
-            g.adj ^ _off_diagonal(k), verts, "stack is not a union of two cliques"
-        )
-        p1, p2 = (c1, c2) if c1 else (c2, ())  # a complete stack is one clique
-        shape = "union-of-cliques"
+    """Classify the stack of a plausible tau per the residue of n mod 4.
+
+    Its parts are the in-degree parity classes, vertex 1's class first.  A
+    single class is an empty stack, reported as parts () | all, for n = 0, 1
+    mod 4, and one clique, all | (), for n = 2, 3 mod 4; for a plane
+    candidate it is the plane-plausible case, and sets ``refined``.
+    """
+    odd = _odd_in_degrees(t)[1:]
+    verts = np.arange(1, t.k + 1)
+    mine = odd == odd[0]
+    own, other = tuple(verts[mine].tolist()), tuple(verts[~mine].tolist())
+    one_class, bipartite = not other, t.nmod4 in (0, 1)
+    if one_class and bipartite:
+        own, other = (), own
     refined = None
-    # plane-plausible means the stack's adjacency is C(n,2) mod 2 on every
-    # pair: empty for n = 0,1 mod 4, complete for n = 2,3 mod 4
-    if t.n is not None and t.k == t.n + 1 and check_plausible(t).pp_plausible == "yes":
-        refined = "empty" if t.nmod4 in (0, 1) else "complete"
-    return StackClassification(shape=shape, part1=p1, part2=p2, refined=refined)
+    if one_class and t.n is not None and t.k == t.n + 1:
+        refined = "empty" if bipartite else "complete"
+    shape = "complete-bipartite" if bipartite else "union-of-cliques"
+    return StackClassification(shape=shape, part1=own, part2=other, refined=refined)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,8 @@ identity tau^c_{ij} = tau^c_{wi} + tau^c_{wj} holds by construction there
 and the tests compare it with every component computed directly.
 A tau that ``tau_from_sigma`` derives carries the standardised sigma it came
 from, so ``sigma_from_tau`` hands that back, with no plausibility pass; of
-any other tau it checks plausibility, then reads d off the vector.
+any other tau it checks plausibility, then reads d off the vector and keeps
+the sigma on the tau, so no tau is checked twice.
 
 A ``TauVector`` reads the components with i < j of whatever array it is
 given and stores them in both index orders, so tau^c_{ij} = tau^c_{ji} holds
@@ -156,7 +157,8 @@ class TauVector:
         object.__setattr__(self, "nmod4", nmod4 % 4)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "bits", arr)
-        object.__setattr__(self, "_sigma", None)  # set by tau_from_sigma
+        # set by tau_from_sigma or the first sigma_from_tau
+        object.__setattr__(self, "_sigma", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("TauVector is immutable")
@@ -465,19 +467,6 @@ def _read_fixed_columns(bits: np.ndarray) -> np.ndarray:
     return d
 
 
-def _additivity_witness(bits: np.ndarray, d: np.ndarray) -> tuple[int, int, int] | None:
-    """The first component (c, i, j), i < j, in lexicographic order that
-    breaks tau^c_{ij} = tau^c_{wi} + tau^c_{wj}, w = w(c), of a (k+1)^3 tau
-    bit array with fixed-column bits d; None when every one holds.  That
-    is the first column, and its first pair, whose tau-graph is not an
-    isolated c plus the complete bipartite graph with sides read off d[c]."""
-    bad = (bits ^ d[:, :, None] ^ d[:, None, :]) & _canonical_mask(len(d) - 1)
-    if not bad.any():
-        return None
-    c, i, j = np.argwhere(bad)[0].tolist()
-    return c, i, j
-
-
 def _sigma_upper(d: np.ndarray, nmod4: int) -> np.ndarray:
     """The standardised sigma that d determines, in the entries i < j:
     sigma_1j = d[1,j], sigma_2j = d[2,j] + C(n,2) and sigma_ij = d[1,i] +
@@ -504,8 +493,10 @@ def tau_from_sigma(s: SigmaMatrix) -> TauVector:
 
 def sigma_from_tau(t: TauVector) -> StandardSigma:
     """The standardised sigma-parity determined by a plausible tau: the one
-    it carries if ``tau_from_sigma`` built it, else read off it once
-    ``check_plausible`` has passed."""
+    it carries if ``tau_from_sigma`` built it or an earlier call read it,
+    else read off it once ``check_plausible`` has passed, and kept on it.
+    Plausible taus and standardised sigmas are in bijection, so a tau needs
+    at most one plausibility pass."""
     if t._sigma is not None:
         return t._sigma
     report = check_plausible(t)
@@ -513,7 +504,8 @@ def sigma_from_tau(t: TauVector) -> StandardSigma:
         kind, witness = report.violations[0]
         raise OAError(f"tau vector is not plausible: {kind} violated at {witness}")
     up = _sigma_upper(_read_fixed_columns(t.bits), t.nmod4)
-    return StandardSigma.from_upper(t.k, t.nmod4, up, n=t.n)
+    object.__setattr__(t, "_sigma", StandardSigma.from_upper(t.k, t.nmod4, up, n=t.n))
+    return t._sigma
 
 
 # ---------------------------------------------------------------------------
@@ -563,9 +555,13 @@ def check_plausible(t: TauVector) -> PlausibilityReport:
     full = t.bits
     violations = []
 
-    witness = _additivity_witness(full, _read_fixed_columns(full))
-    if witness is not None:
-        violations.append(("additivity", witness))
+    # tau^c_{ij} = tau^c_{wi} + tau^c_{wj}, w = w(c): the first column, and
+    # its first pair, whose tau-graph is not an isolated c plus the complete
+    # bipartite graph with sides read off d[c]
+    d = _read_fixed_columns(full)
+    bad = (full ^ d[:, :, None] ^ d[:, None, :]) & _canonical_mask(k)
+    if bad.any():
+        violations.append(("additivity", tuple(np.argwhere(bad)[0].tolist())))
 
     # r + c + s = C(n,2) on the square of every triple c1 < c2 < c3
     square_sum = full ^ full.transpose(1, 0, 2) ^ full.transpose(1, 2, 0)

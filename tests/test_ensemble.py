@@ -173,6 +173,11 @@ def test_hypothetical_census_violates_even_order_laws():
     assert "12" in bound.detail
 
 
+def _cap_witness(t):
+    """The brute-force four-column witness of t: None when the cap holds."""
+    return oracle.four_column_witness(t.k, oracle.census(t)["types_by_triple"], t.nmod4)
+
+
 def test_lower_triangular_laws_not_applicable():
     # not plane-plausible, so the plane bounds have no force; the cap and
     # upper bound still hold
@@ -181,13 +186,14 @@ def test_lower_triangular_laws_not_applicable():
     rep = check_ensemble_laws(ensemble_census(t_plane))
     assert not rep["equiparity-lower-bound"].applicable
     assert rep["equiparity-upper-bound"].passed
-    assert rep["four-column-cap"].passed
+    assert rep["four-column-cap"].applicable and _cap_witness(t_plane) is None
 
 
 def test_four_column_cap_on_desarguesian():
     for q in (3, 7, 11):
-        rep = check_ensemble_laws(ensemble_census(linear_mols(q)))
-        assert rep["four-column-cap"].passed
+        t = tau_parity(linear_mols(q))
+        assert check_ensemble_laws(ensemble_census(t))["four-column-cap"].applicable
+        assert _cap_witness(t) is None
 
 
 def _oracle_vectors():

@@ -468,16 +468,22 @@ def test_cli_parity_json_matches_text(tmp_path, capsys):
     assert "pp_plausible: yes" in text
 
 
-@pytest.mark.parametrize("command, passes", [("parity", 1), ("ensemble", 0), ("graphs", 1),
+# plausibility passes of each command on the array's parity report read with
+# --tau: the report's own check, for parity, and one sigma_from_tau pass,
+# which keeps the sigma it reads on the tau for every later call
+_REPORT_PASSES = {"parity": 2, "ensemble": 1, "graphs": 1, "class": 1}
+
+
+@pytest.mark.parametrize("command, passes", [("parity", 1), ("ensemble", 0), ("graphs", 0),
                                               ("class", 0)])
 def test_cli_array_commands_take_the_array_paths(tmp_path, capsys, monkeypatch, command, passes):
     # one loader: an OA file is read as its tau, which carries the array's
     # sigma, and so does the tau of a sigma file read with --tau, so neither
     # needs a plausibility pass to get its sigma; both outputs equal that of
     # the array's parity report read with --tau, whose sigma is checked; the
-    # census reads the plane conditions off the sigma row sums, so it needs
-    # no pass either
-    from oaparity import graphs, parity
+    # census reads the plane conditions off the sigma row sums and the graphs
+    # read that sigma, so they need no pass either
+    from oaparity import parity
 
     plane = linear_mols(9)
     oa_path, report_path = tmp_path / "q9.oa", tmp_path / "q9.json"
@@ -492,14 +498,15 @@ def test_cli_array_commands_take_the_array_paths(tmp_path, capsys, monkeypatch, 
         calls.append(t)
         return check_plausible(t)
 
-    for module in (parity, fileio, graphs):
+    for module in (parity, fileio):
         monkeypatch.setattr(module, "check_plausible", counted)
-    for argv in ([str(oa_path)], [str(sigma_path), "--tau"]):
+    for argv, want in (([str(oa_path)], passes), ([str(sigma_path), "--tau"], passes),
+                       ([str(report_path), "--tau"], _REPORT_PASSES[command])):
         calls.clear()
         rc, out, _ = run_cli(capsys, command, *argv, "--json")
         assert rc == 0
         assert out == from_report
-        assert len(calls) == passes
+        assert len(calls) == want, argv
 
 
 def test_cli_enumerate(capsys):
@@ -698,6 +705,8 @@ def _with_base(doc: dict, base) -> dict:
         (_oa_text_with_symbol(40000), []),
         (_oa_text_with_symbol(65536), []),
         (json.dumps(_with_entry(_OA_JSON, "rows", 0, [65536, 0, 0, 0])), []),
+        (json.dumps(_with_entry(_OA_JSON, "rows", 0, [0, 0, 0, False])), []),
+        (json.dumps(_with_entry(_OA_JSON, "rows", 1, [0, True, 1, 1])), []),
         (b"OA 3 2 0\n\xff\xfe 0 0\n", []),
         (b'{"kind": "sigma", "k": 3, "nmod4": 0, "upper": "\xff"}', ["--tau"]),
         *[(json.dumps(_with_base(fileio.oa_to_json(zn_linear_oa(3), int(b)), b)), [])
@@ -709,7 +718,8 @@ def _with_base(doc: dict, base) -> dict:
          "not-json", "short-tau", "tau-column-out-of-range", "directory",
          "array-not-json", "array-without-rows", "huge-k-report", "huge-k-sigma",
          "float-k", "bool-k", "oa-symbol-40000", "oa-symbol-65536",
-         "oa-json-symbol-65536", "oa-not-utf8", "sigma-not-utf8", *[f"oa-json-base-{b!r}" for b in _BAD_BASES],
+         "oa-json-symbol-65536", "oa-json-symbol-false", "oa-json-symbol-true",
+         "oa-not-utf8", "sigma-not-utf8", *[f"oa-json-base-{b!r}" for b in _BAD_BASES],
          *_NON_INT_COLUMNS],
 )
 def test_cli_malformed_input_fails_closed(tmp_path, capsys, content, flags):
@@ -735,3 +745,23 @@ def test_json_base_fails_closed(reader, base):
         doc, parse = fileio.square_to_json(zn_linear_square(3, 1), int(base)), fileio.parse_square
     with pytest.raises(fileio.FormatError, match="base must be 0 or 1"):
         parse(json.dumps(_with_base(doc, base)))
+
+
+@pytest.mark.parametrize("symbol", [False, True], ids=repr)
+@pytest.mark.parametrize("reader", ["oa", "square"])
+def test_json_symbols_refuse_booleans(reader, symbol):
+    # numpy reads true and false among integers as 1 and 0, which would let
+    # a document whose booleans sit where those symbols belong read as valid
+    if reader == "oa":
+        doc, key, parse = fileio.oa_to_json(zn_linear_oa(3)), "rows", fileio.parse_oa
+    else:
+        doc, key, parse = fileio.square_to_json(zn_linear_square(3, 1)), "cells", fileio.parse_square
+    table = [list(row) for row in doc[key]]
+    row = next(r for r in table if int(symbol) in r)
+    row[row.index(int(symbol))] = symbol
+    parse(json.dumps(doc))  # the document as written is valid
+    with pytest.raises(fileio.FormatError, match="symbols must be integers, not true or false"):
+        parse(json.dumps({**doc, key: table}))
+    # a table of booleans alone is refused with the same message
+    with pytest.raises(fileio.FormatError, match="not true or false"):
+        parse(json.dumps({**doc, key: [[bool(x) for x in r] for r in doc[key]]}))

@@ -22,6 +22,7 @@ from oaparity.parity import (
     TauVector,
     check_plausible,
     free_pairs,
+    sigma_from_tau,
     sigma_parity,
     tau_from_sigma,
     tau_parity,
@@ -166,6 +167,8 @@ def test_graph_splits_match_oracle():
         decs = [(d.c, d.part1, d.part2) for d in tau_graphs(t)]
         assert decs == oracle.tau_graph_parts(t)
         assert _stack_parts(t) == oracle.stack_parts(t)
+        # the stack is derived from in-degree parities; brute force sums the columns
+        assert np.array_equal(stack_graph(t).adj, t.bits[1:].sum(axis=0) & 1)
         entries = oracle.entries(t)
         assert t.entries() == [list(e) for e in entries]
         for c in range(1, t.k + 1):
@@ -174,23 +177,24 @@ def test_graph_splits_match_oracle():
 
 
 def test_graph_errors_match_oracle_on_flipped_vectors():
+    # the graphs read the sigma of sigma_from_tau, so on a flipped vector each
+    # raises exactly that function's error, or equals the brute-force parts
+    # when the flips leave the vector plausible
     rng = random.Random(82)
-    raised = {"tau": 0, "stack": 0}
+    raised = 0
     for t in _vectors(rng):
         for count in (1, 2, 4):
             bad = flip_components(t, rng, count)
-            got = result_or_error(tau_graphs, bad)
-            want = result_or_error(oracle.tau_graph_parts, bad)
-            if isinstance(want, str):
-                raised["tau"] += 1
-                assert got == want
+            gate = result_or_error(sigma_from_tau, bad)
+            got = [result_or_error(f, bad) for f in (tau_graphs, _stack_parts, stack_graph)]
+            if isinstance(gate, str):
+                raised += 1
+                assert got == [gate] * 3
             else:
-                assert [(d.c, d.part1, d.part2) for d in got] == want
-            got = result_or_error(_stack_parts, bad)
-            want = result_or_error(oracle.stack_parts, bad)
-            raised["stack"] += isinstance(want, str)
-            assert got == want
-    assert raised["tau"] > 100 and raised["stack"] > 50
+                assert [(d.c, d.part1, d.part2) for d in got[0]] == oracle.tau_graph_parts(bad)
+                assert got[1] == oracle.stack_parts(bad)
+                assert np.array_equal(got[2].adj, bad.bits[1:].sum(axis=0) & 1)
+    assert raised > 100, raised
 
 
 # ---------------------------------------------------------------------------

@@ -441,6 +441,25 @@ def test_derived_tau_carries_its_sigma(monkeypatch):
             sigma_from_tau(flip_components(t, rng, 1))
 
 
+def test_read_tau_is_checked_once(monkeypatch):
+    # a tau read from a parity report carries no sigma: the first
+    # sigma_from_tau checks it and keeps the sigma it reads on the tau, so a
+    # second call runs no pass and hands back the same sigma
+    import oaparity.parity as P
+    from oaparity import fileio
+
+    check = P.check_plausible
+    calls = []
+    monkeypatch.setattr(P, "check_plausible", lambda t: calls.append(t) or check(t))
+    for a in (zn_linear_oa(3), linear_mols(4), zn_linear_oa(5), linear_mols(8)):
+        t = fileio.tau_from_report(fileio.parity_report(a))
+        calls.clear()
+        first = sigma_from_tau(t)
+        assert sigma_from_tau(t) is first
+        assert calls == [t]
+        assert first == sigma_parity(a)
+
+
 def test_sigma_from_zero_tau_even():
     t = TauVector(k=4, nmod4=0, bits=np.zeros((5, 5, 5), dtype=np.uint8))
     std = sigma_from_tau(t)
