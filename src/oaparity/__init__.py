@@ -38,7 +38,6 @@ from .parity import (
     sigma_from_tau,
     sigma_parity,
     standardise,
-    standardise_by_out_degree,
     tau_from_sigma,
     tau_parity,
     transform_parity_laws,

@@ -127,26 +127,6 @@ def residue_pattern_oa(n: int, pattern: str, a: int | None = None) -> Orthogonal
     return mols_to_oa(squares)
 
 
-# the nine components tau^1_23, tau^1_24, tau^1_25, tau^3_12, tau^4_12,
-# tau^4_13, tau^5_12, tau^5_13, tau^5_14 determine the rest of the vector
-DETERMINING_TRIPLES = (
-    (1, 2, 3),
-    (1, 2, 4),
-    (1, 2, 5),
-    (3, 1, 2),
-    (4, 1, 2),
-    (4, 1, 3),
-    (5, 1, 2),
-    (5, 1, 3),
-    (5, 1, 4),
-)
-
-EXPECTED_COMPONENTS = {
-    "nnn": (0, 0, 0, 0, 1, 1, 0, 0, 0),
-    "rnr": (0, 0, 0, 0, 1, 0, 0, 0, 1),
-}
-
-
 # ---------------------------------------------------------------------------
 # sigma matrices with prescribed properties
 

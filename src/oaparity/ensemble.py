@@ -18,11 +18,13 @@ is a tournament and the equiparity squares are its cyclic triangles, so
 x = C(k,3) - sum_c C(mu_c, 2) (Kendall and Babington Smith, 1940); for
 n = 0,1 mod 4 sigma is a graph and x = C(k,3) - T/2 (Goodman, 1959).
 
-The plane conditions of a vector with k = n + 1 are read off mu as well:
-summing tau^c_ij = sigma_ci + sigma_cj over the columns c other than i and j
-gives in_i + in_j + C(n, 2), with in_i the column sums of sigma, so the
-over-columns sum rule holds iff all in-degrees share one parity, and by the
-transpose law sigma_ji = sigma_ij + C(n, 2) iff all mu_c do.
+The plane conditions of a vector with k = n + 1 are degree parities of the
+same sigma: summing tau^c_ij = sigma_ci + sigma_cj over the columns c other
+than i and j gives in_i + in_j + C(n, 2), with in_i the column sums of
+sigma, so the over-columns sum rule holds iff all in-degrees share one
+parity, and by the transpose law sigma_ji = sigma_ij + C(n, 2) iff all mu_c
+do.  The census takes that verdict from the sigma,
+``SigmaMatrix.pp_plausible``.
 
 The census works on the tau bit array as a whole: the type of the square on
 columns c1 < c2 < c3 is the 3-bit code tau^{c1}_{c2c3} << 2 |
@@ -105,11 +107,13 @@ class EnsembleCensus:
 
     x counts equiparity squares (type 000 for n = 0,1 mod 4, else 111);
     T is the total tau-graph edge count; mu the sigma row sums.
-    ``pp_plausible`` is "na" unless n is known and k = n+1, and otherwise
-    "yes" iff all mu_c share one parity (the plane conditions).
+    ``pp_plausible`` is the plane verdict of that sigma,
+    ``SigmaMatrix.pp_plausible``: "na" unless n is known and k = n+1, and
+    otherwise "yes" iff all mu_c share one parity (the plane conditions).
 
-    ``ensemble_census`` builds every field from a plausible tau, so the
-    edge-count identities and the four-column cap hold on it as theorems.
+    ``ensemble_census`` builds every field from a plausible tau and its
+    sigma, ``sigma_from_tau``, the one plausibility gate, so the edge-count
+    identities and the four-column cap hold on it as theorems.
     A census built by hand may carry fields no vector has;
     ``check_ensemble_laws`` still evaluates the laws it reads off x.
     """
@@ -127,7 +131,8 @@ class EnsembleCensus:
 def ensemble_census(source: OrthogonalArray | TauVector) -> EnsembleCensus:
     """Census of an array or of a bare (plausible) tau vector."""
     tau = tau_parity(source) if isinstance(source, OrthogonalArray) else source
-    mu = sigma_from_tau(tau).row_sums()
+    sigma = sigma_from_tau(tau)
+    mu = sigma.row_sums()
     k = tau.k
     bits = tau.bits
     types = bits << 2 | bits.transpose(1, 0, 2) << 1 | bits.transpose(1, 2, 0)
@@ -140,9 +145,6 @@ def ensemble_census(source: OrthogonalArray | TauVector) -> EnsembleCensus:
         expected = 2 * x + math.comb(k, 3)
     if T != expected:
         raise OAError(f"edge count {T} disagrees with the type census ({expected})")
-    pp = "na"
-    if tau.n is not None and k == tau.n + 1:
-        pp = "yes" if len({m & 1 for m in mu}) == 1 else "no"
     return EnsembleCensus(
         k=k,
         nmod4=tau.nmod4,
@@ -151,7 +153,7 @@ def ensemble_census(source: OrthogonalArray | TauVector) -> EnsembleCensus:
         x=x,
         T=T,
         mu=tuple(mu),
-        pp_plausible=pp,
+        pp_plausible=sigma.pp_plausible,
     )
 
 

@@ -314,11 +314,17 @@ def sigma_from_json(obj: dict) -> SigmaMatrix:
 
 
 def _shape(obj: dict) -> tuple[int, int, int | None]:
-    """The k, nmod4 and optional n fields of a sigma or report document."""
-    k, n = _json_int(obj, "k"), obj.get("n")
+    """The k, nmod4 and optional n fields of a sigma or report document:
+    k >= 3, nmod4 in 0..3 and n, when present, >= 1."""
+    k = _json_int(obj, "k")
     if k < 3:
         raise FormatError(f"need k >= 3, got {k}")
-    return k, _json_int(obj, "nmod4"), None if n is None else _json_int(obj, "n")
+    nmod4, n = _json_int(obj, "nmod4"), obj.get("n")
+    if not 0 <= nmod4 <= 3:
+        raise FormatError(f"nmod4 must be 0, 1, 2 or 3, got {nmod4}")
+    if n is not None and _json_int(obj, "n") < 1:
+        raise FormatError(f"need n >= 1, got {n}")
+    return k, nmod4, n
 
 
 def _json_int(obj: dict, name: str) -> int:
@@ -347,23 +353,23 @@ def _expect_each_once(keys: list, count: int, what: str) -> None:
 
 def parity_report(source: OrthogonalArray | TauVector) -> dict:
     """The canonical JSON report: tau entries, standardised sigma pairs,
-    plausibility flags."""
+    plausibility flags.
+
+    The flags come from the tau's sigma, ``sigma_from_tau``, the one
+    plausibility gate, and its plane verdict, ``SigmaMatrix.pp_plausible``;
+    only a tau that gate refuses gets a ``check_plausible`` pass, to list
+    its violations."""
     tau = tau_parity(source) if isinstance(source, OrthogonalArray) else source
-    rep = check_plausible(tau)
-    obj = {
-        "k": tau.k,
-        "n": tau.n,
-        "nmod4": tau.nmod4,
-        "tau": tau.entries(),
-        "plausible": rep.plausible,
-        "pp_plausible": rep.pp_plausible,
-    }
-    if rep.plausible:
-        obj["sigma_standard"] = sigma_from_tau(tau).pairs()
-    else:
-        obj["sigma_standard"] = None
-        obj["violations"] = [[kind, list(w)] for kind, w in rep.violations]
-    return obj
+    obj = {"k": tau.k, "n": tau.n, "nmod4": tau.nmod4, "tau": tau.entries()}
+    try:
+        sigma = sigma_from_tau(tau)
+    except OAError:
+        rep = check_plausible(tau)
+        return {**obj, "plausible": False, "pp_plausible": rep.pp_plausible,
+                "sigma_standard": None,
+                "violations": [[kind, list(w)] for kind, w in rep.violations]}
+    return {**obj, "plausible": True, "pp_plausible": sigma.pp_plausible,
+            "sigma_standard": sigma.pairs()}
 
 
 def tau_from_report(obj: dict) -> TauVector:

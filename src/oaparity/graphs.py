@@ -22,8 +22,8 @@ C(n, 2), so it holds iff all in-degrees share one parity, and by the
 transpose law iff all out-degrees do: there is one class.  With k = n + 1
 columns that is, for n = 0, 1, 2, 3 mod 4: all degrees even; all of one
 parity; all in- and out-degrees odd; in-degrees of one parity and
-out-degrees of the other.
-``sigma_graph`` reads its degree law off the in-degrees.
+out-degrees of the other.  That verdict is ``SigmaMatrix.pp_plausible``:
+``stack`` sets ``refined`` and ``sigma_graph`` its degree law from it.
 
 Graphs have no loops or parallel edges.  "Complementing" a digraph means
 reversing every edge, and switching a digraph at v reverses the edges at v.
@@ -46,15 +46,6 @@ class SimpleGraph:
     k: int
     directed: bool
     adj: np.ndarray  # (k+1, k+1) uint8, row/col 0 unused
-
-    @classmethod
-    def from_edges(cls, k, edges, directed=False):
-        adj = np.zeros((k + 1, k + 1), dtype=np.uint8)
-        for i, j in edges:
-            adj[i, j] = 1
-            if not directed:
-                adj[j, i] = 1
-        return cls(k=k, directed=directed, adj=_frozen(adj))
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool(self.adj[i, j])
@@ -206,18 +197,18 @@ def stack(t: TauVector) -> StackClassification:
 
     Its parts are the in-degree parity classes, vertex 1's class first.  A
     single class is an empty stack, reported as parts () | all, for n = 0, 1
-    mod 4, and one clique, all | (), for n = 2, 3 mod 4; for a plane
-    candidate it is the plane-plausible case, and sets ``refined``.
+    mod 4, and one clique, all | (), for n = 2, 3 mod 4; ``refined`` is
+    set when the sigma's plane verdict, ``pp_plausible``, is "yes".
     """
     odd = _odd_in_degrees(t)[1:]
     verts = np.arange(1, t.k + 1)
     mine = odd == odd[0]
     own, other = tuple(verts[mine].tolist()), tuple(verts[~mine].tolist())
-    one_class, bipartite = not other, t.nmod4 in (0, 1)
-    if one_class and bipartite:
+    bipartite = t.nmod4 in (0, 1)
+    if not other and bipartite:
         own, other = (), own
     refined = None
-    if one_class and t.n is not None and t.k == t.n + 1:
+    if sigma_from_tau(t).pp_plausible == "yes":
         refined = "empty" if bipartite else "complete"
     shape = "complete-bipartite" if bipartite else "union-of-cliques"
     return StackClassification(shape=shape, part1=own, part2=other, refined=refined)
@@ -231,9 +222,10 @@ def stack(t: TauVector) -> StackClassification:
 class SigmaGraphReport:
     """Orientation, degrees and degree-parity summary of a sigma-graph.
 
-    ``degree_law`` records the plane-case degree condition when k = n+1 and
-    n is known ("pass"/"fail"), else None.  In- and out-degrees are reported
-    separately even for undirected graphs, keeping one report schema.
+    ``degree_law`` records the plane-case degree condition, the sigma's
+    ``pp_plausible``, when k = n+1 and n is known ("pass"/"fail"), else
+    None.  In- and out-degrees are reported separately even for undirected
+    graphs, keeping one report schema.
     """
 
     oriented: bool
@@ -262,11 +254,8 @@ def sigma_graph(s: SigmaMatrix) -> SigmaGraphReport:
     in_deg = tuple(int(x) for x in s.m[1:, 1:].sum(axis=0))
     out_uni = len({d & 1 for d in out_deg}) == 1
     in_uni = len({d & 1 for d in in_deg}) == 1
-    law = None
-    detail = ""
-    if s.n is not None and s.k == s.n + 1:
-        law = "pass" if in_uni else "fail"
-        detail = _DEGREE_LAWS[s.nmod4]
+    law = {"yes": "pass", "no": "fail"}.get(s.pp_plausible)
+    detail = _DEGREE_LAWS[s.nmod4] if law else ""
     return SigmaGraphReport(
         oriented=oriented,
         graph=g,

@@ -35,10 +35,16 @@ check.  The array keeps the sigma, which ``sigma_parity`` returns, and
 ``tau_parity`` is ``tau_from_sigma`` of it, so the additivity
 identity tau^c_{ij} = tau^c_{wi} + tau^c_{wj} holds by construction there
 and the tests compare it with every component computed directly.
-A tau that ``tau_from_sigma`` derives carries the standardised sigma it came
-from, so ``sigma_from_tau`` hands that back, with no plausibility pass; of
-any other tau it checks plausibility, then reads d off the vector and keeps
-the sigma on the tau, so no tau is checked twice.
+A plausible tau is exactly its C(k,2) - 1 standardised sigma bits, so
+``sigma_from_tau`` is the one plausibility gate: a tau that
+``tau_from_sigma`` derives carries the standardised sigma it came from,
+which it hands back with no plausibility pass; of any other tau it runs
+``check_plausible``, then reads d off the vector and keeps the sigma on the
+tau, so no tau is checked twice.  ``check_plausible`` is otherwise only the
+violation lister of a report and the tests' reference.  The plane
+conditions of k = n + 1 are degree parities of that sigma, and
+``SigmaMatrix.pp_plausible`` is the one plane verdict, which the report,
+the census and the graphs read.
 
 A ``TauVector`` reads the components with i < j of whatever array it is
 given and stores them in both index orders, so tau^c_{ij} = tau^c_{ji} holds
@@ -275,6 +281,23 @@ class SigmaMatrix:
         """Out-degrees mu_c of the sigma-graph, c = 1..k."""
         return tuple(int(s) for s in self.m[1:, 1:].sum(axis=1))
 
+    @property
+    def pp_plausible(self) -> str:
+        """The plane verdict: "na" unless n is known and k = n + 1, else
+        "yes" iff all in-degrees of the sigma-graph share one parity.
+
+        Summing tau^c_ij = sigma_ci + sigma_cj over the columns c other
+        than i and j gives in_i + in_j + C(n, 2), so the over-columns sum
+        rule of ``check_plausible`` asks exactly this of the tau this sigma
+        determines.  By the transpose law in_v = mu_v + (k - 1) * C(n, 2),
+        so out-degrees would do as well, and complementing changes every
+        in-degree parity alike: both sigmas of a tau get one verdict.
+        """
+        if self.n is None or self.k != self.n + 1:
+            return "na"
+        odd = self.m[1:, 1:].sum(axis=0) & 1
+        return "yes" if (odd == odd[0]).all() else "no"
+
     def complement(self) -> "SigmaMatrix":
         return SigmaMatrix(self.k, self.nmod4, self.m ^ _off_diagonal(self.k), n=self.n)
 
@@ -354,20 +377,6 @@ def standardise(sigma: SigmaMatrix) -> StandardSigma:
         return sigma
     chosen = sigma.complement() if sigma.m[1, 2] else sigma
     return StandardSigma(sigma.k, sigma.nmod4, chosen.m, n=sigma.n)
-
-
-def standardise_by_out_degree(sigma: SigmaMatrix, parity: int) -> SigmaMatrix:
-    """Pick the representative whose out-degrees all have the given parity.
-
-    Only meaningful when all out-degree parities agree (the plane case with
-    odd n); complementation then flips them all because k-1 is odd.
-    """
-    mu = np.array(sigma.row_sums()) & 1
-    if not (np.all(mu == mu[0])):
-        raise OAError("out-degree parities are not uniform; cannot standardise by them")
-    if sigma.k % 2:
-        raise OAError("out-degree standardisation needs even k (odd n plane case)")
-    return sigma if mu[0] == parity % 2 else sigma.complement()
 
 
 # ---------------------------------------------------------------------------
@@ -492,11 +501,11 @@ def tau_from_sigma(s: SigmaMatrix) -> TauVector:
 
 
 def sigma_from_tau(t: TauVector) -> StandardSigma:
-    """The standardised sigma-parity determined by a plausible tau: the one
-    it carries if ``tau_from_sigma`` built it or an earlier call read it,
-    else read off it once ``check_plausible`` has passed, and kept on it.
-    Plausible taus and standardised sigmas are in bijection, so a tau needs
-    at most one plausibility pass."""
+    """The standardised sigma-parity determined by a plausible tau, and the
+    one plausibility gate: the sigma it carries if ``tau_from_sigma`` built
+    it or an earlier call read it, else read off it once ``check_plausible``
+    has passed, and kept on it.  Plausible taus and standardised sigmas are
+    in bijection, so a tau needs at most one plausibility pass."""
     if t._sigma is not None:
         return t._sigma
     report = check_plausible(t)
@@ -539,7 +548,10 @@ class PlausibilityReport:
 
 
 def check_plausible(t: TauVector) -> PlausibilityReport:
-    """Check index symmetry, fixed-column additivity and the triple law.
+    """Check index symmetry, fixed-column additivity and the triple law: the
+    pass behind ``sigma_from_tau``, the one gate, and the violation lister
+    and reference; a plausible tau's plane verdict is read off its sigma,
+    ``SigmaMatrix.pp_plausible``.
 
     Symmetry holds by construction of ``TauVector.bits``.  The triple law
     is the Latin-square law r + c + s = C(n, 2) mod 2 ("any two parities
@@ -547,8 +559,8 @@ def check_plausible(t: TauVector) -> PlausibilityReport:
     columns c1 < c2 < c3 has row, column and symbol bits tau^{c1}_{c2c3},
     tau^{c2}_{c1c3} and tau^{c3}_{c1c2}; its witness is the first triple
     that breaks it, in lexicographic order.  For plane candidates
-    (k = n+1) the over-columns sum rule for each pair is also evaluated and
-    reported as ``pp_plausible``.
+    (k = n+1) the over-columns sum rule for each pair is also evaluated
+    from the tau bits and reported as ``pp_plausible``.
     """
     k = t.k
     kk = binom2_bit(t.nmod4)

@@ -56,7 +56,7 @@ import numpy as np
 
 from .core import LatinSquare, OAError, OrthogonalArray, UsageError
 from .parity import (StandardSigma, TauVector, _fixed_column_bits, _sigma_upper, binom2_bit,
-                     check_plausible, plausible_types, sigma_from_tau, tau_parity)
+                     plausible_types, sigma_from_tau, sigma_parity, tau_parity)
 
 MAX_ENUM_ORDER = 6
 
@@ -249,8 +249,11 @@ class SearchSpec:
     """What to look for and how hard to try.
 
     ``target`` is a TauVector for the full (k, n), or a 3-bit parity-type
-    string when k = 3.  The first square is checked by its parity type, each
-    later column by the free sigma entries of the columns so far.  Modes:
+    string when k = 3.  A tau target passes ``sigma_from_tau``, the one
+    plausibility gate, which keeps its standardised sigma on it for the
+    search and the check of what it finds.  The first square is checked by
+    its parity type, each later column by the free sigma entries of the
+    columns so far.  Modes:
     "first-hit" (deterministic DFS, first match), "exhaustive" (certifies
     non-existence; only for k=3 n<=6 and k=4 n<=5), "randomized" (seeded
     symbol shuffles with restarts).  ``max_nodes`` (None for no cap) must be
@@ -291,8 +294,7 @@ class SearchSpec:
         elif isinstance(self.target, TauVector):
             if self.target.k != self.k or self.target.nmod4 != self.n % 4:
                 raise OAError("target dimensions disagree with the search spec")
-            if not check_plausible(self.target).plausible:
-                raise OAError("target tau vector is not plausible")
+            sigma_from_tau(self.target)
         else:
             raise OAError("target must be a TauVector or a parity-type string")
 
@@ -375,10 +377,9 @@ def find_oa_with_parity(spec: SearchSpec) -> SearchOutcome:
 
 
 def _verify(spec: SearchSpec, oa: OrthogonalArray) -> None:
-    got = tau_parity(oa)
     if isinstance(spec.target, str):
-        ty = got.triple_type(1, 2, 3)
+        ty = tau_parity(oa).triple_type(1, 2, 3)
         if ty != spec.target:
             raise OAError(f"search returned type {ty}, wanted {spec.target}")
-    elif got != spec.target:
+    elif sigma_parity(oa) != sigma_from_tau(spec.target):
         raise OAError("search result does not match the target tau vector")

@@ -663,3 +663,28 @@ def triple_violation(t: TauVector):
         if t.get(c1, c2, c3) ^ t.get(c2, c1, c3) ^ t.get(c3, c1, c2) != kk:
             return c1, c2, c3
     return None
+
+
+# ---------------------------------------------------------------------------
+# pinned data
+
+
+# the nine components tau^1_23, tau^1_24, tau^1_25, tau^3_12, tau^4_12,
+# tau^4_13, tau^5_12, tau^5_13, tau^5_14 determine the rest of the vector;
+# their values on residue_pattern_oa(n, pattern) depend only on the pattern
+DETERMINING_TRIPLES = (
+    (1, 2, 3),
+    (1, 2, 4),
+    (1, 2, 5),
+    (3, 1, 2),
+    (4, 1, 2),
+    (4, 1, 3),
+    (5, 1, 2),
+    (5, 1, 3),
+    (5, 1, 4),
+)
+
+EXPECTED_COMPONENTS = {
+    "nnn": (0, 0, 0, 0, 1, 1, 0, 0, 0),
+    "rnr": (0, 0, 0, 0, 1, 0, 0, 0, 1),
+}

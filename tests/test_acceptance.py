@@ -27,8 +27,6 @@ from oaparity.parity import (
 from oaparity.graphs import sigma_graph, stack, tau_graphs
 from oaparity.classes import class_of_oa, enumerate_classes, orbit
 from oaparity.constructions import (
-    DETERMINING_TRIPLES,
-    EXPECTED_COMPONENTS,
     block_sigma,
     circulant_sigma,
     linear_mols,
@@ -223,8 +221,8 @@ def test_criterion_03_residue_family():
             a = residue_pattern_oa(n, pattern)
             assert (a.k, a.n) == (5, n)
             t = tau_parity(a)
-            got = tuple(t.get(*triple) for triple in DETERMINING_TRIPLES)
-            assert got == EXPECTED_COMPONENTS[pattern], (n, pattern)
+            got = tuple(t.get(*triple) for triple in oracle.DETERMINING_TRIPLES)
+            assert got == oracle.EXPECTED_COMPONENTS[pattern], (n, pattern)
             assert orbit(sigma_from_tau(t)).size == orbit_size, (n, pattern)
     report(3, "OA(5,n) components and orbits (192/320) for n in {11,19,23}", t0)
 

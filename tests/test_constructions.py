@@ -14,8 +14,6 @@ from oaparity.parity import (
 )
 from oaparity.classes import orbit
 from oaparity.constructions import (
-    DETERMINING_TRIPLES,
-    EXPECTED_COMPONENTS,
     ResiduePattern,
     block_sigma,
     block_sizes,
@@ -104,8 +102,8 @@ def test_residue_pattern_components(n, pattern):
     a = residue_pattern_oa(n, pattern)
     assert (a.k, a.n) == (5, n)
     t = tau_parity(a)
-    got = tuple(t.get(*triple) for triple in DETERMINING_TRIPLES)
-    assert got == EXPECTED_COMPONENTS[pattern]
+    got = tuple(t.get(*triple) for triple in oracle.DETERMINING_TRIPLES)
+    assert got == oracle.EXPECTED_COMPONENTS[pattern]
 
 
 @pytest.mark.parametrize("n", [11, 19, 23])

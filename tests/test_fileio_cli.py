@@ -1,5 +1,7 @@
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -238,6 +240,8 @@ def test_report_rows_match_per_entry_lookups(a):
     pairs = [[i, j, sigma.get(i, j)] for i in range(1, k + 1) for j in range(i + 1, k + 1)]
     assert obj["sigma_standard"] == pairs
     assert fileio.sigma_to_json(sigma)["upper"] == pairs
+    # the flags read off the sigma agree with the over-columns sum reference
+    assert (obj["plausible"], obj["pp_plausible"]) == (True, check_plausible(tau).pp_plausible)
     assert fileio.parity_report(tau) == obj
     assert json.loads(json.dumps(obj)) == obj
 
@@ -469,12 +473,27 @@ def test_cli_parity_json_matches_text(tmp_path, capsys):
 
 
 # plausibility passes of each command on the array's parity report read with
-# --tau: the report's own check, for parity, and one sigma_from_tau pass,
-# which keeps the sigma it reads on the tau for every later call
-_REPORT_PASSES = {"parity": 2, "ensemble": 1, "graphs": 1, "class": 1}
+# --tau: one sigma_from_tau pass, the one gate, which keeps the sigma it
+# reads on the tau for every later call
+_REPORT_PASSES = {"parity": 1, "ensemble": 1, "graphs": 1, "class": 1}
 
 
-@pytest.mark.parametrize("command, passes", [("parity", 1), ("ensemble", 0), ("graphs", 0),
+def _counted_passes(monkeypatch) -> list:
+    """The taus that ``check_plausible`` runs on from now on, in order."""
+    from oaparity import parity
+
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return check_plausible(t)
+
+    for module in (parity, fileio):
+        monkeypatch.setattr(module, "check_plausible", counted)
+    return calls
+
+
+@pytest.mark.parametrize("command, passes", [("parity", 0), ("ensemble", 0), ("graphs", 0),
                                               ("class", 0)])
 def test_cli_array_commands_take_the_array_paths(tmp_path, capsys, monkeypatch, command, passes):
     # one loader: an OA file is read as its tau, which carries the array's
@@ -482,7 +501,8 @@ def test_cli_array_commands_take_the_array_paths(tmp_path, capsys, monkeypatch, 
     # needs a plausibility pass to get its sigma; both outputs equal that of
     # the array's parity report read with --tau, whose sigma is checked; the
     # census reads the plane conditions off the sigma row sums and the graphs
-    # read that sigma, so they need no pass either
+    # read that sigma, so they need no pass either; the report reads its
+    # flags off that sigma too
     from oaparity import parity
 
     plane = linear_mols(9)
@@ -492,14 +512,7 @@ def test_cli_array_commands_take_the_array_paths(tmp_path, capsys, monkeypatch, 
     report_path.write_text(json.dumps(fileio.parity_report(plane)))
     sigma_path.write_text(json.dumps(fileio.sigma_to_json(parity.sigma_parity(plane))))
     _, from_report, _ = run_cli(capsys, command, str(report_path), "--tau", "--json")
-    calls = []
-
-    def counted(t):
-        calls.append(t)
-        return check_plausible(t)
-
-    for module in (parity, fileio):
-        monkeypatch.setattr(module, "check_plausible", counted)
+    calls = _counted_passes(monkeypatch)
     for argv, want in (([str(oa_path)], passes), ([str(sigma_path), "--tau"], passes),
                        ([str(report_path), "--tau"], _REPORT_PASSES[command])):
         calls.clear()
@@ -507,6 +520,24 @@ def test_cli_array_commands_take_the_array_paths(tmp_path, capsys, monkeypatch, 
         assert rc == 0
         assert out == from_report
         assert len(calls) == want, argv
+
+
+def test_cli_search_target_takes_one_pass(tmp_path, capsys, monkeypatch):
+    # a report target passes the one gate, sigma_from_tau, once, which keeps
+    # its sigma for the search and for the check of the array it finds; the
+    # tau of a sigma target carries its sigma and takes no pass
+    a = zn_linear_oa(5, k=4)
+    report_path, sigma_path = tmp_path / "t.json", tmp_path / "s.json"
+    report_path.write_text(json.dumps(fileio.parity_report(a)))
+    sigma_path.write_text(json.dumps(fileio.sigma_to_json(sigma_from_tau(tau_parity(a)))))
+    calls = _counted_passes(monkeypatch)
+    for path, want in ((report_path, 1), (sigma_path, 0)):
+        calls.clear()
+        rc, out, _ = run_cli(capsys, "search", "oa", "--k", "4", "--n", "5",
+                             "--target", str(path))
+        assert rc == 0
+        assert tau_parity(fileio.parse_oa(out)) == tau_parity(a)
+        assert len(calls) == want, path
 
 
 def test_cli_enumerate(capsys):
@@ -702,6 +733,9 @@ def _with_base(doc: dict, base) -> dict:
         (json.dumps({**_SIGMA, "k": 100000, "upper": []}), ["--tau"]),
         (json.dumps({**fileio.parity_report(linear_mols(3)), "k": 4.7}), ["--tau"]),
         (json.dumps({**fileio.parity_report(linear_mols(3)), "k": True}), ["--tau"]),
+        (json.dumps({"kind": "sigma", "k": 3, "nmod4": 9,
+                     "upper": [[1, 2, 0], [1, 3, 1], [2, 3, 0]]}), ["--tau"]),
+        (json.dumps({**fileio.parity_report(zn_linear_oa(5)), "n": -3}), ["--tau"]),
         (_oa_text_with_symbol(40000), []),
         (_oa_text_with_symbol(65536), []),
         (json.dumps(_with_entry(_OA_JSON, "rows", 0, [65536, 0, 0, 0])), []),
@@ -717,7 +751,8 @@ def _with_base(doc: dict, base) -> dict:
     ids=["short-pair", "missing-k", "non-int-k", "non-int-bit", "bit-3", "tau-bit-true",
          "not-json", "short-tau", "tau-column-out-of-range", "directory",
          "array-not-json", "array-without-rows", "huge-k-report", "huge-k-sigma",
-         "float-k", "bool-k", "oa-symbol-40000", "oa-symbol-65536",
+         "float-k", "bool-k", "sigma-nmod4-9", "report-n-negative",
+         "oa-symbol-40000", "oa-symbol-65536",
          "oa-json-symbol-65536", "oa-json-symbol-false", "oa-json-symbol-true",
          "oa-not-utf8", "sigma-not-utf8", *[f"oa-json-base-{b!r}" for b in _BAD_BASES],
          *_NON_INT_COLUMNS],
@@ -765,3 +800,27 @@ def test_json_symbols_refuse_booleans(reader, symbol):
     # a table of booleans alone is refused with the same message
     with pytest.raises(fileio.FormatError, match="not true or false"):
         parse(json.dumps({**doc, key: [[bool(x) for x in r] for r in doc[key]]}))
+
+
+# ---------------------------------------------------------------------------
+# the README
+
+
+def test_readme_quick_start_runs():
+    # the README's first python block, run as written, so a public name it
+    # uses cannot vanish unnoticed; an expression whose comment opens with a
+    # value must evaluate to that value
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    lines, scope, stated = block.splitlines(), {}, []
+    for stmt in ast.parse(block).body:
+        if not isinstance(stmt, ast.Expr):
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), scope)
+            continue
+        got = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), scope)
+        comment = re.search(r"#\s*('[^']*'|\d+|True|False)(?!\w)", lines[stmt.lineno - 1])
+        if comment:
+            want = ast.literal_eval(comment.group(1))
+            assert got == want, lines[stmt.lineno - 1]
+            stated.append(want)
+    assert stated == ["yes", 1290240, True]

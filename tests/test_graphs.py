@@ -77,10 +77,12 @@ def test_switch_order_independence(directed):
 
 
 def test_to_dot():
-    g = SimpleGraph.from_edges(3, [(1, 2)])
-    assert to_dot(g) == "graph G {\n  1 -- 2;\n  3;\n}\n"
-    d = SimpleGraph.from_edges(3, [(2, 3)], directed=True)
-    assert "2 -> 3;" in to_dot(d)
+    adj = np.zeros((4, 4), dtype=np.uint8)
+    adj[1, 2] = adj[2, 1] = 1
+    assert to_dot(SimpleGraph(3, False, adj)) == "graph G {\n  1 -- 2;\n  3;\n}\n"
+    adj = np.zeros((4, 4), dtype=np.uint8)
+    adj[2, 3] = 1
+    assert "2 -> 3;" in to_dot(SimpleGraph(3, True, adj))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from oaparity.parity import (
     sigma_from_tau,
     sigma_parity,
     standardise,
-    standardise_by_out_degree,
     tau_from_sigma,
     tau_parity,
     transform_parity_laws,
@@ -530,6 +529,31 @@ def test_non_plane_tau_is_na():
     assert rep.pp_plausible == "na"
 
 
+def test_sigma_plane_verdict_matches_over_columns_sum():
+    # SigmaMatrix.pp_plausible, read off in-degree parities, against the
+    # over-columns sum rule of check_plausible on the tau the sigma
+    # determines; a sigma and its complement give one verdict.  Plane
+    # completions add "yes" cases where random sigmas seldom have them.
+    from oaparity.constructions import pp_plausible_sigma
+
+    rng = np.random.default_rng(26)
+    seen = {"yes": 0, "no": 0, "na": 0}
+    for k in range(3, 21):
+        for n in (None, k - 1, k + 3):
+            for nmod4 in range(4) if n is None else (n % 4,):
+                sigmas = [SigmaMatrix.from_upper(k, nmod4, rng.integers(0, 2, (k + 1, k + 1)), n=n)
+                          for _ in range(4)]
+                if n == k - 1:
+                    nbits = n * (n - 1) // 2 - 1 + n % 2
+                    sigmas.append(pp_plausible_sigma(n, rng.integers(0, 2, nbits).tolist()))
+                for s in sigmas:
+                    want = check_plausible(tau_from_sigma(s)).pp_plausible
+                    assert s.pp_plausible == want, (k, n, nmod4)
+                    assert s.complement().pp_plausible == want, (k, n, nmod4)
+                    seen[want] += 1
+    assert min(seen.values()) >= 18, seen
+
+
 def test_implausible_vector_reports_witness():
     bits = np.zeros((5, 5, 5), dtype=np.uint8)
     bits[1, 2, 3] = 1  # breaks additivity: tau^1_{23} != tau^1_{24} + tau^1_{43}
@@ -575,15 +599,6 @@ def test_triple_law_matches_per_triple_oracle(k):
             assert found == ([] if expect is None else [expect])
             witnessed += expect is not None
     assert witnessed > 10
-
-
-def test_standardise_by_out_degree():
-    a = zn_linear_oa(7)
-    s = sigma_parity(a)
-    for want in (0, 1):
-        chosen = standardise_by_out_degree(s, want)
-        assert all(mu % 2 == want for mu in chosen.row_sums())
-        assert tau_from_sigma(chosen) == tau_from_sigma(s)
 
 
 # ---------------------------------------------------------------------------

@@ -360,12 +360,11 @@ def test_column_check_runs_only_the_new_columns_families(monkeypatch):
 
 def test_type_and_tau_targets_search_alike(monkeypatch):
     # at k = 3 a type string and the tau vector of that type are one target:
-    # both are checked by the first square's running type, with no sigma
-    # built and no kernel run
+    # both are checked by the first square's running type, with no kernel
+    # run; the tau target's sigma is read only by the plausibility gate
     def unused(*args):
-        raise AssertionError("no sigma or kernel check at k = 3")
+        raise AssertionError("no kernel check at k = 3")
 
-    monkeypatch.setattr(search, "sigma_from_tau", unused)
     monkeypatch.setattr(search, "_partial_tau_matches", unused)
     for n in range(3, 7):
         targets = [_word_target(3, n, word) for word in range(4)]
