@@ -30,6 +30,8 @@ from .parity import (
     SigmaMatrix,
     StandardSigma,
     TauVector,
+    act_permute,
+    act_swap,
     binom2_bit,
     check_plausible,
     equiparity_type,
@@ -45,8 +47,6 @@ from .parity import (
 from .classes import (
     ClassTable,
     OrbitSummary,
-    act_permute,
-    act_swap,
     class_of_oa,
     enumerate_classes,
     orbit,

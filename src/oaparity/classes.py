@@ -2,7 +2,10 @@
 
 A standardised sigma-parity on k columns is C(k,2)-1 free bits (the (1,2)
 entry is pinned to zero), and these states are in bijection with the
-plausible tau vectors.  Two operations act on them:
+plausible tau vectors.  Two operations act on them, ``parity.act_permute``
+and ``parity.act_swap`` (re-exported here), which are also the laws by which
+an array's column and symbol relabellings move its stored sigma
+(``parity.transform_parity_laws``):
 
 * permuting: relabel columns by some permutation of 1..k, then re-standardise
   (complement everything if the new (1,2) entry came out 1 -- complementation
@@ -12,7 +15,9 @@ plausible tau vectors.  Two operations act on them:
   swapping at the complement of C, so singleton swaps generate everything.
 
 Orbits of the group generated by these operations are the switching classes;
-their sizes divide k! for even n and k! * 2^(k-1) for odd n.
+their sizes divide k! for even n and k! * 2^(k-1) for odd n.  The searches
+below run on compiled affine maps, which the tests check against the two
+matrix-level operations.
 
 A state is a ``StandardSigma``; the search packs each into its ``word``,
 whose numeric order is lexicographic order on bit vectors (stable canonical
@@ -58,7 +63,8 @@ doubling and gathered through once, k(k-1)/2 gathers in all.  Every class is
 then labelled by its least index, the canonical representative, and the
 class sizes are label counts times the coset size.  The even k = 8 space
 (2^27 words) is walked one class at a time, each class one orbit on a
-visited bitmap, which holds far less than the labels would.
+visited bitmap of packed indices, which holds far less than the labels
+would.
 """
 
 from __future__ import annotations
@@ -72,13 +78,13 @@ from functools import cache, cached_property
 import numpy as np
 
 from .core import OAError, OrthogonalArray, ResourceLimitError, UsageError
-from .parity import (
-    SigmaMatrix,
+from .parity import (  # the two operations live beside standardise; re-exported here
     StandardSigma,
+    act_permute,
+    act_swap,
     binom2_bit,
     free_pairs,
     sigma_parity,
-    standardise,
 )
 
 # largest quotient enumerate_classes labels in one pass (k <= 7, and k = 8
@@ -101,37 +107,6 @@ def _bit_positions(k: int) -> dict[tuple[int, int], int]:
 # perfbench/wl_space.py builds orbit states under the old name of the packed
 # state type, and the benchmark is changed on its own
 ParityState = StandardSigma.from_word
-
-
-# ---------------------------------------------------------------------------
-# the two operations (reference implementations on the sigma matrix)
-
-
-def act_permute(s: StandardSigma, g) -> StandardSigma:
-    """Relabel columns by g (1-based images) and re-standardise.
-
-    Satisfies act(act(s, g), h) = act(s, h o g).
-    """
-    g = tuple(g)
-    if sorted(g) != list(range(1, s.k + 1)):
-        raise OAError("g must be a permutation of 1..k")
-    ginv = np.zeros(s.k + 1, dtype=np.int64)
-    ginv[list(g)] = np.arange(1, s.k + 1)
-    return standardise(SigmaMatrix(s.k, s.nmod4, s.m[np.ix_(ginv, ginv)], n=s.n))
-
-
-def act_swap(s: StandardSigma, cset) -> StandardSigma:
-    """Flip bits with exactly one endpoint in cset; odd n only."""
-    if s.nmod4 % 2 == 0:
-        raise OAError("swap undefined for even n")
-    members = set(cset)
-    if not members <= set(range(1, s.k + 1)):
-        raise OAError("swap set must be a subset of 1..k")
-    chi = np.zeros(s.k + 1, dtype=np.uint8)
-    chi[list(members)] = 1
-    # the constructor drops what the flip puts in the unused row/column 0
-    m = s.m ^ chi[:, None] ^ chi[None, :]
-    return standardise(SigmaMatrix(s.k, s.nmod4, m, n=s.n))
 
 
 # ---------------------------------------------------------------------------
@@ -486,12 +461,13 @@ def _next_unvisited(visited: np.ndarray, start: int, chunk: int = 1 << 16) -> in
 
 def _class_sizes_by_orbit(quotient: _Quotient, budget: int) -> np.ndarray:
     """Class sizes ordered by least word, one orbit per class marked on a
-    visited bitmap of one byte per word; for a quotient of words (even n).
+    visited bitmap of one byte per packed index, each orbit's element count
+    times the coset size.
 
     The budget covers the bitmap and an orbit's largest step, the last, from
-    at most (k-1)! words of O_(k-1).
+    at most (k-1)! elements of O_(k-1).
     """
-    total = 1 << quotient.bits
+    total = quotient.size
     step = _step_bytes(quotient.k - 1, math.factorial(quotient.k - 1), quotient.dtype.itemsize)
     _check_budget(total + step, budget,
                   f"enumeration ({total >> 20} MiB bitmap and {step / 2**20:.2f} MiB of images)")
@@ -503,7 +479,7 @@ def _class_sizes_by_orbit(quotient: _Quotient, budget: int) -> np.ndarray:
         visited[orbit] = True
         sizes.append(orbit.size)
         seed = _next_unvisited(visited, seed + 1)
-    return np.array(sizes, dtype=np.int64)
+    return np.array(sizes, dtype=np.int64) * quotient.coset_size
 
 
 def _class_labels(quotient: _Quotient, budget: int) -> np.ndarray:

@@ -224,8 +224,9 @@ class FieldTable:
     """Verified addition/multiplication tables of GF(q).
 
     Element labels are 0..q-1 with 0 the additive and 1 the multiplicative
-    identity.  For e > 1, label x encodes the polynomial whose coefficients
-    are the base-p digits of x (least significant digit = constant term).
+    identity.  Label x encodes the polynomial whose coefficients are the
+    base-p digits of x (least significant digit = constant term), a
+    constant for e = 1.
     """
 
     q: int
@@ -233,21 +234,6 @@ class FieldTable:
     e: int
     add: np.ndarray
     mul: np.ndarray
-
-
-def _poly_digits(x: int, p: int, e: int) -> list[int]:
-    d = []
-    for _ in range(e):
-        d.append(x % p)
-        x //= p
-    return d
-
-
-def _digits_value(d, p: int) -> int:
-    v = 0
-    for c in reversed(d):
-        v = v * p + c
-    return v
 
 
 def _verify_field(q: int, add: np.ndarray, mul: np.ndarray) -> None:
@@ -279,39 +265,25 @@ def _verify_field(q: int, add: np.ndarray, mul: np.ndarray) -> None:
 
 
 def field_table(q: int) -> FieldTable:
-    """Build verified GF(q) tables for a prime power q <= 32."""
+    """Build verified GF(q) tables for a prime power q <= 32.
+
+    Label x is the polynomial whose coefficients are its base-p digits, so
+    addition adds digits mod p, and mul[x, y] = sum_i x_i * (t^i * y): each
+    t^i * y is y's digits shifted once more and reduced by the fixed
+    irreducible polynomial.  For a prime nothing is shifted, and the
+    formula is xy mod p.
+    """
     p, e = _prime_power(q)
     if q > MAX_FIELD_ORDER:
         raise OAError(f"field order {q} exceeds the supported maximum {MAX_FIELD_ORDER}")
-    if e == 1:
-        idx = np.arange(q)
-        add = (idx[:, None] + idx[None, :]) % q
-        mul = (idx[:, None] * idx[None, :]) % q
-    else:
-        red = _IRREDUCIBLE[q]
-        add = np.zeros((q, q), dtype=np.int64)
-        mul = np.zeros((q, q), dtype=np.int64)
-        digits = [_poly_digits(x, p, e) for x in range(q)]
-        for a in range(q):
-            for b in range(q):
-                s = [(digits[a][i] + digits[b][i]) % p for i in range(e)]
-                add[a, b] = _digits_value(s, p)
-                prod = [0] * (2 * e - 1)
-                for i in range(e):
-                    if digits[a][i] == 0:
-                        continue
-                    for j in range(e):
-                        prod[i + j] = (prod[i + j] + digits[a][i] * digits[b][j]) % p
-                for d in range(2 * e - 2, e - 1, -1):
-                    c = prod[d]
-                    if c == 0:
-                        continue
-                    prod[d] = 0
-                    for i in range(e):
-                        prod[d - e + i] = (prod[d - e + i] - c * red[i]) % p
-                mul[a, b] = _digits_value(prod[:e], p)
-    add = add.astype(np.int16)
-    mul = mul.astype(np.int16)
+    weight = p ** np.arange(e)
+    digits = np.arange(q)[:, None] // weight % p  # [x, i]
+    powers = [digits]  # [i][y]: the digits of t^i * y
+    for _ in range(1, e):
+        shifted = np.pad(powers[-1], ((0, 0), (1, 0)))  # times t, degree e last
+        powers.append((shifted - shifted[:, -1:] * _IRREDUCIBLE[q])[:, :e] % p)
+    add = ((digits[:, None] + digits[None, :]) % p @ weight).astype(np.int16)
+    mul = (np.einsum("xi,iyj->xyj", digits, np.stack(powers)) % p @ weight).astype(np.int16)
     _verify_field(q, add, mul)
     add.setflags(write=False)
     mul.setflags(write=False)
@@ -597,8 +569,7 @@ def apply_transform(a: OrthogonalArray, t: Transform) -> TransformResult:
         return TransformResult(a, permutation_parity(t.perm))
     if t.kind == "columns":
         new = np.empty_like(mat)
-        for i, gi in enumerate(t.perm, start=1):
-            new[:, gi - 1] = mat[:, i - 1]
+        new[:, np.subtract(t.perm, 1)] = mat
     else:
         gamma = np.asarray(t.perm, dtype=np.int16)
         new = mat.copy()

@@ -49,6 +49,15 @@ the census and the graphs read.
 A ``TauVector`` reads the components with i < j of whatever array it is
 given and stores them in both index orders, so tau^c_{ij} = tau^c_{ji} holds
 by construction and ``bits[c]`` is the adjacency matrix of tau-graph c.
+Every constructor of a parity vector takes its shape through one check,
+the ranges the JSON readers enforce.
+
+The two switching operations on a standardised sigma, ``act_permute`` and
+``act_swap``, live here beside ``standardise``: the switching classes of
+``classes`` are their orbits, and the transformation laws of an array are
+these operations, since the re-sort into storage order after a column or
+symbol relabelling has exactly the parity of the complement
+``standardise`` applies (``transform_parity_laws``).
 """
 
 from __future__ import annotations
@@ -123,6 +132,19 @@ def latin_square_parities(square: LatinSquare) -> ParityTriple:
 # parity vectors
 
 
+def _check_shape(k: int, nmod4: int, n: int | None) -> None:
+    """Raise OAError unless k >= 3, nmod4 is in 0..3 and n, when given, is
+    at least 1 and congruent to nmod4 mod 4."""
+    if k < 3:
+        raise OAError(f"need k >= 3, got {k}")
+    if not 0 <= nmod4 <= 3:
+        raise OAError(f"nmod4 must be 0, 1, 2 or 3, got {nmod4}")
+    if n is not None and n < 1:
+        raise OAError(f"need n >= 1, got {n}")
+    if n is not None and n % 4 != nmod4:
+        raise OAError(f"n={n} inconsistent with nmod4={nmod4}")
+
+
 @lru_cache(maxsize=None)
 def _canonical_mask(k: int) -> np.ndarray:
     """Read-only mask of the components (c, i, j) with i < j of a (k+1)^3
@@ -149,10 +171,7 @@ class TauVector:
     __slots__ = ("k", "nmod4", "n", "bits", "_sigma")
 
     def __init__(self, k: int, nmod4: int, bits: np.ndarray, n: int | None = None):
-        if k < 3:
-            raise OAError(f"need k >= 3, got {k}")
-        if n is not None and n % 4 != nmod4 % 4:
-            raise OAError(f"n={n} inconsistent with nmod4={nmod4}")
+        _check_shape(k, nmod4, n)
         bits = np.asarray(bits, dtype=np.uint8)
         if bits.shape != (k + 1,) * 3:
             raise OAError(f"bits must have shape {(k + 1,) * 3} with index 0 unused")
@@ -160,7 +179,7 @@ class TauVector:
         arr = half | half.transpose(0, 2, 1)
         arr.setflags(write=False)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "nmod4", nmod4 % 4)
+        object.__setattr__(self, "nmod4", nmod4)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "bits", arr)
         # set by tau_from_sigma or the first sigma_from_tau
@@ -237,10 +256,7 @@ class SigmaMatrix:
     __slots__ = ("k", "nmod4", "n", "m")
 
     def __init__(self, k: int, nmod4: int, m: np.ndarray, n: int | None = None):
-        if k < 3:
-            raise OAError(f"need k >= 3, got {k}")
-        if n is not None and n % 4 != nmod4 % 4:
-            raise OAError(f"n={n} inconsistent with nmod4={nmod4}")
+        _check_shape(k, nmod4, n)
         arr = np.asarray(m, dtype=np.uint8).copy()
         if arr.shape != (k + 1, k + 1):
             raise OAError(f"matrix must have shape ({k + 1}, {k + 1}) with row/col 0 unused")
@@ -253,7 +269,7 @@ class SigmaMatrix:
             raise OAError("entries violate the transpose law m[j][i] = m[i][j] + C(n,2)")
         arr.setflags(write=False)
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "nmod4", nmod4 % 4)
+        object.__setattr__(self, "nmod4", nmod4)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", arr)
 
@@ -348,8 +364,7 @@ class StandardSigma(SigmaMatrix):
     @classmethod
     def from_word(cls, k: int, nmod4: int, word: int, n: int | None = None) -> "StandardSigma":
         """The standardised sigma whose free entries ``word`` packs."""
-        if k < 3:
-            raise OAError(f"need k >= 3, got {k}")
+        _check_shape(k, nmod4, n)
         b = k * (k - 1) // 2 - 1
         if not 0 <= word < (1 << b):
             raise OAError(f"word out of range for k={k}")
@@ -377,6 +392,33 @@ def standardise(sigma: SigmaMatrix) -> StandardSigma:
         return sigma
     chosen = sigma.complement() if sigma.m[1, 2] else sigma
     return StandardSigma(sigma.k, sigma.nmod4, chosen.m, n=sigma.n)
+
+
+def act_permute(s: StandardSigma, g) -> StandardSigma:
+    """Relabel columns by g (1-based images) and re-standardise.
+
+    Satisfies act(act(s, g), h) = act(s, h o g).
+    """
+    g = tuple(g)
+    if sorted(g) != list(range(1, s.k + 1)):
+        raise OAError("g must be a permutation of 1..k")
+    ginv = np.zeros(s.k + 1, dtype=np.int64)
+    ginv[list(g)] = np.arange(1, s.k + 1)
+    return standardise(SigmaMatrix(s.k, s.nmod4, s.m[np.ix_(ginv, ginv)], n=s.n))
+
+
+def act_swap(s: StandardSigma, cset) -> StandardSigma:
+    """Flip bits with exactly one endpoint in cset; odd n only."""
+    if s.nmod4 % 2 == 0:
+        raise OAError("swap undefined for even n")
+    members = set(cset)
+    if not members <= set(range(1, s.k + 1)):
+        raise OAError("swap set must be a subset of 1..k")
+    chi = np.zeros(s.k + 1, dtype=np.uint8)
+    chi[list(members)] = 1
+    # the constructor drops what the flip puts in the unused row/column 0
+    m = s.m ^ chi[:, None] ^ chi[None, :]
+    return standardise(SigmaMatrix(s.k, s.nmod4, m, n=s.n))
 
 
 # ---------------------------------------------------------------------------
@@ -602,47 +644,30 @@ def check_plausible(t: TauVector) -> PlausibilityReport:
 # transformation laws
 
 
-def transform_parity_laws(
-    a: OrthogonalArray, t: Transform
-) -> tuple[TauVector, SigmaMatrix]:
-    """Predicted tau and sigma of the stored result of ``apply_transform``.
+def transform_parity_laws(a: OrthogonalArray, t: Transform) -> tuple[TauVector, StandardSigma]:
+    """Predicted tau and sigma of the stored result of ``apply_transform``:
+    the two switching operations of ``act_permute`` and ``act_swap``.
 
-    Row permutations leave the stored array (hence both parities) unchanged;
-    column permutations relabel sigma's indices and complement it by the
-    parity of the re-sort; a symbol permutation gamma in column c adds
-    n*parity(gamma) to the sigma entries in row/column c (so to every tau
-    component with c in the lower index pair), plus the re-sort complement
-    when c is column 1 or 2.  The re-sort parity has a law of its own: a
-    column relabelling g re-sorts the rows by columns g^-1(1), g^-1(2), a
-    permutation of parity sigma_{g^-1(1) g^-1(2)}; gamma on column 1 or 2
-    moves n blocks of n rows, or permutes within each of n blocks, by
-    gamma, parity n*parity(gamma); any other transform keeps the stored
-    order.  The predicted tau is ``tau_from_sigma`` of the predicted sigma.
-    The transform is not applied; the test suite asserts these predictions
-    against recomputation.
+    Row permutations leave the stored array, hence both parities,
+    unchanged.  A column relabelling g relabels sigma's indices, and the
+    re-sort into storage order, by columns g^-1(1), g^-1(2), is a
+    permutation of parity sigma_{g^-1(1) g^-1(2)}, the relabelled (1,2)
+    entry: exactly the complement ``standardise`` applies, so the stored
+    sigma is ``act_permute(sigma, g)``.  A symbol permutation gamma in
+    column c adds n * parity(gamma) to the sigma entries in row and column
+    c, a swap at {c} when n and gamma are both odd; for c = 1 or 2 the
+    re-sort moves n blocks of n rows, or permutes within each of n blocks,
+    by gamma, parity n * parity(gamma), the flipped (1,2) entry, so again
+    the complement ``standardise`` applies: the stored sigma is
+    ``act_swap(sigma, (c,))``.  Any other transform keeps the stored order
+    and the sigma.  The predicted tau is ``tau_from_sigma`` of the
+    predicted sigma.  The transform is not applied; the test suite asserts
+    these predictions against recomputation.
     """
     _check_transform(a, t)
     sigma = sigma_parity(a)
-    if t.kind == "rows":
-        return tau_parity(a), sigma
-
-    k, n = a.k, a.n
     if t.kind == "columns":
-        g = np.zeros(k + 1, dtype=np.int64)
-        g[1:] = np.asarray(t.perm)
-        new_m = np.zeros_like(sigma.m)
-        new_m[g[1:, None], g[None, 1:]] = sigma.m[1:, 1:]
-        sort_parity = new_m[1, 2]  # sigma_{g^-1(1) g^-1(2)}
-    else:
-        c = t.column
-        flip = (n & 1) & permutation_parity(t.perm)
-        sort_parity = flip if c <= 2 else 0
-        new_m = sigma.m.copy()
-        if flip:
-            new_m[c, 1:] ^= 1
-            new_m[1:, c] ^= 1
-            new_m[c, c] = 0
-    new_sigma = SigmaMatrix(k=k, nmod4=n % 4, m=new_m, n=n)
-    if sort_parity:
-        new_sigma = new_sigma.complement()
-    return tau_from_sigma(new_sigma), new_sigma
+        sigma = act_permute(sigma, t.perm)
+    elif t.kind == "symbols" and a.n & permutation_parity(t.perm):
+        sigma = act_swap(sigma, (t.column,))
+    return tau_from_sigma(sigma), sigma

@@ -23,8 +23,9 @@ space or over the cosets of the swaps, with generators read off the
 matrix-level actions and cosets reduced by an elimination of their own, a
 recursive search, one frame per cell, that checks each completed column
 from its definition, loops over column triples, quads and vertex pairs with
-per-entry lookups, one bincount per column pair, and a comparison of every
-pair of rows.  Apart from the
+per-entry lookups, one bincount per column pair, a comparison of every
+pair of rows, and GF(q) tables one element pair at a time, reducing each
+polynomial product term by term.  Apart from the
 search's visit order, which both sides must follow node for node, they
 share no algorithm with the code they check.
 """
@@ -37,7 +38,7 @@ import random
 import numpy as np
 
 from oaparity.classes import act_permute, act_swap
-from oaparity.core import LatinSquare, OAError
+from oaparity.core import _IRREDUCIBLE, LatinSquare, OAError, _prime_power
 from oaparity.parity import (
     SigmaMatrix,
     StandardSigma,
@@ -688,3 +689,35 @@ EXPECTED_COMPONENTS = {
     "nnn": (0, 0, 0, 0, 1, 1, 0, 0, 0),
     "rnr": (0, 0, 0, 0, 1, 0, 0, 0, 1),
 }
+
+
+def field_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Addition and multiplication tables of GF(q), q = p^e, one element
+    pair at a time: label x is the polynomial with x's base-p digits as
+    coefficients, sums add digits mod p, and a product is multiplied out
+    and reduced from its top term down by the library's fixed irreducible
+    polynomial (nothing to reduce for e = 1)."""
+    p, e = _prime_power(q)
+    red = _IRREDUCIBLE.get(q)
+    digits = []
+    for x in range(q):
+        digits.append([x // p ** i % p for i in range(e)])
+
+    def value(d):
+        return sum(c * p ** i for i, c in enumerate(d))
+
+    add = np.zeros((q, q), dtype=np.int64)
+    mul = np.zeros((q, q), dtype=np.int64)
+    for a in range(q):
+        for b in range(q):
+            add[a, b] = value([(digits[a][i] + digits[b][i]) % p for i in range(e)])
+            prod = [0] * (2 * e - 1)
+            for i in range(e):
+                for j in range(e):
+                    prod[i + j] = (prod[i + j] + digits[a][i] * digits[b][j]) % p
+            for d in range(2 * e - 2, e - 1, -1):
+                c, prod[d] = prod[d], 0
+                for i in range(e):
+                    prod[d - e + i] = (prod[d - e + i] - c * red[i]) % p
+            mul[a, b] = value(prod[:e])
+    return add, mul

@@ -342,14 +342,25 @@ def test_one_pass_sizes_match_per_class_bfs(k):
         assert by_label.tolist() == by_bfs.tolist()
 
 
+def _census_by_orbit_matches_labels(k, nms):
+    for nm in nms:
+        quotient = _quotient(k, nm)
+        assert _class_sizes_by_orbit(quotient, 1 << 30).tolist() == \
+            _class_sizes_by_label(quotient, 1 << 30).tolist()
+
+
 @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
 def test_bitmap_census_matches_labels_for_even_n(k):
     # the census that even k = 8 needs, one chain orbit per class on a
     # visited bitmap, lists the sizes that labelling gives, in order
-    for nm in (0, 2):
-        quotient = _quotient(k, nm)
-        assert _class_sizes_by_orbit(quotient, 1 << 30).tolist() == \
-            _class_sizes_by_label(quotient, 1 << 30).tolist()
+    _census_by_orbit_matches_labels(k, (0, 2))
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
+def test_bitmap_census_matches_labels_for_odd_n(k):
+    # on the cosets of the swaps the bitmap holds packed indices and each
+    # orbit counts its cosets' words, as the odd k = 9 walk will need
+    _census_by_orbit_matches_labels(k, (1, 3))
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6])

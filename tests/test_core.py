@@ -389,6 +389,16 @@ def test_field_rejects_large_order():
         field_table(64)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32])
+def test_field_tables_match_per_element_oracle(q):
+    # the one-formula tables against products reduced term by term, for
+    # every prime power the package supports
+    f = field_table(q)
+    for got, want in zip((f.add, f.mul), oracle.field_tables(q)):
+        assert got.dtype == np.int16 and not got.flags.writeable
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32])
 def test_all_supported_fields_verify(q):
     f = field_table(q)

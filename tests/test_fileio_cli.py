@@ -1,3 +1,4 @@
+import argparse
 import ast
 import json
 import os
@@ -824,3 +825,23 @@ def test_readme_quick_start_runs():
             assert got == want, lines[stmt.lineno - 1]
             stated.append(want)
     assert stated == ["yes", 1290240, True]
+
+
+def test_readme_command_lines_name_real_options():
+    # every `oaparity ...` line of the command block names a subcommand path
+    # of the parser, and every --flag it shows is an option of that command
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n+```\n(.*?)```", readme, re.S).group(1)
+    lines = [line.split("#")[0] for line in block.splitlines() if line.startswith("oaparity ")]
+    assert len(lines) == 12
+    root = cli.build_parser()
+    for line in lines:
+        parser = root
+        for word in line.split()[1:]:
+            subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            if not subs:
+                break
+            assert word in subs[0].choices, line
+            parser = subs[0].choices[word]
+        for flag in re.findall(r"--[\w-]+", line):
+            assert flag in parser._option_string_actions, (line, flag)

@@ -478,6 +478,22 @@ def test_standard_sigma_rejects_nonzero_12_entry():
     assert isinstance(standardise(m), StandardSigma)
 
 
+@pytest.mark.parametrize("build", [
+    lambda k, nm, n: TauVector(k, nm, np.zeros((k + 1,) * 3, dtype=np.uint8), n=n),
+    lambda k, nm, n: SigmaMatrix.from_upper(k, nm, np.zeros((k + 1, k + 1), dtype=np.uint8), n=n),
+    lambda k, nm, n: StandardSigma.from_word(k, nm, 0, n=n),
+], ids=["tau", "sigma", "word"])
+def test_constructors_refuse_what_the_readers_refuse(build):
+    # the readers' ranges: k >= 3, nmod4 in 0..3, n >= 1 and n = nmod4 mod 4;
+    # (nmod4, n) = (9, -7) and (-3, -3) had been built with nmod4 = 1
+    for k, nm, n, msg in ((2, 0, None, "need k >= 3"), (4, 9, -7, "nmod4 must be"),
+                          (4, -3, -3, "nmod4 must be"), (4, 1, -7, "need n >= 1"),
+                          (4, 1, 3, "inconsistent")):
+        with pytest.raises(OAError, match=msg):
+            build(k, nm, n)
+    assert build(4, 1, 5).nmod4 == 1
+
+
 def test_sigma_from_zero_tau_odd_rejected():
     t = TauVector(k=4, nmod4=2, bits=np.zeros((5, 5, 5), dtype=np.uint8))
     with pytest.raises(OAError):
