@@ -1,10 +1,17 @@
 """Command-line interface.
 
+``COMMANDS`` declares each subcommand once, in help order: its path, its
+help, the ``cmd_*`` function argparse dispatches it to and its options;
+``build_parser`` builds the parser from it.  Every leaf takes --json,
+which writes the result as JSON (an array or square as the JSON mirror
+``fileio`` reads back; ``construct sigma`` writes sigma JSON either way).
+A ``cmd_*`` function returns an exit code only when it is not 0.
+
 Exit codes: 0 success, 1 domain error (invalid data, failed validation,
 unreadable file), 2 usage error (bad arguments or environment setting).
-All numeric output is available as JSON via --json; runs are deterministic
-given identical inputs and seeds.  The only environment knob is
-OAPARITY_ORBIT_BUDGET_MB, the memory budget of the orbit search.
+Runs are deterministic given identical inputs and seeds.  The only
+environment knob is OAPARITY_ORBIT_BUDGET_MB, the memory budget of the
+orbit search.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import itertools
 import json
 import random
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import classes, constructions, ensemble, fileio, graphs, search
@@ -22,7 +30,7 @@ from .parity import plausible_types, sigma_from_tau, tau_parity
 
 
 def _emit(args, text_lines, obj):
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(obj, indent=2, sort_keys=True))
     else:
         for line in text_lines:
@@ -30,7 +38,7 @@ def _emit(args, text_lines, obj):
 
 
 def _write_output(args, text: str) -> None:
-    if getattr(args, "output", None):
+    if args.output:
         Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
@@ -55,7 +63,6 @@ def _load_tau(args):
 def cmd_validate(args):
     a = _load_oa(args.file)
     _emit(args, [f"OA({a.k},{a.n}) valid"], {"k": a.k, "n": a.n, "valid": True})
-    return 0
 
 
 def cmd_parity(args):
@@ -73,7 +80,6 @@ def cmd_parity(args):
         )
     lines.append("tau: " + " ".join(f"({c};{i},{j})={b}" for c, i, j, b in obj["tau"]))
     _emit(args, lines, obj)
-    return 0
 
 
 def cmd_graphs(args):
@@ -89,17 +95,11 @@ def cmd_graphs(args):
         parts.append(graphs.to_dot(graphs.stack_graph(tau), name="stack"))
         parts.append(graphs.to_dot(sg.graph, name="sigma"))
         sys.stdout.write("\n".join(parts))
-        return 0
+        return
     obj = {
-        "tau_graphs": [
-            {"c": d.c, "part1": list(d.part1), "part2": list(d.part2)} for d in decomps
-        ],
-        "stack": {
-            "shape": stk.shape,
-            "part1": list(stk.part1),
-            "part2": list(stk.part2),
-            "refined": stk.refined,
-        },
+        "tau_graphs": [asdict(d) for d in decomps],
+        "stack": asdict(stk),
+        # the report also holds the graph that --dot draws, so not asdict
         "sigma_graph": {
             "oriented": sg.oriented,
             "out_degrees": list(sg.out_degrees),
@@ -120,7 +120,6 @@ def cmd_graphs(args):
         + (f", degree law: {sg.degree_law}" if sg.degree_law else ""),
     ]
     _emit(args, lines, obj)
-    return 0
 
 
 def cmd_class(args):
@@ -132,7 +131,6 @@ def cmd_class(args):
         "canonical_word": summary.canonical.word,
     }
     _emit(args, [f"switching class size {summary.size}"], obj)
-    return 0
 
 
 def cmd_enumerate(args):
@@ -148,53 +146,51 @@ def cmd_enumerate(args):
         f"{table.total_classes} classes over {table.total_states} states "
         f"(k={table.k}, nmod4={table.nmod4})",
         f"{'size':>10}  count",
+        *(f"{size:>10}  {count}" for size, count in table.entries),
     ]
-    for size, count in table.entries:
-        lines.append(f"{size:>10}  {count}")
     _emit(args, lines, obj)
-    return 0
 
 
-def cmd_construct(args):
-    seed = getattr(args, "seed", None)
-    if args.what == "desarguesian":
-        a = constructions.linear_mols(args.q)
-        if args.emit_mols:
-            text = fileio.format_catalogue_entry(
-                f"desarguesian-q{args.q}", oa_to_mols(a)
-            )
-        elif args.json:
-            text = json.dumps(fileio.oa_to_json(a), sort_keys=True) + "\n"
-        else:
-            text = fileio.format_oa(a)
-        _write_output(args, text)
-        return 0
-    if args.what == "residue-oa":
-        a = constructions.residue_pattern_oa(args.n, args.pattern)
-        text = (
-            json.dumps(fileio.oa_to_json(a), sort_keys=True) + "\n"
-            if args.json
-            else fileio.format_oa(a)
-        )
-        _write_output(args, text)
-        return 0
-    # sigma constructions emit the sigma JSON format
-    n = args.n
-    if args.kind == "block":
-        sig = constructions.block_sigma(n)
-    elif args.kind == "circulant":
-        sig = constructions.circulant_sigma(n)
-    elif args.kind == "lower-triangular":
-        k = n + 1 if args.k is None else args.k
-        sig = constructions.lower_triangular_sigma(k, n % 4)
-    else:  # pp-random
-        rng = random.Random(0 if seed is None else seed)
-        nbits = n * (n - 1) // 2 - 1 + (n % 2)
-        bits = [rng.randrange(2) for _ in range(nbits)]
-        sig = constructions.pp_plausible_sigma(n, bits)
-    obj = fileio.sigma_to_json(sig, seed=seed if args.kind == "pp-random" else None)
-    _write_output(args, json.dumps(obj, sort_keys=True) + "\n")
-    return 0
+def _oa_text(args, a) -> str:
+    """An array as OA text, or with --json as its JSON mirror."""
+    if args.json:
+        return json.dumps(fileio.oa_to_json(a), sort_keys=True) + "\n"
+    return fileio.format_oa(a)
+
+
+def cmd_desarguesian(args):
+    a = constructions.linear_mols(args.q)
+    if args.emit_mols:
+        text = fileio.format_catalogue_entry(f"desarguesian-q{args.q}", oa_to_mols(a))
+    else:
+        text = _oa_text(args, a)
+    _write_output(args, text)
+
+
+def cmd_residue_oa(args):
+    _write_output(args, _oa_text(args, constructions.residue_pattern_oa(args.n, args.pattern)))
+
+
+def _pp_random(args):
+    rng = random.Random(0 if args.seed is None else args.seed)
+    nbits = args.n * (args.n - 1) // 2 - 1 + (args.n % 2)
+    bits = [rng.randrange(2) for _ in range(nbits)]
+    return constructions.pp_plausible_sigma(args.n, bits), args.seed
+
+
+# each --kind of `construct sigma`: its sigma and the seed its JSON records
+_SIGMA_KINDS = {
+    "block": lambda args: (constructions.block_sigma(args.n), None),
+    "circulant": lambda args: (constructions.circulant_sigma(args.n), None),
+    "lower-triangular": lambda args: (constructions.lower_triangular_sigma(
+        args.n + 1 if args.k is None else args.k, args.n % 4), None),
+    "pp-random": _pp_random,
+}
+
+
+def cmd_sigma(args):
+    sig, seed = _SIGMA_KINDS[args.kind](args)
+    _write_output(args, json.dumps(fileio.sigma_to_json(sig, seed=seed), sort_keys=True) + "\n")
 
 
 def cmd_ensemble(args):
@@ -209,15 +205,7 @@ def cmd_ensemble(args):
         "total_tau_edges": census.T,
         "mu": list(census.mu),
         "pp_plausible": census.pp_plausible,
-        "checks": [
-            {
-                "name": c.name,
-                "applicable": c.applicable,
-                "passed": c.passed,
-                "detail": c.detail,
-            }
-            for c in report.checks
-        ],
+        "checks": [asdict(c) for c in report.checks],
     }
     lines = [
         f"ensemble of k={census.k}: "
@@ -229,35 +217,35 @@ def cmd_ensemble(args):
         status = "n/a" if not c.applicable else ("pass" if c.passed else "FAIL")
         lines.append(f"  [{status}] {c.name}: {c.detail}")
     _emit(args, lines, obj)
-    return 0
 
 
-def cmd_search(args):
-    if args.what == "latin":
-        n = args.n
-        if args.limit is not None and args.limit < 0:
-            raise UsageError(f"--limit must be >= 0, got {args.limit}")
-        cells, walk = search.latin_square_walk(n)
-        if args.type:
-            # a square's type always has r + c + s = C(n, 2) mod 2
-            types = walk if args.type in plausible_types(n % 4) else ()
-            for ty in types:
-                if ty == args.type:
-                    square = LatinSquare([cells[r * n:(r + 1) * n] for r in range(n)])
-                    _write_output(args, fileio.format_square(square))
-                    return 0
-            print("no square with that type", file=sys.stderr)
-            return 1
+def cmd_search_latin(args):
+    n = args.n
+    if args.limit is not None and args.limit < 0:
+        raise UsageError(f"--limit must be >= 0, got {args.limit}")
+    cells, walk = search.latin_square_walk(n)
+    if not args.type:
         count = sum(1 for _ in itertools.islice(walk, args.limit))
-        _emit(args, [f"{count} squares of order {args.n}"], {"n": args.n, "count": count})
-        return 0
+        _emit(args, [f"{count} squares of order {n}"], {"n": n, "count": count})
+        return
+    # a square's type always has r + c + s = C(n, 2) mod 2; the walk stops
+    # with ``cells`` holding the first square of the type
+    if args.type not in plausible_types(n % 4) or args.type not in walk:
+        print("no square with that type", file=sys.stderr)
+        return 1
+    square = LatinSquare([cells[r * n:(r + 1) * n] for r in range(n)])
+    if args.json:
+        _write_output(args, json.dumps(fileio.square_to_json(square), sort_keys=True) + "\n")
+    else:
+        _write_output(args, fileio.format_square(square))
 
-    target = fileio.load_tau(args.target)
+
+def cmd_search_oa(args):
     mode = "exhaustive" if args.exhaustive else ("randomized" if args.seed is not None else "first-hit")
     spec = search.SearchSpec(
         k=args.k,
         n=args.n,
-        target=target,
+        target=fileio.load_tau(args.target),
         mode=mode,
         seed=args.seed,
         restarts=args.restarts,
@@ -265,23 +253,15 @@ def cmd_search(args):
     )
     outcome = search.find_oa_with_parity(spec)
     if outcome.found is not None:
-        _write_output(args, fileio.format_oa(outcome.found))
+        _write_output(args, _oa_text(args, outcome.found))
         print(f"# found after {outcome.nodes} nodes", file=sys.stderr)
-        return 0
+        return
     if outcome.certified_exhausted:
-        _emit(
-            args,
-            [f"certified: no OA({args.k},{args.n}) has the target parity "
-             f"({outcome.nodes} nodes)"],
-            {"found": False, "certified": True, "nodes": outcome.nodes},
-        )
+        line = f"certified: no OA({args.k},{args.n}) has the target parity ({outcome.nodes} nodes)"
     else:
-        _emit(
-            args,
-            [f"not found within budget ({outcome.nodes} nodes); inconclusive"],
-            {"found": False, "certified": False, "nodes": outcome.nodes},
-        )
-    return 0
+        line = f"not found within budget ({outcome.nodes} nodes); inconclusive"
+    obj = {"found": False, "certified": outcome.certified_exhausted, "nodes": outcome.nodes}
+    _emit(args, [line], obj)
 
 
 def cmd_ingest(args):
@@ -299,11 +279,64 @@ def cmd_ingest(args):
     ]
     lines.append(f"{len(entries)} set(s) ingested")
     _emit(args, lines, {"entries": rows})
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
+
+
+def _opt(*flags, **kwargs):
+    """One option: the arguments of ``add_argument``."""
+    return flags, kwargs
+
+
+_FILE = _opt("file")
+_TAU = _opt("--tau", action="store_true", help="file is sigma/tau JSON, not an OA")
+_OUTPUT = _opt("-o", "--output")
+_JSON = _opt("--json", action="store_true", help="emit JSON")
+
+
+# (path, help, function, options) of each subcommand in help order; a
+# group has no function, and every leaf also takes --json
+COMMANDS = (
+    ("validate", "validate an OA file", cmd_validate, [_FILE]),
+    ("parity", "tau/sigma parity report", cmd_parity, [_FILE, _TAU]),
+    ("graphs", "tau-graphs, stack and sigma-graph", cmd_graphs,
+     [_FILE, _TAU, _opt("--dot", action="store_true", help="emit DOT instead of a report")]),
+    ("class", "switching class of an array's parity", cmd_class, [_FILE, _TAU]),
+    ("enumerate", "all switching classes for (k, n mod 4)", cmd_enumerate,
+     [_opt("--k", type=int, required=True),
+      _opt("--nmod4", type=int, required=True, choices=range(4))]),
+    ("construct", "explicit constructions", None, []),
+    ("construct desarguesian", "OA(q+1, q) over GF(q)", cmd_desarguesian,
+     [_opt("--q", type=int, required=True),
+      _opt("--emit-mols", action="store_true", help="emit a MOLSSET catalogue"), _OUTPUT]),
+    ("construct residue-oa", "OA(5, n) with pattern-determined parity", cmd_residue_oa,
+     [_opt("--n", type=int, required=True),
+      _opt("--pattern", choices=constructions.PATTERNS, required=True), _OUTPUT]),
+    ("construct sigma", "sigma matrices with prescribed ensembles", cmd_sigma,
+     [_opt("--kind", choices=tuple(_SIGMA_KINDS), required=True),
+      _opt("--n", type=int, required=True),
+      _opt("--k", type=int, help="column count for lower-triangular (default n+1)"),
+      _opt("--seed", type=int, help="seed for pp-random bits"), _OUTPUT]),
+    ("ensemble", "parity census of the ensemble", cmd_ensemble, [_FILE, _TAU]),
+    ("search", "brute-force searches", None, []),
+    ("search latin", "enumerate or find Latin squares", cmd_search_latin,
+     [_opt("--n", type=int, required=True),
+      _opt("--type", help="3-bit parity type to find"),
+      _opt("--limit", type=int, help="stop counting after this many"), _OUTPUT]),
+    ("search oa", "find an OA matching a tau target", cmd_search_oa,
+     [_opt("--k", type=int, required=True),
+      _opt("--n", type=int, required=True),
+      _opt("--target", required=True, help="sigma/parity-report JSON file"),
+      _opt("--exhaustive", action="store_true"),
+      _opt("--seed", type=int, help="randomized mode with this seed"),
+      _opt("--restarts", type=int, default=1),
+      _opt("--max-nodes", type=int), _OUTPUT]),
+    ("ingest", "validate a MOLS catalogue file", cmd_ingest,
+     [_FILE, _opt("--class", dest="classify", action="store_true",
+                  help="also compute each set's switching class size")]),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,107 +344,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="oaparity",
         description="parity invariants of orthogonal arrays and MOLS",
     )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def add_json(sp):
-        sp.add_argument("--json", action="store_true", help="emit JSON")
-
-    sp = sub.add_parser("validate", help="validate an OA file")
-    sp.add_argument("file")
-    add_json(sp)
-    sp.set_defaults(func=cmd_validate)
-
-    sp = sub.add_parser("parity", help="tau/sigma parity report")
-    sp.add_argument("file")
-    sp.add_argument("--tau", action="store_true", help="file is sigma/tau JSON, not an OA")
-    add_json(sp)
-    sp.set_defaults(func=cmd_parity)
-
-    sp = sub.add_parser("graphs", help="tau-graphs, stack and sigma-graph")
-    sp.add_argument("file")
-    sp.add_argument("--tau", action="store_true", help="file is sigma/tau JSON, not an OA")
-    sp.add_argument("--dot", action="store_true", help="emit DOT instead of a report")
-    add_json(sp)
-    sp.set_defaults(func=cmd_graphs)
-
-    sp = sub.add_parser("class", help="switching class of an array's parity")
-    sp.add_argument("file")
-    sp.add_argument("--tau", action="store_true", help="file is sigma/tau JSON, not an OA")
-    add_json(sp)
-    sp.set_defaults(func=cmd_class)
-
-    sp = sub.add_parser("enumerate", help="all switching classes for (k, n mod 4)")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--nmod4", type=int, required=True, choices=range(4))
-    add_json(sp)
-    sp.set_defaults(func=cmd_enumerate)
-
-    sp = sub.add_parser("construct", help="explicit constructions")
-    what = sp.add_subparsers(dest="what", required=True)
-
-    d = what.add_parser("desarguesian", help="OA(q+1, q) over GF(q)")
-    d.add_argument("--q", type=int, required=True)
-    d.add_argument("--emit-mols", action="store_true", help="emit a MOLSSET catalogue")
-    d.add_argument("-o", "--output")
-    add_json(d)
-    d.set_defaults(func=cmd_construct)
-
-    r = what.add_parser("residue-oa", help="OA(5, n) with pattern-determined parity")
-    r.add_argument("--n", type=int, required=True)
-    r.add_argument("--pattern", choices=constructions.PATTERNS, required=True)
-    r.add_argument("-o", "--output")
-    add_json(r)
-    r.set_defaults(func=cmd_construct)
-
-    s = what.add_parser("sigma", help="sigma matrices with prescribed ensembles")
-    s.add_argument(
-        "--kind",
-        choices=("block", "circulant", "lower-triangular", "pp-random"),
-        required=True,
-    )
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--k", type=int, help="column count for lower-triangular (default n+1)")
-    s.add_argument("--seed", type=int, help="seed for pp-random bits")
-    s.add_argument("-o", "--output")
-    add_json(s)
-    s.set_defaults(func=cmd_construct)
-
-    sp = sub.add_parser("ensemble", help="parity census of the ensemble")
-    sp.add_argument("file")
-    sp.add_argument("--tau", action="store_true", help="file is sigma/tau JSON, not an OA")
-    add_json(sp)
-    sp.set_defaults(func=cmd_ensemble)
-
-    sp = sub.add_parser("search", help="brute-force searches")
-    what = sp.add_subparsers(dest="what", required=True)
-
-    l = what.add_parser("latin", help="enumerate or find Latin squares")
-    l.add_argument("--n", type=int, required=True)
-    l.add_argument("--type", help="3-bit parity type to find")
-    l.add_argument("--limit", type=int, help="stop counting after this many")
-    l.add_argument("-o", "--output")
-    add_json(l)
-    l.set_defaults(func=cmd_search)
-
-    o = what.add_parser("oa", help="find an OA matching a tau target")
-    o.add_argument("--k", type=int, required=True)
-    o.add_argument("--n", type=int, required=True)
-    o.add_argument("--target", required=True, help="sigma/parity-report JSON file")
-    o.add_argument("--exhaustive", action="store_true")
-    o.add_argument("--seed", type=int, help="randomized mode with this seed")
-    o.add_argument("--restarts", type=int, default=1)
-    o.add_argument("--max-nodes", type=int)
-    o.add_argument("-o", "--output")
-    add_json(o)
-    o.set_defaults(func=cmd_search)
-
-    sp = sub.add_parser("ingest", help="validate a MOLS catalogue file")
-    sp.add_argument("file")
-    sp.add_argument("--class", dest="classify", action="store_true",
-                    help="also compute each set's switching class size")
-    add_json(sp)
-    sp.set_defaults(func=cmd_ingest)
-
+    groups = {"": p.add_subparsers(dest="command", required=True)}
+    for path, help_, func, options in COMMANDS:
+        group, _, name = path.rpartition(" ")
+        sp = groups[group].add_parser(name, help=help_)
+        if func is None:
+            groups[path] = sp.add_subparsers(dest="what", required=True)
+            continue
+        for flags, kwargs in (*options, _JSON):
+            sp.add_argument(*flags, **kwargs)
+        sp.set_defaults(func=func)
     return p
 
 
@@ -419,7 +361,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args) or 0
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

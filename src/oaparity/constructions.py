@@ -198,12 +198,15 @@ def block_sigma(n: int) -> SigmaMatrix:
     has exactly ceil(n/4) equiparity squares, the minimum possible for a
     plane candidate with n = 2,3 mod 4.
     """
+    sizes = block_sizes(n)
+    if n < 2:
+        raise OAError(f"need n >= 2, got {n}")
     k = n + 1
     m = np.zeros((k + 1, k + 1), dtype=np.uint8)
     iu = np.triu_indices(k, 1)
     m[iu[0] + 1, iu[1] + 1] = 1
     pos = 1
-    for size in block_sizes(n):
+    for size in sizes:
         blk = _B4 if size == 4 else _B3
         m[pos:pos + size, pos:pos + size] = blk
         pos += size
@@ -223,6 +226,8 @@ def circulant_sigma(n: int) -> StandardSigma:
     """
     if n % 4 not in (2, 3):
         raise OAError(f"need n = 2,3 mod 4, got {n}")
+    if n < 2:
+        raise OAError(f"need n >= 2, got {n}")
     k = n + 1
     i, j = np.indices((k + 1, k + 1))
     d = (j - i) % n
@@ -240,6 +245,8 @@ def lower_triangular_sigma(k: int, nmod4: int) -> SigmaMatrix:
     """
     if nmod4 % 4 not in (2, 3):
         raise OAError(f"lower-triangular sigma needs n = 2,3 mod 4, got nmod4={nmod4}")
+    if k < 3:
+        raise OAError(f"need k >= 3, got {k}")
     m = np.zeros((k + 1, k + 1), dtype=np.uint8)
     il = np.tril_indices(k, -1)
     m[il[0] + 1, il[1] + 1] = 1

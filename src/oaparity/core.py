@@ -437,10 +437,6 @@ class OrthogonalArray:
     def __setattr__(self, name, value):
         raise AttributeError("OrthogonalArray is immutable")
 
-    def column(self, i: int) -> np.ndarray:
-        """Column i (1-based) as a vector over the n^2 stored rows."""
-        return self.rows[:, i - 1]
-
     def __eq__(self, other):
         return isinstance(other, OrthogonalArray) and np.array_equal(self.rows, other.rows)
 

@@ -233,18 +233,7 @@ class SigmaGraphReport:
     out_degrees: tuple
     in_degrees: tuple
     out_parity_uniform: bool
-    in_parity_uniform: bool
     degree_law: str | None
-    degree_law_detail: str
-
-
-# the degree law of a plane, k = n + 1, in the terms of each n mod 4
-_DEGREE_LAWS = (
-    "all degrees even",
-    "all degrees of one parity",
-    "all in-degrees and out-degrees odd",
-    "in-degrees of one parity, out-degrees of the other",
-)
 
 
 def sigma_graph(s: SigmaMatrix) -> SigmaGraphReport:
@@ -253,16 +242,12 @@ def sigma_graph(s: SigmaMatrix) -> SigmaGraphReport:
     out_deg = s.row_sums()
     in_deg = tuple(int(x) for x in s.m[1:, 1:].sum(axis=0))
     out_uni = len({d & 1 for d in out_deg}) == 1
-    in_uni = len({d & 1 for d in in_deg}) == 1
     law = {"yes": "pass", "no": "fail"}.get(s.pp_plausible)
-    detail = _DEGREE_LAWS[s.nmod4] if law else ""
     return SigmaGraphReport(
         oriented=oriented,
         graph=g,
         out_degrees=out_deg,
         in_degrees=in_deg,
         out_parity_uniform=out_uni,
-        in_parity_uniform=in_uni,
         degree_law=law,
-        degree_law_detail=detail,
     )

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oaparity.core import OAError, cyclic_square, mols_to_oa
+from oaparity.core import OAError, cyclic_square, mols_to_oa, oa_to_mols
 from oaparity.constructions import block_sigma, linear_mols, residue_pattern_oa
-from oaparity.parity import check_plausible, sigma_from_tau, tau_parity
+from oaparity.parity import check_plausible, latin_square_parities, sigma_from_tau, tau_parity
 import oaparity
-from oaparity import cli, fileio
+from oaparity import cli, fileio, search
 
 import oracle
 from conftest import zn_linear_oa, zn_linear_square
@@ -641,6 +641,55 @@ def test_cli_lower_triangular_k(capsys):
     assert (rc, out, err) == (1, "", "error: need k >= 3, got 0\n")
     rc, out, _ = run_cli(capsys, "construct", "sigma", "--kind", "lower-triangular", "--n", "6")
     assert rc == 0 and json.loads(out)["k"] == 7
+
+
+@pytest.mark.parametrize("kind", ["block", "circulant", "lower-triangular", "pp-random"])
+def test_cli_sigma_sizes_fail_closed(capsys, kind):
+    # every size too small for a sigma exits 1 with one error line; numpy
+    # must never see a negative dimension
+    runs = [(n, ["--n", str(n)]) for n in range(-10, 4)]
+    if kind == "lower-triangular":
+        runs += [(n, ["--n", str(n), "--k", str(k)]) for n in range(-10, 4) for k in (-5, 0, 2)]
+    for n, argv in runs:
+        rc, out, err = run_cli(capsys, "construct", "sigma", "--kind", kind, *argv)
+        if n >= 2 and "--k" not in argv:
+            assert (rc, err) == (0, "") and json.loads(out)["k"] == n + 1
+        else:
+            assert (rc, out) == (1, ""), argv
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+def test_cli_every_leaf_writes_json(tmp_path, capsys):
+    a = linear_mols(3)
+    plane, report, catalogue = tmp_path / "q3.oa", tmp_path / "q3.json", tmp_path / "q3.mols"
+    plane.write_text(fileio.format_oa(a))
+    report.write_text(json.dumps(fileio.parity_report(a)))
+    catalogue.write_text(fileio.format_catalogue_entry("q3", oa_to_mols(a)))
+    runs = {
+        "validate": [str(plane)],
+        "parity": [str(report), "--tau"],
+        "graphs": [str(plane)],
+        "class": [str(report), "--tau"],
+        "enumerate": ["--k", "4", "--nmod4", "3"],
+        "construct desarguesian": ["--q", "5"],
+        "construct residue-oa": ["--n", "11", "--pattern", "rnr"],
+        "construct sigma": ["--kind", "circulant", "--n", "6"],
+        "ensemble": [str(report), "--tau"],
+        "search latin": ["--n", "5", "--type", "110"],
+        "search oa": ["--k", "4", "--n", "3", "--target", str(report)],
+        "ingest": [str(catalogue), "--class"],
+    }
+    assert set(runs) == {path for path, _, func, _ in cli.COMMANDS if func is not None}
+    outputs = {}
+    for path, argv in runs.items():
+        rc, outputs[path], err = run_cli(capsys, *path.split(), *argv, "--json")
+        assert rc == 0, (path, err)
+        json.loads(outputs[path])
+    # what a search finds comes back through the readers of the JSON mirrors
+    found = search.find_oa_with_parity(search.SearchSpec(k=4, n=3, target=tau_parity(a))).found
+    assert fileio.parse_oa(outputs["search oa"]) == found
+    square = fileio.parse_square(outputs["search latin"])
+    assert latin_square_parities(square).type_str == "110"
 
 
 def test_cli_search_oa_with_target(tmp_path, capsys):
