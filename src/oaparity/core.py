@@ -57,24 +57,11 @@ class UsageError(OAError):
 
 
 def permutation_parity(images) -> int:
-    """Parity bit of a permutation given as the tuple of images of 0..n-1.
-
-    Returns 0 for even, 1 for odd, computed as (n - number of cycles) mod 2.
-    Input is assumed to be a valid permutation.
-    """
-    imgs = [int(x) for x in images]
-    n = len(imgs)
-    seen = bytearray(n)
-    cycles = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        cycles += 1
-        j = start
-        while not seen[j]:
-            seen[j] = 1
-            j = imgs[j]
-    return (n - cycles) & 1
+    """Parity bit of a permutation given as the images of 0..n-1, any
+    iterable of ints: 0 for even, 1 for odd, by ``parity_batch`` on a
+    one-row batch.  A sequence that is not a permutation of 0..n-1 raises
+    the kernel's OAError."""
+    return int(parity_batch(np.fromiter(map(int, images), dtype=np.int64)[None])[0])
 
 
 # elements per chunk: at 2^16 the chunk's words take 128 KiB for n <= 16,
@@ -119,9 +106,8 @@ def parity_batch(perms: np.ndarray) -> np.ndarray:
     36 rows of length 65 take about 4x, and 64 rows of length 4097 (padded
     to 8192) about 10x, the time of pointer jumping, whose ceil(log2 n)
     passes each cover the whole chunk.  Nothing in the package builds
-    permutations longer than 59.  Tests compare it with
-    ``permutation_parity`` (cycle following) and an inversion-counting
-    oracle.
+    permutations longer than 59.  Tests compare it with two oracles,
+    cycle following and inversion counting.
     """
     perms = np.asarray(perms)
     if perms.ndim != 2:

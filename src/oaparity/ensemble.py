@@ -187,6 +187,12 @@ class EnsembleReport:
 def check_ensemble_laws(census: EnsembleCensus) -> EnsembleReport:
     """Evaluate the ensemble laws; violations are reported, never raised.
 
+    The laws are one table of (name, applicable, passed, detail) rows in
+    report order: the edge-count identity; for n = 0 mod 4 the even count;
+    the lower bound; for n = 2,3 mod 4 the congruence, the upper bound and
+    the four-column cap.  A row that does not apply reports ``passed`` as
+    None.
+
     Two laws are taken as proved for every census ``ensemble_census``
     builds and pass whenever they apply.  The edge-count identity is the
     count of cyclic triangles of a tournament by its score sequence
@@ -198,73 +204,30 @@ def check_ensemble_laws(census: EnsembleCensus) -> EnsembleReport:
     hand still exercises them: the even count, the lower bound, the
     congruence and the upper bound.
 
-    The plane-case bounds and the congruence are applicable only when
+    The even count, the lower bound and the congruence apply only when
     k = n+1 and the vector satisfies the plane degree conditions (outside
     of that the laws simply do not bind); the upper bound and the
-    four-column cap need only n = 2,3 mod 4.
+    four-column cap need only n = 2,3 mod 4, the cap also k >= 4.
     """
-    k, nm, x = census.k, census.nmod4, census.x
-    plane = census.n is not None and k == census.n + 1 and census.pp_plausible == "yes"
-    checks = []
-
-    checks.append(
-        LawCheck(
-            name="edge-count-identity",
-            applicable=True,
-            passed=True,  # asserted during census construction
-            detail=f"T={census.T} consistent with both edge counts",
-        )
-    )
-
-    if nm == 0:
-        applicable = plane
-        passed = (x % 2 == 0) if applicable else None
-        checks.append(
-            LawCheck("equiparity-even", applicable, passed, f"x={x} must be even")
-        )
-
-    n = census.n
-    bound = None
+    k, nm, n, x = census.k, census.nmod4, census.n, census.x
+    plane = n is not None and k == n + 1 and census.pp_plausible == "yes"
+    needs = "needs a plane-plausible OA(n+1, n)"
     if plane:
-        if nm == 0:
-            bound = n * (n + 1) * (n - 4) // 24
-        elif nm == 1:
-            bound = (n + 1) * (n - 1) * (n - 3) // 24
-        else:
-            bound = math.ceil(n / 4)
-    checks.append(
-        LawCheck(
-            "equiparity-lower-bound",
-            plane,
-            (x >= bound) if plane else None,
-            f"x={x} >= {bound}" if plane else "needs a plane-plausible OA(n+1, n)",
-        )
-    )
+        ceil = math.ceil(n / 4)
+        lower = (n * (n + 1) * (n - 4) // 24, (n + 1) * (n - 1) * (n - 3) // 24, ceil, ceil)[nm]
+    rows = [("edge-count-identity", True, True,  # asserted during census construction
+             f"T={census.T} consistent with both edge counts")]
+    if nm == 0:
+        rows.append(("equiparity-even", plane, x % 2 == 0, f"x={x} must be even"))
+    rows.append(("equiparity-lower-bound", plane, plane and x >= lower,
+                 f"x={x} >= {lower}" if plane else needs))
     if nm in (2, 3):
-        congruent = (x % 4 == math.ceil(n / 4) % 4) if plane else None
-        checks.append(
-            LawCheck(
-                "equiparity-congruence",
-                plane,
-                congruent,
-                f"x={x} = ceil(n/4) mod 4" if plane else "needs a plane-plausible OA(n+1, n)",
-            )
-        )
         cap = max_equiparity(k)
-        checks.append(
-            LawCheck(
-                "equiparity-upper-bound",
-                True,
-                x <= cap,
-                f"x={x} <= {cap}",
-            )
-        )
-        checks.append(
-            LawCheck(
-                "four-column-cap",
-                k >= 4,
-                True if k >= 4 else None,
-                "every 4 columns yield at most 2 equiparity squares",
-            )
-        )
-    return EnsembleReport(checks=tuple(checks))
+        rows += [
+            ("equiparity-congruence", plane, plane and x % 4 == ceil % 4,
+             f"x={x} = ceil(n/4) mod 4" if plane else needs),
+            ("equiparity-upper-bound", True, x <= cap, f"x={x} <= {cap}"),
+            ("four-column-cap", k >= 4, True, "every 4 columns yield at most 2 equiparity squares"),
+        ]
+    return EnsembleReport(tuple(LawCheck(name, applies, passed if applies else None, detail)
+                                for name, applies, passed, detail in rows))

@@ -26,6 +26,7 @@ from .core import LatinSquare, OAError, OrthogonalArray, mols_to_oa
 from .parity import (
     SigmaMatrix,
     TauVector,
+    _check_shape,
     check_plausible,
     sigma_from_tau,
     tau_from_sigma,
@@ -186,14 +187,6 @@ def _symbols(table) -> np.ndarray:
     return arr
 
 
-def _columns(*indices) -> None:
-    """Column indices in JSON data are integers; a boolean or a float is not
-    one, so ``true`` is not column 1 and 3.5 is not column 3."""
-    for c in indices:
-        if isinstance(c, bool) or not isinstance(c, int):
-            raise FormatError(f"column index must be an integer, got {c!r}")
-
-
 # ---------------------------------------------------------------------------
 # orthogonal arrays
 
@@ -303,7 +296,8 @@ def sigma_from_json(obj: dict) -> SigmaMatrix:
         k, nmod4, n = _shape(obj)
         pairs = obj["upper"]
         for i, j, _ in pairs:
-            _columns(i, j)
+            for x in (i, j):
+                _json_int(x, "column index")
             if not 1 <= i < j <= k:
                 raise FormatError(f"bad pair ({i}, {j}) in sigma data")
         _expect_each_once([(i, j) for i, j, _ in pairs], k * (k - 1) // 2, "column pairs")
@@ -314,24 +308,21 @@ def sigma_from_json(obj: dict) -> SigmaMatrix:
 
 
 def _shape(obj: dict) -> tuple[int, int, int | None]:
-    """The k, nmod4 and optional n fields of a sigma or report document:
-    k >= 3, nmod4 in 0..3 and n, when present, >= 1."""
-    k = _json_int(obj, "k")
-    if k < 3:
-        raise FormatError(f"need k >= 3, got {k}")
-    nmod4, n = _json_int(obj, "nmod4"), obj.get("n")
-    if not 0 <= nmod4 <= 3:
-        raise FormatError(f"nmod4 must be 0, 1, 2 or 3, got {nmod4}")
-    if n is not None and _json_int(obj, "n") < 1:
-        raise FormatError(f"need n >= 1, got {n}")
+    """The k, nmod4 and optional n fields of a sigma or report document,
+    JSON integers that ``_check_shape`` accepts."""
+    k, nmod4, n = _json_int(obj["k"], "k"), _json_int(obj["nmod4"], "nmod4"), obj.get("n")
+    if n is not None:
+        _json_int(n, "n")
+    _check_shape(k, nmod4, n)
     return k, nmod4, n
 
 
-def _json_int(obj: dict, name: str) -> int:
-    """A field that must be a JSON integer; a float or a boolean is not one."""
-    value = obj[name]
+def _json_int(value, what: str):
+    """A value that must be a JSON integer, such as a shape field or a
+    column index; a float or a boolean is not one, so ``true`` is not
+    column 1 and 3.5 is not column 3."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise FormatError(f"{name} must be an integer, got {value!r}")
+        raise FormatError(f"{what} must be an integer, got {value!r}")
     return value
 
 
@@ -377,7 +368,8 @@ def tau_from_report(obj: dict) -> TauVector:
         k, nmod4, n = _shape(obj)
         entries = [tuple(e) for e in obj["tau"]]
         for c, i, j, bit in entries:
-            _columns(c, i, j)
+            for x in (c, i, j):
+                _json_int(x, "column index")
             if len({c, i, j}) != 3 or not all(1 <= x <= k for x in (c, i, j)):
                 raise FormatError(f"bad column triple ({c}, {i}, {j}) in tau data")
             _bit(bit)

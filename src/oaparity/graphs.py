@@ -232,7 +232,6 @@ class SigmaGraphReport:
     graph: SimpleGraph
     out_degrees: tuple
     in_degrees: tuple
-    out_parity_uniform: bool
     degree_law: str | None
 
 
@@ -241,13 +240,11 @@ def sigma_graph(s: SigmaMatrix) -> SigmaGraphReport:
     g = SimpleGraph(k=s.k, directed=oriented, adj=_frozen(s.m.copy()))
     out_deg = s.row_sums()
     in_deg = tuple(int(x) for x in s.m[1:, 1:].sum(axis=0))
-    out_uni = len({d & 1 for d in out_deg}) == 1
     law = {"yes": "pass", "no": "fail"}.get(s.pp_plausible)
     return SigmaGraphReport(
         oriented=oriented,
         graph=g,
         out_degrees=out_deg,
         in_degrees=in_deg,
-        out_parity_uniform=out_uni,
         degree_law=law,
     )

@@ -248,12 +248,12 @@ def achieved_parity_types(n: int) -> set:
 class SearchSpec:
     """What to look for and how hard to try.
 
-    ``target`` is a TauVector for the full (k, n), or a 3-bit parity-type
-    string when k = 3.  A tau target passes ``sigma_from_tau``, the one
-    plausibility gate, which keeps its standardised sigma on it for the
-    search and the check of what it finds.  The first square is checked by
-    its parity type, each later column by the free sigma entries of the
-    columns so far.  Modes:
+    ``target`` is a TauVector for the full (k, n), of this n or of unknown
+    n, or a 3-bit parity-type string when k = 3.  A tau target passes
+    ``sigma_from_tau``, the one plausibility gate, which keeps its
+    standardised sigma on it for the search and the check of what it finds.
+    The first square is checked by its parity type, each later column by
+    the free sigma entries of the columns so far.  Modes:
     "first-hit" (deterministic DFS, first match), "exhaustive" (certifies
     non-existence; only for k=3 n<=6 and k=4 n<=5), "randomized" (seeded
     symbol shuffles with restarts).  ``max_nodes`` (None for no cap) must be
@@ -292,9 +292,10 @@ class SearchSpec:
                     f"type {self.target} is impossible for n = {self.n % 4} mod 4"
                 )
         elif isinstance(self.target, TauVector):
-            if self.target.k != self.k or self.target.nmod4 != self.n % 4:
+            t = self.target
+            if t.k != self.k or t.nmod4 != self.n % 4 or t.n not in (None, self.n):
                 raise OAError("target dimensions disagree with the search spec")
-            sigma_from_tau(self.target)
+            sigma_from_tau(t)
         else:
             raise OAError("target must be a TauVector or a parity-type string")
 

@@ -14,9 +14,9 @@ that are not permutations in the families it reads sigma from, and tells
 whether rows agree in one column from k = n + 1.  These functions compute each
 quantity from its definition instead, with parity kernels of their own
 (inversions counted by comparing every pair of positions, and cycle
-following for square types; the kernel's tests also compare it with the
-library's own cycle following, ``permutation_parity``), a loop over the
-columns for additivity, a set-based orbit search over the matrix-level
+following, which only this module does, for square types and the
+kernel's tests; the library's ``permutation_parity`` is the kernel), a
+loop over the columns for additivity, a set-based orbit search over the matrix-level
 actions, breadth-first searches and a labelling to a fixpoint that apply
 every generator of a generating set, over every word of a class or of the
 space or over the cosets of the swaps, with generators read off the

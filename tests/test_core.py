@@ -43,6 +43,16 @@ def test_parity_three_cycle():
     assert permutation_parity([1, 2, 0, 3, 4]) == 0
 
 
+def test_parity_of_a_non_permutation_fails_closed():
+    # one parity rule, the kernel's: a repeated image or one out of range
+    # is refused, and the empty permutation is even
+    assert permutation_parity([]) == 0
+    with pytest.raises(PermutationError):
+        permutation_parity([1, 1, 0])
+    with pytest.raises(OAError):
+        permutation_parity([5])
+
+
 def test_parity_is_homomorphism():
     rng = random.Random(101)
     for _ in range(300):
@@ -101,7 +111,7 @@ def test_parity_batch_matches_both_oracles(perms):
     got = parity_batch(perms)
     assert got.shape == (len(perms),) and got.dtype == np.uint8
     assert np.array_equal(got, inversion_parity(np.ascontiguousarray(perms)))
-    assert got.tolist() == [permutation_parity(p) for p in perms]
+    assert got.tolist() == [oracle.cycle_parity(p) for p in perms]
 
 
 @pytest.mark.parametrize("n", [15, 16, 17, 31, 32, 33, 63, 64, 65, 4095, 4096, 4097])
@@ -115,7 +125,7 @@ def test_parity_batch_at_level_boundaries(n):
     perms[1] = np.arange(n)[::-1]
     want = inversion_parity(perms)
     assert want[1] == n * (n - 1) // 2 % 2
-    assert want.tolist() == [permutation_parity(p) for p in perms]
+    assert want.tolist() == [oracle.cycle_parity(p) for p in perms]
     assert 0 < want.sum() < m
     for dtype in (np.uint8, np.uint16, np.int64, np.uint64):
         if n - 1 <= np.iinfo(dtype).max:

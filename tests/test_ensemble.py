@@ -256,6 +256,75 @@ def test_hand_built_census_is_judged_by_its_x():
     assert check_ensemble_laws(_hand_built(6, 2, max_equiparity(6))).all_passed
 
 
+def _paper_lower(n: int) -> int:
+    """The paper's least x of a plane-plausible OA(n+1, n): n(n+1)(n-4)/24
+    for n = 0 mod 4, (n+1)(n-1)(n-3)/24 for n = 1, ceil(n/4) for n = 2, 3."""
+    return [n * (n + 1) * (n - 4) // 24, (n + 1) * (n - 1) * (n - 3) // 24,
+            -(-n // 4), -(-n // 4)][n % 4]
+
+
+def _paper_upper(k: int) -> int:
+    """The paper's largest x for n = 2, 3 mod 4:
+    (k floor((k-1)/2) ceil((k-1)/2) - C(k,3)) / 2."""
+    return (k * ((k - 1) // 2) * -(-(k - 1) // 2) - math.comb(k, 3)) // 2
+
+
+def _paper_laws(k: int, nmod4: int, n: int | None, x: int, plane: bool, T: int) -> list:
+    """The (name, applicable, passed, detail) rows of the ensemble laws in
+    report order: for a plane-plausible OA(n+1, n), x even (n = 0 mod 4),
+    x at least ``_paper_lower`` and, for n = 2, 3, x = ceil(n/4) mod 4;
+    for n = 2, 3, x at most ``_paper_upper``."""
+    needs = "needs a plane-plausible OA(n+1, n)"
+    rows = [("edge-count-identity", True, True, f"T={T} consistent with both edge counts")]
+    if nmod4 == 0:
+        rows.append(("equiparity-even", plane, x % 2 == 0 if plane else None,
+                     f"x={x} must be even"))
+    if plane:
+        rows.append(("equiparity-lower-bound", True, x >= _paper_lower(n),
+                     f"x={x} >= {_paper_lower(n)}"))
+    else:
+        rows.append(("equiparity-lower-bound", False, None, needs))
+    if nmod4 in (2, 3):
+        if plane:
+            rows.append(("equiparity-congruence", True, (x - -(-n // 4)) % 4 == 0,
+                         f"x={x} = ceil(n/4) mod 4"))
+        else:
+            rows.append(("equiparity-congruence", False, None, needs))
+        rows.append(("equiparity-upper-bound", True, x <= _paper_upper(k),
+                     f"x={x} <= {_paper_upper(k)}"))
+        rows.append(("four-column-cap", k >= 4, True if k >= 4 else None,
+                     "every 4 columns yield at most 2 equiparity squares"))
+    return rows
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 10, 11, 14, 15])
+@pytest.mark.parametrize("verdict", ["yes", "no", "na"])
+def test_every_law_on_both_sides_of_its_bound(n, verdict):
+    """Hand-built censuses of k = n + 1 columns: a plane one (the plane
+    verdict "yes"), one that fails the plane conditions and one of unknown
+    n.  x runs over both sides of the lower bound, the congruence, the even
+    count and the upper bound; names, order, applicability, verdicts, their
+    types and the details all follow the paper's formulas."""
+    k, nmod4, plane = n + 1, n % 4, verdict == "yes"
+    lower, upper = _paper_lower(n), _paper_upper(k)
+    seen, binding = set(), set()
+    for x in sorted({0, lower - 1, lower, lower + 1, lower + 4, upper, upper + 1} - {-1}):
+        census = EnsembleCensus(
+            k=k, nmod4=nmod4, n=None if verdict == "na" else n, type_counts={}, x=x,
+            T=17, mu=(0,) * k, pp_plausible=verdict,
+        )
+        checks = check_ensemble_laws(census).checks
+        got = [(c.name, c.applicable, c.passed, c.detail) for c in checks]
+        want = _paper_laws(k, nmod4, n, x, plane, 17)
+        assert got == want
+        assert all(type(c.passed) in (bool, type(None)) for c in checks)
+        seen.update((name, passed) for name, _, passed, _ in got)
+        binding.update(name for name, applies, _, _ in want if applies)
+    # each law evaluated from x is seen both passing and failing
+    for name in binding - {"edge-count-identity", "four-column-cap"}:
+        assert {(name, True), (name, False)} <= seen, name
+
+
 # ---------------------------------------------------------------------------
 # good sequences
 

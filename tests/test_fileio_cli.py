@@ -706,6 +706,21 @@ def test_cli_search_oa_with_target(tmp_path, capsys):
     assert tau_parity(found) == tau_parity(a)
 
 
+def test_cli_search_oa_refuses_a_target_of_another_n(tmp_path, capsys):
+    # the report of the q = 4 plane's first four columns records n = 4: a
+    # search for an OA(4, 8) refuses it; with n null it is a target for any n
+    report = fileio.parity_report(mols_to_oa(oa_to_mols(linear_mols(4))[:2]))
+    assert report["n"] == 4
+    path, unknown = tmp_path / "t.json", tmp_path / "u.json"
+    path.write_text(json.dumps(report))
+    unknown.write_text(json.dumps({**report, "n": None}))
+    rc, out, err = run_cli(capsys, "search", "oa", "--k", "4", "--n", "8", "--target", str(path))
+    assert (rc, out, err) == (1, "", "error: target dimensions disagree with the search spec\n")
+    rc, out, _ = run_cli(capsys, "search", "oa", "--k", "4", "--n", "8", "--target", str(unknown),
+                         "--max-nodes", "10")
+    assert (rc, out) == (0, "not found within budget (11 nodes); inconclusive\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [["oa", "--max-nodes", "-1"], ["oa", "--restarts", "-2"], ["oa", "--restarts", "0"],

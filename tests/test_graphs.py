@@ -317,7 +317,6 @@ def test_block_sigma_graph_degrees():
 def test_desarguesian_9_graph_undirected_uniform():
     rep = sigma_graph(sigma_parity(linear_mols(9)))
     assert not rep.oriented
-    assert rep.out_parity_uniform
     assert rep.degree_law == "pass"
 
 

@@ -47,7 +47,14 @@ from conftest import (
     random_transform,
     zn_linear_oa,
 )
-from oracle import _sigma_bits, additivity_violation, direct_sigma, direct_tau, triple_violation
+from oracle import (
+    _sigma_bits,
+    additivity_violation,
+    cycle_parity,
+    direct_sigma,
+    direct_tau,
+    triple_violation,
+)
 from oracle import _tau_bits as oracle_tau_bits
 
 
@@ -63,9 +70,9 @@ def reference_parities(square):
     n = square.n
     pr = pc = ps = 0
     for i in range(n):
-        pr ^= permutation_parity(square.row_permutation(i))
-        pc ^= permutation_parity(square.column_permutation(i))
-        ps ^= permutation_parity(square.symbol_permutation(i))
+        pr ^= cycle_parity(square.row_permutation(i))
+        pc ^= cycle_parity(square.column_permutation(i))
+        ps ^= cycle_parity(square.symbol_permutation(i))
     return (pr, pc, ps)
 
 

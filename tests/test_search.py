@@ -10,6 +10,7 @@ from oaparity.core import LatinSquare, OAError, OrthogonalArray, UsageError, mol
 from oaparity.parity import (
     SigmaMatrix,
     StandardSigma,
+    TauVector,
     latin_square_parities,
     plausible_types,
     sigma_parity,
@@ -120,6 +121,18 @@ def test_spec_validation():
         SearchSpec(k=3, n=7, target="111", mode="exhaustive")  # beyond limits
     with pytest.raises(OAError):
         SearchSpec(k=3, n=5, target="000", mode="sideways")
+
+
+def test_spec_refuses_a_tau_target_of_another_n():
+    # the first four columns of the q = 4 plane record n = 4; n = 8 shares
+    # k and n mod 4 with it, but not n.  A target of unknown n is accepted.
+    t = tau_parity(OrthogonalArray(linear_mols(4).rows[:, :4]))
+    assert t.n == 4
+    with pytest.raises(OAError, match="^target dimensions disagree with the search spec$"):
+        SearchSpec(k=4, n=8, target=t)
+    assert SearchSpec(k=4, n=4, target=t).target is t
+    unknown = TauVector(k=4, nmod4=0, bits=t.bits)
+    assert SearchSpec(k=4, n=8, target=unknown).target is unknown
 
 
 @pytest.mark.parametrize("budget", [{"max_nodes": -1}, {"restarts": 0}, {"restarts": -2},
