@@ -12,6 +12,12 @@ Three families of artefacts:
   tournament meeting the equiparity lower bound, the circulant meeting the
   equiparity maximum, the lower-triangular matrix with no equiparity squares
   at all, and free-bit completions that satisfy the plane degree conditions.
+
+An array is built straight from its formula: the grid columns r and c of
+the n^2 cells (r, c) in row-major order, then one column per square, its
+formula evaluated on the grid, all passed to ``OrthogonalArray`` in one
+call.  That call's kernel pass is the one check that every square is Latin
+and every two are orthogonal; no square is built or checked on its own.
 """
 
 from __future__ import annotations
@@ -20,19 +26,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LatinSquare, OAError, OrthogonalArray, field_table, mols_to_oa
+from .core import OAError, OrthogonalArray, field_table
 from .parity import SigmaMatrix, StandardSigma, free_pairs
 
 
 def linear_mols(q: int) -> OrthogonalArray:
-    """The OA(q+1, q) of the squares L_lam[r, c] = lam*r + c over GF(q)."""
+    """The OA(q+1, q) of the squares L_lam[r, c] = lam*r + c over GF(q),
+    lam = 1..q-1: the column f.add[f.mul[lam, r], c] per multiplier beside
+    the grid columns r and c."""
     f = field_table(q)
-    idx = np.arange(q)
-    squares = [
-        LatinSquare(f.add[f.mul[lam][:, None], idx[None, :]])
-        for lam in range(1, q)
-    ]
-    return mols_to_oa(squares)
+    r, c = np.divmod(np.arange(q * q, dtype=np.int32), q)
+    squares = [f.add[f.mul[lam, r], c] for lam in range(1, q)]
+    return OrthogonalArray(np.column_stack([r, c] + squares))
 
 
 # ---------------------------------------------------------------------------
@@ -60,71 +65,45 @@ def is_quadratic_residue(x: int, n: int) -> bool:
 
 PATTERNS = ("nnn", "rnr")
 
+MAX_RESIDUE_ORDER = 1024
 
-@dataclass(frozen=True)
-class ResiduePattern:
-    """Element a of Z_n whose neighbours a-1, a, a+1 match a residue pattern.
 
-    "nnn" asks for three consecutive non-residues, "rnr" for
-    residue, non-residue, residue.  Both exist for every prime
-    n = 3 mod 4 with n >= 11.
-    """
-
-    n: int
-    a: int
-    pattern: str
-
-    def __post_init__(self):
-        if self.pattern not in PATTERNS:
-            raise OAError(f"pattern must be one of {PATTERNS}")
-        if not (2 <= self.a <= self.n - 2):
-            raise OAError(f"a={self.a} out of range 2..{self.n - 2}")
-        want = (
-            (False, False, False) if self.pattern == "nnn" else (True, False, True)
-        )
-        got = tuple(is_quadratic_residue(self.a + d, self.n) for d in (-1, 0, 1))
-        if got != want:
-            raise OAError(
-                f"a={self.a} does not match pattern {self.pattern} mod {self.n}"
-            )
+def residue_pattern(n: int, a: int) -> str:
+    """The residuosity of a-1, a, a+1 mod the odd prime n, 'r' for a residue
+    and 'n' for a non-residue, for 2 <= a <= n-2.  The two patterns of
+    ``PATTERNS``, three consecutive non-residues and residue, non-residue,
+    residue, both occur for every prime n = 3 mod 4 with n >= 11."""
+    return "".join("r" if is_quadratic_residue(a + d, n) else "n" for d in (-1, 0, 1))
 
 
 def qualifying_values(n: int, pattern: str) -> list[int]:
-    """All a in [2, n-2] matching the residue pattern."""
-    out = []
-    for a in range(2, n - 1):
-        try:
-            ResiduePattern(n=n, a=a, pattern=pattern)
-        except OAError:
-            continue
-        out.append(a)
-    return out
+    """All a in [2, n-2] whose ``residue_pattern`` is ``pattern``."""
+    return [a for a in range(2, n - 1) if residue_pattern(n, a) == pattern]
 
 
 def residue_pattern_oa(n: int, pattern: str, a: int | None = None) -> OrthogonalArray:
-    """OA(5, n) from the squares with multipliers a, a^2, a^3 mod n.
+    """OA(5, n) from the squares (lam*r + c) mod n, lam = a, a^2, a^3 mod n.
 
-    n must be a prime = 3 mod 4 with n >= 11.  The least qualifying a is
-    chosen when none is given; the resulting tau vector depends only on the
-    pattern, not on the choice of a.
+    n must be a prime = 3 mod 4 with 11 <= n <= ``MAX_RESIDUE_ORDER``; the
+    bound is checked first, before the primality test and the scan for a.
+    The least qualifying a is chosen when none is given; the resulting tau
+    vector depends only on the pattern, not on the choice of a.
     """
+    if n > MAX_RESIDUE_ORDER:
+        raise OAError(f"residue order {n} exceeds the supported maximum {MAX_RESIDUE_ORDER}")
     if not is_prime(n) or n % 4 != 3 or n < 11:
         raise OAError(f"need a prime n = 3 mod 4 with n >= 11, got {n}")
     if pattern not in PATTERNS:
         raise OAError(f"pattern must be one of {PATTERNS}")
     if a is None:
-        qualifying = qualifying_values(n, pattern)
-        if not qualifying:
-            raise OAError(f"no qualifying a for pattern {pattern} mod {n}")
-        a = qualifying[0]
-    else:
-        ResiduePattern(n=n, a=a, pattern=pattern)  # validates
-    idx = np.arange(n)
-    squares = [
-        LatinSquare((lam * idx[:, None] + idx[None, :]) % n)
-        for lam in (a % n, (a * a) % n, (a * a * a) % n)
-    ]
-    return mols_to_oa(squares)
+        a = qualifying_values(n, pattern)[0]
+    elif not 2 <= a <= n - 2:
+        raise OAError(f"a={a} out of range 2..{n - 2}")
+    elif residue_pattern(n, a) != pattern:
+        raise OAError(f"a={a} does not match pattern {pattern} mod {n}")
+    r, c = np.divmod(np.arange(n * n, dtype=np.int32), n)
+    squares = [(lam * r + c) % n for lam in (a, a * a % n, a ** 3 % n)]
+    return OrthogonalArray(np.column_stack([r, c] + squares))
 
 
 # ---------------------------------------------------------------------------

@@ -114,17 +114,14 @@ def latin_square_parities(square: LatinSquare) -> ParityTriple:
 
     Each bit is the mod-2 sum of the parities of the n permutations obtained
     by fixing a row (j -> cells[i,j]), a column (i -> cells[i,j]) or a symbol
-    (i -> j where cells[i,j] is the symbol).  On the square's OA(3, n), rows
-    (i, j, cells[i,j]), the row and column bits are the fixed-column bits
-    d[1,3] and d[2,3], its two families, which are the square's rows and
-    columns, read in one kernel call; any two parities determine the third,
+    (i -> j where cells[i,j] is the symbol).  The square's n rows and then
+    its n columns go through one ``parity_batch`` call, and each half summed
+    mod 2 is r and c; any two parities determine the third,
     s = r + c + C(n,2) mod 2.
     """
     n = square.n
-    idx = np.arange(n, dtype=np.int16)
-    d = _fixed_column_bits(np.column_stack((np.repeat(idx, n), np.tile(idx, n),
-                                            square.cells.ravel())), n)
-    r, c = int(d[1, 3]), int(d[2, 3])
+    bits = parity_batch(np.concatenate((square.cells, square.cells.T)))
+    r, c = (bits.reshape(2, n).sum(axis=1) & 1).tolist()
     return ParityTriple(r, c, r ^ c ^ binom2_bit(n % 4))
 
 

@@ -256,8 +256,11 @@ class SearchSpec:
     the free sigma entries of the columns so far.  Modes:
     "first-hit" (deterministic DFS, first match), "exhaustive" (certifies
     non-existence; only for k=3 n<=6 and k=4 n<=5), "randomized" (seeded
-    symbol shuffles with restarts).  ``max_nodes`` (None for no cap) must be
-    >= 0 and ``restarts`` >= 1.
+    symbol shuffles with restarts).  First-hit and exhaustive walks fold
+    each column by its first row; a randomized walk does not, and visits
+    every node of its shuffled tree, so with no ``max_nodes`` it can run
+    far longer than first-hit on the same target.  ``max_nodes`` (None for
+    no cap) must be >= 0 and ``restarts`` >= 1.
     """
 
     k: int

@@ -11,7 +11,9 @@ with one iterative cell walk that keeps a running square parity, and takes
 the ensemble census, the four-column cap and the graph splits as
 whole-array passes, checks orthogonality by the kernel's refusal of rows
 that are not permutations in the families it reads sigma from, and tells
-whether rows agree in one column from k = n + 1.  These functions compute each
+whether rows agree in one column from k = n + 1, builds each construction's
+columns straight from its formula, and trusts its fixed GF(q) tables
+without checking them.  These functions compute each
 quantity from its definition instead, with parity kernels of their own
 (inversions counted by comparing every pair of positions, and cycle
 following, which only this module does, for square types and the
@@ -24,8 +26,10 @@ matrix-level actions and cosets reduced by an elimination of their own, a
 recursive search, one frame per cell, that checks each completed column
 from its definition, loops over column triples, quads and vertex pairs with
 per-entry lookups, one bincount per column pair, a comparison of every
-pair of rows, and GF(q) tables one element pair at a time, reducing each
-polynomial product term by term.  Apart from the
+pair of rows, GF(q) tables one element pair at a time, reducing each
+polynomial product term by term, the field axioms on every triple of
+elements, and the constructions one checked Latin square per multiplier,
+with residues found by squaring every element.  Apart from the
 search's visit order, which both sides must follow node for node, they
 share no algorithm with the code they check.
 """
@@ -38,7 +42,7 @@ import random
 import numpy as np
 
 from oaparity.classes import act_permute, act_swap
-from oaparity.core import _IRREDUCIBLE, LatinSquare, OAError, _prime_power
+from oaparity.core import _IRREDUCIBLE, LatinSquare, OAError, _prime_power, field_table, mols_to_oa
 from oaparity.parity import (
     SigmaMatrix,
     StandardSigma,
@@ -374,6 +378,21 @@ def cycle_parity(images) -> int:
                 seen[x] = True
                 x = images[x]
     return (len(images) - cycles) & 1
+
+
+def row_permutation(square, i: int) -> np.ndarray:
+    """The permutation j -> cells[i, j] of a Latin square."""
+    return square.cells[i]
+
+
+def column_permutation(square, j: int) -> np.ndarray:
+    """The permutation i -> cells[i, j] of a Latin square."""
+    return square.cells[:, j]
+
+
+def symbol_permutation(square, symbol: int) -> np.ndarray:
+    """The permutation i -> j where cells[i, j] == symbol."""
+    return np.argmax(square.cells == symbol, axis=1).astype(np.int16)
 
 
 def square_type(cells) -> str:
@@ -721,3 +740,60 @@ def field_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
                     prod[d - e + i] = (prod[d - e + i] - c * red[i]) % p
             mul[a, b] = value(prod[:e])
     return add, mul
+
+
+def field_axioms_hold(q: int, add: np.ndarray, mul: np.ndarray) -> bool:
+    """Whether q x q tables on labels 0..q-1 form a field with 0 and 1 as
+    identities: both operations commutative and associative, every row of
+    + and every nonzero row of * a permutation (so inverses exist), 0 * x
+    = 0, and * distributive over +, each law checked on every triple."""
+    idx = np.arange(q)
+    ok = (
+        np.array_equal(add, add.T)
+        and np.array_equal(mul, mul.T)
+        and np.array_equal(add[0], idx)
+        and np.array_equal(mul[1], idx)
+        and np.array_equal(mul[0], np.zeros(q, dtype=add.dtype))
+        and np.array_equal(np.sort(add, axis=1), np.tile(idx, (q, 1)))
+        and np.array_equal(np.sort(mul[1:], axis=1), np.tile(idx, (q - 1, 1)))
+    )
+    return bool(
+        ok
+        and np.array_equal(add[add[:, :, None], idx], add[idx[:, None, None], add[None]])
+        and np.array_equal(mul[mul[:, :, None], idx], mul[idx[:, None, None], mul[None]])
+        and np.array_equal(mul[idx[:, None, None], add[None]], add[mul[:, :, None], mul[:, None, :]])
+    )
+
+
+# ---------------------------------------------------------------------------
+# constructions, one Latin square per multiplier
+
+
+def linear_mols(q: int):
+    """The OA(q+1, q) of the squares L_lam[r, c] = lam*r + c over GF(q), lam
+    = 1..q-1, each built and checked as a LatinSquare, then joined by
+    ``mols_to_oa``."""
+    f = field_table(q)
+    idx = np.arange(q)
+    return mols_to_oa([LatinSquare(f.add[f.mul[lam][:, None], idx[None, :]])
+                       for lam in range(1, q)])
+
+
+def residues(n: int) -> set:
+    """The nonzero squares mod n, by squaring every element."""
+    return {x * x % n for x in range(1, n)}
+
+
+def residue_pattern(n: int, a: int) -> str:
+    """The 'r'/'n' residuosity of a - 1, a, a + 1 mod prime n, read off
+    ``residues``."""
+    squares = residues(n)
+    return "".join("r" if (a + d) % n in squares else "n" for d in (-1, 0, 1))
+
+
+def residue_pattern_oa(n: int, a: int):
+    """The OA(5, n) of the squares lam*r + c mod n, lam = a, a^2, a^3, each
+    built and checked as a LatinSquare, then joined by ``mols_to_oa``."""
+    idx = np.arange(n)
+    return mols_to_oa([LatinSquare((lam * idx[:, None] + idx[None, :]) % n)
+                       for lam in (a % n, a * a % n, a ** 3 % n)])

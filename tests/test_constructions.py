@@ -14,7 +14,7 @@ from oaparity.parity import (
 )
 from oaparity.classes import orbit
 from oaparity.constructions import (
-    ResiduePattern,
+    MAX_RESIDUE_ORDER,
     block_sigma,
     block_sizes,
     circulant_sigma,
@@ -48,6 +48,16 @@ def test_linear_mols_is_a_plane_array(q):
 def test_linear_mols_prime_field_matches_reference():
     for p in (3, 5, 7, 11):
         assert linear_mols(p) == zn_linear_oa(p)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32])
+def test_linear_mols_matches_per_square_build(q):
+    # the stacked columns against one checked LatinSquare per multiplier,
+    # row for row in storage order, and the squares read back
+    a = linear_mols(q)
+    want = oracle.linear_mols(q)
+    assert a.rows.dtype == want.rows.dtype and np.array_equal(a.rows, want.rows)
+    assert oa_to_mols(a) == oa_to_mols(want)
 
 
 def test_linear_mols_even_order_squares_are_equiparity():
@@ -84,10 +94,25 @@ def test_qualifying_values_n11():
     assert qualifying_values(11, "rnr") == [2]
 
 
+@pytest.mark.parametrize("n", [11, 19, 23, 43, 47, 59])
+def test_residue_pattern_oa_matches_per_square_build(n):
+    # every a in 2..n-2 whose neighbours have a pattern, against residues
+    # found by squaring and one checked LatinSquare per multiplier
+    for pattern in ("nnn", "rnr"):
+        want = [a for a in range(2, n - 1) if oracle.residue_pattern(n, a) == pattern]
+        assert qualifying_values(n, pattern) == want and want
+        for a in want:
+            got = residue_pattern_oa(n, pattern, a=a).rows
+            assert np.array_equal(got, oracle.residue_pattern_oa(n, a).rows), (pattern, a)
+        assert residue_pattern_oa(n, pattern) == residue_pattern_oa(n, pattern, a=want[0])
+
+
 def test_residue_pattern_validation():
-    with pytest.raises(OAError):
-        ResiduePattern(n=11, a=3, pattern="nnn")
-    ResiduePattern(n=11, a=7, pattern="nnn")
+    with pytest.raises(OAError, match=r"^a=3 does not match pattern nnn mod 11$"):
+        residue_pattern_oa(11, "nnn", a=3)
+    with pytest.raises(OAError, match=r"^a=10 out of range 2\.\.9$"):
+        residue_pattern_oa(11, "nnn", a=10)
+    assert residue_pattern_oa(11, "nnn", a=7) == residue_pattern_oa(11, "nnn")
     with pytest.raises(OAError):
         residue_pattern_oa(13, "nnn")  # 13 = 1 mod 4
     with pytest.raises(OAError):
@@ -114,6 +139,17 @@ def test_residue_pattern_invariant_of_choice(n):
             for a in qualifying_values(n, pattern)
         }
         assert len(taus) == 1
+
+
+def test_residue_order_is_bounded():
+    # refused before the primality test and the scan for a; 1024 itself
+    # passes the bound and fails as a composite
+    assert MAX_RESIDUE_ORDER == 1024
+    for n in (1025, 1031, 10007, 1000000007, 10**30 + 57):
+        with pytest.raises(OAError, match=f"^residue order {n} exceeds the supported maximum 1024$"):
+            residue_pattern_oa(n, "nnn")
+    with pytest.raises(OAError, match="^need a prime n = 3 mod 4 with n >= 11, got 1024$"):
+        residue_pattern_oa(1024, "nnn")
 
 
 def test_residue_pattern_orbits():

@@ -219,7 +219,7 @@ def test_cyclic_square_valid():
 def test_symbol_permutation():
     sq = cyclic_square(3)
     # symbol 0 sits at (0,0), (1,2), (2,1)
-    assert list(sq.symbol_permutation(0)) == [0, 2, 1]
+    assert list(oracle.symbol_permutation(sq, 0)) == [0, 2, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +409,13 @@ def test_field_tables_match_per_element_oracle(q):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 32])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32])
 def test_all_supported_fields_verify(q):
+    # field_table trusts its fixed irreducible polynomials; this is the one
+    # check that every supported table is a field
     f = field_table(q)
     assert f.q == q
+    assert oracle.field_axioms_hold(q, f.add, f.mul)
     nonzero = list(range(1, q))
     for a in nonzero:
         assert sorted(int(f.mul[a, b]) for b in nonzero) == nonzero

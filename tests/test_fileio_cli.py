@@ -3,6 +3,7 @@ import ast
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -418,6 +419,24 @@ def test_cli_array_commands_leave_numpy_ma_unimported(tmp_path):
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
                          timeout=120)
     assert out.stderr.splitlines()[-1] == "[0, 0] False", out.stderr
+
+
+@pytest.mark.parametrize("n", ["10007", "1000000007"])
+def test_cli_residue_oa_over_the_bound_fails_closed(n):
+    # in a child under a 1.5 GB address-space limit: one error line, no
+    # traceback, and the command (import excluded) done within a second
+    script = ("import sys, time; from oaparity import cli; t = time.perf_counter(); "
+              "rc = cli.main(sys.argv[1:]); print(time.perf_counter() - t); sys.exit(rc)")
+    env = dict(os.environ, PYTHONPATH=str(Path(oaparity.__file__).parents[1]))
+    limit = 1_500_000 * 1024
+    out = subprocess.run(
+        [sys.executable, "-c", script, "construct", "residue-oa", "--n", n, "--pattern", "nnn"],
+        env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert out.returncode == 1, out.stderr
+    assert out.stderr.splitlines() == [
+        f"error: residue order {n} exceeds the supported maximum 1024"]
+    assert float(out.stdout) < 1.0
 
 
 def run_cli(capsys, *argv):

@@ -50,9 +50,12 @@ from conftest import (
 from oracle import (
     _sigma_bits,
     additivity_violation,
+    column_permutation,
     cycle_parity,
     direct_sigma,
     direct_tau,
+    row_permutation,
+    symbol_permutation,
     triple_violation,
 )
 from oracle import _tau_bits as oracle_tau_bits
@@ -70,9 +73,9 @@ def reference_parities(square):
     n = square.n
     pr = pc = ps = 0
     for i in range(n):
-        pr ^= cycle_parity(square.row_permutation(i))
-        pc ^= cycle_parity(square.column_permutation(i))
-        ps ^= cycle_parity(square.symbol_permutation(i))
+        pr ^= cycle_parity(row_permutation(square, i))
+        pc ^= cycle_parity(column_permutation(square, i))
+        ps ^= cycle_parity(symbol_permutation(square, i))
     return (pr, pc, ps)
 
 
@@ -85,10 +88,12 @@ def test_z3_square_parities():
 
 
 def test_parities_match_reference_oracle():
+    # orders 2..7, then both sides of the kernel's 16-, 32- and 64-bit word
+    # boundaries; 65 takes the radix-64 path
     rng = random.Random(5)
-    for n in range(2, 8):
+    for n, repeats in [(n, 20) for n in range(2, 8)] + [(n, 3) for n in (16, 17, 32, 33, 64, 65)]:
         base = cyclic_square(n)
-        for _ in range(20):
+        for _ in range(repeats):
             sq = random_isotope_square(base, rng)
             assert tuple(latin_square_parities(sq)) == reference_parities(sq)
 
