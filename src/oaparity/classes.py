@@ -16,8 +16,8 @@ an array's column and symbol relabellings move its stored sigma
 
 Orbits of the group generated by these operations are the switching classes;
 their sizes divide k! for even n and k! * 2^(k-1) for odd n.  The searches
-below run on compiled affine maps, which the tests check against the two
-matrix-level operations.
+below run on affine maps read off the switching rule of ``parity``, the one
+code behind both operations.
 
 A state is a ``StandardSigma``; the search packs each into its ``word``,
 whose numeric order is lexicographic order on bit vectors (stable canonical
@@ -27,7 +27,8 @@ Every generator is affine over GF(2) on words: an adjacent transposition
 moves each pair's bit to the pair it relabels onto, flips it when the
 pair's orientation reverses, and complements the word when the new (1,2)
 entry is 1; a swap at {t} moves no bit, so it is x -> x ^ c_t for a
-constant c_t.
+constant c_t, its image of the zero word.  So the images of the zero word
+and of each unit word fix a generator.
 
 For odd n the searches run on a quotient.  The k swap constants span a
 space V of dimension k - 1, and every column relabelling maps V onto
@@ -38,7 +39,9 @@ packed index is that word with the pivot bits dropped, which keeps the
 order of least words.  For even n V is 0 and a packed index is a word.
 Taking least words and dropping pivot bits are linear, so each transposition
 acts on packed indices as one affine map, a constant XOR one column per
-packed bit, compiled once per (k, n mod 4).  The searches walk packed
+packed bit.  It is read once per (k, n mod 4) off the switching rule,
+applied in one batched call to the least words of 0 and of each unit packed
+index.  The searches walk packed
 indices with the k - 1 transpositions and multiply class sizes by the coset
 size 2^(k-1); a class's least word is its least packed index unpacked.
 
@@ -80,10 +83,12 @@ import numpy as np
 from .core import OAError, OrthogonalArray, ResourceLimitError, UsageError
 from .parity import (  # the two operations live beside standardise; re-exported here
     StandardSigma,
+    _check_shape,
+    _sigmas,
+    _switch,
+    _words,
     act_permute,
     act_swap,
-    binom2_bit,
-    free_pairs,
     sigma_parity,
 )
 
@@ -95,13 +100,6 @@ _DEFAULT_BUDGET_MB = 2048
 _BUDGET_ENV = "OAPARITY_ORBIT_BUDGET_MB"
 # inputs per pass of _Affine.apply; its index buffers then take 128 KiB
 _APPLY_BLOCK = 1 << 14
-
-
-def _bit_positions(k: int) -> dict[tuple[int, int], int]:
-    """The bit of each free pair in ``StandardSigma.word``."""
-    rows, cols = free_pairs(k)
-    b = len(rows)
-    return {pair: b - 1 - v for v, pair in enumerate(zip(rows.tolist(), cols.tolist()))}
 
 
 # perfbench/wl_space.py builds orbit states under the old name of the packed
@@ -187,43 +185,6 @@ class _Affine:
         return out
 
 
-def _compile(k: int, nmod4: int, g: tuple, t: int = 0) -> _Affine:
-    """Relabel columns by g, swap at {t} (no swap for t = 0), re-standardise,
-    as an affine map on words: each pair's bit comes from the pair relabelled
-    onto it, flipped by the swap and by a reversed orientation, and the whole
-    word is complemented when the new (1,2) entry is 1."""
-    kk = binom2_bit(nmod4)
-    pos = _bit_positions(k)
-    full = (1 << len(pos)) - 1
-    ginv = [0] * (k + 1)
-    for i, gi in enumerate(g, start=1):
-        ginv[gi] = i
-
-    def source(a, b):
-        s1, s2 = ginv[a], ginv[b]
-        const = int((a == t) != (b == t))
-        if s1 > s2:
-            s1, s2 = s2, s1
-            const ^= kk
-        if (s1, s2) == (1, 2):
-            return None, const
-        return pos[(s1, s2)], const
-
-    const = 0
-    cols = [0] * len(pos)
-    for (a, b), dst in pos.items():
-        src, flip = source(a, b)
-        const |= flip << dst
-        if src is not None:
-            cols[src] |= 1 << dst
-    d_src, d_const = source(1, 2)
-    if d_const:
-        const ^= full
-    if d_src is not None:
-        cols[d_src] ^= full
-    return _Affine(const, tuple(cols))
-
-
 def _echelon(vectors) -> tuple:
     """Reduced echelon basis of the span of ``vectors``, as (pivot, vector)
     pairs with the highest pivot first: each pivot is its vector's top bit
@@ -298,27 +259,26 @@ class _Quotient:
             index = index >> pivot << (pivot + 1) | index & ((1 << pivot) - 1)
         return index
 
-    def packed(self, g: _Affine) -> _Affine:
-        """index o g o word, for a map g on words that maps cosets to cosets.
-        index and word are linear, so this is affine too."""
-        pivots = {pivot for pivot, _ in self.basis}
-        return _Affine(self.index(g.const),
-                       tuple(self.index(col) for v, col in enumerate(g.cols) if v not in pivots))
-
 
 @cache
 def _quotient(k: int, nmod4: int) -> _Quotient:
-    identity = tuple(range(1, k + 1))
     basis = ()
     if nmod4 % 2 == 1:
-        # a swap at {t} relabels nothing and reads no (1,2) entry: x -> x ^ c_t
-        basis = _echelon(_compile(k, nmod4, identity, t).const for t in range(1, k + 1))
+        # a swap at {t} relabels nothing and flips the (1,2) entry for every
+        # word or for none: x -> x ^ c_t, c_t the image of the zero word
+        swaps = np.eye(k + 1, dtype=np.uint8)[1:]
+        basis = _echelon(_words(_switch(_sigmas(k, nmod4, [0]), chi=swaps)))
     quotient = _Quotient(k=k, basis=basis, bits=k * (k - 1) // 2 - 1)
+    # a transposition's map on packed indices is fixed by its images of 0
+    # and of each unit index, read off the action on their least words
+    indices = [0] + [1 << b for b in range(quotient.width)]
+    units = _sigmas(k, nmod4, [quotient.word(x) for x in indices])
     gens = []
     for t in range(1, k):
-        g = list(identity)
+        g = list(range(1, k + 1))
         g[t - 1], g[t] = g[t], g[t - 1]
-        gens.append(quotient.packed(_compile(k, nmod4, tuple(g))))
+        const, *images = map(quotient.index, _words(_switch(units, g=g)))
+        gens.append(_Affine(const, tuple(image ^ const for image in images)))
     return replace(quotient, gens=tuple(gens))
 
 
@@ -409,10 +369,13 @@ def orbit(s: StandardSigma) -> OrbitSummary:
     divisibility bound (k! for even n, k! * 2^(k-1) for odd n).  Packed
     indices must fit 64 bits: k <= 11, and k = 12 for odd n.
     """
-    quotient = _quotient(s.k, s.nmod4)
-    if quotient.width > 64:
+    # the swap constants span k - 1 dimensions, so a state too wide is
+    # refused before its quotient is built
+    width = s.k * (s.k - 1) // 2 - 1 - (s.k - 1) * (s.nmod4 % 2)
+    if width > 64:
         raise OAError(f"orbit search packs states into 64-bit indices, but k={s.k} with "
-                      f"n = {s.nmod4} mod 4 needs {quotient.width} bits")
+                      f"n = {s.nmod4} mod 4 needs {width} bits")
+    quotient = _quotient(s.k, s.nmod4)
     cosets = _chain_orbit(quotient.index(s.word), quotient, _budget_bytes())
     size = cosets.size * quotient.coset_size
     bound = _orbit_bound(s.k, s.nmod4)
@@ -537,7 +500,8 @@ def enumerate_classes(k: int, nmod4: int) -> ClassTable:
             f"full enumeration supports 3 <= k <= 8 (got k={k}); "
             "use orbit() for individual states at larger k"
         )
-    k, nmod4 = int(k), int(nmod4) % 4
+    k, nmod4 = int(k), int(nmod4)
+    _check_shape(k, nmod4, None)
     quotient = _quotient(k, nmod4)
     census = _class_sizes_by_label if quotient.size <= _LABEL_LIMIT else _class_sizes_by_orbit
     sizes, counts = np.unique(census(quotient, _budget_bytes()), return_counts=True)

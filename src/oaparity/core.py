@@ -105,9 +105,13 @@ def parity_batch(perms: np.ndarray) -> np.ndarray:
     size.  With a pass per position, long rows in small batches are slow:
     36 rows of length 65 take about 4x, and 64 rows of length 4097 (padded
     to 8192) about 10x, the time of pointer jumping, whose ceil(log2 n)
-    passes each cover the whole chunk.  Nothing in the package builds
-    permutations longer than 59.  Tests compare it with two oracles,
-    cycle following and inversion counting.
+    passes each cover the whole chunk.  The callers send long rows too:
+    an ``OrthogonalArray``'s family pass (``parity._fixed_column_bits``)
+    and ``latin_square_parities`` send rows of length n, the array's order,
+    which reaches 1 019 for ``residue_pattern_oa``, and
+    ``permutation_parity`` one row, of length n^2 for the row permutation
+    of ``apply_transform``.  Tests compare it with two oracles, cycle
+    following and inversion counting.
     """
     perms = np.asarray(perms)
     if perms.ndim != 2:

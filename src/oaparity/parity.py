@@ -273,8 +273,7 @@ class SigmaMatrix:
     @classmethod
     def from_upper(cls, k: int, nmod4: int, upper: np.ndarray, n: int | None = None):
         """Complete the entries above the diagonal by the transpose law."""
-        up = np.triu(np.asarray(upper, dtype=np.uint8), 1)
-        return cls(k, nmod4, up | np.tril(up.T ^ binom2_bit(nmod4), -1), n=n)
+        return cls(k, nmod4, _complete(np.triu(np.asarray(upper, dtype=np.uint8), 1), nmod4), n=n)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -341,14 +340,61 @@ def free_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
+# ---------------------------------------------------------------------------
+# the switching rule and the word packing, on the last two axes of sigma
+# arrays; row and column 0 are unused and may hold anything
+
+
+def _complete(up: np.ndarray, nmod4: int) -> np.ndarray:
+    """Sigma arrays whose entries above the diagonal are those of ``up``,
+    which is zero on and below it, and whose entries below follow by the
+    transpose law."""
+    return up | np.tril(up.swapaxes(-1, -2) ^ binom2_bit(nmod4), -1)
+
+
+def _switch(m: np.ndarray, g=None, chi: np.ndarray | None = None) -> np.ndarray:
+    """The switching rule: flip the entries with exactly one index in the
+    swap set, whose indicator on 0..k is ``chi`` (its leading axes broadcast
+    against m's), relabel column i as g[i - 1], then complement where the
+    (1,2) entry is 1."""
+    off = _off_diagonal(m.shape[-1] - 1)
+    if chi is not None:
+        m = m ^ ((chi[..., :, None] ^ chi[..., None, :]) & off)
+    if g is not None:
+        ginv = np.empty(len(g) + 1, dtype=np.intp)
+        ginv[[0, *g]] = np.arange(len(g) + 1)
+        m = m[..., ginv[:, None], ginv]
+    return m ^ (m[..., 1:2, 2:3] & off)
+
+
+def _sigmas(k: int, nmod4: int, words) -> np.ndarray:
+    """The standardised sigmas whose free entries each word packs, stacked
+    on the first axis."""
+    rows, cols = free_pairs(k)
+    pad = -rows.size % 8
+    raw = b"".join((w << pad).to_bytes((rows.size + pad) // 8, "big") for w in words)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(words), -1), axis=1)
+    up = np.zeros((len(words), k + 1, k + 1), dtype=np.uint8)
+    up[:, rows, cols] = bits[:, :rows.size]
+    return _complete(up, nmod4)
+
+
+def _words(m: np.ndarray) -> list[int]:
+    """The word of each standardised sigma on the last two axes of m: the
+    free pair at position v of ``free_pairs`` is bit b - 1 - v, b = C(k,2) -
+    1, so numeric order on words is lexicographic order on bit vectors."""
+    rows, cols = free_pairs(m.shape[-1] - 1)
+    packed = np.packbits(m[..., rows, cols].reshape(-1, rows.size), axis=1)
+    pad = -rows.size % 8
+    return [int.from_bytes(row.tobytes(), "big") >> pad for row in packed]
+
+
 class StandardSigma(SigmaMatrix):
     """A sigma matrix standardised so that its (1,2) entry is zero.
 
     Of a sigma matrix and its complement, which determine the same tau
     vector, exactly one is standard.  Its C(k,2) - 1 free entries pack into
-    one integer, ``word``: the free pair at position v of ``free_pairs`` is
-    bit b - 1 - v, b = C(k,2) - 1, so numeric order on words is
-    lexicographic order on the bit vectors.
+    one integer, ``word`` (see ``_words``).
     """
 
     __slots__ = ()
@@ -362,20 +408,14 @@ class StandardSigma(SigmaMatrix):
     def from_word(cls, k: int, nmod4: int, word: int, n: int | None = None) -> "StandardSigma":
         """The standardised sigma whose free entries ``word`` packs."""
         _check_shape(k, nmod4, n)
-        b = k * (k - 1) // 2 - 1
-        if not 0 <= word < (1 << b):
+        if not 0 <= word < (1 << (k * (k - 1) // 2 - 1)):
             raise OAError(f"word out of range for k={k}")
-        pad = -b % 8
-        raw = (word << pad).to_bytes((b + pad) // 8, "big")
-        up = np.zeros((k + 1, k + 1), dtype=np.uint8)
-        up[free_pairs(k)] = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))[:b]
-        return cls.from_upper(k, nmod4, up, n=n)
+        return cls(k, nmod4, _sigmas(k, nmod4, [word])[0], n=n)
 
     @property
     def word(self) -> int:
         """The free entries packed into one integer, (1,3) the top bit."""
-        bits = self.m[free_pairs(self.k)]
-        return int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-bits.size % 8)
+        return _words(self.m)[0]
 
     def to_matrix(self) -> SigmaMatrix:
         """The full matrix, which a standardised sigma already is."""
@@ -387,8 +427,7 @@ def standardise(sigma: SigmaMatrix) -> StandardSigma:
     a ``StandardSigma`` is returned as it is."""
     if isinstance(sigma, StandardSigma):
         return sigma
-    chosen = sigma.complement() if sigma.m[1, 2] else sigma
-    return StandardSigma(sigma.k, sigma.nmod4, chosen.m, n=sigma.n)
+    return StandardSigma(sigma.k, sigma.nmod4, _switch(sigma.m), n=sigma.n)
 
 
 def act_permute(s: StandardSigma, g) -> StandardSigma:
@@ -399,13 +438,12 @@ def act_permute(s: StandardSigma, g) -> StandardSigma:
     g = tuple(g)
     if sorted(g) != list(range(1, s.k + 1)):
         raise OAError("g must be a permutation of 1..k")
-    ginv = np.zeros(s.k + 1, dtype=np.int64)
-    ginv[list(g)] = np.arange(1, s.k + 1)
-    return standardise(SigmaMatrix(s.k, s.nmod4, s.m[np.ix_(ginv, ginv)], n=s.n))
+    return StandardSigma(s.k, s.nmod4, _switch(s.m, g=g), n=s.n)
 
 
 def act_swap(s: StandardSigma, cset) -> StandardSigma:
-    """Flip bits with exactly one endpoint in cset; odd n only."""
+    """Flip bits with exactly one endpoint in cset and re-standardise; odd n
+    only."""
     if s.nmod4 % 2 == 0:
         raise OAError("swap undefined for even n")
     members = set(cset)
@@ -413,9 +451,7 @@ def act_swap(s: StandardSigma, cset) -> StandardSigma:
         raise OAError("swap set must be a subset of 1..k")
     chi = np.zeros(s.k + 1, dtype=np.uint8)
     chi[list(members)] = 1
-    # the constructor drops what the flip puts in the unused row/column 0
-    m = s.m ^ chi[:, None] ^ chi[None, :]
-    return standardise(SigmaMatrix(s.k, s.nmod4, m, n=s.n))
+    return StandardSigma(s.k, s.nmod4, _switch(s.m, chi=chi), n=s.n)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ bit, and tau from sigma, derives a square's symbol parity from its row and
 column parities, checks additivity for every column in one array
 comparison, builds
 switching classes through the chain S_1 < ... < S_k on packed cosets of the
-swaps (odd n) with transpositions compiled to affine maps, and searches
+swaps (odd n) with transpositions as affine maps read off one batched
+action on unit words, and searches
 with one iterative cell walk that keeps a running square parity, and takes
 the ensemble census, the four-column cap and the graph splits as
 whole-array passes, checks orthogonality by the kernel's refusal of rows
@@ -151,19 +152,20 @@ class WordMap:
 
     The actions are affine over GF(2) on words (a relabelling moves and
     flips bits, standardising complements the word on one bit), so the
-    images of the zero word and of each unit word fix one.  It is applied
+    images of the zero word and of each unit word fix one: ``const`` and
+    ``cols``, ``const`` XORed into each unit word's image.  It is applied
     one byte of the input at a time.
     """
 
     def __init__(self, k: int, nmod4: int, action):
         bits = k * (k - 1) // 2 - 1
-        const = action(StandardSigma.from_word(k, nmod4, 0)).word
-        cols = [action(StandardSigma.from_word(k, nmod4, 1 << b)).word ^ const
-                for b in range(bits)]
+        self.const = const = action(StandardSigma.from_word(k, nmod4, 0)).word
+        self.cols = [action(StandardSigma.from_word(k, nmod4, 1 << b)).word ^ const
+                     for b in range(bits)]
         self.tables = []
         for lo in range(0, bits, 8):
             table = [const if lo == 0 else 0]
-            for col in cols[lo:lo + 8]:
+            for col in self.cols[lo:lo + 8]:
                 table += [v ^ col for v in table]
             self.tables.append(np.array(table, dtype=np.uint64))
 

@@ -15,7 +15,6 @@ from oaparity.classes import (
     _class_labels,
     _class_sizes_by_label,
     _class_sizes_by_orbit,
-    _compile,
     _distinct,
     _quotient,
 )
@@ -38,6 +37,7 @@ from oracle import (
     orbit_by_actions,
     orbit_by_bfs,
     orbit_by_words,
+    word_generators,
 )
 
 # class counts and distinct sizes for k = 3..7; multiplicities were frozen
@@ -273,6 +273,10 @@ def test_known_class_tables():
 def test_enumerate_rejects_large_k():
     with pytest.raises(OAError):
         enumerate_classes(9, 0)
+    # nor does it take n mod 4 outside 0..3 for the residue it names
+    for nm in (5, -3):
+        with pytest.raises(OAError, match="nmod4 must be 0, 1, 2 or 3"):
+            enumerate_classes(4, nm)
 
 
 @pytest.mark.parametrize("k, nm", [(7.0, 0), (5, 1.0), (True, 0), (5, True), ("5", 0)])
@@ -303,7 +307,7 @@ def test_enumerate_budget(monkeypatch, capsys):
     with pytest.raises(ResourceLimitError, match="MiB of labels"):
         enumerate_classes(8, 1)
     monkeypatch.setenv("OAPARITY_ORBIT_BUDGET_MB", "16")
-    _quotient(8, 1)  # compiled and cached before tracing
+    _quotient(8, 1)  # built and cached before tracing
     tracemalloc.start()
     try:
         table = enumerate_classes(8, 1)
@@ -398,14 +402,16 @@ def test_class_labels_are_orbit_canonical_words(k, nm):
 
 @pytest.mark.parametrize("k", range(3, 12))
 def test_swaps_span_a_space_the_transpositions_keep(k):
+    # the word maps are the oracle's, read off act_permute and act_swap
+    # state by state, not the quotient's batched reading
     b = k * (k - 1) // 2 - 1
-    identity = tuple(range(1, k + 1))
     rng = random.Random(60 + k)
     for nm in (1, 3):
-        swaps = [_compile(k, nm, identity, t) for t in range(1, k + 1)]
+        gens = word_generators(k, nm)
+        transpositions, swaps = gens[:k - 1], gens[k - 1:]
         # each swap is a translation x -> x ^ c_t
         for swap in swaps:
-            assert swap.cols == tuple(1 << v for v in range(b))
+            assert swap.cols == [1 << v for v in range(b)]
         quotient = _quotient(k, nm)
         assert len(quotient.basis) == k - 1
         assert quotient.coset_size * quotient.size == 1 << b
@@ -417,11 +423,13 @@ def test_swaps_span_a_space_the_transpositions_keep(k):
         assert all(quotient.least(swap.const) == 0 for swap in swaps)
         # each transposition is affine on words, x -> L x ^ g(0), and L maps
         # V into V
-        for t in range(1, k):
-            g = list(identity)
-            g[t - 1], g[t] = g[t], g[t - 1]
-            word_map = _compile(k, nm, tuple(g))
-            assert all(quotient.least(word_map.linear(v)) == 0 for _, v in quotient.basis)
+        for word_map in transpositions:
+            for _, v in quotient.basis:
+                image = 0
+                for bit, col in enumerate(word_map.cols):
+                    if v >> bit & 1:
+                        image ^= col
+                assert quotient.least(image) == 0
         # packed indices number the cosets in the order of their least words
         words = [rng.getrandbits(b) for _ in range(20)]
         for w in words:
@@ -503,6 +511,13 @@ def test_orbit_rejects_overwide_words():
         orbit(StandardSigma.from_word(12, 0, 0))
     with pytest.raises(OAError, match="needs 65 bits"):
         orbit(StandardSigma.from_word(13, 1, 0))
+    # the width is checked before the quotient is built, so k = 90 (the
+    # sigma of a plane of order 89) is refused at once
+    built = _quotient.cache_info().currsize
+    for nm, width in ((0, 4004), (1, 3915)):
+        with pytest.raises(OAError, match=f"needs {width} bits"):
+            orbit(StandardSigma.from_word(90, nm, 0))
+    assert _quotient.cache_info().currsize == built
 
 
 def test_orbit_of_the_q11_plane():
