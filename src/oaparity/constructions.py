@@ -18,6 +18,8 @@ the n^2 cells (r, c) in row-major order, then one column per square, its
 formula evaluated on the grid, all passed to ``OrthogonalArray`` in one
 call.  That call's kernel pass is the one check that every square is Latin
 and every two are orthogonal; no square is built or checked on its own.
+A sigma matrix is written above its diagonal only and completed by the
+transpose law, ``SigmaMatrix.from_upper``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import OAError, OrthogonalArray, field_table
-from .parity import SigmaMatrix, StandardSigma, free_pairs
+from .parity import SigmaMatrix, StandardSigma, _check_shape, free_pairs
 
 
 def linear_mols(q: int) -> OrthogonalArray:
@@ -135,13 +137,16 @@ def pp_plausible_sigma(n: int, free_bits) -> StandardSigma:
     (out-)degree has one parity: zero for n = 0 mod 4, one for n = 2 mod 4,
     and the parity the free bits imply for odd n.  Every completion passes
     the plane-plausibility check; there are 2^C(n,2) of them for odd n and
-    2^(C(n,2)-1) for even n.
+    2^(C(n,2)-1) for even n.  A bit other than 0 or 1 is refused.
     """
     if n < 2:
         raise OAError(f"need n >= 2, got {n}")
     k = n + 1
     nmod4 = n % 4
-    bits = [int(b) & 1 for b in free_bits]
+    bits = list(free_bits)
+    bad = [b for b in bits if b not in (0, 1)]
+    if bad:
+        raise OAError(f"free bit must be 0 or 1, got {bad[0]!r}")
     expected = n * (n - 1) // 2 - 1 + (n % 2)
     if len(bits) != expected:
         raise OAError(f"need {expected} free bits for n={n}, got {len(bits)}")
@@ -153,12 +158,6 @@ def pp_plausible_sigma(n: int, free_bits) -> StandardSigma:
         return _force_last_column(n, upper, first=2, delta=None)
     # every degree even for n = 0 mod 4, odd for n = 2 mod 4
     return _force_last_column(n, upper, first=1, delta=nmod4 // 2)
-
-
-_B3 = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=np.uint8)
-_B4 = np.array(
-    [[0, 0, 1, 1], [1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 0, 0]], dtype=np.uint8
-)
 
 
 def block_sizes(n: int) -> tuple[int, ...]:
@@ -173,23 +172,21 @@ def block_sizes(n: int) -> tuple[int, ...]:
 def block_sigma(n: int) -> SigmaMatrix:
     """Block-diagonal tournament on k = n+1 vertices, ones above the blocks.
 
-    Its row sums realise the extremal good sequence, so the induced ensemble
-    has exactly ceil(n/4) equiparity squares, the minimum possible for a
-    plane candidate with n = 2,3 mod 4.
+    Above the diagonal a block is all ones but its first two superdiagonal
+    entries, so a block of 3 is the cyclic triangle and a block of 4 that
+    triangle with a sink added: one cyclic triangle, one equiparity square,
+    per block, ceil(n/4) in all, the minimum for a plane candidate with
+    n = 2,3 mod 4.  The transpose law fills the rest.
     """
     sizes = block_sizes(n)
     if n < 2:
         raise OAError(f"need n >= 2, got {n}")
     k = n + 1
-    m = np.zeros((k + 1, k + 1), dtype=np.uint8)
-    iu = np.triu_indices(k, 1)
-    m[iu[0] + 1, iu[1] + 1] = 1
-    pos = 1
-    for size in sizes:
-        blk = _B4 if size == 4 else _B3
-        m[pos:pos + size, pos:pos + size] = blk
-        pos += size
-    return SigmaMatrix(k=k, nmod4=n % 4, m=m, n=n)
+    upper = np.ones((k + 1, k + 1), dtype=np.uint8)
+    starts = np.cumsum((1,) + sizes[:-1])
+    upper[starts, starts + 1] = 0
+    upper[starts + 1, starts + 2] = 0
+    return SigmaMatrix.from_upper(k, n % 4, upper, n=n)
 
 
 def circulant_sigma(n: int) -> StandardSigma:
@@ -219,17 +216,13 @@ def lower_triangular_sigma(k: int, nmod4: int) -> SigmaMatrix:
 
     The induced tau bits are tau^c_{ij} = 1 exactly when i < c < j, so each
     column triple contributes exactly one odd component and no square in the
-    ensemble is equiparity.  Requires n = 2,3 mod 4 (the transpose law forces
-    the complementary upper triangle to be zero).
+    ensemble is equiparity.  Requires n = 2,3 mod 4: the upper triangle is
+    zero, and the transpose law fills the lower one with ones.
     """
-    if nmod4 % 4 not in (2, 3):
+    _check_shape(k, nmod4, None)
+    if nmod4 not in (2, 3):
         raise OAError(f"lower-triangular sigma needs n = 2,3 mod 4, got nmod4={nmod4}")
-    if k < 3:
-        raise OAError(f"need k >= 3, got {k}")
-    m = np.zeros((k + 1, k + 1), dtype=np.uint8)
-    il = np.tril_indices(k, -1)
-    m[il[0] + 1, il[1] + 1] = 1
-    return SigmaMatrix(k=k, nmod4=nmod4 % 4, m=m)
+    return SigmaMatrix.from_upper(k, nmod4, np.zeros((k + 1, k + 1), dtype=np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -247,32 +240,27 @@ def feasible_type_counts(n: int, z: int, y1: int, y2: int, y3: int) -> Feasibili
 
     z counts the equiparity type and y1, y2, y3 the other three types, in
     the fixed order (111, 100, 010, 001) for n = 2,3 mod 4 and
-    (000, 011, 101, 110) for n = 0,1 mod 4.  Feasible counts come with a
-    plane-plausible witness sigma whose first two rows encode the pattern
-    and whose unconstrained bits are zero.
+    (000, 011, 101, 110) for n = 0,1 mod 4.  The type of the square on
+    columns 1, 2, c is determined by the pair (sigma_1c, sigma_2c), so the
+    counts fix rows 1 and 2 of a standardised sigma up to the order of the
+    columns.  The witness takes the types in the order given, gives rows
+    3..n the degree parity of row 1 through their last-column entries and
+    sets every other free bit to zero; the degree sum then fixes row k.  A
+    plane-plausible sigma with these rows exists exactly when the witness
+    is one (``SigmaMatrix.pp_plausible``), which is returned then.
     """
     if min(z, y1, y2, y3) < 0:
         raise OAError("counts must be non-negative")
     if z + y1 + y2 + y3 != n - 1:
         return FeasibilityResult(False)
-    if n % 2 == 0:
-        ok = (y1 % 2 == y2 % 2 == y3 % 2) and (y1 % 2 != z % 2)
-    elif n % 4 == 1:
-        ok = (y1 % 2 == y2 % 2) and (y3 % 2 == z % 2)
-    else:
-        ok = (y1 % 2 != y2 % 2) and (y3 % 2 != z % 2)
-    if not ok:
-        return FeasibilityResult(False)
-
     if n % 4 in (2, 3):
         head = [(1, 0)] * z + [(1, 1)] * y1 + [(0, 0)] * y2 + [(0, 1)] * y3
     else:
         head = [(0, 0)] * z + [(0, 1)] * y1 + [(1, 0)] * y2 + [(1, 1)] * y3
     k = n + 1
     upper = np.zeros((k + 1, k + 1), dtype=np.uint8)
-    for c, (w1, w2) in enumerate(head, start=3):
-        upper[1, c] = w1
-        upper[2, c] = w2
-    # the parity conditions give rows 1 and 2 the degree parity that the
-    # degree sum leaves to every row
-    return FeasibilityResult(True, _force_last_column(n, upper, first=3, delta=None))
+    upper[1:3, 3:] = np.array(head, dtype=np.uint8).reshape(-1, 2).T
+    witness = _force_last_column(n, upper, first=3, delta=None)
+    if witness.pp_plausible != "yes":
+        return FeasibilityResult(False)
+    return FeasibilityResult(True, witness)

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constructions import block_sigma
 from .core import OAError, OrthogonalArray
 from .parity import (
     TauVector,
@@ -85,16 +86,11 @@ def is_good(seq: GoodSequence) -> bool:
 
 
 def optimal_mu(n: int) -> GoodSequence:
-    """The extremal good sequence: the first n+1 terms of three terms n-1,
-    one term n-3, then each term four less than the term four places
-    earlier (n = 2 keeps only the three terms 1).  Defined for n = 2,3
-    mod 4; its ensemble realises the equiparity lower bound."""
-    if n % 4 not in (2, 3):
-        raise OAError(f"need n = 2,3 mod 4, got {n}")
-    terms = [n - 1, n - 1, n - 1, n - 3]
-    while len(terms) < n + 1:
-        terms.append(terms[-4] - 4)
-    return GoodSequence(n=n, terms=tuple(terms[:n + 1]))
+    """The extremal good sequence, the row sums of ``block_sigma(n)``:
+    three terms n-1, one term n-3, then each term four less than the term
+    four places earlier, n+1 terms in all.  Defined for n = 2,3 mod 4; its
+    ensemble realises the equiparity lower bound."""
+    return GoodSequence(n=n, terms=block_sigma(n).row_sums())
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 
@@ -398,18 +398,20 @@ def load_tau(path) -> TauVector:
 
 @dataclass(frozen=True)
 class CatalogueEntry:
-    """One named set of MOLS read from a catalogue file."""
+    """One named set of MOLS read from a catalogue file, with the array
+    whose build checked them orthogonal."""
 
     label: str
     squares: tuple
     provenance: str
+    array: OrthogonalArray = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return self.squares[0].n
 
     def to_oa(self) -> OrthogonalArray:
-        return mols_to_oa(list(self.squares))
+        return self.array
 
 
 def parse_catalogue(text: str, provenance: str = "<memory>") -> list[CatalogueEntry]:
@@ -436,11 +438,10 @@ def parse_catalogue(text: str, provenance: str = "<memory>") -> list[CatalogueEn
                 squares.append(LatinSquare(cells))
             except OAError as exc:
                 raise FormatError(f"set {label!r}, square {s + 1}: {exc}", lineno) from None
-        entry = CatalogueEntry(
-            label=label, squares=tuple(squares), provenance=f"{provenance}:{lineno}"
-        )
-        entry.to_oa()  # orthogonality check; raises naming the offending pair
-        entries.append(entry)
+        # mols_to_oa is the orthogonality check; it raises naming the offending pair
+        entries.append(CatalogueEntry(label=label, squares=tuple(squares),
+                                      provenance=f"{provenance}:{lineno}",
+                                      array=mols_to_oa(squares)))
     return entries
 
 

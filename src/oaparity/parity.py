@@ -458,12 +458,12 @@ def act_swap(s: StandardSigma, cset) -> StandardSigma:
 # parity of an orthogonal array
 
 
-def _fixed_column_bits(rows: np.ndarray, n: int, last_only: bool = False) -> np.ndarray:
+def _fixed_column_bits(rows: np.ndarray, n: int) -> np.ndarray:
     """The fixed-column bits d of OA rows in storage order, at the C(k,2) - 1
     families that carry the free sigma bits: d[c, j] for each free pair
-    (c, j), c in {1, 2} with j >= 3 and 3 <= c < j.  With ``last_only``,
-    only the k - 1 families (c, k) of the last column.  Other entries are
-    zero.
+    (c, j), c in {1, 2} with j >= 3 and 3 <= c < j.  Other entries are
+    zero.  ``_stored_sigma``, and through it every ``OrthogonalArray``
+    built, reads its sigma off them.
 
     They determine the other components by additivity, tau^c_{ij} =
     tau^c_{wi} + tau^c_{wj}: within a symbol class of c, pi_ij = pi_wj o
@@ -483,7 +483,7 @@ def _fixed_column_bits(rows: np.ndarray, n: int, last_only: bool = False) -> np.
     out positions first, so the kernel reads each position as one run.
     """
     k = rows.shape[1]
-    c, j = (np.arange(1, k), np.full(k - 1, k)) if last_only else free_pairs(k)
+    c, j = free_pairs(k)
     grid = rows.reshape(n, n, k)  # [u, v, column - 1]
     squares = grid[:, :, j[0] - 1:]  # the L_j of families (1, j) and (2, j)
     m = squares.shape[2]
@@ -498,14 +498,11 @@ def _fixed_column_bits(rows: np.ndarray, n: int, last_only: bool = False) -> np.
         where.reshape(-1)[grid[:, :, 2:k - 1].transpose(0, 2, 1)
                           + np.arange(0, where.size, n).reshape(n, k - 3, 1)] = (
             np.arange(n * n).reshape(n, 1, n))
-        if last_only:
-            perms[:, 2:] = rows[:, k - 1].take(where)
-        else:
-            found = rows.take(where, axis=0)  # [u, c - 3, s, column - 1]
-            f = 2 * m
-            for col in range(3, k):
-                perms[:, f:f + k - col] = found[:, col - 3, :, col:].transpose(0, 2, 1)
-                f += k - col
+        found = rows.take(where, axis=0)  # [u, c - 3, s, column - 1]
+        f = 2 * m
+        for col in range(3, k):
+            perms[:, f:f + k - col] = found[:, col - 3, :, col:].transpose(0, 2, 1)
+            f += k - col
     try:
         par = parity_batch(perms.reshape(n, len(c) * n).T)
     except PermutationError as exc:

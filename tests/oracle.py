@@ -29,8 +29,10 @@ from its definition, loops over column triples, quads and vertex pairs with
 per-entry lookups, one bincount per column pair, a comparison of every
 pair of rows, GF(q) tables one element pair at a time, reducing each
 polynomial product term by term, the field axioms on every triple of
-elements, and the constructions one checked Latin square per multiplier,
-with residues found by squaring every element.  Apart from the
+elements, the constructions one checked Latin square per multiplier,
+with residues found by squaring every element, and the sigma of a linear
+array from the determinants of its column pairs (Frobenius-Zolotarev),
+with no permutation at all.  Apart from the
 search's visit order, which both sides must follow node for node, they
 share no algorithm with the code they check.
 """
@@ -799,3 +801,42 @@ def residue_pattern_oa(n: int, a: int):
     idx = np.arange(n)
     return mols_to_oa([LatinSquare((lam * idx[:, None] + idx[None, :]) % n)
                        for lam in (a % n, a * a % n, a ** 3 % n)])
+
+
+# ---------------------------------------------------------------------------
+# the parity of a linear array, by the Frobenius-Zolotarev lemma
+
+
+def zolotarev_sigma(q: int, forms) -> SigmaMatrix:
+    """The sigma-parity of the OA(k, q) whose column i is the linear form
+    alpha * r + beta * c over GF(q), forms[i - 1] = (alpha, beta) as field
+    labels, read off determinants instead of rows.
+
+    Pair (i, j) maps the point (r, c) to (form_i, form_j), a linear map of
+    GF(q)^2 with determinant alpha_i beta_j - alpha_j beta_i.  For odd q it
+    is an odd permutation of the q^2 points exactly when that determinant
+    is a non-square (Frobenius-Zolotarev); for even q >= 4 every such map
+    is even; for q = 2, GL(2, 2) acts as S_3 on the three nonzero points,
+    so a map is odd exactly when it is an involution other than the
+    identity.  Relabelling the points as row indices is a conjugation,
+    which keeps the parity.  Columns 1 and 2 are r and c, (1, 0) and
+    (0, 1), so sigma_12 is the identity and the matrix is standardised as
+    it stands.
+    """
+    if _prime_power(q)[1] == 1:
+        idx = np.arange(q)
+        add, mul = (idx[:, None] + idx) % q, idx[:, None] * idx % q
+    else:
+        add, mul = field_tables(q)
+    neg = np.argmin(add, axis=1)  # add[x, neg[x]] = 0
+    squares = {int(mul[x, x]) for x in range(1, q)}
+    eye = np.eye(2, dtype=np.int64)
+    k = len(forms)
+    m = np.zeros((k + 1, k + 1), dtype=np.uint8)
+    for (i, (ai, bi)), (j, (aj, bj)) in itertools.permutations(enumerate(forms, 1), 2):
+        if q % 2:
+            m[i, j] = int(add[mul[ai, bj], neg[mul[aj, bi]]]) not in squares
+        elif q == 2:
+            g = np.array([[ai, bi], [aj, bj]])
+            m[i, j] = not np.array_equal(g, eye) and np.array_equal(g @ g % 2, eye)
+    return SigmaMatrix(k, q % 4, m, n=q)

@@ -5,6 +5,7 @@ import pytest
 
 from oaparity.core import OAError, cyclic_square, mols_to_oa, oa_to_mols, rows_agree_in_one_column
 from oaparity.parity import (
+    SigmaMatrix,
     check_plausible,
     latin_square_parities,
     sigma_from_tau,
@@ -223,6 +224,14 @@ def test_pp_sigma_wrong_length():
         pp_plausible_sigma(6, [0] * 13)
 
 
+def test_pp_sigma_refuses_bits_other_than_0_and_1():
+    # a bit of 2 is not read as 0, nor 3 as 1
+    for n, bad in itertools.product((4, 5), (2, 3, -1, "x", "1", None)):
+        nbits = n * (n - 1) // 2 - 1 + (n % 2)
+        with pytest.raises(OAError, match="free bit must be 0 or 1"):
+            pp_plausible_sigma(n, [0, 1, bad] + [0] * (nbits - 3))
+
+
 # ---------------------------------------------------------------------------
 # block, circulant, lower-triangular
 
@@ -239,6 +248,31 @@ def test_block_spec_layout():
 def test_block_sigma_row_sums():
     assert block_sigma(6).row_sums() == (5, 5, 5, 3, 1, 1, 1)
     assert block_sigma(7).row_sums() == (6, 6, 6, 4, 2, 2, 2, 0)
+
+
+_B3 = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=np.uint8)
+_B4 = np.array([[0, 0, 1, 1], [1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 0, 0]], dtype=np.uint8)
+
+
+def _block_sigma_by_hand(n):
+    """The extremal tournament with every entry written: ones above the
+    blocks, each diagonal block the cyclic triangle B3 or B4, zeros below."""
+    k = n + 1
+    m = np.zeros((k + 1, k + 1), dtype=np.uint8)
+    iu = np.triu_indices(k, 1)
+    m[iu[0] + 1, iu[1] + 1] = 1
+    pos = 1
+    for size in block_sizes(n):
+        m[pos:pos + size, pos:pos + size] = _B4 if size == 4 else _B3
+        pos += size
+    return m
+
+
+def test_block_sigma_equals_the_hand_filled_matrix():
+    for n in (n for n in range(2, 60) if n % 4 in (2, 3)):
+        sig = block_sigma(n)
+        assert type(sig) is SigmaMatrix and (sig.k, sig.nmod4, sig.n) == (n + 1, n % 4, n)
+        assert np.array_equal(sig.m, _block_sigma_by_hand(n)), n
 
 
 def test_block_sigma_is_pp():
@@ -279,8 +313,22 @@ def test_lower_triangular_properties():
     for c1, c2, c3 in itertools.combinations(range(1, 5), 3):
         ty = t.triple_type(c1, c2, c3)
         assert ty.count("1") == 1
-    with pytest.raises(OAError):
-        lower_triangular_sigma(5, 0)
+    for nmod4 in (0, 1, 6, -1, 5, -2):  # nmod4 outside 0..3 is not read mod 4
+        with pytest.raises(OAError):
+            lower_triangular_sigma(5, nmod4)
+    with pytest.raises(OAError, match="need k >= 3"):
+        lower_triangular_sigma(2, 2)
+
+
+def test_lower_triangular_equals_the_hand_filled_matrix():
+    for k in range(3, 40):
+        want = np.zeros((k + 1, k + 1), dtype=np.uint8)
+        il = np.tril_indices(k, -1)
+        want[il[0] + 1, il[1] + 1] = 1
+        for nmod4 in (2, 3):
+            sig = lower_triangular_sigma(k, nmod4)
+            assert type(sig) is SigmaMatrix and (sig.k, sig.nmod4, sig.n) == (k, nmod4, None)
+            assert np.array_equal(sig.m, want), (k, nmod4)
 
 
 def test_lower_triangular_k3_type():
@@ -318,6 +366,28 @@ def test_all_equiparity_feasible_iff_not_3_mod_4():
 
 def test_wrong_total_is_infeasible():
     assert not feasible_type_counts(7, 3, 1, 1, 0).feasible
+
+
+def _feasible_by_parity_table(n, z, y1, y2, y3):
+    """The plane conditions on the type counts, one parity rule per n mod 4."""
+    if n % 2 == 0:
+        return y1 % 2 == y2 % 2 == y3 % 2 and y1 % 2 != z % 2
+    if n % 4 == 1:
+        return y1 % 2 == y2 % 2 and y3 % 2 == z % 2
+    return y1 % 2 != y2 % 2 and y3 % 2 != z % 2
+
+
+def test_feasibility_equals_the_parity_table():
+    # the witness's plane verdict is the paper's parity table on every count
+    # vector with the right total, n <= 15
+    for n in range(2, 16):
+        for z, y1, y2 in itertools.product(range(n), repeat=3):
+            y3 = n - 1 - z - y1 - y2
+            if y3 < 0:
+                continue
+            res = feasible_type_counts(n, z, y1, y2, y3)
+            assert res.feasible == _feasible_by_parity_table(n, z, y1, y2, y3), (n, z, y1, y2, y3)
+            assert (res.witness is not None) == res.feasible
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10, 11, 12])

@@ -348,6 +348,21 @@ def test_optimal_mu_is_good_and_greedy():
             assert total >= n * m - math.comb(m, 2) - 1
 
 
+def _optimal_mu_by_recurrence(n):
+    """The extremal good sequence as the paper gives it: three terms n-1,
+    one term n-3, then each term four less than the term four places
+    earlier, cut to n+1 terms."""
+    terms = [n - 1, n - 1, n - 1, n - 3]
+    while len(terms) < n + 1:
+        terms.append(terms[-4] - 4)
+    return tuple(terms[:n + 1])
+
+
+def test_optimal_mu_equals_the_recurrence():
+    for n in (n for n in range(2, 40) if n % 4 in (2, 3)):
+        assert optimal_mu(n) == GoodSequence(n=n, terms=_optimal_mu_by_recurrence(n)), n
+
+
 def test_block_sigma_row_sums_are_good():
     for n in (2, 3, 6, 7, 10, 11):
         mu = tuple(sorted(block_sigma(n).row_sums(), reverse=True))

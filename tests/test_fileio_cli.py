@@ -765,15 +765,24 @@ def test_cli_ingest_not_utf8(tmp_path, capsys):
     assert err.startswith("error: ") and "not UTF-8" in err
 
 
-def test_cli_ingest(tmp_path, capsys):
+def test_cli_ingest(tmp_path, capsys, monkeypatch):
+    # each set's array is built once: the build that checks it orthogonal
+    # gives the array that is classified
+    import oaparity.parity as P
     from oaparity.core import oa_to_mols
 
+    built = []
+    stored = P._stored_sigma
+    monkeypatch.setattr(P, "_stored_sigma", lambda rows, n: built.append(n) or stored(rows, n))
     path = tmp_path / "cat.txt"
-    path.write_text(fileio.format_catalogue_entry("linear-4", oa_to_mols(linear_mols(4))))
+    path.write_text(fileio.format_catalogue_entry("linear-4", oa_to_mols(linear_mols(4)))
+                    + fileio.format_catalogue_entry("linear-5", oa_to_mols(zn_linear_oa(5))))
+    built.clear()
     rc, out, _ = run_cli(capsys, "ingest", str(path), "--class")
     assert rc == 0
     assert "linear-4: 3 MOLS(4)" in out
-    assert "1 set(s) ingested" in out
+    assert "2 set(s) ingested" in out
+    assert built == [4, 5]
 
 
 _SIGMA = {"kind": "sigma", "k": 4, "nmod4": 0}

@@ -38,7 +38,8 @@ from oaparity.parity import (
     _sigma_upper,
     _triple_mask,
 )
-from oaparity.constructions import linear_mols, residue_pattern_oa
+from oaparity.constructions import (PATTERNS, is_prime, linear_mols, qualifying_values,
+                                   residue_pattern_oa)
 
 from conftest import (
     flip_components,
@@ -57,6 +58,7 @@ from oracle import (
     row_permutation,
     symbol_permutation,
     triple_violation,
+    zolotarev_sigma,
 )
 from oracle import _tau_bits as oracle_tau_bits
 
@@ -244,6 +246,48 @@ def test_sigma_parity_matches_direct_oracle():
         assert sigma_parity(a) == direct_sigma(a), (a.k, a.n)
 
 
+_PLANE_ORDERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32)
+
+
+@pytest.mark.parametrize("q", _PLANE_ORDERS)
+def test_plane_sigma_matches_zolotarev(q):
+    # column lam of the plane is the form lam*r + c, beside r = (1, 0) and
+    # c = (0, 1); the kernel and the determinant rule agree entry for entry
+    forms = [(1, 0), (0, 1)] + [(lam, 1) for lam in range(1, q)]
+    assert np.array_equal(sigma_parity(linear_mols(q)).m, zolotarev_sigma(q, forms).m), q
+
+
+def _residue_forms(n, a):
+    return [(1, 0), (0, 1)] + [(lam, 1) for lam in (a, a * a % n, a ** 3 % n)]
+
+
+def _residue_primes():
+    return [n for n in range(11, 140, 4) if is_prime(n)]
+
+
+def test_residue_sigma_matches_zolotarev():
+    # the least and the greatest qualifying a per pattern and prime n <= 139;
+    # every a is checked under -m slow
+    for n in _residue_primes():
+        for pattern in PATTERNS:
+            values = qualifying_values(n, pattern)
+            for a in {values[0], values[-1]}:
+                got = sigma_parity(residue_pattern_oa(n, pattern, a)).m
+                assert np.array_equal(got, zolotarev_sigma(n, _residue_forms(n, a)).m), (n, a)
+
+
+@pytest.mark.slow
+def test_every_residue_sigma_matches_zolotarev():
+    count = 0
+    for n in _residue_primes():
+        for pattern in PATTERNS:
+            for a in qualifying_values(n, pattern):
+                got = sigma_parity(residue_pattern_oa(n, pattern, a)).m
+                assert np.array_equal(got, zolotarev_sigma(n, _residue_forms(n, a)).m), (n, a)
+                count += 1
+    assert count == 273
+
+
 def test_sigma_parity_needs_no_tau_and_no_plausibility_pass(monkeypatch):
     import oaparity.parity as P
 
@@ -288,15 +332,12 @@ def test_tau_parity_matches_direct_oracle():
         assert tau_parity(a) == direct, (a.k, a.n)
         shuffled = a.rows[rng.sample(range(a.n * a.n), a.n * a.n)]
         assert np.array_equal(kernel_tau_bits(shuffled, a.n), direct.bits), (a.k, a.n)
-        # the families computed are the free pairs, or the last column's;
-        # every other entry is left zero
+        # the families computed are the free pairs; every other entry is
+        # left zero
         free = np.zeros((a.k + 1, a.k + 1), dtype=bool)
         free[free_pairs(a.k)] = True
         want = np.where(free, _read_fixed_columns(direct.bits), 0)
         assert np.array_equal(_fixed_column_bits(a.rows, a.n), want), (a.k, a.n)
-        last = np.zeros_like(want)
-        last[1:a.k, a.k] = want[1:a.k, a.k]
-        assert np.array_equal(_fixed_column_bits(a.rows, a.n, last_only=True), last), (a.k, a.n)
         # plausibility holds by construction for derived tau; the oracle's
         # full tau must satisfy the same laws and give the same report
         report = check_plausible(direct)
