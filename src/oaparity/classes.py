@@ -61,10 +61,13 @@ Full enumeration of a quotient of at most 2^20 elements (k <= 7, and k = 8
 for odd n) labels every packed index at once.  The labels m_1 are the
 indices themselves; m_j, the least index of each element's S_j-orbit, gives
 m_(j+1) as the least of m_j and m_j o s_j o ... o s_i over i.  Each
-composite s_j o ... o s_i is one affine map, filled into an image array by
-doubling and gathered through once, k(k-1)/2 gathers in all.  Every class is
-then labelled by its least index, the canonical representative, and the
-class sizes are label counts times the coset size.  The even k = 8 space
+composite s_j o ... o s_i is one affine map, k(k-1)/2 in all, and the labels
+are gathered through it one aligned block of 2^16 indices at a time: its
+images of the first block are filled once by doubling, and every other
+block's are those XORed with one constant, so only the uint32 labels are
+held at full size.  Every class is then labelled by its least index, the
+canonical representative; sorting the labels puts each class in one run,
+whose length times the coset size is the class size.  The even k = 8 space
 (2^27 words) is walked one class at a time, each class one orbit on a
 visited bitmap of packed indices, which holds far less than the labels
 would.
@@ -100,6 +103,9 @@ _DEFAULT_BUDGET_MB = 2048
 _BUDGET_ENV = "OAPARITY_ORBIT_BUDGET_MB"
 # inputs per pass of _Affine.apply; its index buffers then take 128 KiB
 _APPLY_BLOCK = 1 << 14
+# packed indices per block of _class_labels, a power of two; its image and
+# gather buffers then take 1.25 MiB
+_LABEL_BLOCK = 1 << 16
 
 
 # perfbench/wl_space.py builds orbit states under the old name of the packed
@@ -135,11 +141,12 @@ class _Affine:
         return _Affine(self(inner.const), tuple(self.linear(col) for col in inner.cols))
 
     def fill(self, out: np.ndarray) -> np.ndarray:
-        """The images of 0 .. 2^len(cols) - 1 in ``out``, by doubling: the
-        images of [2^b, 2^(b+1)) are those of [0, 2^b) ^ cols[b]."""
+        """The images of 0 .. len(out) - 1 in ``out``, len(out) a power of
+        two at most 2^len(cols), by doubling: the images of [2^b, 2^(b+1))
+        are those of [0, 2^b) ^ cols[b]."""
         out[0] = self.const
-        for b, col in enumerate(self.cols):
-            np.bitwise_xor(out[:1 << b], col, out=out[1 << b:2 << b])
+        for b in range(len(out).bit_length() - 1):
+            np.bitwise_xor(out[:1 << b], self.cols[b], out=out[1 << b:2 << b])
         return out
 
     @cached_property
@@ -447,50 +454,65 @@ def _class_sizes_by_orbit(quotient: _Quotient, budget: int) -> np.ndarray:
 
 def _class_labels(quotient: _Quotient, budget: int) -> np.ndarray:
     """The least packed index of each element's class, for every packed
-    index.
+    index, as uint32.
 
     m_1 is the identity; m_(j+1) is the least of m_j and m_j o s_j o ... o
-    s_i over i = j..1.  Each composite s_j o ... o s_i is one affine map,
-    filled into an image array over all packed indices and gathered through.
-    The labels are lowered in place: a label read during step j is at most
-    m_j of its element and the index of an element of the same
-    S_(j+1)-orbit, so each label still ends at m_(j+1).  The budget covers the uint32 labels, the
-    intp image array and a uint32 gather buffer.  The labels are returned
-    in the image array, so that counting them (np.bincount takes intp)
-    copies nothing.
+    s_i over i = j..1.  Each composite s_j o ... o s_i is one affine map; the
+    labels are gathered through it one aligned block of _LABEL_BLOCK indices
+    at a time.  Its images of block 0 are filled once, by doubling, and
+    those of the block from lo are the same XOR its linear image of lo, as
+    lo + t = lo ^ t.  The labels are lowered in place: a label read during
+    step j, in this block or any other, is at most m_j of its element and
+    the index of an element of the same S_(j+1)-orbit, so each label still
+    ends at m_(j+1).  The budget covers the labels and the larger of the
+    block buffers (two intp image arrays and a uint32 gather buffer) and
+    the byte per index with which the labels are counted.
     """
     size = quotient.size
-    nbytes = (4 + np.dtype(np.intp).itemsize + 4) * size
-    _check_budget(nbytes, budget, f"enumeration ({nbytes >> 20} MiB of labels)")
+    block = min(size, _LABEL_BLOCK)
+    buffers = max((2 * np.dtype(np.intp).itemsize + 4) * block, size)
+    _check_budget(4 * size + buffers, budget,
+                  f"enumeration ({4 * size >> 20} MiB of labels and "
+                  f"{buffers / 2**20:.2f} MiB of buffers)")
     label = np.arange(size, dtype=np.uint32)
-    gathered = np.empty_like(label)
-    image = np.empty(size, dtype=np.intp)
+    blocks = [(lo, label[lo:lo + block]) for lo in range(0, size, block)]
+    first = np.empty(block, dtype=np.intp)
+    image = np.empty_like(first)
+    gathered = np.empty(block, dtype=np.uint32)
     for j in range(1, quotient.k):
         composite = quotient.gens[j - 1]
         for i in range(j, 0, -1):  # composite = s_j o ... o s_i
             if i < j:
                 composite = composite.after(quotient.gens[i - 1])
-            # every index is in range; numpy buffers ``out`` unless the mode
-            # is "clip" or "wrap"
-            label.take(composite.fill(image), out=gathered, mode="clip")
-            np.minimum(label, gathered, out=label)
-    np.copyto(image, label)
-    return image
+            composite.fill(first)
+            for lo, part in blocks:
+                at = first if lo == 0 else np.bitwise_xor(first, composite.linear(lo), out=image)
+                # every index is in range; numpy buffers ``out`` unless the
+                # mode is "clip" or "wrap"
+                label.take(at, out=gathered, mode="clip")
+                np.minimum(part, gathered, out=part)
+    return label
 
 
 def _class_sizes_by_label(quotient: _Quotient, budget: int) -> np.ndarray:
-    """Class sizes ordered by least word, from one labelling pass."""
-    counts = np.bincount(_class_labels(quotient, budget), minlength=quotient.size)
-    return counts[counts > 0] * quotient.coset_size
+    """Class sizes ordered by least word, from one labelling pass: the
+    labels sorted in place, each class one run of equal labels."""
+    label = _class_labels(quotient, budget)
+    label.sort()
+    bounds = np.empty(label.size + 1, dtype=bool)  # where a run starts or ends
+    bounds[0] = bounds[-1] = True
+    np.not_equal(label[1:], label[:-1], out=bounds[1:-1])
+    return np.diff(np.flatnonzero(bounds)) * quotient.coset_size
 
 
 def enumerate_classes(k: int, nmod4: int) -> ClassTable:
     """Partition all 2^(C(k,2)-1) states into switching classes, k <= 8.
 
     A quotient of up to 2^20 elements (k <= 7, and k = 8 for odd n) is
-    labelled through the chain S_1 < ... < S_k in k(k-1)/2 gathers, the
-    even k = 8 space one orbit per class on a visited bitmap; either way the
-    arrays must fit the memory budget (``OAPARITY_ORBIT_BUDGET_MB``).
+    labelled through the chain S_1 < ... < S_k, a block of labels at a time
+    through each of k(k-1)/2 composite maps, the even k = 8 space one orbit
+    per class on a visited bitmap; either way the arrays must fit the
+    memory budget (``OAPARITY_ORBIT_BUDGET_MB``).
     """
     for name, value in (("k", k), ("nmod4", nmod4)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):

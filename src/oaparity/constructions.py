@@ -249,6 +249,8 @@ def feasible_type_counts(n: int, z: int, y1: int, y2: int, y3: int) -> Feasibili
     plane-plausible sigma with these rows exists exactly when the witness
     is one (``SigmaMatrix.pp_plausible``), which is returned then.
     """
+    if n < 2:
+        raise OAError(f"need n >= 2, got {n}")
     if min(z, y1, y2, y3) < 0:
         raise OAError("counts must be non-negative")
     if z + y1 + y2 + y3 != n - 1:

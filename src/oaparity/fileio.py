@@ -213,8 +213,11 @@ def parse_oa(text: str) -> OrthogonalArray:
 
 
 def _format_table(header: str, rows: np.ndarray, base: int) -> str:
-    """``header`` and then one line per row of symbols shifted by ``base``."""
-    lines = [header, *(" ".join(map(str, row)) for row in (rows + base).tolist())]
+    """``header`` and then one line per row of symbols shifted by ``base``:
+    each symbol's string looked up in one table, one join per row."""
+    strings = np.array([str(v) for v in range(base, base + int(rows.max(initial=0)) + 1)],
+                       dtype=object)
+    lines = [header, *map(" ".join, strings[rows].tolist())]
     return "\n".join(lines) + "\n"
 
 

@@ -300,22 +300,25 @@ def test_enumerate_budget(monkeypatch, capsys):
     monkeypatch.setenv("OAPARITY_ORBIT_BUDGET_MB", "127")
     with pytest.raises(ResourceLimitError, match="memory budget"):
         enumerate_classes(8, 0)
-    # the odd k = 8 census labels 2^20 cosets: the uint32 labels, an intp
-    # image array and a uint32 gather buffer take 16 MiB, and the census
-    # holds nothing else of their size
-    monkeypatch.setenv("OAPARITY_ORBIT_BUDGET_MB", "15")
-    with pytest.raises(ResourceLimitError, match="MiB of labels"):
-        enumerate_classes(8, 1)
-    monkeypatch.setenv("OAPARITY_ORBIT_BUDGET_MB", "16")
-    _quotient(8, 1)  # built and cached before tracing
-    tracemalloc.start()
-    try:
-        table = enumerate_classes(8, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert table.total_classes == 131
-    assert peak < (16 << 20) + (64 << 10)
+    # the odd k = 8 census labels 2^20 cosets and the even k = 7 one 2^20
+    # words: 4 MiB of uint32 labels and, per block of 2^16 indices, two intp
+    # image arrays and a uint32 gather buffer, 1.25 MiB; the census holds
+    # nothing else of their size
+    labels, buffers = 4 << 20, (2 * 8 + 4) << 16
+    for k, nm, classes in ((8, 1, 131), (7, 0, 522)):
+        monkeypatch.setenv("OAPARITY_ORBIT_BUDGET_MB", "5")
+        with pytest.raises(ResourceLimitError, match="MiB of labels"):
+            enumerate_classes(k, nm)
+        monkeypatch.setenv("OAPARITY_ORBIT_BUDGET_MB", "6")
+        _quotient(k, nm)  # built and cached before tracing
+        tracemalloc.start()
+        try:
+            table = enumerate_classes(k, nm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.total_classes == classes
+        assert labels + buffers <= peak < labels + buffers + (64 << 10) < 6 << 20
 
 
 @pytest.mark.parametrize("nm", [0, 2])
@@ -382,6 +385,15 @@ def test_coset_census_matches_word_labels(k):
 def test_chain_labels_match_fixpoint_labels(k, nm):
     # the same labels, element by element, as lowering each label to its
     # images' until nothing changes
+    assert np.array_equal(_class_labels(_quotient(k, nm), 1 << 30),
+                          class_labels_by_fixpoint(WordSpace(k, nm, cosets=True)))
+
+
+@pytest.mark.parametrize("k, nm", [(k, nm) for k in (4, 5, 6) for nm in range(4)])
+def test_chain_labels_cross_block_boundaries(monkeypatch, k, nm):
+    # blocks of 16 indices put most images in another block than their
+    # input's, some in blocks already lowered at the same step
+    monkeypatch.setattr("oaparity.classes._LABEL_BLOCK", 1 << 4)
     assert np.array_equal(_class_labels(_quotient(k, nm), 1 << 30),
                           class_labels_by_fixpoint(WordSpace(k, nm, cosets=True)))
 

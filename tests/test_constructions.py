@@ -364,6 +364,15 @@ def test_all_equiparity_feasible_iff_not_3_mod_4():
         assert not feasible_type_counts(n, n - 1, 0, 0, 0).feasible
 
 
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_feasibility_refuses_orders_below_2(n):
+    # refused by the order given, before any count or the witness's k = n + 1
+    with pytest.raises(OAError, match=f"need n >= 2, got {n}$"):
+        feasible_type_counts(n, 0, 0, 0, 0)
+    with pytest.raises(OAError, match="need n >= 2"):
+        feasible_type_counts(n, -1, 0, 0, 0)
+
+
 def test_wrong_total_is_infeasible():
     assert not feasible_type_counts(7, 3, 1, 1, 0).feasible
 
