@@ -85,6 +85,7 @@ import numpy as np
 
 from .core import OAError, OrthogonalArray, ResourceLimitError, UsageError
 from .parity import (  # the two operations live beside standardise; re-exported here
+    SigmaMatrix,
     StandardSigma,
     _check_shape,
     _sigmas,
@@ -93,6 +94,7 @@ from .parity import (  # the two operations live beside standardise; re-exported
     act_permute,
     act_swap,
     sigma_parity,
+    standardise,
 )
 
 # largest quotient enumerate_classes labels in one pass (k <= 7, and k = 8
@@ -299,11 +301,13 @@ class OrbitSummary:
     canonical: StandardSigma
 
 
-def _orbit_bound(k: int, nmod4: int) -> int:
-    bound = math.factorial(k)
-    if nmod4 % 2 == 1:
-        bound *= 1 << (k - 1)
-    return bound
+def _check_divides(sizes, k: int, nmod4: int) -> None:
+    """Raise OAError unless each orbit size divides the order of the group,
+    k! for even n and k! * 2^(k-1) for odd n (Lagrange)."""
+    bound = math.factorial(k) << (k - 1) * (nmod4 % 2)
+    for size in sizes:
+        if bound % size:
+            raise OAError(f"orbit size {size} does not divide the group order {bound}")
 
 
 def _budget_bytes() -> int:
@@ -366,8 +370,9 @@ def _chain_orbit(seed: int, quotient: _Quotient, budget: int) -> np.ndarray:
     return orbit
 
 
-def orbit(s: StandardSigma) -> OrbitSummary:
-    """Size and canonical representative of the switching class of s.
+def orbit(s: SigmaMatrix) -> OrbitSummary:
+    """Size and canonical representative of the switching class of s, that
+    of ``standardise(s)``: a sigma and its complement determine one tau.
 
     The class is built as an orbit of S_k through the chain S_1 < ... < S_k
     (see the module docstring), on its cosets for odd n and its words for
@@ -382,12 +387,11 @@ def orbit(s: StandardSigma) -> OrbitSummary:
     if width > 64:
         raise OAError(f"orbit search packs states into 64-bit indices, but k={s.k} with "
                       f"n = {s.nmod4} mod 4 needs {width} bits")
+    s = standardise(s)
     quotient = _quotient(s.k, s.nmod4)
     cosets = _chain_orbit(quotient.index(s.word), quotient, _budget_bytes())
     size = cosets.size * quotient.coset_size
-    bound = _orbit_bound(s.k, s.nmod4)
-    if bound % size:
-        raise OAError(f"orbit size {size} does not divide the group order {bound}")
+    _check_divides([size], s.k, s.nmod4)
     canonical = StandardSigma.from_word(s.k, s.nmod4, quotient.word(int(cosets[0])), n=s.n)
     return OrbitSummary(size=size, canonical=canonical)
 
@@ -527,10 +531,7 @@ def enumerate_classes(k: int, nmod4: int) -> ClassTable:
     quotient = _quotient(k, nmod4)
     census = _class_sizes_by_label if quotient.size <= _LABEL_LIMIT else _class_sizes_by_orbit
     sizes, counts = np.unique(census(quotient, _budget_bytes()), return_counts=True)
-    bound = _orbit_bound(k, nmod4)
-    for size in sizes.tolist():
-        if bound % size:
-            raise OAError(f"orbit size {size} does not divide the group order {bound}")
+    _check_divides(sizes.tolist(), k, nmod4)
     entries = tuple(zip(sizes.tolist(), counts.tolist()))
     total = 1 << quotient.bits
     counted = sum(size * count for size, count in entries)

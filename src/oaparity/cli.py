@@ -223,8 +223,10 @@ def cmd_search_latin(args):
     n = args.n
     if args.limit is not None and args.limit < 0:
         raise UsageError(f"--limit must be >= 0, got {args.limit}")
+    if args.type is not None and (len(args.type) != 3 or set(args.type) - {"0", "1"}):
+        raise UsageError(f"--type must be 3 bits 'rcs', got {args.type!r}")
     cells, walk = search.latin_square_walk(n)
-    if not args.type:
+    if args.type is None:
         count = sum(1 for _ in itertools.islice(walk, args.limit))
         _emit(args, [f"{count} squares of order {n}"], {"n": n, "count": count})
         return

@@ -28,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OAError, OrthogonalArray, field_table
-from .parity import SigmaMatrix, StandardSigma, _check_shape, free_pairs
+from .core import OAError, OrthogonalArray, _least_prime_factor, field_table
+from .parity import (SigmaMatrix, StandardSigma, TauVector, _check_shape, free_pairs,
+                     plausible_types, sigma_from_tau)
 
 
 def linear_mols(q: int) -> OrthogonalArray:
@@ -47,14 +48,7 @@ def linear_mols(q: int) -> OrthogonalArray:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and _least_prime_factor(n) == n
 
 
 def is_quadratic_residue(x: int, n: int) -> bool:
@@ -239,13 +233,14 @@ def feasible_type_counts(n: int, z: int, y1: int, y2: int, y3: int) -> Feasibili
     """Whether n-1 squares of a complete set can have the given type counts.
 
     z counts the equiparity type and y1, y2, y3 the other three types, in
-    the fixed order (111, 100, 010, 001) for n = 2,3 mod 4 and
-    (000, 011, 101, 110) for n = 0,1 mod 4.  The type of the square on
-    columns 1, 2, c is determined by the pair (sigma_1c, sigma_2c), so the
-    counts fix rows 1 and 2 of a standardised sigma up to the order of the
-    columns.  The witness takes the types in the order given, gives rows
-    3..n the degree parity of row 1 through their last-column entries and
-    sets every other free bit to zero; the degree sum then fixes row k.  A
+    the order of ``plausible_types``: (111, 100, 010, 001) for n = 2,3 mod 4
+    and (000, 011, 101, 110) for n = 0,1 mod 4.  The type of the square on
+    columns 1, 2, c is determined by the pair (sigma_1c, sigma_2c), read at
+    column 3 off the sigma of the type's OA(3, n) (``TauVector.of_type``),
+    so the counts fix rows 1 and 2 of a standardised sigma up to the order
+    of the columns.  The witness takes the types in the order given, gives
+    rows 3..n the degree parity of row 1 through their last-column entries
+    and sets every other free bit to zero; the degree sum then fixes row k.  A
     plane-plausible sigma with these rows exists exactly when the witness
     is one (``SigmaMatrix.pp_plausible``), which is returned then.
     """
@@ -255,13 +250,10 @@ def feasible_type_counts(n: int, z: int, y1: int, y2: int, y3: int) -> Feasibili
         raise OAError("counts must be non-negative")
     if z + y1 + y2 + y3 != n - 1:
         return FeasibilityResult(False)
-    if n % 4 in (2, 3):
-        head = [(1, 0)] * z + [(1, 1)] * y1 + [(0, 0)] * y2 + [(0, 1)] * y3
-    else:
-        head = [(0, 0)] * z + [(0, 1)] * y1 + [(1, 0)] * y2 + [(1, 1)] * y3
+    heads = [sigma_from_tau(TauVector.of_type(ty, n)).m[1:3, 3] for ty in plausible_types(n % 4)]
     k = n + 1
     upper = np.zeros((k + 1, k + 1), dtype=np.uint8)
-    upper[1:3, 3:] = np.array(head, dtype=np.uint8).reshape(-1, 2).T
+    upper[1:3, 3:] = np.repeat(heads, (z, y1, y2, y3), axis=0).T
     witness = _force_last_column(n, upper, first=3, delta=None)
     if witness.pp_plausible != "yes":
         return FeasibilityResult(False)

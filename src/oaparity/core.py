@@ -190,15 +190,16 @@ _IRREDUCIBLE = {
 MAX_FIELD_ORDER = 32
 
 
+def _least_prime_factor(q: int) -> int:
+    """The least prime factor of q >= 2, by trial division."""
+    return next((p for p in range(2, math.isqrt(q) + 1) if q % p == 0), q)
+
+
 def _prime_power(q: int) -> tuple[int, int]:
     """Return (p, e) with q = p^e, p prime; raise OAError otherwise."""
     if q < 2:
         raise OAError(f"field order must be at least 2, got {q}")
-    p = 2
-    while p * p <= q and q % p:
-        p += 1
-    if q % p:
-        p = q  # q itself is prime
+    p = _least_prime_factor(q)
     e = 0
     m = q
     while m % p == 0:

@@ -427,8 +427,10 @@ def parse_catalogue(text: str, provenance: str = "<memory>") -> list[CatalogueEn
             raise FormatError("expected 'MOLSSET label n count base'", lineno)
         label = fields[1]
         n, count, base = _parse_ints(fields[2:], lineno)
-        if n < 1 or count < 1:
-            raise FormatError(f"set {label!r}: need n >= 1 and count >= 1", lineno)
+        # an OA(count + 2, n) needs count + 2 <= n + 1
+        if not 1 <= count <= n - 1:
+            raise FormatError(f"set {label!r}: need 1 <= count <= n - 1, "
+                              f"got n={n}, count={count}", lineno)
         body = lines[pos + 1:pos + 1 + count * n]
         table = _read_rows(body, n, _base(base, lineno))
         pos += 1 + len(body)

@@ -146,10 +146,8 @@ def _check_shape(k: int, nmod4: int, n: int | None) -> None:
 def _canonical_mask(k: int) -> np.ndarray:
     """Read-only mask of the components (c, i, j) with i < j of a (k+1)^3
     array: 1 <= i < j <= k, c in 1..k other than i and j."""
-    c = np.arange(k + 1)[:, None, None]
-    i = np.arange(k + 1)[None, :, None]
-    j = np.arange(k + 1)[None, None, :]
-    mask = (c >= 1) & (i >= 1) & (i < j) & (j <= k) & (c != i) & (c != j)
+    off = _off_diagonal(k)
+    mask = off[:, :, None] & off[:, None, :] & np.triu(off)
     mask.setflags(write=False)
     return mask
 
@@ -207,16 +205,38 @@ class TauVector:
 
     @classmethod
     def from_entries(cls, k, nmod4, entries, n=None) -> "TauVector":
-        """The vector with the [c, i, j, bit] rows ``entries``, i < j or i > j."""
-        rows = np.asarray(entries).reshape(-1, 4)
+        """The vector with the [c, i, j, bit] rows ``entries``, i < j or i > j.
+
+        Each row must name distinct integer columns in 1..k and a bit, and a
+        component given twice must be given the same bit both times."""
+        rows = np.asarray(entries)
+        if rows.shape[1:] != (4,):
+            raise OAError(f"tau entries must be [c, i, j, bit] rows, got shape {rows.shape}")
         bad = (rows[:, 3] != 0) & (rows[:, 3] != 1)
         if bad.any():
             raise OAError(f"tau bit must be 0 or 1, got {rows[bad, 3][0].item()!r}")
+        cols = rows[:, :3]
+        bad = ((cols != np.floor(cols)) | (cols < 1) | (cols > k)
+               | (cols == cols[:, [1, 2, 0]])).any(axis=1)
+        if bad.any():
+            raise OAError("invalid column triple ({}, {}, {})".format(*cols[bad][0].tolist()))
         c, i, j, b = rows.astype(np.intp).T
+        i, j = np.minimum(i, j), np.maximum(i, j)
         bits = np.zeros((k + 1, k + 1, k + 1), dtype=np.uint8)
         bits[c, i, j] = b
-        bits[c, j, i] = b
+        bad = bits[c, i, j] != b  # rows that disagree on a component: one bit stays
+        if bad.any():
+            raise OAError("tau component ({}, {}, {}) given twice with different bits"
+                          .format(*rows[bad][0, :3].tolist()))
         return cls(k=k, nmod4=nmod4, bits=bits, n=n)
+
+    @classmethod
+    def of_type(cls, ty: str, n: int) -> "TauVector":
+        """The tau of an OA(3, n) whose square has the 'rcs' parity type
+        ``ty``: tau^1_23 = r, tau^2_13 = c and tau^3_12 = s, the inverse of
+        ``triple_type(1, 2, 3)``."""
+        r, c, s = (int(x) for x in ty)
+        return cls.from_entries(3, n % 4, [[1, 2, 3, r], [2, 1, 3, c], [3, 1, 2, s]], n=n)
 
     def __eq__(self, other):
         return (

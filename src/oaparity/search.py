@@ -14,15 +14,17 @@ r + c + s = C(n, 2) mod 2 for every Latin square.
 Enumeration runs the walk with no earlier squares and resumes after any
 square it yielded.  The array search nests one walk per column, a recursion
 at most k deep, and prunes at column completion, where the parity components
-among the filled columns are final and must match the target.  One rule
-decides every target.  The first square passes iff its running type equals
-the target type: the target string, or the type of a tau target on columns
-1, 2, 3.  At three columns that type and the free sigma bits determine each
-other (tau^1_23 = sigma_13, tau^2_13 = sigma_23 + C(n, 2), tau^3_12 =
-sigma_13 + sigma_23), so no kernel runs there.  From the fourth column on,
-the columns so far are built into an ``OrthogonalArray``, whose sigma the
-kernel reads, and its entries between the new column and each earlier one
-must equal those of the target's sigma, computed once per search.
+among the filled columns are final and must match the target.  A type
+string names the tau of its OA(3, n) (``TauVector.of_type``), so every
+target is a tau vector and one rule decides it.  The first square passes
+iff its running type equals the target's type on columns 1, 2, 3.  At three
+columns that type and the free sigma bits determine each other (tau^1_23 =
+sigma_13, tau^2_13 = sigma_23 + C(n, 2), tau^3_12 = sigma_13 + sigma_23), so
+no kernel runs there.  From the fourth column on, the columns so far are
+built into an ``OrthogonalArray``, whose sigma the kernel reads, and its
+entries between the new column and each earlier one must equal those of the
+target's sigma, which the plausibility gate keeps on the target.  A found
+array is checked once more, its sigma against the target's.
 
 First-hit and exhaustive searches fold each column's walk by its first row.
 Row 0 of a new column meets no earlier line but its own row (every earlier
@@ -56,7 +58,7 @@ import numpy as np
 
 from .core import LatinSquare, OAError, OrthogonalArray, UsageError
 from .parity import (StandardSigma, TauVector, binom2_bit, plausible_types, sigma_from_tau,
-                     sigma_parity, tau_parity)
+                     sigma_parity)
 
 MAX_ENUM_ORDER = 6
 
@@ -249,7 +251,8 @@ class SearchSpec:
     """What to look for and how hard to try.
 
     ``target`` is a TauVector for the full (k, n), of this n or of unknown
-    n, or a 3-bit parity-type string when k = 3.  A tau target passes
+    n, or a 3-bit parity-type string when k = 3, which the search reads as
+    the tau that ``TauVector.of_type`` gives it.  A tau target passes
     ``sigma_from_tau``, the one plausibility gate, which keeps its
     standardised sigma on it for the search and the check of what it finds.
     The first square is checked by its parity type, each later column by
@@ -325,11 +328,12 @@ def _partial_tau_matches(columns, n: int, target: StandardSigma) -> bool:
     return np.array_equal(sigma.m[1:j, j], target.m[1:j, j])
 
 
-def _search(spec: SearchSpec, rng: random.Random | None, sigma: StandardSigma | None):
-    """(array or None, nodes, whether the node cap was hit); ``sigma`` is the
-    standardised sigma of a tau target when k > 3."""
-    n, k, target = spec.n, spec.k, spec.target
-    want = target if isinstance(target, str) else target.triple_type(1, 2, 3)
+def _search(spec: SearchSpec, rng: random.Random | None, target: TauVector):
+    """(array or None, nodes, whether the node cap was hit) of a search for
+    the tau vector ``target``."""
+    n, k = spec.n, spec.k
+    want = target.triple_type(1, 2, 3)
+    sigma = sigma_from_tau(target)
     idx = np.arange(n, dtype=np.int16)
     columns = [np.repeat(idx, n), np.tile(idx, n)]
     nodes = _Nodes(spec.max_nodes)
@@ -360,28 +364,20 @@ def _search(spec: SearchSpec, rng: random.Random | None, sigma: StandardSigma | 
 def find_oa_with_parity(spec: SearchSpec) -> SearchOutcome:
     """Search for an OA(k, n) whose parity matches the target.
 
-    A returned array is re-verified against the target before being handed
-    back.  Non-existence is certified only in exhaustive mode with no node
-    budget; running out of budget is reported as an inconclusive outcome.
+    A returned array's sigma is checked against the target's before it is
+    handed back.  Non-existence is certified only in exhaustive mode with no
+    node budget; running out of budget is reported as an inconclusive outcome.
     """
-    sigma = sigma_from_tau(spec.target) if spec.k > 3 else None
+    target = TauVector.of_type(spec.target, spec.n) if isinstance(spec.target, str) else spec.target
     randomized = spec.mode == "randomized"
     seed = (0 if spec.seed is None else spec.seed) if randomized else None
     total_nodes = 0
     for attempt in range(spec.restarts if randomized else 1):
         rng = random.Random(seed * 1_000_003 + attempt) if randomized else None
-        oa, nodes, capped = _search(spec, rng, sigma)
+        oa, nodes, capped = _search(spec, rng, target)
         total_nodes += nodes
         if oa is not None:
-            _verify(spec, oa)
+            if sigma_parity(oa) != sigma_from_tau(target):
+                raise OAError("search result does not match the target parity")
             return SearchOutcome(oa, False, total_nodes, seed)
     return SearchOutcome(None, spec.mode == "exhaustive" and not capped, total_nodes, seed)
-
-
-def _verify(spec: SearchSpec, oa: OrthogonalArray) -> None:
-    if isinstance(spec.target, str):
-        ty = tau_parity(oa).triple_type(1, 2, 3)
-        if ty != spec.target:
-            raise OAError(f"search returned type {ty}, wanted {spec.target}")
-    elif sigma_parity(oa) != sigma_from_tau(spec.target):
-        raise OAError("search result does not match the target tau vector")

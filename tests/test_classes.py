@@ -23,10 +23,11 @@ from oaparity.parity import (
     StandardSigma,
     check_plausible,
     sigma_from_tau,
+    standardise,
     tau_from_sigma,
     tau_parity,
 )
-from oaparity.constructions import linear_mols
+from oaparity.constructions import block_sigma, linear_mols, lower_triangular_sigma
 
 from conftest import zn_linear_oa
 from oracle import (
@@ -248,6 +249,14 @@ def test_compiled_generators_match_reference_sampled(k, nm):
 def test_orbit_k3_odd_always_4():
     for word in range(4):
         assert orbit(StandardSigma.from_word(3, 1, word)).size == 4
+
+
+def test_orbit_standardises_its_input():
+    # a sigma and its complement determine one tau, so one class
+    for s in (block_sigma(7), lower_triangular_sigma(5, 3)):
+        for bit, m in enumerate((s, s.complement())):
+            assert not isinstance(m, StandardSigma) and m.m[1, 2] == bit
+            assert orbit(m) == orbit(standardise(m))
 
 
 def test_orbit_divisibility():

@@ -345,6 +345,21 @@ def test_tau_from_entries_rejects_non_bits():
             TauVector.from_entries(4, 3, entries)
 
 
+@pytest.mark.parametrize("entries, message", [
+    ([[1, 2, -1, 0]], "invalid column triple"),  # would wrap to column k
+    ([[0, 2, 3, 1]], "invalid column triple"),  # would be dropped
+    ([[1.5, 2, 3, 1]], "invalid column triple"),  # would be truncated to 1
+    ([[9, 2, 3, 1]], "invalid column triple"),  # would raise IndexError
+    ([[1, 2, 3, 0, 2, 1, 3, 1]], r"\[c, i, j, bit\] rows"),  # would be two entries
+    ([[1, 2, 3, 0], [1, 3, 2, 1]], "given twice with different bits"),  # would keep the last
+], ids=["negative", "zero", "fraction", "too-large", "row-of-eight", "conflicting-twice"])
+def test_tau_from_entries_rejects_malformed_rows(entries, message):
+    from oaparity.parity import TauVector
+
+    with pytest.raises(OAError, match=message):
+        TauVector.from_entries(3, 2, entries)
+
+
 def test_parity_report_of_implausible_vector():
     from oaparity.parity import TauVector
 
@@ -401,6 +416,24 @@ def test_catalogue_malformed_reports_line():
 def test_catalogue_non_latin_square():
     with pytest.raises(fileio.FormatError):
         fileio.parse_catalogue("MOLSSET bad 2 1 0\n0 0\n1 1\n")
+
+
+@pytest.mark.parametrize("text", [
+    "MOLSSET one 1 1 0\n0\n",
+    fileio.format_catalogue_entry("many", [cyclic_square(3)] * 3),
+], ids=["order-one", "more-than-n-minus-1"])
+def test_catalogue_set_too_large_for_an_array(tmp_path, capsys, text):
+    # count squares of order n form an OA(count + 2, n) only if count <= n - 1;
+    # the header is refused before any square is read
+    with pytest.raises(fileio.FormatError, match="need 1 <= count <= n - 1") as exc:
+        fileio.parse_catalogue("# sets\n" + text)
+    assert exc.value.line == 2
+    assert text.split()[1] in str(exc.value)
+    path = tmp_path / "sets.cat"
+    path.write_text(text)
+    rc, out, err = run_cli(capsys, "ingest", str(path))
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: line 1: set ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -755,6 +788,13 @@ def test_cli_search_budget_fails_closed(tmp_path, capsys, argv):
     rc, out, err = run_cli(capsys, "search", *argv)
     assert (rc, out) == (2, "")
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("ty", ["2x1", "0000", "01", ""])
+def test_cli_search_latin_malformed_type_is_usage_error(capsys, ty):
+    rc, out, err = run_cli(capsys, "search", "latin", "--n", "4", "--type", ty)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: --type ") and err.count("\n") == 1
 
 
 def test_cli_ingest_not_utf8(tmp_path, capsys):

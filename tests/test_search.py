@@ -13,6 +13,7 @@ from oaparity.parity import (
     TauVector,
     latin_square_parities,
     plausible_types,
+    sigma_from_tau,
     sigma_parity,
     tau_from_sigma,
     tau_parity,
@@ -382,6 +383,36 @@ def test_type_and_tau_targets_search_alike(monkeypatch):
                 by_type = find_oa_with_parity(SearchSpec(3, n, ty, **options))
                 by_tau = find_oa_with_parity(SearchSpec(3, n, tau, **options))
                 assert by_type == by_tau, (n, ty, options)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_found_array_is_checked_against_the_target(monkeypatch, k):
+    # a found array whose parity is not the target's is refused, for a type
+    # target and for a tau target
+    n = 5
+    wrong = OrthogonalArray(linear_mols(n).rows[:, :k])
+    tau = _word_target(k, n, 1)
+    assert sigma_parity(wrong) != sigma_from_tau(tau)
+    monkeypatch.setattr(search, "_search", lambda *args: (wrong, 1, False))
+    targets = [tau] + ([tau.triple_type(1, 2, 3)] if k == 3 else [])
+    for target in targets:
+        with pytest.raises(OAError, match="does not match the target"):
+            find_oa_with_parity(SearchSpec(k, n, target))
+
+
+def test_of_type_is_the_tau_of_its_square():
+    # the OA(3, n) vector a type names passes the gate exactly when the type
+    # is plausible, and its square's type is the type
+    for n in range(1, 9):
+        for ty in (f"{code:03b}" for code in range(8)):
+            tau = TauVector.of_type(ty, n)
+            assert tau.triple_type(1, 2, 3) == ty
+            try:
+                sigma_from_tau(tau)
+                gated = True
+            except OAError:
+                gated = False
+            assert gated == (ty in plausible_types(n % 4)), (ty, n)
 
 
 def test_first_hit_needs_no_recursion_per_cell():
