@@ -39,6 +39,7 @@ from .parity import (
     plausible_types,
     sigma_from_tau,
     sigma_parity,
+    standard_sigma,
     standardise,
     tau_from_sigma,
     tau_parity,

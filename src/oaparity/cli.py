@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import classes, constructions, ensemble, fileio, graphs, search
 from .core import LatinSquare, OAError, UsageError, oa_to_mols
-from .parity import plausible_types, sigma_from_tau, tau_parity
+from .parity import SigmaMatrix, plausible_types, standard_sigma, tau_from_sigma
 
 
 def _emit(args, text_lines, obj):
@@ -48,12 +48,12 @@ def _load_oa(path):
     return fileio.parse_oa(fileio.read_text(path))
 
 
-def _load_tau(args):
-    """The tau vector of an OA file, or with --tau of a sigma/parity-report
-    JSON file."""
+def _load(args):
+    """The array of an OA file, or with --tau the sigma matrix or tau vector
+    of a sigma/parity-report JSON file."""
     if args.tau:
-        return fileio.load_tau(args.file)
-    return tau_parity(_load_oa(args.file))
+        return fileio.load_parity(args.file)
+    return _load_oa(args.file)
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +66,7 @@ def cmd_validate(args):
 
 
 def cmd_parity(args):
-    obj = fileio.parity_report(_load_tau(args))
+    obj = fileio.parity_report(_load(args))
     lines = [
         f"k={obj['k']} nmod4={obj['nmod4']}"
         + (f" n={obj['n']}" if obj["n"] is not None else ""),
@@ -83,21 +83,19 @@ def cmd_parity(args):
 
 
 def cmd_graphs(args):
-    tau = _load_tau(args)
-    sigma = sigma_from_tau(tau)
-    decomps = graphs.tau_graphs(tau)
-    stk = graphs.stack(tau)
+    sigma = standard_sigma(_load(args))
+    decomps = graphs.tau_graphs(sigma)
+    stk = graphs.stack(sigma)
     sg = graphs.sigma_graph(sigma)
     if args.dot:
-        parts = []
-        for d in decomps:
-            parts.append(graphs.to_dot(graphs.tau_graph(tau, d.c), name=f"tau{d.c}"))
-        parts.append(graphs.to_dot(graphs.stack_graph(tau), name="stack"))
-        parts.append(graphs.to_dot(sg.graph, name="sigma"))
+        parts = [graphs.to_dot(graphs.tau_graph(sigma, d.c), name=f"tau{d.c}") for d in decomps]
+        parts += [graphs.to_dot(graphs.stack_graph(sigma), name="stack"),
+                  graphs.to_dot(sg.graph, name="sigma")]
         sys.stdout.write("\n".join(parts))
         return
     obj = {
-        "tau_graphs": [asdict(d) for d in decomps],
+        # not asdict, which copies the k - 1 vertices of each graph one by one
+        "tau_graphs": [{"c": d.c, "part1": d.part1, "part2": d.part2} for d in decomps],
         "stack": asdict(stk),
         # the report also holds the graph that --dot draws, so not asdict
         "sigma_graph": {
@@ -123,7 +121,7 @@ def cmd_graphs(args):
 
 
 def cmd_class(args):
-    summary = classes.orbit(sigma_from_tau(_load_tau(args)))
+    summary = classes.orbit(standard_sigma(_load(args)))
     obj = {
         "k": summary.canonical.k,
         "nmod4": summary.canonical.nmod4,
@@ -194,7 +192,7 @@ def cmd_sigma(args):
 
 
 def cmd_ensemble(args):
-    census = ensemble.ensemble_census(_load_tau(args))
+    census = ensemble.ensemble_census(_load(args))
     report = ensemble.check_ensemble_laws(census)
     obj = {
         "k": census.k,
@@ -244,10 +242,11 @@ def cmd_search_latin(args):
 
 def cmd_search_oa(args):
     mode = "exhaustive" if args.exhaustive else ("randomized" if args.seed is not None else "first-hit")
+    target = fileio.load_parity(args.target)
     spec = search.SearchSpec(
         k=args.k,
         n=args.n,
-        target=fileio.load_tau(args.target),
+        target=tau_from_sigma(target) if isinstance(target, SigmaMatrix) else target,
         mode=mode,
         seed=args.seed,
         restarts=args.restarts,

@@ -26,13 +26,26 @@ parity, and by the transpose law sigma_ji = sigma_ij + C(n, 2) iff all mu_c
 do.  The census takes that verdict from the sigma,
 ``SigmaMatrix.pp_plausible``.
 
-The census works on the tau bit array as a whole: the type of the square on
-columns c1 < c2 < c3 is the 3-bit code tau^{c1}_{c2c3} << 2 |
-tau^{c2}_{c1c3} << 1 | tau^{c3}_{c1c2} (so "rcs" is the code in binary).
-The three bits sit at [c1, c2, c3] of ``bits``, ``bits.transpose(1, 0, 2)``
-and ``bits.transpose(1, 2, 0)``, so one whole-array expression over these
-views codes every square, and ``np.bincount`` counts the codes under the
-mask of the triples.
+The census reads the standardised sigma, ``standard_sigma``, and no tau.
+On the square of columns a < b < c the row bit is r = tau^a_bc = sigma_ab +
+sigma_ac and the symbol bit s = tau^c_ab = sigma_ca + sigma_cb = sigma_ac +
+sigma_bc by the transpose law, so r + s = sigma_ab + sigma_bc, and the
+column bit is r + s + C(n, 2).  With A the +-1 upper triangle of sigma,
+A_ab = (-1)^sigma_ab for a < b and 0 elsewhere, P its row sums and Q its
+column sums, the sums over all triples are
+
+    S_r  = sum (-1)^r       = (P.P - C(k,2)) / 2
+    S_s  = sum (-1)^s       = (Q.Q - C(k,2)) / 2
+    S_rs = sum (-1)^(r + s) = P.Q
+
+(S_r pairs the entries of row a, S_s those of column c, and S_rs those
+of column b with those of row b, A_ab^2 being 1), and the number of
+squares with bits (r, s) is
+
+    (C(k,3) + (-1)^r S_r + (-1)^s S_s + (-1)^(r+s) S_rs) / 4,
+
+three O(k^2) sums in place of a pass over the k^3 triples.  This is the
+degree counting of the identities above, labelled by type.
 """
 
 from __future__ import annotations
@@ -43,14 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constructions import block_sigma
-from .core import OAError, OrthogonalArray
-from .parity import (
-    TauVector,
-    _triple_mask,
-    equiparity_type,
-    sigma_from_tau,
-    tau_parity,
-)
+from .core import OAError
+from .parity import binom2_bit, equiparity_type, standard_sigma
 
 
 def max_equiparity(k: int) -> int:
@@ -107,9 +114,10 @@ class EnsembleCensus:
     ``SigmaMatrix.pp_plausible``: "na" unless n is known and k = n+1, and
     otherwise "yes" iff all mu_c share one parity (the plane conditions).
 
-    ``ensemble_census`` builds every field from a plausible tau and its
-    sigma, ``sigma_from_tau``, the one plausibility gate, so the edge-count
-    identities and the four-column cap hold on it as theorems.
+    ``ensemble_census`` builds every field from the standardised sigma of
+    its source, ``standard_sigma`` (for a tau, ``sigma_from_tau``, the one
+    plausibility gate), so the edge-count identities and the four-column
+    cap hold on it as theorems.
     A census built by hand may carry fields no vector has;
     ``check_ensemble_laws`` still evaluates the laws it reads off x.
     """
@@ -124,33 +132,26 @@ class EnsembleCensus:
     pp_plausible: str
 
 
-def ensemble_census(source: OrthogonalArray | TauVector) -> EnsembleCensus:
-    """Census of an array or of a bare (plausible) tau vector."""
-    tau = tau_parity(source) if isinstance(source, OrthogonalArray) else source
-    sigma = sigma_from_tau(tau)
-    mu = sigma.row_sums()
-    k = tau.k
-    bits = tau.bits
-    types = bits << 2 | bits.transpose(1, 0, 2) << 1 | bits.transpose(1, 2, 0)
-    counts = np.bincount(types[_triple_mask(k)], minlength=8)
-    x = int(counts[int(equiparity_type(tau.nmod4), 2)])
+def ensemble_census(source) -> EnsembleCensus:
+    """Census of an array, a plausible tau vector or a sigma matrix, read
+    off its standardised sigma by the three degree sums."""
+    sigma = standard_sigma(source)
+    k, nmod4, mu = sigma.k, sigma.nmod4, sigma.row_sums()
+    a = np.triu(1 - 2 * sigma.m[1:, 1:].astype(np.int64), 1)
+    p, q = a.sum(axis=1), a.sum(axis=0)
+    pairs, triples = math.comb(k, 2), math.comb(k, 3)
+    s_r, s_s, s_rs = (int(p @ p) - pairs) // 2, (int(q @ q) - pairs) // 2, int(p @ q)
+    counts = {f"{r}{r ^ s ^ binom2_bit(nmod4)}{s}":
+              (triples + (1 - 2 * r) * s_r + (1 - 2 * s) * s_s + (1 - 2 * (r ^ s)) * s_rs) // 4
+              for r in (0, 1) for s in (0, 1)}
+    x = counts[equiparity_type(nmod4)]
     T = sum(m * (k - 1 - m) for m in mu)
-    if tau.nmod4 in (0, 1):
-        expected = 2 * math.comb(k, 3) - 2 * x
-    else:
-        expected = 2 * x + math.comb(k, 3)
+    expected = 2 * triples - 2 * x if nmod4 in (0, 1) else 2 * x + triples
     if T != expected:
         raise OAError(f"edge count {T} disagrees with the type census ({expected})")
-    return EnsembleCensus(
-        k=k,
-        nmod4=tau.nmod4,
-        n=tau.n,
-        type_counts={f"{v:03b}": int(counts[v]) for v in range(8) if counts[v]},
-        x=x,
-        T=T,
-        mu=tuple(mu),
-        pp_plausible=sigma.pp_plausible,
-    )
+    return EnsembleCensus(k=k, nmod4=nmod4, n=sigma.n, x=x, T=T, mu=tuple(mu),
+                          type_counts={ty: c for ty, c in sorted(counts.items()) if c},
+                          pp_plausible=sigma.pp_plausible)
 
 
 # ---------------------------------------------------------------------------

@@ -345,15 +345,16 @@ def _expect_each_once(keys: list, count: int, what: str) -> None:
 # parity reports
 
 
-def parity_report(source: OrthogonalArray | TauVector) -> dict:
-    """The canonical JSON report: tau entries, standardised sigma pairs,
-    plausibility flags.
+def parity_report(source: OrthogonalArray | TauVector | SigmaMatrix) -> dict:
+    """The canonical JSON report of an array, a tau or a sigma matrix: tau
+    entries, standardised sigma pairs, plausibility flags.
 
     The flags come from the tau's sigma, ``sigma_from_tau``, the one
     plausibility gate, and its plane verdict, ``SigmaMatrix.pp_plausible``;
     only a tau that gate refuses gets a ``check_plausible`` pass, to list
     its violations."""
     tau = tau_parity(source) if isinstance(source, OrthogonalArray) else source
+    tau = tau_from_sigma(tau) if isinstance(tau, SigmaMatrix) else tau
     obj = {"k": tau.k, "n": tau.n, "nmod4": tau.nmod4, "tau": tau.entries()}
     try:
         sigma = sigma_from_tau(tau)
@@ -381,15 +382,16 @@ def tau_from_report(obj: dict) -> TauVector:
         return TauVector.from_entries(k, nmod4, entries, n=n)
 
 
-def load_tau(path) -> TauVector:
-    """Read a tau vector from a parity report or a sigma JSON file."""
+def load_parity(path) -> SigmaMatrix | TauVector:
+    """Read a parity vector: the sigma matrix of a sigma JSON file, which
+    builds no tau, or the tau vector of a parity report."""
     text = read_text(path)
     with _malformed("JSON file"):
         obj = json.loads(text)
     if not isinstance(obj, dict):
         raise FormatError("file holds neither sigma data nor a parity report")
     if obj.get("kind") == "sigma":
-        return tau_from_sigma(sigma_from_json(obj))
+        return sigma_from_json(obj)
     if "tau" in obj:
         return tau_from_report(obj)
     raise FormatError("file holds neither sigma data nor a parity report")

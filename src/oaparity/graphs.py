@@ -7,11 +7,13 @@ superimposes all k tau-graphs mod 2.  The sigma-graph has the sigma matrix
 as adjacency matrix: undirected when that matrix is symmetric (n = 0, 1 mod
 4), a tournament otherwise.
 
-The graphs of a tau are read off its one sigma, ``sigma_from_tau(t)``, so
-they take a plausible tau and raise that function's OAError on any other.
-As tau^c_{ij} = sigma_ci + sigma_cj, the sides of tau-graph c are the
-values of sigma row c.  Summing over the columns c other than i and j
-gives the stack: i ~ j exactly when in_i + in_j + C(n, 2) is odd, in_v
+The graphs are read off one standardised sigma, ``standard_sigma``, of an
+array, a plausible tau or a sigma matrix; a tau that is not plausible
+raises the OAError of ``sigma_from_tau``, the one plausibility gate, and
+no tau cube is built.  As tau^c_{ij} = sigma_ci + sigma_cj, tau-graph c
+joins the vertices other than c on which sigma row c differs, so its sides
+are the values of that row.  Summing over the columns c other than i and
+j gives the stack: i ~ j exactly when in_i + in_j + C(n, 2) is odd, in_v
 the in-degrees of the sigma-graph.  So the stack's parts are the in-degree
 parity classes: the sides of a complete bipartite graph for n = 0, 1 mod 4,
 two cliques for n = 2, 3 mod 4.
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import OAError
-from .parity import SigmaMatrix, TauVector, _off_diagonal, binom2_bit, sigma_from_tau
+from .parity import SigmaMatrix, _off_diagonal, binom2_bit, standard_sigma
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,22 +136,28 @@ class TauGraphDecomposition:
         return (len(self.part1), len(self.part2))
 
 
-def tau_graph(t: TauVector, c: int) -> SimpleGraph:
-    """The tau-graph of column c as a plain graph on 1..k."""
-    return SimpleGraph(k=t.k, directed=False, adj=t.bits[c])
+def tau_graph(x, c: int) -> SimpleGraph:
+    """The tau-graph of column c, 1 <= c <= k, of an array, a plausible tau
+    or a sigma matrix, as a plain graph on 1..k: i ~ j, both other than c,
+    exactly when sigma_ci + sigma_cj = 1."""
+    if not 1 <= c <= x.k:
+        raise OAError(f"column {c} out of range 1..{x.k}")
+    row, others = standard_sigma(x).m[c], _off_diagonal(x.k)[c]
+    adj = (row[:, None] ^ row) & np.outer(others, others)
+    return SimpleGraph(k=x.k, directed=False, adj=_frozen(adj))
 
 
-def tau_graphs(t: TauVector) -> list[TauGraphDecomposition]:
-    """Decompose every tau-graph of a plausible tau as isolated vertex +
-    complete bipartite.
+def tau_graphs(x) -> list[TauGraphDecomposition]:
+    """Decompose every tau-graph of an array, a plausible tau or a sigma
+    matrix as isolated vertex + complete bipartite.
 
-    As tau^c_{ij} = sigma_ci + sigma_cj, the sides of tau-graph c are the
-    values of row c of ``sigma_from_tau(t)``, with w(c), the lowest vertex
-    other than c, on side 0.  The side of v is sigma_cv + sigma_c1: w(c) = 1
-    for c >= 2, and for c = 1 standardisation pins sigma_12 = 0 = sigma_11.
+    The sides of tau-graph c are the values of row c of its standardised
+    sigma, with w(c), the lowest vertex other than c, on side 0.  The side
+    of v is sigma_cv + sigma_c1: w(c) = 1 for c >= 2, and for c = 1
+    standardisation pins sigma_12 = 0 = sigma_11.
     """
-    m = sigma_from_tau(t).m
-    verts = range(1, t.k + 1)
+    m = standard_sigma(x).m
+    verts = range(1, x.k + 1)
     out = []
     for c, side in enumerate((m ^ m[:, 1:2]).tolist()[1:], start=1):
         part2 = tuple(v for v in verts if v != c and side[v])
@@ -179,37 +187,33 @@ class StackClassification:
     refined: str | None = None
 
 
-def _odd_in_degrees(t: TauVector) -> np.ndarray:
-    """in_v mod 2 of the sigma-graph of a plausible tau, at index v."""
-    return sigma_from_tau(t).m.sum(axis=0) & 1
+def stack_graph(x) -> SimpleGraph:
+    """The stack of an array, a plausible tau or a sigma matrix: i ~ j
+    exactly when in_i + in_j + C(n, 2) is odd."""
+    s = standard_sigma(x)
+    odd = s.m.sum(axis=0) & 1
+    adj = (odd[:, None] ^ odd ^ binom2_bit(s.nmod4)) & _off_diagonal(s.k)
+    return SimpleGraph(k=s.k, directed=False, adj=_frozen(adj.astype(np.uint8)))
 
 
-def stack_graph(t: TauVector) -> SimpleGraph:
-    """The stack of a plausible tau: i ~ j exactly when in_i + in_j + C(n, 2)
-    is odd."""
-    odd = _odd_in_degrees(t)
-    adj = (odd[:, None] ^ odd[None, :] ^ binom2_bit(t.nmod4)) & _off_diagonal(t.k)
-    return SimpleGraph(k=t.k, directed=False, adj=_frozen(adj.astype(np.uint8)))
-
-
-def stack(t: TauVector) -> StackClassification:
-    """Classify the stack of a plausible tau per the residue of n mod 4.
+def stack(x) -> StackClassification:
+    """Classify the stack of an array, a plausible tau or a sigma matrix per
+    the residue of n mod 4.
 
     Its parts are the in-degree parity classes, vertex 1's class first.  A
     single class is an empty stack, reported as parts () | all, for n = 0, 1
     mod 4, and one clique, all | (), for n = 2, 3 mod 4; ``refined`` is
     set when the sigma's plane verdict, ``pp_plausible``, is "yes".
     """
-    odd = _odd_in_degrees(t)[1:]
-    verts = np.arange(1, t.k + 1)
+    s = standard_sigma(x)
+    odd = s.m[:, 1:].sum(axis=0) & 1
+    verts = np.arange(1, s.k + 1)
     mine = odd == odd[0]
     own, other = tuple(verts[mine].tolist()), tuple(verts[~mine].tolist())
-    bipartite = t.nmod4 in (0, 1)
+    bipartite = s.nmod4 in (0, 1)
     if not other and bipartite:
         own, other = (), own
-    refined = None
-    if sigma_from_tau(t).pp_plausible == "yes":
-        refined = "empty" if bipartite else "complete"
+    refined = ("empty" if bipartite else "complete") if s.pp_plausible == "yes" else None
     shape = "complete-bipartite" if bipartite else "union-of-cliques"
     return StackClassification(shape=shape, part1=own, part2=other, refined=refined)
 

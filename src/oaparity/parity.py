@@ -41,8 +41,10 @@ A plausible tau is exactly its C(k,2) - 1 standardised sigma bits, so
 which it hands back with no plausibility pass; of any other tau it runs
 ``check_plausible``, then reads d off the vector and keeps the sigma on the
 tau, so no tau is checked twice.  ``check_plausible`` is otherwise only the
-violation lister of a report and the tests' reference.  The plane
-conditions of k = n + 1 are degree parities of that sigma, and
+violation lister of a report and the tests' reference.  ``standard_sigma``
+gives the standardised sigma of an array, a tau or a sigma matrix, and is
+all the census and the graphs read: no tau cube is built for them.  The
+plane conditions of k = n + 1 are degree parities of that sigma, and
 ``SigmaMatrix.pp_plausible`` is the one plane verdict, which the report,
 the census and the graphs read.
 
@@ -607,6 +609,15 @@ def sigma_from_tau(t: TauVector) -> StandardSigma:
     up = _sigma_upper(_read_fixed_columns(t.bits), t.nmod4)
     object.__setattr__(t, "_sigma", StandardSigma.from_upper(t.k, t.nmod4, up, n=t.n))
     return t._sigma
+
+
+def standard_sigma(x: OrthogonalArray | TauVector | SigmaMatrix) -> StandardSigma:
+    """The standardised sigma of an array (the one it stores), of a tau
+    (``sigma_from_tau``, the one plausibility gate) or of a sigma matrix
+    (``standardise``): the one state the census and the graphs read."""
+    if isinstance(x, OrthogonalArray):
+        return sigma_parity(x)
+    return sigma_from_tau(x) if isinstance(x, TauVector) else standardise(x)
 
 
 # ---------------------------------------------------------------------------

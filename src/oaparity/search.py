@@ -52,7 +52,7 @@ import itertools
 import math
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -252,9 +252,10 @@ class SearchSpec:
 
     ``target`` is a TauVector for the full (k, n), of this n or of unknown
     n, or a 3-bit parity-type string when k = 3, which the search reads as
-    the tau that ``TauVector.of_type`` gives it.  A tau target passes
-    ``sigma_from_tau``, the one plausibility gate, which keeps its
-    standardised sigma on it for the search and the check of what it finds.
+    the tau that ``TauVector.of_type`` gives it.  That tau, ``tau``, passes
+    ``sigma_from_tau``, the one plausibility gate, once, which keeps its
+    standardised sigma on it for the search and the check of what it finds;
+    a type that no square of order n has is refused there.
     The first square is checked by its parity type, each later column by
     the free sigma entries of the columns so far.  Modes:
     "first-hit" (deterministic DFS, first match), "exhaustive" (certifies
@@ -273,6 +274,7 @@ class SearchSpec:
     seed: int | None = None
     restarts: int = 1
     max_nodes: int | None = None
+    tau: TauVector = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("exhaustive", "first-hit", "randomized"):
@@ -293,17 +295,15 @@ class SearchSpec:
         if isinstance(self.target, str):
             if self.k != 3 or len(self.target) != 3 or set(self.target) - {"0", "1"}:
                 raise OAError("a parity-type target is a 3-bit string and needs k = 3")
-            if self.target not in plausible_types(self.n % 4):
-                raise OAError(
-                    f"type {self.target} is impossible for n = {self.n % 4} mod 4"
-                )
+            t = TauVector.of_type(self.target, self.n)
         elif isinstance(self.target, TauVector):
             t = self.target
             if t.k != self.k or t.nmod4 != self.n % 4 or t.n not in (None, self.n):
                 raise OAError("target dimensions disagree with the search spec")
-            sigma_from_tau(t)
         else:
             raise OAError("target must be a TauVector or a parity-type string")
+        sigma_from_tau(t)
+        object.__setattr__(self, "tau", t)
 
 
 @dataclass(frozen=True)
@@ -328,12 +328,12 @@ def _partial_tau_matches(columns, n: int, target: StandardSigma) -> bool:
     return np.array_equal(sigma.m[1:j, j], target.m[1:j, j])
 
 
-def _search(spec: SearchSpec, rng: random.Random | None, target: TauVector):
+def _search(spec: SearchSpec, rng: random.Random | None):
     """(array or None, nodes, whether the node cap was hit) of a search for
-    the tau vector ``target``."""
+    the spec's tau."""
     n, k = spec.n, spec.k
-    want = target.triple_type(1, 2, 3)
-    sigma = sigma_from_tau(target)
+    want = spec.tau.triple_type(1, 2, 3)
+    sigma = sigma_from_tau(spec.tau)
     idx = np.arange(n, dtype=np.int16)
     columns = [np.repeat(idx, n), np.tile(idx, n)]
     nodes = _Nodes(spec.max_nodes)
@@ -368,16 +368,15 @@ def find_oa_with_parity(spec: SearchSpec) -> SearchOutcome:
     handed back.  Non-existence is certified only in exhaustive mode with no
     node budget; running out of budget is reported as an inconclusive outcome.
     """
-    target = TauVector.of_type(spec.target, spec.n) if isinstance(spec.target, str) else spec.target
     randomized = spec.mode == "randomized"
     seed = (0 if spec.seed is None else spec.seed) if randomized else None
     total_nodes = 0
     for attempt in range(spec.restarts if randomized else 1):
         rng = random.Random(seed * 1_000_003 + attempt) if randomized else None
-        oa, nodes, capped = _search(spec, rng, target)
+        oa, nodes, capped = _search(spec, rng)
         total_nodes += nodes
         if oa is not None:
-            if sigma_parity(oa) != sigma_from_tau(target):
+            if sigma_parity(oa) != sigma_from_tau(spec.tau):
                 raise OAError("search result does not match the target parity")
             return SearchOutcome(oa, False, total_nodes, seed)
     return SearchOutcome(None, spec.mode == "exhaustive" and not capped, total_nodes, seed)

@@ -1,7 +1,7 @@
 import numpy as np
 
 from oaparity.core import LatinSquare, OAError, Transform, mols_to_oa
-from oaparity.parity import SigmaMatrix, TauVector, tau_from_sigma
+from oaparity.parity import SigmaMatrix, TauVector, standardise, tau_from_sigma
 
 
 def swap_count_parity(images):
@@ -61,6 +61,19 @@ def random_plausible_tau(rng, k, nmod4, n=None):
     """Tau vector of a random sigma matrix: plausible by construction."""
     upper = np.array([[rng.randrange(2) for _ in range(k + 1)] for _ in range(k + 1)])
     return tau_from_sigma(SigmaMatrix.from_upper(k, nmod4, upper, n=n))
+
+
+def sigma_inputs(rng, ks):
+    """For each k in ks and each n mod 4, with n unknown and, when its
+    residue allows, n = k - 1: a random standardised sigma and its
+    complement, which determine one tau."""
+    for k in ks:
+        for nmod4 in range(4):
+            for n in [None] + [k - 1] * ((k - 1) % 4 == nmod4):
+                upper = np.array([[rng.randrange(2) for _ in range(k + 1)] for _ in range(k + 1)])
+                s = standardise(SigmaMatrix.from_upper(k, nmod4, upper, n=n))
+                yield s
+                yield s.complement()
 
 
 def flip_components(t, rng, count):

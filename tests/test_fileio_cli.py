@@ -1,7 +1,9 @@
 import argparse
 import ast
 import json
+import math
 import os
+import random
 import re
 import resource
 import subprocess
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oaparity.core import OAError, cyclic_square, mols_to_oa, oa_to_mols
-from oaparity.constructions import block_sigma, linear_mols, residue_pattern_oa
+from oaparity.constructions import block_sigma, linear_mols, pp_plausible_sigma, residue_pattern_oa
 from oaparity.parity import check_plausible, latin_square_parities, sigma_from_tau, tau_parity
 import oaparity
 from oaparity import cli, fileio, search
@@ -472,6 +474,37 @@ def test_cli_residue_oa_over_the_bound_fails_closed(n):
     assert float(out.stdout) < 1.0
 
 
+def test_cli_sigma_commands_at_k1020_build_no_tau_cube(tmp_path):
+    # the census and the class search read the sigma of a sigma file: each
+    # child runs under a 1.5 GB address-space limit, which the k^3 tau cube
+    # of k = 1020 columns and the arrays derived from it would exceed
+    n = 1019
+    rng = random.Random(1)  # the bit stream of construct sigma --kind pp-random --seed 1
+    bits = [rng.randrange(2) for _ in range(n * (n - 1) // 2 - 1 + n % 2)]
+    path = tmp_path / "pp1019.json"
+    path.write_text(json.dumps(fileio.sigma_to_json(pp_plausible_sigma(n, bits), seed=1)))
+    env = dict(os.environ, PYTHONPATH=str(Path(oaparity.__file__).parents[1]))
+    limit = 1_500_000 * 1024
+
+    def child(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "oaparity.cli", *argv, str(path), "--tau"], env=env,
+            capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+
+    out = child("ensemble", "--json")
+    assert out.returncode == 0, out.stderr
+    obj = json.loads(out.stdout)
+    k = n + 1
+    assert obj["k"] == k
+    assert sum(obj["type_counts"].values()) == math.comb(k, 3)
+    # n = 3 mod 4: sigma is a tournament, whose cyclic triangles x counts
+    assert obj["equiparity"] == math.comb(k, 3) - sum(math.comb(m, 2) for m in obj["mu"])
+    out = child("class")
+    assert out.returncode == 1
+    assert len(out.stderr.splitlines()) == 1 and out.stderr.startswith("error: "), out.stderr
+
+
 def run_cli(capsys, *argv):
     rc = cli.main(list(argv))
     out = capsys.readouterr()
@@ -549,13 +582,13 @@ def _counted_passes(monkeypatch) -> list:
 @pytest.mark.parametrize("command, passes", [("parity", 0), ("ensemble", 0), ("graphs", 0),
                                               ("class", 0)])
 def test_cli_array_commands_take_the_array_paths(tmp_path, capsys, monkeypatch, command, passes):
-    # one loader: an OA file is read as its tau, which carries the array's
-    # sigma, and so does the tau of a sigma file read with --tau, so neither
-    # needs a plausibility pass to get its sigma; both outputs equal that of
-    # the array's parity report read with --tau, whose sigma is checked; the
-    # census reads the plane conditions off the sigma row sums and the graphs
-    # read that sigma, so they need no pass either; the report reads its
-    # flags off that sigma too
+    # an OA file is read as the array, which carries its sigma, and a sigma
+    # file read with --tau as that sigma, so neither needs a plausibility
+    # pass to get its sigma; both outputs equal that of the array's parity
+    # report read with --tau, whose tau is checked once; the census reads the
+    # plane conditions off the sigma row sums and the graphs read that sigma,
+    # so they need no pass either; the report reads its flags off that sigma
+    # too
     from oaparity import parity
 
     plane = linear_mols(9)

@@ -18,6 +18,7 @@ from oaparity.graphs import (
     to_dot,
 )
 from oaparity.parity import (
+    SigmaMatrix,
     StandardSigma,
     TauVector,
     check_plausible,
@@ -36,7 +37,8 @@ from oaparity.constructions import (
 )
 
 import oracle
-from conftest import flip_components, random_plausible_tau, result_or_error, zn_linear_oa
+from conftest import (flip_components, random_plausible_tau, result_or_error, sigma_inputs,
+                      zn_linear_oa)
 
 
 def random_graph(k, directed, rng):
@@ -113,6 +115,10 @@ def test_every_oa_tau_graph_decomposes():
                 assert not gr.has_edge(u, v)
             for u, v in itertools.combinations(d.part2, 2):
                 assert not gr.has_edge(u, v)
+        # a column outside 1..k fails closed, as a vertex does in graph_switch
+        for c in (0, -1, t.k + 1):
+            with pytest.raises(OAError, match=f"^column {c} out of range 1..{t.k}$"):
+                tau_graph(t, c)
 
 
 def test_circulant_tau_graphs_are_balanced():
@@ -161,21 +167,31 @@ def _vectors(rng):
                 yield random_plausible_tau(rng, k, nm, n=n)
     for q in (3, 4, 5, 7, 8, 9, 11, 16, 25, 27, 31, 32):
         yield tau_parity(linear_mols(q))
+    yield from sigma_inputs(random.Random(83), (3, 4, 5, 6, 7, 8, 16, 33, 64))
 
 
 def test_graph_splits_match_oracle():
+    # a sigma input's graphs are those of its tau, which the oracle reads; a
+    # sigma's complement follows it and has its tau, so brute force runs once
     rng = random.Random(81)
-    for t in _vectors(rng):
-        decs = [(d.c, d.part1, d.part2) for d in tau_graphs(t)]
-        assert decs == oracle.tau_graph_parts(t)
-        assert _stack_parts(t) == oracle.stack_parts(t)
+    prev = None
+    for source in _vectors(rng):
+        t = tau_from_sigma(source) if isinstance(source, SigmaMatrix) else source
+        if (t, t.n) != prev:
+            prev = (t, t.n)
+            parts, stack_parts = oracle.tau_graph_parts(t), oracle.stack_parts(t)
+            entries = oracle.entries(t)
+            assert t.entries() == [list(e) for e in entries]
+            edges = {c: [] for c in range(1, t.k + 1)}
+            for c, i, j, b in entries:
+                if b:
+                    edges[c].append((i, j))
+        assert [(d.c, d.part1, d.part2) for d in tau_graphs(source)] == parts
+        assert _stack_parts(source) == stack_parts
         # the stack is derived from in-degree parities; brute force sums the columns
-        assert np.array_equal(stack_graph(t).adj, t.bits[1:].sum(axis=0) & 1)
-        entries = oracle.entries(t)
-        assert t.entries() == [list(e) for e in entries]
+        assert np.array_equal(stack_graph(source).adj, t.bits[1:].sum(axis=0) & 1)
         for c in range(1, t.k + 1):
-            edges = [(i, j) for c2, i, j, b in entries if c2 == c and b]
-            assert tau_graph(t, c).edges() == edges
+            assert tau_graph(source, c).edges() == edges[c]
 
 
 def test_graph_errors_match_oracle_on_flipped_vectors():
@@ -185,6 +201,8 @@ def test_graph_errors_match_oracle_on_flipped_vectors():
     rng = random.Random(82)
     raised = 0
     for t in _vectors(rng):
+        if isinstance(t, SigmaMatrix):
+            continue  # the flips are made in a tau's bits
         for count in (1, 2, 4):
             bad = flip_components(t, rng, count)
             gate = result_or_error(sigma_from_tau, bad)

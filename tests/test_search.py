@@ -11,6 +11,7 @@ from oaparity.parity import (
     SigmaMatrix,
     StandardSigma,
     TauVector,
+    check_plausible,
     latin_square_parities,
     plausible_types,
     sigma_from_tau,
@@ -112,8 +113,10 @@ def test_achieved_subset_of_plausible():
 
 
 def test_spec_validation():
-    with pytest.raises(OAError):
-        SearchSpec(k=3, n=4, target="111")  # impossible type for n = 0 mod 4
+    # an impossible type for n = 0 mod 4 is refused by the one plausibility
+    # gate, on the tau of its OA(3, n)
+    with pytest.raises(OAError, match="^tau vector is not plausible: triple violated"):
+        SearchSpec(k=3, n=4, target="111")
     with pytest.raises(OAError):
         SearchSpec(k=3, n=4, target="00")
     with pytest.raises(OAError):
@@ -155,6 +158,23 @@ def test_first_hit_each_type_n5():
         assert out.found is not None
         sq = oa_to_mols(out.found)[0]
         assert latin_square_parities(sq).type_str == ty
+
+
+def test_type_target_takes_one_plausibility_pass(monkeypatch):
+    # the spec gates the tau of the type once, and the search and the check
+    # of what it finds read the sigma the gate keeps on it
+    from oaparity import parity
+
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return check_plausible(t)
+
+    monkeypatch.setattr(parity, "check_plausible", counted)
+    out = find_oa_with_parity(SearchSpec(3, 5, "011"))
+    assert latin_square_parities(oa_to_mols(out.found)[0]).type_str == "011"
+    assert len(calls) == 1
 
 
 def test_first_hit_each_type_n6():
