@@ -223,14 +223,14 @@ def cmd_search_latin(args):
         raise UsageError(f"--limit must be >= 0, got {args.limit}")
     if args.type is not None and (len(args.type) != 3 or set(args.type) - {"0", "1"}):
         raise UsageError(f"--type must be 3 bits 'rcs', got {args.type!r}")
-    cells, walk = search.latin_square_walk(n)
+    cells, walk = search.latin_square_walk(n, parity_type=args.type)
     if args.type is None:
         count = sum(1 for _ in itertools.islice(walk, args.limit))
         _emit(args, [f"{count} squares of order {n}"], {"n": n, "count": count})
         return
-    # a square's type always has r + c + s = C(n, 2) mod 2; the walk stops
+    # a square's type always has r + c + s = C(n, 2) mod 2; the walk yields
     # with ``cells`` holding the first square of the type
-    if args.type not in plausible_types(n % 4) or args.type not in walk:
+    if args.type not in plausible_types(n % 4) or next(walk, None) is None:
         print("no square with that type", file=sys.stderr)
         return 1
     square = LatinSquare([cells[r * n:(r + 1) * n] for r in range(n)])

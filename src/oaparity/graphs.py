@@ -157,11 +157,16 @@ def tau_graphs(x) -> list[TauGraphDecomposition]:
     standardisation pins sigma_12 = 0 = sigma_11.
     """
     m = standard_sigma(x).m
-    verts = range(1, x.k + 1)
+    side = m ^ m[:, 1:2]
+    side[:, 0] = 2  # on neither side: the unused index 0 and c itself
+    np.fill_diagonal(side, 2)
+    # each row's vertices by side, 0 then 1 then neither, ascending within each
+    order = np.argsort(side[1:], kind="stable").tolist()
+    ones = np.count_nonzero(side[1:] == 1, axis=1).tolist()
     out = []
-    for c, side in enumerate((m ^ m[:, 1:2]).tolist()[1:], start=1):
-        part2 = tuple(v for v in verts if v != c and side[v])
-        rest = tuple(v for v in verts if v != c and not side[v])
+    for c, row, n1 in zip(range(1, x.k + 1), order, ones):
+        n0 = x.k - 1 - n1
+        part2, rest = tuple(row[n0:n0 + n1]), tuple(row[:n0])
         p1, p2 = (rest, part2) if part2 else ((), rest)
         out.append(TauGraphDecomposition(c=c, part1=p1, part2=p2))
     return out

@@ -44,6 +44,27 @@ adds the nodes it would have visited, the rest of the row-0 trie plus
 n!/2 - 1 copies of each subtree, and stops.  Node counts, caps and found
 arrays are those of the full walk.  Enumeration and randomized mode walk
 every node.
+
+A walk for a first square of one type also counts, instead of walking, the
+last two rows below each n - 2 complete rows that hold no square of that
+type.  After n - 2 rows column j lacks a 2-set M_j of symbols and each
+symbol is lacking from two columns; joining two columns for each symbol
+they both lack gives a disjoint union of cycles.  Row n - 1 is forced, so
+it adds n nodes for each complete row n - 2, and the nodes of row n - 2
+are its valid prefixes: on columns 0..t-1 there are V_t of them, the
+product over the components of the graph induced on those columns of 2
+for a whole cycle and L + 1 for a path of L columns.  The tail holds
+sum(V_t, t = 1..n) + n V_n nodes, V_n = 2^(number of cycles).  Row n - 1
+is pi o (row n - 2), with pi the product of the cycles as permutations of
+the symbols, so every completion adds the row bit sum(L - 1) mod 2.
+Column j gains 2n - 3 - a - b inversions, M_j = {a < b}, plus one if b
+goes in row n - 2, and each symbol is in two of the M_j, so the column bit
+added is n plus the number of columns with the larger symbol in row n - 2.
+Reversing a cycle's orientation flips that choice in its L columns: both
+column bits are reached iff some cycle has odd length.  A tail that
+reaches the target's (r, c) is walked as before, and so is every tail of a
+randomized walk, where a skipped cell would skip its shuffle, or of the
+replay down to a resume cursor.
 """
 
 from __future__ import annotations
@@ -89,10 +110,63 @@ class _Symbols(dict):
 _TYPES = [f"{code:03b}" for code in range(8)]
 
 
-def _walk(n: int, priors, cells: list, nodes: _Nodes, rng=None, start=None, fold=False):
+def _tail(n: int, miss: list) -> tuple[int, set]:
+    """The last two rows of a Latin square of order n whose column j lacks
+    the 2-set of symbols ``miss[j]`` (a bitmask) after n - 2 complete rows:
+    (the nodes a walk of them visits, the (row, column) parity bits that
+    each completion adds), as in the module docstring."""
+    lo = [(m & -m).bit_length() - 1 for m in miss]
+    hi = [m.bit_length() - 1 for m in miss]
+    other = [0] * n  # symbol -> the sum of the two columns that lack it
+    for j in range(n):
+        other[lo[j]] += j
+        other[hi[j]] += j
+    # V_t, column by column: a new column starts a path, extends one, joins
+    # two into one or closes one into a cycle
+    end, length = list(range(n)), [1] * n  # at each end of a path: its other end, its length
+    v, total, cycles, odd = 1, 0, 0, 0
+    for j in range(n):
+        u, w = sorted((other[lo[j]] - j, other[hi[j]] - j))  # its neighbours
+        if w < j and end[u] == w:
+            v = v // (length[u] + 1) * 2
+            cycles += 1
+            odd |= ~length[u] & 1
+        elif w < j:
+            a, b = end[u], end[w]
+            size = length[u] + length[w] + 1
+            v = v // ((length[u] + 1) * (length[w] + 1)) * (size + 1)
+            end[a], end[b], length[a], length[b] = b, a, size, size
+        elif u < j:
+            a, size = end[u], length[u] + 1
+            v = v // size * (size + 1)
+            end[a], end[j], length[a], length[j] = j, a, size, size
+        else:
+            v *= 2
+        total += v
+    rbit = (n - cycles) & 1
+    if odd:
+        return total + n * v, {(rbit, 0), (rbit, 1)}
+    # the column bit of one completion: row n - 2 takes the smaller symbol of
+    # the first column of each cycle, and each symbol below goes on to row
+    # n - 2 of the other column that lacks it
+    seen, larger = [False] * n, 0
+    for c in range(n):
+        s = lo[c]
+        while not seen[c]:
+            seen[c] = True
+            larger += s == hi[c]
+            s = lo[c] + hi[c] - s
+            c = other[s] - c
+    return total + n * v, {(rbit, (n + larger) & 1)}
+
+
+def _walk(n: int, priors, cells: list, nodes: _Nodes, rng=None, start=None, fold=False,
+          want=None):
     """Fill ``cells`` (row-major, n*n) with every Latin square of order n
     orthogonal to each column in ``priors``, in turn; yield each time one is
-    complete, with its 'rcs' parity type when ``priors`` is empty.
+    complete, with its 'rcs' parity type when ``priors`` is empty.  With
+    ``want``, an 'rcs' type and no ``priors``, yield only squares of that
+    type, and count the last two rows that hold none (module docstring).
 
     Each symbol placed counts one node; the node past ``nodes.cap`` raises
     ``_OutOfNodes``.  ``rng`` shuffles each cell's ascending symbol list.
@@ -122,6 +196,8 @@ def _walk(n: int, priors, cells: list, nodes: _Nodes, rng=None, start=None, fold
     replay = start is not None  # descend along ``start`` first, without yielding it
     plain = rng is None and not replay
     fold = fold and plain
+    tail = (n - 2) * n  # the first cell of row n - 2, never entered for n < 3
+    wr, wc = (int(want[0]), int(want[1])) if want else (0, 0)
     entered, below = 0, []  # count on entering row 1; nodes below each first row
 
     def options(m, pos):
@@ -175,8 +251,11 @@ def _walk(n: int, priors, cells: list, nodes: _Nodes, rng=None, start=None, fold
                 replay, plain = False, rng is None
                 continue
             pr, pc = inv[size] >> shift & 1, inv[size] & 1
+            ty = _TYPES[pr << 2 | pc << 1 | pr ^ pc ^ kk] if first else None
+            if want and ty != want:
+                continue
             nodes.count = count
-            yield _TYPES[pr << 2 | pc << 1 | pr ^ pc ^ kk] if first else None
+            yield ty
             count = nodes.count
             continue
         bit = 1 << s
@@ -185,6 +264,15 @@ def _walk(n: int, priors, cells: list, nodes: _Nodes, rng=None, start=None, fold
         pos += 1
         if pos == n:
             entered = count
+        if pos == tail and want and plain:
+            skipped, adds = _tail(n, [full ^ u for u in used[n:2 * n]])
+            if (wr ^ inv[pos] >> shift & 1, wc ^ inv[pos] & 1) not in adds:
+                count += skipped
+                if count > cap:
+                    nodes.count = cap + 1
+                    raise _OutOfNodes
+                stack[pos] = []
+                continue
         if pos < last:
             f = 0
             for line in ids[pos + 1]:
@@ -194,9 +282,11 @@ def _walk(n: int, priors, cells: list, nodes: _Nodes, rng=None, start=None, fold
     nodes.count = count
 
 
-def latin_square_walk(n: int, resume_after: LatinSquare | None = None):
+def latin_square_walk(n: int, resume_after: LatinSquare | None = None,
+                      parity_type: str | None = None):
     """Every Latin square of order n exactly once, in lexicographic order of
-    the flattened cell tuple, strictly after ``resume_after`` if given.
+    the flattened cell tuple, strictly after ``resume_after`` if given; with
+    ``parity_type``, an 'rcs' string, only the squares of that type.
 
     Returns ``(cells, walk)``: ``walk`` yields each square's 'rcs' parity
     type when ``cells``, a row-major list, holds the square.
@@ -211,7 +301,7 @@ def latin_square_walk(n: int, resume_after: LatinSquare | None = None):
             raise OAError("resume square has the wrong order")
         start = [int(x) for x in resume_after.cells.ravel()]
     cells = [0] * (n * n)
-    return cells, _walk(n, (), cells, _Nodes(), start=start)
+    return cells, _walk(n, (), cells, _Nodes(), start=start, want=parity_type)
 
 
 def enumerate_latin_squares(n: int, resume_after: LatinSquare | None = None):
@@ -342,11 +432,9 @@ def _search(spec: SearchSpec, rng: random.Random | None):
         """Add matching columns until there are k; one level per column."""
         if len(columns) == k:
             return True
-        first = len(columns) == 2  # the walk reports the first square's type
+        first = len(columns) == 2  # the walk yields first squares of the target's type only
         cells = [0] * (n * n)
-        for ty in _walk(n, columns[2:], cells, nodes, rng, fold=True):
-            if first and ty != want:
-                continue
+        for _ in _walk(n, columns[2:], cells, nodes, rng, fold=True, want=want if first else None):
             columns.append(np.array(cells, dtype=np.int16))
             if (first or _partial_tau_matches(columns, n, sigma)) and extend():
                 return True

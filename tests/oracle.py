@@ -412,6 +412,37 @@ def square_type(cells) -> str:
     return "".join(str(sum(map(cycle_parity, perms)) & 1) for perms in (rows, columns, symbols))
 
 
+def last_two_rows(rect, n: int):
+    """(nodes, the set of the completed squares' (r, c): the parities of
+    their rows and of their columns, each summed mod 2) of a walk of the
+    last two rows of an order-n Latin square below the n - 2 complete rows
+    ``rect``, one recursion level per cell; a node is a symbol placed that
+    its row and column do not hold yet."""
+    full = (1 << n) - 1
+    grid = [[int(x) for x in row] for row in rect] + [[0] * n, [0] * n]
+    colmask = [sum(1 << x for x in col) for col in zip(*grid[:-2])]
+    nodes, types = 0, set()
+
+    def rec(pos: int, rowmask: int):
+        nonlocal nodes
+        if pos == 2 * n:
+            types.add(tuple(sum(map(cycle_parity, perms)) & 1 for perms in (grid, zip(*grid))))
+            return
+        r, c = divmod(pos, n)
+        rowmask = rowmask if c else 0  # a new row holds nothing yet
+        avail = full & ~(colmask[c] | rowmask)
+        for s in range(n):
+            if avail >> s & 1:
+                nodes += 1
+                grid[n - 2 + r][c] = s
+                colmask[c] ^= 1 << s
+                rec(pos + 1, rowmask | 1 << s)
+                colmask[c] ^= 1 << s
+
+    rec(0, 0)
+    return nodes, types
+
+
 class _Budget(Exception):
     pass
 

@@ -257,6 +257,17 @@ def test_first_hit_matches_oracle():
     for n in range(2, 7):
         for ty in plausible_types(n % 4):
             _agrees_with_oracle(SearchSpec(3, n, ty))
+    # every cap up to the first hit at order 5, where the walk counts the
+    # last two rows below its first three rows of the 000 and 011 searches
+    for ty in plausible_types(1):
+        for cap in range(_K3_FIRST_HIT_NODES[(5, ty)] + 1):
+            _agrees_with_oracle(SearchSpec(3, 5, ty, max_nodes=cap))
+    # caps that land inside the counted last two rows of the order-6 walks
+    # that pass thousands of squares of other types
+    for ty in ("010", "001"):
+        pinned = _K3_FIRST_HIT_NODES[(6, ty)]
+        for cap in (100, 1000, 10000, 50000, pinned - 1, pinned):
+            _agrees_with_oracle(SearchSpec(3, 6, ty, max_nodes=cap))
 
 
 def test_randomized_matches_oracle():
@@ -271,6 +282,8 @@ def test_randomized_matches_oracle():
 
 
 def test_exhaustive_matches_oracle():
+    for ty in plausible_types(1):
+        _agrees_with_oracle(SearchSpec(3, 5, ty, mode="exhaustive"))
     for ty in plausible_types(0):
         _agrees_with_oracle(SearchSpec(3, 4, ty, mode="exhaustive"))
         _agrees_with_oracle(SearchSpec(3, 4, ty, mode="exhaustive", max_nodes=100))
@@ -315,6 +328,57 @@ def test_walk_parity_matches_definition():
             cells, walk = latin_square_walk(n, resume_after=cursor)
             for _, ty in zip(range(40), walk):
                 check(cells, ty, n)
+
+
+def _tail_agrees_with_oracle(rect, n: int):
+    """The counted last two rows below the n - 2 rows ``rect`` against a
+    walk of them: node count, and the (r, c) of the completed squares, the
+    rectangle's own inversion parities counted from the definition."""
+    full = (1 << n) - 1
+    nodes, adds = search._tail(n, [full ^ sum(1 << int(x) for x in col) for col in zip(*rect)])
+    r0 = sum(a > b for row in rect for a, b in itertools.combinations(row, 2)) & 1
+    c0 = sum(a > b for col in zip(*rect) for a, b in itertools.combinations(col, 2)) & 1
+    assert (nodes, {(r0 ^ r, c0 ^ c) for r, c in adds}) == oracle.last_two_rows(rect, n), rect
+
+
+def test_tail_matches_oracle():
+    # every n - 2 row prefix that the walk reaches at orders 3 to 5
+    for n in (3, 4, 5):
+        cells, walk = latin_square_walk(n)
+        prefixes = {tuple(cells[:(n - 2) * n]) for _ in walk}
+        for p in prefixes:
+            _tail_agrees_with_oracle([p[i * n:(i + 1) * n] for i in range(n - 2)], n)
+    # a seeded sample at orders 6 to 9: random isotopes of the first square
+    # of a shuffled walk
+    rng = random.Random(61)
+    for n in range(6, 10):
+        for _ in range(30):
+            cells = [0] * (n * n)
+            next(search._walk(n, (), cells, search._Nodes(), rng))
+            square = random_isotope_square(LatinSquare(np.reshape(cells, (n, n))), rng)
+            _tail_agrees_with_oracle(square.cells[:n - 2].tolist(), n)
+
+
+def test_typed_walk_yields_the_squares_of_its_type():
+    # a walk for one type yields, in order, the squares of that type that the
+    # plain walk yields, also after a resume cursor; at order 5 the first
+    # 1 000 or more of each type
+    for n in (3, 4, 5):
+        cells, walk = latin_square_walk(n)
+        by_type = {ty: [] for ty in plausible_types(n % 4)}
+        for ty in walk:
+            by_type[ty].append(tuple(cells))
+            if min(map(len, by_type.values())) >= 1000:
+                break
+        for ty, squares in by_type.items():
+            cells, walk = latin_square_walk(n, parity_type=ty)
+            assert [tuple(cells) for _ in itertools.islice(walk, len(squares))] == squares
+            if squares:
+                half = len(squares) // 2
+                cursor = LatinSquare(np.reshape(squares[half], (n, n)))
+                cells, walk = latin_square_walk(n, cursor, ty)
+                rest = [tuple(cells) for _ in itertools.islice(walk, len(squares) - half - 1)]
+                assert rest == squares[half + 1:], (n, ty)
 
 
 # first-hit node counts pinned by the benchmark, perfbench/golden.py:
