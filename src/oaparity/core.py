@@ -484,9 +484,10 @@ class TransformResult:
     """A transformed array plus the sort bookkeeping bit.
 
     ``sort_parity`` is the parity of the row permutation taking the
-    logically transformed array back to lexicographic storage order; the
-    sigma-parity of the logical array equals the stored sigma-parity plus
-    this bit (row order is invisible to tau-parity).
+    logically transformed array back to lexicographic storage order, which
+    ``apply_transform`` reads off its law; the sigma-parity of the logical
+    array equals the stored sigma-parity plus this bit (row order is
+    invisible to tau-parity).
     """
 
     oa: OrthogonalArray
@@ -510,20 +511,27 @@ def _check_transform(a: OrthogonalArray, t: Transform) -> None:
 
 
 def apply_transform(a: OrthogonalArray, t: Transform) -> TransformResult:
+    """Apply ``t`` to ``a`` and re-sort into storage order.
+
+    The re-sort parity is read off its law, not off the n^2 rows: a column
+    relabelling g re-sorts by the old columns g^-1(1), g^-1(2), a
+    permutation of parity sigma_{g^-1(1) g^-1(2)}, the stored sigma at that
+    pair; a symbol relabelling gamma of column 1 or 2 moves n blocks of n
+    rows, or permutes within each of n blocks, parity n * parity(gamma), and
+    of any other column keeps the order.  A row permutation restores the
+    identical stored array, and only its own parity survives.
+    """
     _check_transform(a, t)
     mat = a.rows
     if t.kind == "rows":
-        # re-sorting restores the identical stored array; only the parity of
-        # the logical permutation survives
         return TransformResult(a, permutation_parity(t.perm))
     if t.kind == "columns":
-        new = np.empty_like(mat)
-        new[:, np.subtract(t.perm, 1)] = mat
+        inverse = np.argsort(t.perm)  # new column j + 1 is old column inverse[j] + 1
+        new = mat[:, inverse]
+        bit = int(a._sigma.m[inverse[0] + 1, inverse[1] + 1])
     else:
         gamma = np.asarray(t.perm, dtype=np.int16)
         new = mat.copy()
         new[:, t.column - 1] = gamma[mat[:, t.column - 1]]
-        if t.column > 2:
-            return TransformResult(OrthogonalArray(new), 0)
-    order = _storage_order(new, a.n)
-    return TransformResult(OrthogonalArray(new), permutation_parity(order))
+        bit = a.n & permutation_parity(t.perm) if t.column <= 2 else 0
+    return TransformResult(OrthogonalArray(new), bit)

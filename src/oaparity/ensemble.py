@@ -11,8 +11,8 @@ edge counts
     T = sum_c mu_c * (k-1-mu_c)
 
 agree, where mu_c are the sigma-matrix row sums.  The census takes T from
-mu and x from the type counts, and asserts the identity of its n mod 4
-between them.
+mu, once, and x from the type counts; the identity of its n mod 4 between
+them is a theorem, which the tests assert on every census input.
 The identities count triangles by degree sequence: for n = 2,3 mod 4 sigma
 is a tournament and the equiparity squares are its cyclic triangles, so
 x = C(k,3) - sum_c C(mu_c, 2) (Kendall and Babington Smith, 1940); for
@@ -22,9 +22,9 @@ The plane conditions of a vector with k = n + 1 are degree parities of the
 same sigma: summing tau^c_ij = sigma_ci + sigma_cj over the columns c other
 than i and j gives in_i + in_j + C(n, 2), with in_i the column sums of
 sigma, so the over-columns sum rule holds iff all in-degrees share one
-parity, and by the transpose law sigma_ji = sigma_ij + C(n, 2) iff all mu_c
-do.  The census takes that verdict from the sigma,
-``SigmaMatrix.pp_plausible``.
+parity, and by the transpose law sigma_ji = sigma_ij + C(n, 2), which makes
+in_c = mu_c + (k - 1) * C(n, 2), iff all mu_c do.  The census takes that
+verdict from the sigma, ``SigmaMatrix.pp_plausible``.
 
 The census reads the standardised sigma, ``standard_sigma``, and no tau.
 On the square of columns a < b < c the row bit is r = tau^a_bc = sigma_ab +
@@ -146,10 +146,7 @@ def ensemble_census(source) -> EnsembleCensus:
               for r in (0, 1) for s in (0, 1)}
     x = counts[equiparity_type(nmod4)]
     T = sum(m * (k - 1 - m) for m in mu)
-    expected = 2 * triples - 2 * x if nmod4 in (0, 1) else 2 * x + triples
-    if T != expected:
-        raise OAError(f"edge count {T} disagrees with the type census ({expected})")
-    return EnsembleCensus(k=k, nmod4=nmod4, n=sigma.n, x=x, T=T, mu=tuple(mu),
+    return EnsembleCensus(k=k, nmod4=nmod4, n=sigma.n, x=x, T=T, mu=mu,
                           type_counts={ty: c for ty, c in sorted(counts.items()) if c},
                           pp_plausible=sigma.pp_plausible)
 
@@ -195,9 +192,9 @@ def check_ensemble_laws(census: EnsembleCensus) -> EnsembleReport:
     count of cyclic triangles of a tournament by its score sequence
     (Kendall and Babington Smith, 1940) for n = 2,3 mod 4 and Goodman's
     count of the triangles of a graph and its complement (1959) for
-    n = 0,1 mod 4; the census asserts it.  The four-column cap holds since
-    four columns span a 4-vertex tournament, which has at most two cyclic
-    triangles.  The other laws are evaluated from x, so a census built by
+    n = 0,1 mod 4: a theorem, asserted in the tests.  The four-column cap
+    holds since four columns span a 4-vertex tournament, which has at most
+    two cyclic triangles.  The other laws are evaluated from x, so a census built by
     hand still exercises them: the even count, the lower bound, the
     congruence and the upper bound.
 
@@ -212,7 +209,7 @@ def check_ensemble_laws(census: EnsembleCensus) -> EnsembleReport:
     if plane:
         ceil = math.ceil(n / 4)
         lower = (n * (n + 1) * (n - 4) // 24, (n + 1) * (n - 1) * (n - 3) // 24, ceil, ceil)[nm]
-    rows = [("edge-count-identity", True, True,  # asserted during census construction
+    rows = [("edge-count-identity", True, True,  # a theorem, asserted in the tests
              f"T={census.T} consistent with both edge counts")]
     if nm == 0:
         rows.append(("equiparity-even", plane, x % 2 == 0, f"x={x} must be even"))

@@ -14,14 +14,18 @@ no tau cube is built.  As tau^c_{ij} = sigma_ci + sigma_cj, tau-graph c
 joins the vertices other than c on which sigma row c differs, so its sides
 are the values of that row.  Summing over the columns c other than i and
 j gives the stack: i ~ j exactly when in_i + in_j + C(n, 2) is odd, in_v
-the in-degrees of the sigma-graph.  So the stack's parts are the in-degree
-parity classes: the sides of a complete bipartite graph for n = 0, 1 mod 4,
-two cliques for n = 2, 3 mod 4.
+the in-degrees of the sigma-graph.  By the transpose law sigma_ji =
+sigma_ij + C(n, 2), in_v = mu_v + (k - 1) * C(n, 2), mu_v the out-degrees
+(sigma's row sums), a shift common to every vertex: i ~ j exactly when
+mu_i + mu_j + C(n, 2) is odd, and the stack's parts are the parity classes
+of mu: the sides of a complete bipartite graph for n = 0, 1 mod 4, two
+cliques for n = 2, 3 mod 4.  The in-degrees follow from mu by the same law:
+in_v = mu_v where sigma is symmetric and k - 1 - mu_v in a tournament.
 
 For k = n + 1 the plane conditions are degree parities.  The over-columns
 sum rule of a plausible vector asks every pair of the stack to sum to
 C(n, 2), so it holds iff all in-degrees share one parity, and by the
-transpose law iff all out-degrees do: there is one class.  With k = n + 1
+transpose law iff all mu_v do: there is one class.  With k = n + 1
 columns that is, for n = 0, 1, 2, 3 mod 4: all degrees even; all of one
 parity; all in- and out-degrees odd; in-degrees of one parity and
 out-degrees of the other.  That verdict is ``SigmaMatrix.pp_plausible``:
@@ -194,9 +198,9 @@ class StackClassification:
 
 def stack_graph(x) -> SimpleGraph:
     """The stack of an array, a plausible tau or a sigma matrix: i ~ j
-    exactly when in_i + in_j + C(n, 2) is odd."""
+    exactly when mu_i + mu_j + C(n, 2) is odd, mu the row sums."""
     s = standard_sigma(x)
-    odd = s.m.sum(axis=0) & 1
+    odd = s.m.sum(axis=1) & 1
     adj = (odd[:, None] ^ odd ^ binom2_bit(s.nmod4)) & _off_diagonal(s.k)
     return SimpleGraph(k=s.k, directed=False, adj=_frozen(adj.astype(np.uint8)))
 
@@ -205,13 +209,14 @@ def stack(x) -> StackClassification:
     """Classify the stack of an array, a plausible tau or a sigma matrix per
     the residue of n mod 4.
 
-    Its parts are the in-degree parity classes, vertex 1's class first.  A
-    single class is an empty stack, reported as parts () | all, for n = 0, 1
-    mod 4, and one clique, all | (), for n = 2, 3 mod 4; ``refined`` is
-    set when the sigma's plane verdict, ``pp_plausible``, is "yes".
+    Its parts are the parity classes of mu, the row sums, which are the
+    in-degree parity classes, vertex 1's class first.  A single class is an
+    empty stack, reported as parts () | all, for n = 0, 1 mod 4, and one
+    clique, all | (), for n = 2, 3 mod 4; ``refined`` is set when the
+    sigma's plane verdict, ``pp_plausible``, is "yes".
     """
     s = standard_sigma(x)
-    odd = s.m[:, 1:].sum(axis=0) & 1
+    odd = s.m[1:].sum(axis=1) & 1
     verts = np.arange(1, s.k + 1)
     mine = odd == odd[0]
     own, other = tuple(verts[mine].tolist()), tuple(verts[~mine].tolist())
@@ -245,10 +250,12 @@ class SigmaGraphReport:
 
 
 def sigma_graph(s: SigmaMatrix) -> SigmaGraphReport:
+    """The sigma-graph of s: out-degrees mu, the row sums, and in-degrees by
+    the transpose law, mu for n = 0, 1 mod 4 and k - 1 - mu for n = 2, 3."""
     oriented = s.nmod4 in (2, 3)
     g = SimpleGraph(k=s.k, directed=oriented, adj=_frozen(s.m.copy()))
     out_deg = s.row_sums()
-    in_deg = tuple(int(x) for x in s.m[1:, 1:].sum(axis=0))
+    in_deg = tuple(s.k - 1 - mu for mu in out_deg) if oriented else out_deg
     law = {"yes": "pass", "no": "fail"}.get(s.pp_plausible)
     return SigmaGraphReport(
         oriented=oriented,

@@ -44,9 +44,10 @@ tau, so no tau is checked twice.  ``check_plausible`` is otherwise only the
 violation lister of a report and the tests' reference.  ``standard_sigma``
 gives the standardised sigma of an array, a tau or a sigma matrix, and is
 all the census and the graphs read: no tau cube is built for them.  The
-plane conditions of k = n + 1 are degree parities of that sigma, and
-``SigmaMatrix.pp_plausible`` is the one plane verdict, which the report,
-the census and the graphs read.
+plane conditions of k = n + 1 are degree parities of that sigma, all read
+off its row sums mu: by the transpose law the in-degrees are mu_v + (k -
+1) * C(n, 2), one shift for every vertex.  ``SigmaMatrix.pp_plausible`` is
+the one plane verdict, which the report, the census and the graphs read.
 
 A ``TauVector`` reads the components with i < j of whatever array it is
 given and stores them in both index orders, so tau^c_{ij} = tau^c_{ji} holds
@@ -59,7 +60,8 @@ The two switching operations on a standardised sigma, ``act_permute`` and
 ``classes`` are their orbits, and the transformation laws of an array are
 these operations, since the re-sort into storage order after a column or
 symbol relabelling has exactly the parity of the complement
-``standardise`` applies (``transform_parity_laws``).
+``standardise`` applies (``transform_parity_laws``); ``apply_transform``
+reads its re-sort bit off the same law.
 """
 
 from __future__ import annotations
@@ -318,18 +320,19 @@ class SigmaMatrix:
     @property
     def pp_plausible(self) -> str:
         """The plane verdict: "na" unless n is known and k = n + 1, else
-        "yes" iff all in-degrees of the sigma-graph share one parity.
+        "yes" iff all row sums mu_c share one parity.
 
         Summing tau^c_ij = sigma_ci + sigma_cj over the columns c other
-        than i and j gives in_i + in_j + C(n, 2), so the over-columns sum
-        rule of ``check_plausible`` asks exactly this of the tau this sigma
-        determines.  By the transpose law in_v = mu_v + (k - 1) * C(n, 2),
-        so out-degrees would do as well, and complementing changes every
-        in-degree parity alike: both sigmas of a tau get one verdict.
+        than i and j gives in_i + in_j + C(n, 2), with in_v the in-degrees
+        of the sigma-graph, so the over-columns sum rule of
+        ``check_plausible`` asks that all in-degrees share one parity.  By
+        the transpose law in_v = mu_v + (k - 1) * C(n, 2), a shift common to
+        every vertex, so the parities of mu decide it, and complementing
+        changes every parity alike: both sigmas of a tau get one verdict.
         """
         if self.n is None or self.k != self.n + 1:
             return "na"
-        odd = self.m[1:, 1:].sum(axis=0) & 1
+        odd = self.m[1:, 1:].sum(axis=1) & 1  # mu mod 2
         return "yes" if (odd == odd[0]).all() else "no"
 
     def complement(self) -> "SigmaMatrix":

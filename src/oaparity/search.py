@@ -110,6 +110,12 @@ class _Symbols(dict):
 _TYPES = [f"{code:03b}" for code in range(8)]
 
 
+def _check_type(ty) -> None:
+    """Raise OAError unless ``ty`` is a parity type, 3 bits 'rcs'."""
+    if ty not in _TYPES:
+        raise OAError(f"a parity type is 3 bits 'rcs', got {ty!r}")
+
+
 def _tail(n: int, miss: list) -> tuple[int, set]:
     """The last two rows of a Latin square of order n whose column j lacks
     the 2-set of symbols ``miss[j]`` (a bitmask) after n - 2 complete rows:
@@ -286,7 +292,8 @@ def latin_square_walk(n: int, resume_after: LatinSquare | None = None,
                       parity_type: str | None = None):
     """Every Latin square of order n exactly once, in lexicographic order of
     the flattened cell tuple, strictly after ``resume_after`` if given; with
-    ``parity_type``, an 'rcs' string, only the squares of that type.
+    ``parity_type``, an 'rcs' string, only the squares of that type; any
+    other string raises OAError.
 
     Returns ``(cells, walk)``: ``walk`` yields each square's 'rcs' parity
     type when ``cells``, a row-major list, holds the square.
@@ -295,6 +302,8 @@ def latin_square_walk(n: int, resume_after: LatinSquare | None = None,
         raise OAError(f"exhaustive enumeration supports n <= {MAX_ENUM_ORDER}, got {n}")
     if n < 1:
         raise OAError(f"need n >= 1, got {n}")
+    if parity_type is not None:
+        _check_type(parity_type)
     start = None
     if resume_after is not None:
         if resume_after.n != n:
@@ -354,7 +363,9 @@ class SearchSpec:
     each column by its first row; a randomized walk does not, and visits
     every node of its shuffled tree, so with no ``max_nodes`` it can run
     far longer than first-hit on the same target.  ``max_nodes`` (None for
-    no cap) must be >= 0 and ``restarts`` >= 1.
+    no cap) must be >= 0 and ``restarts`` >= 1; a ``seed``, or ``restarts``
+    other than 1, is refused outside mode "randomized", which alone reads
+    them.  A malformed type string raises OAError.
     """
 
     k: int
@@ -375,16 +386,15 @@ class SearchSpec:
             raise UsageError(f"max_nodes must be >= 0, got {self.max_nodes}")
         if self.restarts < 1:
             raise UsageError(f"restarts must be >= 1, got {self.restarts}")
-        if self.mode == "exhaustive":
-            limit = _EXHAUSTIVE_LIMITS.get(self.k)
-            if limit is None or self.n > limit:
-                raise OAError(
-                    "exhaustive mode is certified only for k=3 with n <= 6 "
-                    "and k=4 with n <= 5"
-                )
+        if self.mode != "randomized" and (self.seed is not None or self.restarts != 1):
+            raise UsageError(f"seed and restarts need mode 'randomized', not {self.mode!r}")
+        if self.mode == "exhaustive" and self.n > _EXHAUSTIVE_LIMITS.get(self.k, -1):
+            raise OAError("exhaustive mode is certified only for " + " and ".join(
+                f"k={k} with n <= {n}" for k, n in _EXHAUSTIVE_LIMITS.items()))
         if isinstance(self.target, str):
-            if self.k != 3 or len(self.target) != 3 or set(self.target) - {"0", "1"}:
-                raise OAError("a parity-type target is a 3-bit string and needs k = 3")
+            _check_type(self.target)
+            if self.k != 3:
+                raise OAError("a parity-type target needs k = 3")
             t = TauVector.of_type(self.target, self.n)
         elif isinstance(self.target, TauVector):
             t = self.target

@@ -654,6 +654,27 @@ def stack_parts(t: TauVector) -> tuple[tuple, tuple]:
 
 
 # ---------------------------------------------------------------------------
+# the re-sort of a transform, by sorting the transformed rows
+
+
+def resort_parity(a, t) -> int:
+    """The parity of the row permutation that sorts the transformed rows of
+    ``a``, held in ``a``'s stored order, on their keys col1 * n + col2, by
+    ``cycle_parity`` of that sort's argsort."""
+    rows = a.rows.astype(np.int64)
+    if t.kind == "rows":
+        new = np.empty_like(rows)
+        new[list(t.perm)] = rows
+    elif t.kind == "columns":
+        new = np.empty_like(rows)
+        new[:, [g - 1 for g in t.perm]] = rows
+    else:
+        new = rows.copy()
+        new[:, t.column - 1] = np.asarray(t.perm)[rows[:, t.column - 1]]
+    return cycle_parity(np.argsort(new[:, 0] * a.n + new[:, 1]).tolist())
+
+
+# ---------------------------------------------------------------------------
 # orthogonality, one pair of columns or of rows at a time
 
 

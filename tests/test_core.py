@@ -455,6 +455,48 @@ def test_symbol_transposition_keeps_orthogonality():
     assert res.sort_parity == 0
 
 
+def _resort_transforms(a, rng):
+    """Transforms of every kind on ``a``: column relabellings that swap or
+    move columns 1 and 2 and random ones, symbol relabellings of columns 1,
+    2, 3 and k by a transposition and by random permutations, and row
+    permutations."""
+    k, n = a.k, a.n
+    cols = list(range(1, k + 1))
+    perms = [(2, 1, *cols[2:]), (*cols[1:], 1), (*cols[2:], 1, 2), (*cols[2:], 2, 1)]
+    perms += [tuple(rng.sample(cols, k)) for _ in range(4)]
+    yield from (Transform(kind="columns", perm=g) for g in perms)
+    swap = (1, 0, *range(2, n))
+    for c in sorted({1, 2, 3, k}):
+        for gamma in (swap, *(tuple(rng.sample(range(n), n)) for _ in range(2))):
+            yield Transform(kind="symbols", perm=gamma, column=c)
+    rows = list(range(n * n))
+    yield Transform(kind="rows", perm=(1, 0, *rows[2:]))
+    yield Transform(kind="rows", perm=tuple(rng.sample(rows, n * n)))
+
+
+def test_resort_parity_matches_oracle(monkeypatch):
+    # the re-sort bit is read off its law, the stored sigma at the pair
+    # that becomes columns 1 and 2 or n * parity(gamma); the oracle sorts the
+    # transformed rows.  Only a row permutation hands the kernel a row longer
+    # than n: its bit is that permutation's own parity
+    lengths = []
+    kernel = core.permutation_parity
+    monkeypatch.setattr(core, "permutation_parity",
+                        lambda images: lengths.append(len(images)) or kernel(images))
+    rng = random.Random(38)
+    arrays = [linear_mols(q) for q in (2, 3, 4, 5, 7, 8, 9)]
+    arrays += [residue_pattern_oa(n, p) for n in (11, 19) for p in ("nnn", "rnr")]
+    bits = set()
+    for a in arrays:
+        for t in _resort_transforms(a, rng):
+            lengths.clear()
+            got = apply_transform(a, t).sort_parity
+            assert got == oracle.resort_parity(a, t), (a, t.kind, t.column)
+            assert max(lengths, default=0) <= (a.n * a.n if t.kind == "rows" else a.n)
+            bits.add((t.kind, got))
+    assert bits == {(kind, b) for kind in ("rows", "columns", "symbols") for b in (0, 1)}
+
+
 def test_row_transform_reports_parity():
     a = zn_linear_oa(3)
     perm = list(range(9))

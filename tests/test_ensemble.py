@@ -87,7 +87,7 @@ def test_edge_identities_on_random_pp_vectors():
         for _ in range(5):
             bits = [rng.randrange(2) for _ in range(nbits)]
             t = tau_from_sigma(pp_plausible_sigma(n, bits))
-            c = ensemble_census(t)  # construction checks T from mu against x
+            c = ensemble_census(t)  # T is read off mu; the identity is checked here
             k = n + 1
             if n % 4 in (0, 1):
                 assert c.T == 2 * math.comb(k, 3) - 2 * c.x

@@ -809,9 +809,11 @@ def test_cli_search_oa_refuses_a_target_of_another_n(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [["oa", "--max-nodes", "-1"], ["oa", "--restarts", "-2"], ["oa", "--restarts", "0"],
-     ["oa", "--seed", "3", "--restarts", "0"], ["latin", "--n", "3", "--limit", "-1"]],
+     ["oa", "--seed", "3", "--restarts", "0"], ["latin", "--n", "3", "--limit", "-1"],
+     ["oa", "--exhaustive", "--seed", "7"], ["oa", "--restarts", "5"]],
     ids=["max-nodes-negative", "restarts-negative", "restarts-zero",
-         "randomized-restarts-zero", "limit-negative"],
+         "randomized-restarts-zero", "limit-negative", "exhaustive-seed",
+         "first-hit-restarts"],
 )
 def test_cli_search_budget_fails_closed(tmp_path, capsys, argv):
     if argv[0] == "oa":

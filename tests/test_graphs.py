@@ -192,6 +192,17 @@ def test_graph_splits_match_oracle():
         assert np.array_equal(stack_graph(source).adj, t.bits[1:].sum(axis=0) & 1)
         for c in range(1, t.k + 1):
             assert tau_graph(source, c).edges() == edges[c]
+        # the library reads degrees off the row sums mu by the transpose law;
+        # here the in-degrees are sigma's column sums, the stack's parts their
+        # parity classes and the plane verdict "one class"
+        s = source if isinstance(source, SigmaMatrix) else sigma_from_tau(source)
+        ins = s.m[1:, 1:].sum(axis=0).tolist()
+        assert sigma_graph(s).in_degrees == tuple(ins)
+        own = tuple(v for v in range(1, s.k + 1) if (ins[v - 1] - ins[0]) % 2 == 0)
+        other = tuple(v for v in range(1, s.k + 1) if (ins[v - 1] - ins[0]) % 2)
+        assert _stack_parts(source) == (((), own) if not other and s.nmod4 < 2 else (own, other))
+        plane = s.n is not None and s.k == s.n + 1
+        assert s.pp_plausible == ("na" if not plane else "no" if other else "yes")
 
 
 def test_graph_errors_match_oracle_on_flipped_vectors():

@@ -125,6 +125,21 @@ def test_spec_validation():
         SearchSpec(k=3, n=7, target="111", mode="exhaustive")  # beyond limits
     with pytest.raises(OAError):
         SearchSpec(k=3, n=5, target="000", mode="sideways")
+    with pytest.raises(OAError, match="^exhaustive mode is certified only for k=3 with n <= 6 "
+                                      "and k=4 with n <= 5$"):
+        SearchSpec(k=5, n=5, target=tau_parity(OrthogonalArray(linear_mols(5).rows[:, :5])),
+                   mode="exhaustive")  # no limit for k = 5
+    # a malformed type fails closed, as a target and as a walk's type
+    for ty in ("1", "2x1", "0101", ""):
+        with pytest.raises(OAError, match="^a parity type is 3 bits 'rcs', got "):
+            SearchSpec(k=3, n=4, target=ty)
+        with pytest.raises(OAError, match="^a parity type is 3 bits 'rcs', got "):
+            latin_square_walk(4, parity_type=ty)
+    # a seed or restarts outside mode "randomized" would be ignored
+    for mode in ("first-hit", "exhaustive"):
+        for setting in ({"seed": 7}, {"restarts": 5}):
+            with pytest.raises(UsageError, match="^seed and restarts need mode 'randomized'"):
+                SearchSpec(k=3, n=5, target="000", mode=mode, **setting)
 
 
 def test_spec_refuses_a_tau_target_of_another_n():
