@@ -221,8 +221,11 @@ def cmd_search_latin(args):
     n = args.n
     if args.limit is not None and args.limit < 0:
         raise UsageError(f"--limit must be >= 0, got {args.limit}")
-    if args.type is not None and (len(args.type) != 3 or set(args.type) - {"0", "1"}):
-        raise UsageError(f"--type must be 3 bits 'rcs', got {args.type!r}")
+    if args.type is not None:
+        try:
+            search._check_type(args.type)
+        except OAError:
+            raise UsageError(f"--type must be 3 bits 'rcs', got {args.type!r}") from None
     cells, walk = search.latin_square_walk(n, parity_type=args.type)
     if args.type is None:
         count = sum(1 for _ in itertools.islice(walk, args.limit))
@@ -271,7 +274,7 @@ def cmd_ingest(args):
     for e in entries:
         row = {"label": e.label, "n": e.n, "squares": len(e.squares)}
         if args.classify:
-            row["class_size"] = classes.class_of_oa(e.to_oa()).size
+            row["class_size"] = classes.class_of_oa(e.array).size
         rows.append(row)
     lines = [
         f"{r['label']}: {r['squares']} MOLS({r['n']})"

@@ -10,6 +10,17 @@ shifts symbols on input/output):
 A file may also hold the JSON mirror of an array or square (detected by a
 leading '{'); sigma data and parity reports are JSON only.  Every emitted
 file re-parses to an identical value.
+
+Sigma data lists its entries as [i, j, bit] pairs under "upper", a parity
+report as [c, i, j, bit] tau components under "tau"; both readers take the
+list as one table (``_entries``), by one rule.  A pair names the item
+{i, j}, 1 <= i < j <= k; a component names c and the set {i, j}, three
+distinct columns in 1..k (i > j names the same component as i < j).  In
+the order checked: the list has one entry per item; each entry has that
+many values; every value is a JSON integer (a boolean or a float is not
+one); each bit is 0 or 1; no item is listed twice; the columns keep the
+reader's rule.  A document with more than one fault is refused for the
+first in that order.
 """
 
 from __future__ import annotations
@@ -164,17 +175,6 @@ def _base(base, lineno=None) -> int:
     return base
 
 
-def _bit(bit) -> int:
-    """A parity bit in JSON data: the integer 0 or 1; a boolean is not one.
-
-    Raised as TypeError or ValueError for ``_malformed`` to report."""
-    if isinstance(bit, bool) or not isinstance(bit, int):
-        raise TypeError(f"parity bit must be the integer 0 or 1, got {bit!r}")
-    if bit not in (0, 1):
-        raise ValueError(f"parity bit must be the integer 0 or 1, got {bit!r}")
-    return bit
-
-
 def _symbols(table) -> np.ndarray:
     """The symbols of a JSON array or square as an array.  numpy reads
     ``true`` and ``false`` among integers as 1 and 0, so they are refused
@@ -297,25 +297,20 @@ def sigma_from_json(obj: dict) -> SigmaMatrix:
         raise FormatError(f"expected kind 'sigma', got {obj.get('kind')!r}")
     with _malformed("sigma data"):
         k, nmod4, n = _shape(obj)
-        pairs = obj["upper"]
-        for i, j, _ in pairs:
-            for x in (i, j):
-                _json_int(x, "column index")
-            if not 1 <= i < j <= k:
-                raise FormatError(f"bad pair ({i}, {j}) in sigma data")
-        _expect_each_once([(i, j) for i, j, _ in pairs], k * (k - 1) // 2, "column pairs")
+        i, j, bits = _entries(obj["upper"], 3, k * (k - 1) // 2, "column pairs", k).T
+        bad = (i < 1) | (i >= j) | (j > k)
+        if bad.any():
+            raise FormatError(f"bad pair ({i[bad][0]}, {j[bad][0]}) in sigma data")
         upper = np.zeros((k + 1, k + 1), dtype=np.uint8)
-        for i, j, bit in pairs:
-            upper[i, j] = _bit(bit)
+        upper[i, j] = bits
     return SigmaMatrix.from_upper(k, nmod4, upper, n=n)
 
 
 def _shape(obj: dict) -> tuple[int, int, int | None]:
     """The k, nmod4 and optional n fields of a sigma or report document,
     JSON integers that ``_check_shape`` accepts."""
-    k, nmod4, n = _json_int(obj["k"], "k"), _json_int(obj["nmod4"], "nmod4"), obj.get("n")
-    if n is not None:
-        _json_int(n, "n")
+    k, nmod4 = _json_int(obj["k"], "k"), _json_int(obj["nmod4"], "nmod4")
+    n = None if obj.get("n") is None else _json_int(obj["n"], "n")
     _check_shape(k, nmod4, n)
     return k, nmod4, n
 
@@ -329,16 +324,42 @@ def _json_int(value, what: str):
     return value
 
 
-def _expect_each_once(keys: list, count: int, what: str) -> None:
-    """A document lists each of its ``count`` items once, as the writers do.
+def _entries(entries, width: int, count: int, what: str, k: int) -> np.ndarray:
+    """The entry list of a sigma or report document as a (count, width)
+    table, checked by the module docstring's rule up to the reader's column
+    rule, with no Python loop over a valid list.
 
-    Checked before anything of size k is allocated, so the size of the file
-    bounds k.
+    The count is checked first, so the size of the file bounds k before
+    anything of size k is allocated.  An item is keyed by its first column
+    and the set of its others, clipped to 0..k + 1: a row with a column out
+    of range then keys no valid item, so one bad row is left to the column
+    rule, not taken for a repeat.  Some faults are raised as TypeError or
+    ValueError, for ``_malformed`` to report.
     """
-    if len(keys) != count:
-        raise FormatError(f"expected all {count} {what}, got {len(keys)} entries")
-    if len(set(keys)) != count:
-        raise FormatError(f"{what} listed twice: {len(set(keys))} of {count} are distinct")
+    if len(entries) != count:
+        raise FormatError(f"expected all {count} {what}, got {len(entries)} entries")
+    if set(map(len, entries)) != {width}:
+        size = next(size for size in map(len, entries) if size != width)
+        raise ValueError(f"not enough values to unpack (expected {width}, got {size})"
+                         if size < width else f"too many values to unpack (expected {width})")
+    values = list(chain.from_iterable(entries))
+    if set(map(type, values)) != {int}:  # numpy would read true as 1 and 2.0 as 2
+        at, value = next((at, v) for at, v in enumerate(values) if type(v) is not int)
+        if at % width == width - 1:
+            raise TypeError(f"parity bit must be the integer 0 or 1, got {value!r}")
+        _json_int(value, "column index")
+    # int64 unless a value is past it, which no column index nor bit is
+    table = np.array(values).reshape(count, width)
+    table = table if table.dtype == np.int64 else np.array(values, object).reshape(count, width)
+    bad = (table[:, -1] != 0) & (table[:, -1] != 1)
+    if bad.any():
+        raise ValueError(f"parity bit must be the integer 0 or 1, got {table[bad, -1][0]}")
+    items = table[:, :-1].clip(0, k + 1)
+    items[:, 1:].sort(axis=1)
+    keys = np.sort(items @ (k + 2) ** np.arange(width - 2, -1, -1))
+    if (keys[1:] == keys[:-1]).any():
+        raise FormatError(f"{what} listed twice: {len(set(keys.tolist()))} of {count} are distinct")
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -370,31 +391,22 @@ def parity_report(source: OrthogonalArray | TauVector | SigmaMatrix) -> dict:
 def tau_from_report(obj: dict) -> TauVector:
     with _malformed("parity report"):
         k, nmod4, n = _shape(obj)
-        entries = [tuple(e) for e in obj["tau"]]
-        for c, i, j, bit in entries:
-            for x in (c, i, j):
-                _json_int(x, "column index")
-            if len({c, i, j}) != 3 or not all(1 <= x <= k for x in (c, i, j)):
-                raise FormatError(f"bad column triple ({c}, {i}, {j}) in tau data")
-            _bit(bit)
-        _expect_each_once([(c, min(i, j), max(i, j)) for c, i, j, _ in entries],
-                          k * (k - 1) * (k - 2) // 2, "tau components")
-        return TauVector.from_entries(k, nmod4, entries, n=n)
+        table = _entries(obj["tau"], 4, k * (k - 1) * (k - 2) // 2, "tau components", k)
+        cols = table[:, :3]
+        bad = ((cols < 1) | (cols > k) | (cols == cols[:, [1, 2, 0]])).any(axis=1)
+        if bad.any():
+            raise FormatError(f"bad column triple {tuple(cols[bad][0].tolist())} in tau data")
+        return TauVector.from_entries(k, nmod4, table, n=n)
 
 
 def load_parity(path) -> SigmaMatrix | TauVector:
     """Read a parity vector: the sigma matrix of a sigma JSON file, which
     builds no tau, or the tau vector of a parity report."""
-    text = read_text(path)
     with _malformed("JSON file"):
-        obj = json.loads(text)
-    if not isinstance(obj, dict):
+        obj = json.loads(read_text(path))
+    if not isinstance(obj, dict) or (obj.get("kind") != "sigma" and "tau" not in obj):
         raise FormatError("file holds neither sigma data nor a parity report")
-    if obj.get("kind") == "sigma":
-        return sigma_from_json(obj)
-    if "tau" in obj:
-        return tau_from_report(obj)
-    raise FormatError("file holds neither sigma data nor a parity report")
+    return sigma_from_json(obj) if obj.get("kind") == "sigma" else tau_from_report(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +426,6 @@ class CatalogueEntry:
     @property
     def n(self) -> int:
         return self.squares[0].n
-
-    def to_oa(self) -> OrthogonalArray:
-        return self.array
 
 
 def parse_catalogue(text: str, provenance: str = "<memory>") -> list[CatalogueEntry]:

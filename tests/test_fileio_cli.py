@@ -324,16 +324,56 @@ _BAD_ENTRIES = {
     "tau-column-true": (_REPORT_DOC, "tau", [True, 2, 3, 0], "column index must be an integer"),
     "tau-column-2.0": (_REPORT_DOC, "tau", [1, 2.0, 3, 0], "column index must be an integer"),
     "tau-column-3.5": (_REPORT_DOC, "tau", [1, 2, 3.5, 0], "column index must be an integer"),
+    # values past int64 fail closed, named whole
+    "pair-column-2**70": (_SIGMA_DOC, "upper", [1, 2**70, 0], rf"bad pair \(1, {2**70}\)"),
+    "pair-column--2**70": (_SIGMA_DOC, "upper", [-2**70, 2, 0], rf"bad pair \({-2**70}, 2\)"),
+    "tau-column-2**70": (_REPORT_DOC, "tau", [1, 2, 2**70, 0], rf"triple \(1, 2, {2**70}\)"),
+    "tau-column--2**70": (_REPORT_DOC, "tau", [-2**70, 2, 3, 1], rf"triple \({-2**70}, 2, 3\)"),
+    "bit-2**70": (_SIGMA_DOC, "upper", [1, 2, 2**70], f"integer 0 or 1, got {2**70}"),
+    "tau-bit-2**70": (_REPORT_DOC, "tau", [1, 2, 3, 2**70], f"integer 0 or 1, got {2**70}"),
+    "long-pair": (_SIGMA_DOC, "upper", [1, 2, 0, 0], "ValueError: too many values"),
+    "long-tau": (_REPORT_DOC, "tau", [1, 2, 3, 0, 0], "ValueError: too many values"),
+    # columns out of range on both sides, which must not be taken for the pair (1, 3)
+    "pair-columns-out-of-range": (_SIGMA_DOC, "upper", [0, 12, 0], r"bad pair \(0, 12\)"),
+    # the component (1, 2, 4) again, its pair reversed
+    "tau-pair-reversed-repeat": (_REPORT_DOC, "tau", [1, 4, 2, _REPORT_DOC["tau"][1][3]],
+                                 "tau components listed twice"),
 }
 _NON_INT_COLUMNS = [f"{key}-column-{c}" for key in ("pair", "tau") for c in ("true", "2.0", "3.5")]
+# the whole entry list given as another JSON value
+_BAD_LISTS = {f"{key}-{name}": (doc, key, value)
+              for doc, key in ((_SIGMA_DOC, "upper"), (_REPORT_DOC, "tau"))
+              for name, value in (("null", None), ("string", "[[1, 2, 0]]"), ("dict", {"1": 2}))}
+# documents that read back whole
+_GOOD_DOCS = {
+    "sigma-k65": fileio.sigma_to_json(
+        pp_plausible_sigma(64, random.Random(1).choices((0, 1), k=2015))),
+    "report-k17": fileio.parity_report(linear_mols(16)),
+}
 
 
-@pytest.mark.parametrize("case", sorted(_BAD_ENTRIES))
+@pytest.mark.parametrize("case", sorted(_BAD_ENTRIES) + sorted(_BAD_LISTS) + sorted(_GOOD_DOCS))
 def test_json_readers_check_every_entry(case):
-    doc, key, entry, message = _BAD_ENTRIES[case]
+    if case in _GOOD_DOCS:
+        doc = _GOOD_DOCS[case]
+        write, read = ((fileio.sigma_to_json, fileio.sigma_from_json) if "upper" in doc
+                       else (fileio.parity_report, fileio.tau_from_report))
+        assert write(read(doc)) == doc
+        return
+    if case in _BAD_LISTS:
+        doc, key, value = _BAD_LISTS[case]
+        docs, message = [{**doc, key: value}], None
+    else:
+        doc, key, entry, message = _BAD_ENTRIES[case]
+        entries = _with_entry(doc, key, 0, entry)[key]
+        # the faulty entry first, in the middle and last: the document is
+        # otherwise whole, so it still reaches the check the case names
+        docs = [{**doc, key: entries[1:at + 1] + entries[:1] + entries[at + 1:]}
+                for at in (0, len(entries) // 2, len(entries) - 1)]
     read = fileio.sigma_from_json if key == "upper" else fileio.tau_from_report
-    with pytest.raises(fileio.FormatError, match=message):
-        read(_with_entry(doc, key, 0, entry))
+    for bad in docs:
+        with pytest.raises(fileio.FormatError, match=message):
+            read(bad)
 
 
 def test_tau_from_entries_rejects_non_bits():
@@ -389,7 +429,7 @@ def test_catalogue_roundtrip(tmp_path):
     assert [e.label for e in entries] == ["linear-5", "pair-3"]
     assert entries[0].n == 5
     assert tuple(entries[1].squares) == tuple(oa_to_mols(zn_linear_oa(3)))
-    assert entries[0].to_oa() == zn_linear_oa(5)
+    assert entries[0].array == zn_linear_oa(5)
     assert str(path) in entries[0].provenance
 
 
