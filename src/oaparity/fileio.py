@@ -38,6 +38,7 @@ from .parity import (
     SigmaMatrix,
     TauVector,
     _check_shape,
+    _scatter,
     check_plausible,
     sigma_from_tau,
     tau_from_sigma,
@@ -396,7 +397,8 @@ def tau_from_report(obj: dict) -> TauVector:
         bad = ((cols < 1) | (cols > k) | (cols == cols[:, [1, 2, 0]])).any(axis=1)
         if bad.any():
             raise FormatError(f"bad column triple {tuple(cols[bad][0].tolist())} in tau data")
-        return TauVector.from_entries(k, nmod4, table, n=n)
+    # each component once, by the checks above: scatter the table as it is
+    return TauVector(k, nmod4, _scatter(k, table), n=n)
 
 
 def load_parity(path) -> SigmaMatrix | TauVector:

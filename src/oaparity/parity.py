@@ -156,6 +156,15 @@ def _canonical_mask(k: int) -> np.ndarray:
     return mask
 
 
+def _scatter(k: int, rows: np.ndarray) -> np.ndarray:
+    """The (k+1)^3 uint8 cube with bit b at [c, min(i, j), max(i, j)] for
+    each [c, i, j, b] row; of rows that name one component, one bit stays."""
+    c, i, j, b = rows.astype(np.intp).T
+    cube = np.zeros((k + 1,) * 3, dtype=np.uint8)
+    cube[c, np.minimum(i, j), np.maximum(i, j)] = b
+    return cube
+
+
 class TauVector:
     """All bits tau^c_{ij} of one parity vector.
 
@@ -224,11 +233,10 @@ class TauVector:
                | (cols == cols[:, [1, 2, 0]])).any(axis=1)
         if bad.any():
             raise OAError("invalid column triple ({}, {}, {})".format(*cols[bad][0].tolist()))
+        bits = _scatter(k, rows)
         c, i, j, b = rows.astype(np.intp).T
-        i, j = np.minimum(i, j), np.maximum(i, j)
-        bits = np.zeros((k + 1, k + 1, k + 1), dtype=np.uint8)
-        bits[c, i, j] = b
-        bad = bits[c, i, j] != b  # rows that disagree on a component: one bit stays
+        # rows that disagree on a component: one bit stays
+        bad = bits[c, np.minimum(i, j), np.maximum(i, j)] != b
         if bad.any():
             raise OAError("tau component ({}, {}, {}) given twice with different bits"
                           .format(*rows[bad][0, :3].tolist()))

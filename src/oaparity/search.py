@@ -41,9 +41,20 @@ component, so every target check in the copy, at this column and at every
 later one, decides as in the subtree of g's parity.  Hence when neither of
 the two walked subtrees ended the search, no other first row can: the walk
 adds the nodes it would have visited, the rest of the row-0 trie plus
-n!/2 - 1 copies of each subtree, and stops.  Node counts, caps and found
-arrays are those of the full walk.  Enumeration and randomized mode walk
-every node.
+n!/2 - 1 copies of each subtree, and stops.  The odd row itself is walked
+only when its subtree can differ from the identity row's.  Below it lies
+tau o M for each square M below the identity row, tau the swap of the last
+two symbols, and by the same law tau o M's entries between the new column
+and each earlier one are M's plus n.  The caller tells the walk, for each
+M, whether tau o M is decided as M is: always for even n; for odd n iff
+neither M nor tau o M matches, so in the last column iff tau o M does not
+match (a match of M would have ended the search).  When every M below the
+identity row is, or there is none, the odd row's subtree is a copy of the
+identity row's that cannot end the search, and the walk adds its nodes,
+the row's last two cells and the identity row's subtree count.  Node
+counts, caps and found arrays are those of the full walk.  Enumeration and
+randomized mode walk every node; a first-square walk, which passes its
+squares by type, always walks its odd row.
 
 A walk for a first square of one type also counts, instead of walking, the
 last two rows below each n - 2 complete rows that hold no square of that
@@ -64,7 +75,9 @@ Reversing a cycle's orientation flips that choice in its L columns: both
 column bits are reached iff some cycle has odd length.  A tail that
 reaches the target's (r, c) is walked as before, and so is every tail of a
 randomized walk, where a skipped cell would skip its shuffle, or of the
-replay down to a resume cursor.
+replay down to a resume cursor.  The column masks after n - 2 rows do not
+depend on the order of the rows above, and repeat often, so each walk
+keeps the count and the bits of each tail it has counted by its masks.
 """
 
 from __future__ import annotations
@@ -181,6 +194,9 @@ def _walk(n: int, priors, cells: list, nodes: _Nodes, rng=None, start=None, fold
     the subtrees below its first two first rows and counts the nodes of the
     rest (see the module docstring); that is exact only when what the caller
     does with a square depends on its first row through the row's parity.
+    Without ``want`` it also counts the odd first row's subtree when the
+    caller has sent True into each yield below the identity row: the
+    square with its last two symbols swapped is decided as this one.
     """
     size, full = n * n, (1 << n) - 1
     last = size - 1
@@ -189,8 +205,8 @@ def _walk(n: int, priors, cells: list, nodes: _Nodes, rng=None, start=None, fold
     kk = binom2_bit(n % 4)  # r + c + s = C(n, 2) mod 2 gives the symbol bit
     # the lines through each cell: its row, its column and its symbol class
     # in each earlier square
-    ids = [(p // n, n + p % n, *(n * (t + 2) + int(col[p]) for t, col in enumerate(priors)))
-           for p in range(size)]
+    classes = [[n * (t + 2) + x for x in col.tolist()] for t, col in enumerate(priors)]
+    ids = [(p // n, n + p % n, *(cls[p] for cls in classes)) for p in range(size)]
     # full where the next cell shares a line with this one, so cannot repeat its symbol
     shared = [full if set(ids[p]) & set(ids[p + 1]) else 0 for p in range(last)]
     used = [0] * (n * (len(priors) + 2))
@@ -205,6 +221,8 @@ def _walk(n: int, priors, cells: list, nodes: _Nodes, rng=None, start=None, fold
     tail = (n - 2) * n  # the first cell of row n - 2, never entered for n < 3
     wr, wc = (int(want[0]), int(want[1])) if want else (0, 0)
     entered, below = 0, []  # count on entering row 1; nodes below each first row
+    alike = fold and not want  # each square so far is decided as its copy below the odd row
+    tails = {}  # column masks after n - 2 rows -> _tail of them
 
     def options(m, pos):
         """The symbols in mask m for cell pos, the one to try first last."""
@@ -230,6 +248,9 @@ def _walk(n: int, priors, cells: list, nodes: _Nodes, rng=None, start=None, fold
                 used[line] ^= bit
             if fold and pos == n - 1:  # the subtree below a whole first row is done
                 below.append(count - entered)
+                if alike:  # the odd row's last two cells and a copy of the subtree
+                    count += 2 + below[0]
+                    below.append(below[0])
                 if len(below) == 2:  # the even and the odd row: count the rest
                     count += sum(math.perm(n, j) for j in range(1, n + 1)) - n - 2 \
                         + (math.factorial(n) // 2 - 1) * sum(below)
@@ -261,7 +282,8 @@ def _walk(n: int, priors, cells: list, nodes: _Nodes, rng=None, start=None, fold
             if want and ty != want:
                 continue
             nodes.count = count
-            yield ty
+            if not (yield ty):
+                alike = False
             count = nodes.count
             continue
         bit = 1 << s
@@ -271,7 +293,10 @@ def _walk(n: int, priors, cells: list, nodes: _Nodes, rng=None, start=None, fold
         if pos == n:
             entered = count
         if pos == tail and want and plain:
-            skipped, adds = _tail(n, [full ^ u for u in used[n:2 * n]])
+            masks = tuple(used[n:2 * n])
+            if masks not in tails:
+                tails[masks] = _tail(n, [full ^ u for u in masks])
+            skipped, adds = tails[masks]
             if (wr ^ inv[pos] >> shift & 1, wc ^ inv[pos] & 1) not in adds:
                 count += skipped
                 if count > cap:
@@ -417,15 +442,22 @@ class SearchOutcome:
     seed: int | None = None
 
 
-def _partial_tau_matches(columns, n: int, target: StandardSigma) -> bool:
+def _partial_tau_matches(columns, n: int, target: StandardSigma) -> bool | None:
     """Whether the tau components among the j >= 4 columns so far equal the
     target's; plausible taus and standardised sigmas determine each other,
     column by column, so this compares the free sigma entries among them.
     Those of the earlier columns matched when each was added, so only
-    column j of the sigma of the array so far is compared."""
+    column j of the sigma of the array so far is compared.
+
+    None instead of False when the new column's symbols relabelled by an odd
+    permutation would match: for odd n that flips each entry compared
+    (``transform_parity_laws``), so all of them differ now."""
     j = len(columns)
     sigma = sigma_parity(OrthogonalArray(np.column_stack(columns)))
-    return np.array_equal(sigma.m[1:j, j], target.m[1:j, j])
+    differ = sigma.m[1:j, j] != target.m[1:j, j]
+    if not differ.any():
+        return True
+    return None if n % 2 and differ.all() else False
 
 
 def _search(spec: SearchSpec, rng: random.Random | None):
@@ -444,12 +476,19 @@ def _search(spec: SearchSpec, rng: random.Random | None):
             return True
         first = len(columns) == 2  # the walk yields first squares of the target's type only
         cells = [0] * (n * n)
-        for _ in _walk(n, columns[2:], cells, nodes, rng, fold=True, want=want if first else None):
+        walk = _walk(n, columns[2:], cells, nodes, rng, fold=True, want=want if first else None)
+        alike = None  # whether the square's copy below the odd first row is decided alike
+        while True:
+            try:
+                walk.send(alike)
+            except StopIteration:
+                return False
             columns.append(np.array(cells, dtype=np.int16))
-            if (first or _partial_tau_matches(columns, n, sigma)) and extend():
+            match = first or _partial_tau_matches(columns, n, sigma)
+            if match and extend():
                 return True
             columns.pop()
-        return False
+            alike = n % 2 == 0 or match is False
 
     try:
         if extend():

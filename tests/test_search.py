@@ -374,6 +374,22 @@ def test_tail_matches_oracle():
             _tail_agrees_with_oracle(square.cells[:n - 2].tolist(), n)
 
 
+def test_tail_depends_only_on_the_column_masks():
+    # a walk keeps each counted tail by the columns' symbol masks after
+    # n - 2 rows, which every order of the rows holds alike: the rectangles
+    # that differ only in the order of rows 1..n-3 all get, by the oracle
+    # and relative to their own inversion parities, the one _tail of those
+    # masks
+    rng = random.Random(47)
+    for n in (5, 6):
+        for _ in range(10):
+            cells = [0] * (n * n)
+            next(search._walk(n, (), cells, search._Nodes(), rng))
+            rect = np.reshape(cells, (n, n))[:n - 2].tolist()
+            for order in itertools.permutations(range(1, n - 2)):
+                _tail_agrees_with_oracle([rect[0]] + [rect[i] for i in order], n)
+
+
 def test_typed_walk_yields_the_squares_of_its_type():
     # a walk for one type yields, in order, the squares of that type that the
     # plain walk yields, also after a resume cursor; at order 5 the first
@@ -541,6 +557,44 @@ def _fold_point(n: int, nodes: int) -> int:
     return n + 2 + copies
 
 
+def _odd_row_point(n: int, nodes: int) -> int:
+    """The node count, from its start, at which a walk whose odd first row's
+    subtree is a copy of its identity row's has walked the identity row and
+    its subtree and adds the rest, given the walk's own node count: n plus
+    the nodes below the identity row."""
+    row_trie = sum(math.perm(n, j) for j in range(1, n + 1))
+    below, rest = divmod(nodes - row_trie, math.factorial(n))
+    assert rest == 0, (n, nodes)
+    return n + below
+
+
+def _search_walks(spec, monkeypatch):
+    """The outcome of a search for ``spec`` and, for each walk of a column
+    after the first in visit order, (its column, the node count at its
+    start, the squares it yielded; the node count at its end, or None for a
+    walk that a hit ended)."""
+    walk, walks = search._walk, []
+
+    def spy(n, priors, cells, nodes, *args, **kwargs):
+        record = [len(priors) + 3, nodes.count, 0, None]
+        walks.append(record)
+        inner = walk(n, priors, cells, nodes, *args, **kwargs)
+        verdict = None
+        while True:
+            try:
+                inner.send(verdict)
+            except StopIteration:
+                break
+            record[2] += 1
+            verdict = yield
+        record[3] = nodes.count
+
+    monkeypatch.setattr(search, "_walk", spy)
+    out = find_oa_with_parity(spec)
+    monkeypatch.undo()
+    return out, [tuple(w) for w in walks if w[0] > 3]
+
+
 # these words agree with word 0 on columns 1 to 3, so the search walks column
 # 4 below every type-000 square of order 4 (OA(4, 4) realises word 0 only),
 # 4-5 s each in the oracle; word 1 stays in the default run
@@ -568,23 +622,58 @@ def test_fold_matches_oracle_at_k_n_plus_1():
         _agrees_with_oracle(SearchSpec(6, 5, _word_target(6, 5, word), max_nodes=200000))
 
 
-def test_fold_caps_around_the_remainder():
+def test_fold_caps_around_the_remainder(monkeypatch):
     """Caps on either side of the node after which the top column's walk
-    adds the nodes of its unwalked first rows, and of the full count."""
+    adds the nodes of its unwalked first rows, and of the full count; and,
+    at odd n = 3 and even n = 4, of the node after which the first walk of
+    the last column adds its odd first row's subtree, which no square below
+    its identity row lets end the search."""
     for spec, full_caps in [
         (SearchSpec(3, 4, "011", mode="exhaustive"), True),
         (SearchSpec(4, 3, _word_target(4, 3, 0), mode="exhaustive"), True),
         (SearchSpec(5, 4, _word_target(5, 4, 32)), True),
         (SearchSpec(4, 4, _word_target(4, 4, 1), mode="exhaustive"), False),
     ]:
-        out = find_oa_with_parity(spec)
+        out, walks = _search_walks(spec, monkeypatch)
         assert out.found is None and out.certified_exhausted == (spec.mode == "exhaustive")
         point = _fold_point(spec.n, out.nodes)
         caps = [point - 1, point, point + 1]
         if full_caps:
             caps += [out.nodes - 1, out.nodes]
+        if spec.k == 4:
+            _, start, _, end = walks[0]
+            point = start + _odd_row_point(spec.n, end - start)
+            caps += [point - 1, point, point + 1]
         for cap in caps:
             _agrees_with_oracle(replace(spec, max_nodes=cap))
+
+
+def test_first_hit_below_the_odd_first_row_of_the_last_column():
+    """Searches at n = 5 whose first hit has the odd first row in its last
+    column, which the walk of that column still walks; node counts pinned
+    from the walk before it could skip that row."""
+    odd_row = [0, 1, 2, 4, 3]
+    for k, word, nodes in [(4, 8, 466021), (5, 69, 465876)]:
+        spec = SearchSpec(k, 5, _word_target(k, 5, word), max_nodes=480000)
+        out = find_oa_with_parity(spec)
+        assert out.nodes == nodes and out.found.rows[:5, -1].tolist() == odd_row, (k, word)
+    _agrees_with_oracle(SearchSpec(4, 5, _word_target(4, 5, 8), max_nodes=480000))
+
+
+def test_fold_counts_a_middle_column_that_yields_nothing(monkeypatch):
+    """A capped OA(5, 5) search whose walks of column 4 below some first
+    squares yield nothing, so their odd first rows are counted at odd n,
+    where a yielded square could be decided unlike its copy; node count
+    pinned from the walk before it could skip that row, and caps around the
+    first such walk's odd-row point and its end."""
+    spec = SearchSpec(5, 5, _word_target(5, 5, 13), max_nodes=480000)
+    out, walks = _search_walks(spec, monkeypatch)
+    assert out.nodes == 465804 and tau_parity(out.found) == spec.tau
+    _agrees_with_oracle(spec)
+    _, start, _, end = next(w for w in walks if w[0] == 4 and w[2] == 0)
+    point = start + _odd_row_point(5, end - start)
+    for cap in (point - 1, point, point + 1, end - 1, end):
+        _agrees_with_oracle(replace(spec, max_nodes=cap))
 
 
 def test_exhaustive_k4n5_certifies_the_8_state_class():
@@ -598,3 +687,13 @@ def test_exhaustive_k4n5_certifies_the_8_state_class():
     out = find_oa_with_parity(SearchSpec(4, 5, target, mode="exhaustive"))
     assert (out.nodes, out.certified_exhausted) == (_K4N5_FOUND_NODES[1], False)
     assert tau_parity(out.found) == target
+
+
+def test_odd_row_of_a_middle_column_is_walked_after_a_match():
+    """At odd n a square below the identity row that matches in a middle
+    column is decided unlike its copy below the odd row, which does not
+    match, so the walk of that column walks its odd row: an uncapped
+    OA(5, 5) search that walks such columns and finds nothing, its node
+    count pinned from the walk before it could skip that row."""
+    out = find_oa_with_parity(SearchSpec(5, 5, _word_target(5, 5, 5)))
+    assert (out.nodes, out.found, out.certified_exhausted) == (2601197365, None, False)
